@@ -1,10 +1,12 @@
 //! Fault-injection campaign benches: the detection-coverage experiment
 //! at reduced trial counts.
 
-use reese_core::{InjectedFault, ReeseConfig, ReeseSim};
+use reese_core::{Faults, InjectedFault, ReeseConfig, ReeseSim};
 use reese_faults::{Campaign, FaultMix};
+use reese_pipeline::RunSpec;
 use reese_stats::bench::Criterion;
 use reese_stats::{criterion_group, criterion_main};
+use reese_trace::NoopObserver;
 use reese_workloads::Kernel;
 use std::hint::black_box;
 
@@ -20,7 +22,15 @@ fn bench_faults(c: &mut Criterion) {
     g.bench_function("single_detection_and_recovery", |b| {
         let sim = ReeseSim::new(ReeseConfig::starting());
         let faults = [InjectedFault::primary(500, 7)];
-        b.iter(|| black_box(sim.run_with_faults(&prog, &faults, u64::MAX).expect("runs")));
+        b.iter(|| {
+            black_box(
+                sim.simulate(
+                    RunSpec::new(&prog).faults(Faults::Latch(&faults)),
+                    &mut NoopObserver,
+                )
+                .expect("runs"),
+            )
+        });
     });
     g.finish();
 }

@@ -31,7 +31,7 @@
 use reese_ckpt::{run_sharded, Scheme, ShardOptions};
 use reese_core::{DuplexSim, ReeseConfig, ReeseSim, SchedulerMode};
 use reese_faults::schemes;
-use reese_pipeline::{PipelineConfig, PipelineSim};
+use reese_pipeline::{PipelineConfig, PipelineSim, RunSpec};
 use reese_stats::bench::{Criterion, PairMeasurement};
 use reese_trace::Tracer;
 use reese_workloads::Kernel;
@@ -360,7 +360,7 @@ fn main() {
             .expect("kernel runs");
         let mut probe = Tracer::new();
         let traced = ReeseSim::new(config.clone())
-            .run_with_faults_observed(&program, &[], 0, u64::MAX, &mut probe)
+            .simulate(RunSpec::new(&program), &mut probe)
             .expect("kernel runs");
         assert_eq!(untraced, traced, "tracing changed the simulation");
         probe.finish();
@@ -379,7 +379,7 @@ fn main() {
                 let mut t = Tracer::new();
                 black_box(
                     ReeseSim::new(config.clone())
-                        .run_with_faults_observed(&program, &[], 0, u64::MAX, &mut t)
+                        .simulate(RunSpec::new(&program), &mut t)
                         .expect("kernel runs"),
                 );
                 black_box(t);

@@ -9,9 +9,11 @@
 //! the actual machine and confirms that silent escapes appear exactly
 //! when Δt crosses into it.
 
-use reese_core::{DurationFault, ReeseConfig, ReeseSim};
+use reese_core::{DurationFault, Faults, ReeseConfig, ReeseSim};
 use reese_isa::FuClass;
+use reese_pipeline::RunSpec;
 use reese_stats::{SplitMix64, Table};
+use reese_trace::NoopObserver;
 use reese_workloads::Kernel;
 
 fn main() {
@@ -52,8 +54,10 @@ fn main() {
                 class: FuClass::IntAlu,
                 bit: 9,
             };
-            match sim.run_with_duration_fault(&prog, fault, u64::MAX) {
-                Ok((r, report)) => {
+            let spec = RunSpec::new(&prog).faults(Faults::Duration(fault));
+            match sim.simulate(spec, &mut NoopObserver) {
+                Ok(r) => {
+                    let report = r.duration.expect("a duration run reports");
                     if report.affected() {
                         affected += 1;
                     }

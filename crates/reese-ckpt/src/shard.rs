@@ -20,9 +20,9 @@ use crate::{boundaries, checkpoints_at, Checkpoint, CkptError, Scheme};
 use reese_core::{DuplexSim, ReeseConfig, ReeseError, ReeseSim, ReeseStats};
 use reese_cpu::{EmuError, Emulator, StopReason};
 use reese_isa::Program;
-use reese_pipeline::{PipelineSim, SimResult};
+use reese_pipeline::{PipelineSim, RunSpec, SimResult};
 use reese_stats::{par_map_indexed, ParallelStats};
-use reese_trace::{MetricsSeries, TraceRing, Tracer};
+use reese_trace::{MetricsSeries, NoopObserver, TraceRing, Tracer};
 use std::fmt;
 
 /// Why a sharded run failed.
@@ -379,27 +379,30 @@ fn run_one_interval(
     let mut outcome = match scheme {
         Scheme::Baseline => {
             let sim = PipelineSim::new(config.pipeline.clone());
+            let spec = RunSpec::restored(emulator, warm).limit(len);
             match &mut tracer {
-                Some(t) => sim.run_interval_observed(emulator, warm, len, t),
-                None => sim.run_interval(emulator, warm, len),
+                Some(t) => sim.simulate(spec, t),
+                None => sim.simulate(spec, &mut NoopObserver),
             }
             .map(|r| Outcome::from_baseline(r, warmed))
             .map_err(|e| IntervalError::Sim(ReeseError::Sim(e)))?
         }
         Scheme::Reese => {
             let sim = ReeseSim::new(config.clone());
+            let spec = RunSpec::restored(emulator, warm).limit(len);
             match &mut tracer {
-                Some(t) => sim.run_interval_observed(emulator, warm, len, t),
-                None => sim.run_interval(emulator, warm, len),
+                Some(t) => sim.simulate(spec, t),
+                None => sim.simulate(spec, &mut NoopObserver),
             }
             .map(|r| Outcome::from_reese(r, warmed))
             .map_err(IntervalError::Sim)?
         }
         Scheme::Duplex => {
             let sim = DuplexSim::new(config.pipeline.clone());
+            let spec = RunSpec::restored(emulator, warm).limit(len);
             match &mut tracer {
-                Some(t) => sim.run_interval_observed(emulator, warm, len, t),
-                None => sim.run_interval(emulator, warm, len),
+                Some(t) => sim.simulate(spec, t),
+                None => sim.simulate(spec, &mut NoopObserver),
             }
             .map(|r| Outcome::from_reese(r, warmed))
             .map_err(IntervalError::Sim)?

@@ -14,18 +14,11 @@
 //! run the same workload on both machines and compare.
 
 use crate::seqmap::SeqTable;
-use crate::{DetectionEvent, InjectedFault, ReeseError, ReeseResult, ReeseStats, Stream};
-use reese_cpu::Emulator;
-use reese_isa::{FuClass, Program};
-use reese_mem::MemHierarchy;
-use reese_pipeline::{
-    FetchUnit, Fetched, FuPool, LoadPlan, Lsq, PipelineConfig, PredictionInfo, Ruu, SchedulerMode,
-    Seq, SimError, SimStop, WarmState,
-};
-use reese_trace::{CycleState, NoopObserver, Observer, Stage, Stream as TStream, TraceEvent};
-use std::collections::VecDeque;
-
-const DEADLOCK_HORIZON: u64 = 100_000;
+use crate::sim::{fault_table, Checker};
+use crate::{InjectedFault, ReeseError, ReeseResult, ReeseStats, Stream};
+use reese_isa::Program;
+use reese_pipeline::{emit, Core, PipelineConfig, Redundancy, RunSpec, Seq, SimStop};
+use reese_trace::{CycleState, NoopObserver, Observer, Stage, Stream as TStream};
 
 /// The dispatch-duplication machine: every fetched instruction enters
 /// the RUU twice (redundant copy first, primary copy second, so
@@ -74,433 +67,63 @@ impl DuplexSim {
     ///
     /// Returns [`ReeseError::Sim`] for program or simulator failures.
     pub fn run(&self, program: &Program) -> Result<ReeseResult, ReeseError> {
-        self.run_limit(program, u64::MAX)
+        self.simulate(RunSpec::new(program), &mut NoopObserver)
     }
 
-    /// Runs until `halt` or `max_instructions` commits.
-    ///
-    /// # Errors
-    ///
-    /// See [`DuplexSim::run`].
-    pub fn run_limit(
-        &self,
-        program: &Program,
-        max_instructions: u64,
-    ) -> Result<ReeseResult, ReeseError> {
-        self.run_limit_observed(program, max_instructions, &mut NoopObserver)
-    }
-
-    /// Like [`DuplexSim::run_limit`] but reporting per-cycle state and
-    /// per-instruction lifecycle events to `obs`. With
-    /// [`NoopObserver`] this compiles down to exactly
-    /// [`DuplexSim::run_limit`].
-    ///
-    /// # Errors
-    ///
-    /// See [`DuplexSim::run`].
-    pub fn run_limit_observed<O: Observer>(
-        &self,
-        program: &Program,
-        max_instructions: u64,
-        obs: &mut O,
-    ) -> Result<ReeseResult, ReeseError> {
-        self.run_with_faults_observed(program, &[], max_instructions, obs)
-    }
-
-    /// Runs with a set of faults to inject. A fault targeting dynamic
-    /// instruction `seq` corrupts one copy's latched result, so the
-    /// pair comparison at commit fails: the machine records a
-    /// [`DetectionEvent`], flushes, and re-executes from the faulting
-    /// instruction — Franklin's comparison at the bottom of the
-    /// pipeline.
+    /// Simulates `spec` — from program start, after a functional skip,
+    /// or from a checkpoint — injecting its latch faults, with `obs`
+    /// receiving per-cycle state and per-instruction lifecycle events.
+    /// A fault targeting dynamic instruction `seq` corrupts one copy's
+    /// latched result, so the pair comparison at commit fails: the
+    /// machine records a [`crate::DetectionEvent`], flushes, and
+    /// re-executes from the faulting instruction — Franklin's
+    /// comparison at the bottom of the pipeline.
     ///
     /// # Errors
     ///
     /// Returns [`ReeseError::PermanentFault`] if a sticky fault makes
-    /// the same comparison fail twice in a row.
-    pub fn run_with_faults(
+    /// the same comparison fail twice in a row, or [`ReeseError::Sim`]
+    /// for program or simulator failures.
+    pub fn simulate<O: Observer>(
         &self,
-        program: &Program,
-        faults: &[InjectedFault],
-        max_instructions: u64,
-    ) -> Result<ReeseResult, ReeseError> {
-        self.run_with_faults_observed(program, faults, max_instructions, &mut NoopObserver)
-    }
-
-    /// Like [`DuplexSim::run_with_faults`] but with an observer.
-    ///
-    /// # Errors
-    ///
-    /// See [`DuplexSim::run_with_faults`].
-    pub fn run_with_faults_observed<O: Observer>(
-        &self,
-        program: &Program,
-        faults: &[InjectedFault],
-        max_instructions: u64,
+        spec: RunSpec<'_, &[InjectedFault]>,
         obs: &mut O,
     ) -> Result<ReeseResult, ReeseError> {
-        let mut m = DuplexMachine::new(&self.config, program, faults);
-        m.run(max_instructions, obs)
-    }
-
-    /// Runs one sharded interval: continues from a restored emulator,
-    /// optionally warming the caches and branch predictor from a
-    /// [`WarmState`], and stops after `max_instructions` pair commits.
-    ///
-    /// # Errors
-    ///
-    /// See [`DuplexSim::run`].
-    pub fn run_interval(
-        &self,
-        emulator: Emulator,
-        warm: Option<&WarmState>,
-        max_instructions: u64,
-    ) -> Result<ReeseResult, ReeseError> {
-        self.run_interval_observed(emulator, warm, max_instructions, &mut NoopObserver)
-    }
-
-    /// Like [`DuplexSim::run_interval`] but with an observer.
-    ///
-    /// # Errors
-    ///
-    /// See [`DuplexSim::run`].
-    pub fn run_interval_observed<O: Observer>(
-        &self,
-        emulator: Emulator,
-        warm: Option<&WarmState>,
-        max_instructions: u64,
-        obs: &mut O,
-    ) -> Result<ReeseResult, ReeseError> {
-        self.run_interval_with_faults_observed(emulator, warm, &[], max_instructions, obs)
-    }
-
-    /// Like [`DuplexSim::run_interval`] but with injected faults. Fault
-    /// sequence numbers are global (the restored emulator keeps
-    /// counting from its checkpoint boundary).
-    ///
-    /// # Errors
-    ///
-    /// See [`DuplexSim::run_with_faults`].
-    pub fn run_interval_with_faults(
-        &self,
-        emulator: Emulator,
-        warm: Option<&WarmState>,
-        faults: &[InjectedFault],
-        max_instructions: u64,
-    ) -> Result<ReeseResult, ReeseError> {
-        self.run_interval_with_faults_observed(
-            emulator,
-            warm,
-            faults,
-            max_instructions,
-            &mut NoopObserver,
-        )
-    }
-
-    /// Like [`DuplexSim::run_interval_with_faults`] but with an
-    /// observer.
-    ///
-    /// # Errors
-    ///
-    /// See [`DuplexSim::run_with_faults`].
-    pub fn run_interval_with_faults_observed<O: Observer>(
-        &self,
-        emulator: Emulator,
-        warm: Option<&WarmState>,
-        faults: &[InjectedFault],
-        max_instructions: u64,
-        obs: &mut O,
-    ) -> Result<ReeseResult, ReeseError> {
-        let mut m = DuplexMachine::restored(&self.config, emulator, warm, faults);
-        m.run(max_instructions, obs)
+        let pol = Twin {
+            stats: ReeseStats::new(1),
+            faults: fault_table(spec.faults),
+            check: Checker::default(),
+        };
+        Core::new(&self.config, spec.start, |_| pol).run(spec.max_instructions, obs)
     }
 }
 
-struct DuplexMachine<'c> {
-    cfg: &'c PipelineConfig,
-    cycle: u64,
-    fetch: FetchUnit,
-    fetchq: VecDeque<Fetched>,
-    ruu: Ruu,
-    lsq: Lsq,
-    fu: FuPool,
-    hierarchy: MemHierarchy,
+/// The dispatch-twin policy. Copies are identified by RUU seq parity:
+/// the redundant copy of fetched instruction `s` is entry `2s`, the
+/// primary `2s + 1`. There is no R-stream Queue, so the queue occupancy
+/// and missed-slot counters stay zero.
+struct Twin {
     stats: ReeseStats,
-    output: Vec<i64>,
-    exit_code: Option<u64>,
-    last_commit_cycle: u64,
-    scratch_done: Vec<Seq>,
-    scratch_ready: Vec<Seq>,
     /// Pending injected faults keyed by *fetch* seq (the pair index).
     faults: SeqTable<Vec<InjectedFault>>,
-    detections: Vec<DetectionEvent>,
-    /// Pair currently re-executing after a detection flush; a second
-    /// consecutive mismatch there is a permanent fault.
-    retry_seq: Option<Seq>,
-    permanent: Option<(Seq, u64)>,
+    check: Checker,
 }
 
-impl<'c> DuplexMachine<'c> {
-    fn new(
-        cfg: &'c PipelineConfig,
-        program: &Program,
-        faults: &[InjectedFault],
-    ) -> DuplexMachine<'c> {
-        let fetch = FetchUnit::new(program, cfg.predictor.clone());
-        let hierarchy = MemHierarchy::new(cfg.hierarchy.clone());
-        DuplexMachine::with_front_end(cfg, fetch, hierarchy, faults)
-    }
-
-    fn restored(
-        cfg: &'c PipelineConfig,
-        emulator: Emulator,
-        warm: Option<&WarmState>,
-        faults: &[InjectedFault],
-    ) -> DuplexMachine<'c> {
-        let mut fetch = FetchUnit::from_restored(emulator, cfg.predictor.clone());
-        let mut hierarchy = MemHierarchy::new(cfg.hierarchy.clone());
-        if let Some(w) = warm {
-            fetch.import_branch_state(&w.branch);
-            hierarchy.import_state(&w.hierarchy);
-        }
-        DuplexMachine::with_front_end(cfg, fetch, hierarchy, faults)
-    }
-
-    fn with_front_end(
-        cfg: &'c PipelineConfig,
-        fetch: FetchUnit,
-        hierarchy: MemHierarchy,
-        faults: &[InjectedFault],
-    ) -> DuplexMachine<'c> {
-        let mut map: SeqTable<Vec<InjectedFault>> = SeqTable::new();
-        for f in faults {
-            map.get_or_insert_with(f.seq, Vec::new).push(*f);
-        }
-        DuplexMachine {
-            cfg,
-            cycle: 0,
-            fetch,
-            fetchq: VecDeque::with_capacity(cfg.fetch_queue_size),
-            ruu: Ruu::with_scheduler(cfg.ruu_size, cfg.scheduler),
-            lsq: Lsq::new(cfg.lsq_size),
-            fu: FuPool::new(cfg.fu),
-            hierarchy,
-            stats: ReeseStats::new(1),
-            output: Vec::new(),
-            exit_code: None,
-            last_commit_cycle: 0,
-            scratch_done: Vec::new(),
-            scratch_ready: Vec::new(),
-            faults: map,
-            detections: Vec::new(),
-            retry_seq: None,
-            permanent: None,
-        }
-    }
-
-    fn run<O: Observer>(
-        &mut self,
-        max_instructions: u64,
-        obs: &mut O,
-    ) -> Result<ReeseResult, ReeseError> {
-        let stop = loop {
-            if O::ENABLED && self.cycle > 0 {
-                obs.cycle(self.cycle, &self.cycle_state());
-            }
-            self.cycle += 1;
-            if self.cfg.scheduler == SchedulerMode::EventDriven {
-                self.skip_idle_cycles(obs);
-            }
-
-            self.commit(max_instructions, obs);
-            if let Some((seq, pc)) = self.permanent {
-                return Err(ReeseError::PermanentFault { seq, pc });
-            }
-            if self.exit_code.is_some() {
-                break SimStop::Halted;
-            }
-            if self.stats.pipeline.committed >= max_instructions {
-                break SimStop::InstructionLimit;
-            }
-            self.writeback(obs);
-            self.issue(obs);
-            self.dispatch(obs);
-            self.do_fetch(obs);
-
-            if self.cfg.max_cycles > 0 && self.cycle >= self.cfg.max_cycles {
-                break SimStop::CycleLimit;
-            }
-            if self.fetch.exhausted() && self.fetchq.is_empty() && self.ruu.is_empty() {
-                if let Some(e) = self.fetch.error() {
-                    return Err(ReeseError::Sim(SimError::Emulation(e.clone())));
-                }
-                break SimStop::InstructionLimit;
-            }
-            if self.cycle - self.last_commit_cycle > DEADLOCK_HORIZON {
-                return Err(ReeseError::Sim(SimError::Deadlock { cycle: self.cycle }));
-            }
-        };
-        if O::ENABLED {
-            obs.cycle(self.cycle, &self.cycle_state());
-        }
-        self.finalise();
-        Ok(ReeseResult {
-            stop,
-            stats: self.stats.clone(),
-            output: std::mem::take(&mut self.output),
-            exit_code: self.exit_code,
-            state_digest: self.fetch.state_digest(),
-            detections: std::mem::take(&mut self.detections),
-        })
-    }
-
-    /// Jumps the clock over cycles on which no stage can act (see the
-    /// baseline's `skip_idle_cycles`). Pair commit needs a *completed*
-    /// head, so an incomplete head makes commit a guaranteed no-op.
-    /// Snapshot of the cumulative counters and queue occupancies the
-    /// metrics sampler records. Duplex has no R-stream Queue, so the
-    /// R-queue occupancy and missed-slot counters stay zero; redundant
-    /// copies are identified by RUU seq parity instead.
-    fn cycle_state(&self) -> CycleState {
-        CycleState {
-            committed: self.stats.pipeline.committed,
-            issued: self.stats.pipeline.issued,
-            r_issued: self.stats.r_issued,
-            r_missed: 0,
-            dispatch_stall_ruu: self.stats.pipeline.dispatch_stall_ruu_full,
-            dispatch_stall_lsq: self.stats.pipeline.dispatch_stall_lsq_full,
-            fetch_empty: self.stats.pipeline.fetch_queue_empty_cycles,
-            fu_busy: self.fu.busy_by_class(),
-            sched_ops: self.ruu.sched_ops(),
-            ruu_occ: self.ruu.len(),
-            lsq_occ: self.lsq.len(),
-            rqueue_occ: 0,
-            fetchq_occ: self.fetchq.len(),
-        }
-    }
-
-    fn skip_idle_cycles<O: Observer>(&mut self, obs: &mut O) {
-        if self.ruu.head().is_some_and(|e| e.completed)
-            || self.ruu.has_ready()
-            || !self.fetchq.is_empty()
-        {
-            return;
-        }
-        if self
-            .ruu
-            .next_completion_cycle()
-            .is_some_and(|t| t <= self.cycle)
-        {
-            return;
-        }
-        let fetch_at = self.fetch.next_fetch_cycle(self.cycle);
-        if fetch_at == Some(self.cycle) {
-            return;
-        }
-        let Some(target) = [self.ruu.next_completion_cycle(), fetch_at]
-            .into_iter()
-            .flatten()
-            .min()
-        else {
-            // Nothing will ever wake: let the drain/deadlock path run.
-            return;
-        };
-        let mut target = target.min(self.last_commit_cycle + DEADLOCK_HORIZON + 1);
-        if self.cfg.max_cycles > 0 {
-            target = target.min(self.cfg.max_cycles);
-        }
-        if target <= self.cycle {
-            return;
-        }
-        self.stats.pipeline.fetch_queue_empty_cycles += target - self.cycle;
-        if O::ENABLED {
-            obs.idle_skip(self.cycle, target, &self.cycle_state());
-        }
-        self.cycle = target;
-    }
-
-    /// Commits pairs: the redundant copy (even RUU seq) and the primary
-    /// copy (odd RUU seq) retire together once both have completed —
-    /// the comparison point of Franklin's scheme.
-    fn commit<O: Observer>(&mut self, max_instructions: u64, obs: &mut O) {
-        for _ in 0..self.cfg.width / 2 {
-            if self.stats.pipeline.committed >= max_instructions {
-                return;
-            }
-            let Some(r_copy) = self.ruu.head() else {
-                return;
-            };
-            if !r_copy.completed {
-                return;
-            }
-            debug_assert_eq!(r_copy.seq % 2, 0, "head of a pair is the redundant copy");
-            let Some(p_copy) = self.ruu.get(r_copy.seq + 1) else {
-                return;
-            };
-            if !p_copy.completed {
-                return;
-            }
-            // The comparison point: a pending injected fault corrupted
-            // one copy's latched result, so the pair mismatches here.
-            let pair_seq = r_copy.seq / 2;
-            if self.faults.get(pair_seq).is_some_and(|l| !l.is_empty()) {
-                let (pc, r_done, p_done) =
-                    (p_copy.info.pc, r_copy.complete_cycle, p_copy.complete_cycle);
-                self.detect_and_flush(pair_seq, pc, r_done, p_done, obs);
-                return;
-            }
-            let r_copy = self.ruu.pop_head();
-            let p_copy = self.ruu.pop_head();
-            debug_assert_eq!(r_copy.info.result, p_copy.info.result, "fault-free run");
-            if O::ENABLED {
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq: r_copy.seq,
-                    pc: p_copy.info.pc,
-                    stage: Stage::Compare,
-                    stream: TStream::Redundant,
-                });
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq: p_copy.seq,
-                    pc: p_copy.info.pc,
-                    stage: Stage::Commit,
-                    stream: TStream::Primary,
-                });
-            }
-            self.lsq.remove(r_copy.seq);
-            self.lsq.remove(p_copy.seq);
-            self.fetch.on_commit(1);
-            self.stats.pipeline.committed += 1;
-            self.stats.comparisons += 1;
-            self.last_commit_cycle = self.cycle;
-            if self.retry_seq == Some(pair_seq) {
-                self.retry_seq = None;
-            }
-            if let Some(v) = p_copy.info.printed {
-                self.output.push(v);
-            }
-            if p_copy.info.halted {
-                self.exit_code = Some(p_copy.info.result);
-                return;
-            }
-        }
-    }
-
+impl Twin {
     /// A pair comparison failed at the RUU head: record the detection
     /// and flush the machine back to the faulting instruction. A
     /// transient fault is consumed (the re-execution compares clean); a
     /// sticky fault fires again and the second consecutive mismatch
     /// stops the machine as a permanent fault.
     fn detect_and_flush<O: Observer>(
-        &mut self,
+        m: &mut Core<'_, Self>,
         seq: Seq,
         pc: u64,
         r_done: u64,
         p_done: u64,
         obs: &mut O,
     ) {
-        let list = self.faults.get_mut(seq).expect("pending fault");
+        let list = m.pol.faults.get_mut(seq).expect("pending fault");
         let fault = list[0];
         if !fault.sticky {
             list.remove(0);
@@ -509,270 +132,117 @@ impl<'c> DuplexMachine<'c> {
             Stream::Primary => p_done,
             Stream::Redundant => r_done,
         };
-        if O::ENABLED {
-            // The mismatching comparison, then the squash it triggers.
-            obs.event(TraceEvent {
-                cycle: self.cycle,
-                seq: seq * 2,
-                pc,
-                stage: Stage::Compare,
-                stream: TStream::Redundant,
-            });
-            obs.event(TraceEvent {
-                cycle: self.cycle,
-                seq: seq * 2 + 1,
-                pc,
-                stage: Stage::Flush,
-                stream: TStream::Primary,
-            });
-        }
-        self.stats.detections += 1;
-        self.stats.flushes += 1;
-        self.detections.push(DetectionEvent {
-            seq,
+        // The mismatching comparison, then the squash it triggers.
+        emit(
+            obs,
+            m.cycle,
+            seq * 2,
             pc,
-            detect_cycle: self.cycle,
-            inject_cycle,
-        });
-        if self.retry_seq == Some(seq) {
-            // Second consecutive failure of the same pair: stop the
-            // pipeline and notify, as REESE's permanent-fault path does.
-            self.permanent = Some((seq, pc));
-            return;
+            Stage::Compare,
+            TStream::Redundant,
+        );
+        emit(
+            obs,
+            m.cycle,
+            seq * 2 + 1,
+            pc,
+            Stage::Flush,
+            TStream::Primary,
+        );
+        let pol = &mut m.pol;
+        if pol
+            .check
+            .mismatch(&mut pol.stats, seq, pc, m.cycle, inject_cycle)
+        {
+            // Duplex has no dedicated flush ladder; the recovery squash
+            // costs the same front-end refill as a mispredict.
+            m.flush_to(seq, m.cfg.mispredict_penalty);
         }
-        self.retry_seq = Some(seq);
-        self.ruu.flush_all();
-        self.lsq.flush_all();
-        self.fetchq.clear();
-        self.fu.flush();
-        // Duplex has no dedicated flush ladder; the recovery squash
-        // costs the same front-end refill as a mispredict.
-        self.fetch
-            .flush_to(seq, self.cycle + 1 + u64::from(self.cfg.mispredict_penalty));
+    }
+}
+
+impl Redundancy for Twin {
+    type Output = ReeseResult;
+    type Error = ReeseError;
+
+    const COPIES: usize = 2;
+
+    /// Commits a pair: the redundant copy (even RUU seq) and the primary
+    /// copy (odd RUU seq) retire together once both have completed —
+    /// the comparison point of Franklin's scheme.
+    fn commit_one<O: Observer>(m: &mut Core<'_, Self>, obs: &mut O) -> bool {
+        let Some(r_copy) = m.ruu.head() else {
+            return false;
+        };
+        if !r_copy.completed {
+            return false;
+        }
+        debug_assert_eq!(r_copy.seq % 2, 0, "head of a pair is the redundant copy");
+        let Some(p_copy) = m.ruu.get(r_copy.seq + 1) else {
+            return false;
+        };
+        if !p_copy.completed {
+            return false;
+        }
+        // The comparison point: a pending injected fault corrupted one
+        // copy's latched result, so the pair mismatches here.
+        let pair_seq = r_copy.seq / 2;
+        if m.pol.faults.get(pair_seq).is_some_and(|l| !l.is_empty()) {
+            let (pc, r_done, p_done) =
+                (p_copy.info.pc, r_copy.complete_cycle, p_copy.complete_cycle);
+            Self::detect_and_flush(m, pair_seq, pc, r_done, p_done, obs);
+            return false;
+        }
+        let r_copy = m.ruu.pop_head();
+        let p_copy = m.ruu.pop_head();
+        debug_assert_eq!(r_copy.info.result, p_copy.info.result, "fault-free run");
+        emit(
+            obs,
+            m.cycle,
+            r_copy.seq,
+            p_copy.info.pc,
+            Stage::Compare,
+            TStream::Redundant,
+        );
+        emit(
+            obs,
+            m.cycle,
+            p_copy.seq,
+            p_copy.info.pc,
+            Stage::Commit,
+            TStream::Primary,
+        );
+        m.lsq.remove(r_copy.seq);
+        m.lsq.remove(p_copy.seq);
+        m.pol.stats.comparisons += 1;
+        m.pol.check.matched(pair_seq);
+        m.retire(&p_copy.info)
     }
 
-    fn writeback<O: Observer>(&mut self, obs: &mut O) {
-        let mut done = std::mem::take(&mut self.scratch_done);
-        match self.cfg.scheduler {
-            SchedulerMode::Scan => {
-                done.clear();
-                done.extend(
-                    self.ruu
-                        .iter()
-                        .filter(|e| e.issued && !e.completed && e.complete_cycle <= self.cycle)
-                        .map(|e| e.seq),
-                );
-            }
-            SchedulerMode::EventDriven => self.ruu.take_completions_into(self.cycle, &mut done),
-        }
-        for seq in done.drain(..) {
-            self.ruu.complete(seq);
-            // Copy out the two Copy fields needed below rather than
-            // cloning the whole entry per completion.
-            let e = self.ruu.get(seq).expect("just completed");
-            if O::ENABLED {
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq,
-                    pc: e.info.pc,
-                    stage: Stage::Writeback,
-                    stream: if seq % 2 == 0 {
-                        TStream::Redundant
-                    } else {
-                        TStream::Primary
-                    },
-                });
-            }
-            let is_mem = e.is_mem();
-            // Resolve control once per pair, on the primary copy.
-            let fetched = (e.is_control() && e.seq % 2 == 1).then_some(Fetched {
-                seq: e.seq / 2,
-                info: *e.info,
-                pred: e.pred,
-            });
-            if is_mem {
-                self.lsq.mark_executed(seq);
-            }
-            if let Some(fetched) = fetched {
-                self.fetch
-                    .resolve_control(&fetched, self.cycle, self.cfg.mispredict_penalty);
-            }
-        }
-        self.scratch_done = done;
+    fn fatal(&self) -> Option<ReeseError> {
+        self.check.fatal()
     }
 
-    fn issue<O: Observer>(&mut self, obs: &mut O) {
-        let mut ready = std::mem::take(&mut self.scratch_ready);
-        match self.cfg.scheduler {
-            SchedulerMode::Scan => {
-                ready.clear();
-                ready.extend(self.ruu.ready_seqs());
-            }
-            SchedulerMode::EventDriven => self.ruu.ready_into(&mut ready),
-        }
-        let event_driven = self.cfg.scheduler == SchedulerMode::EventDriven;
-        let mut issued = 0usize;
-        for seq in ready.drain(..) {
-            if issued == self.cfg.width {
-                break;
-            }
-            let e = self.ruu.get(seq).expect("ready seq in window");
-            let op = e.info.instr.op;
-            // O(1) per-class gate (event mode) — see the baseline
-            // machine's `issue`: loads are never gated because a
-            // forwarded load needs no functional unit.
-            if event_driven {
-                let blocked = match e.info.mem {
-                    None => !self.fu.class_free(op.fu_class(), self.cycle),
-                    Some(mem) if mem.is_store => {
-                        !(self.fu.class_free(FuClass::IntAlu, self.cycle)
-                            && self.fu.class_free(FuClass::MemPort, self.cycle))
-                    }
-                    Some(_) => false,
-                };
-                if blocked {
-                    continue;
-                }
-            }
-            let latency: u64 = if let Some(mem) = e.info.mem {
-                if mem.is_store {
-                    if !self.fu.try_issue_mem(op, self.cycle) {
-                        continue;
-                    }
-                    1 + u64::from(self.hierarchy.access_data(mem.addr, true))
-                } else {
-                    match self.lsq.plan_load(seq, mem.addr, mem.width.bytes()) {
-                        LoadPlan::Wait { .. } => continue,
-                        LoadPlan::Forward { .. } => {
-                            self.stats.pipeline.loads_forwarded += 1;
-                            2
-                        }
-                        LoadPlan::CacheAccess => {
-                            if !self.fu.try_issue_mem(op, self.cycle) {
-                                continue;
-                            }
-                            1 + u64::from(self.hierarchy.access_data(mem.addr, false))
-                        }
-                    }
-                }
-            } else {
-                if !self.fu.try_issue(op, self.cycle) {
-                    continue;
-                }
-                u64::from(op.latency())
-            };
-            if O::ENABLED {
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq,
-                    pc: e.info.pc,
-                    stage: Stage::Issue,
-                    stream: if seq % 2 == 0 {
-                        TStream::Redundant
-                    } else {
-                        TStream::Primary
-                    },
-                });
-            }
-            self.ruu.mark_issued(seq, self.cycle, self.cycle + latency);
-            issued += 1;
-            self.stats.pipeline.issued += 1;
-            if seq % 2 == 0 {
-                self.stats.r_issued += 1;
-            }
-        }
-        self.scratch_ready = ready;
-    }
-
-    /// Dispatches each fetched instruction twice: the redundant copy
-    /// first (even RUU seq), the primary second (odd), so later readers
-    /// rename against the primary.
-    fn dispatch<O: Observer>(&mut self, obs: &mut O) {
-        if self.fetchq.is_empty() {
-            self.stats.pipeline.fetch_queue_empty_cycles += 1;
-            return;
-        }
-        for _ in 0..self.cfg.width / 2 {
-            let Some(front) = self.fetchq.front() else {
-                break;
-            };
-            // A pair needs two RUU slots (and two LSQ slots if memory).
-            if self.ruu.len() + 2 > self.ruu.capacity() {
-                self.stats.pipeline.dispatch_stall_ruu_full += 1;
-                break;
-            }
-            if front.info.mem.is_some() && self.lsq.len() + 2 > self.lsq.capacity() {
-                self.stats.pipeline.dispatch_stall_lsq_full += 1;
-                break;
-            }
-            let f = self.fetchq.pop_front().expect("checked front");
-            let (r_seq, p_seq) = (f.seq * 2, f.seq * 2 + 1);
-            if O::ENABLED {
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq: r_seq,
-                    pc: f.info.pc,
-                    stage: Stage::Dispatch,
-                    stream: TStream::Redundant,
-                });
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq: p_seq,
-                    pc: f.info.pc,
-                    stage: Stage::Dispatch,
-                    stream: TStream::Primary,
-                });
-            }
-            self.ruu
-                .dispatch(r_seq, f.info, PredictionInfo::default(), self.cycle);
-            self.ruu.dispatch(p_seq, f.info, f.pred, self.cycle);
-            if let Some(mem) = f.info.mem {
-                self.lsq
-                    .insert(r_seq, mem.addr, mem.width.bytes(), mem.is_store);
-                self.lsq
-                    .insert(p_seq, mem.addr, mem.width.bytes(), mem.is_store);
-            }
+    fn issued(&mut self, seq: Seq) {
+        if seq.is_multiple_of(2) {
+            self.stats.r_issued += 1;
         }
     }
 
-    fn do_fetch<O: Observer>(&mut self, obs: &mut O) {
-        let space = self.cfg.fetch_queue_size - self.fetchq.len();
-        if space == 0 {
-            return;
-        }
-        let batch = self
-            .fetch
-            .fetch_cycle(self.cycle, self.cfg.width, space, &mut self.hierarchy);
-        if O::ENABLED {
-            for f in &batch {
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq: f.seq,
-                    pc: f.info.pc,
-                    stage: Stage::Fetch,
-                    stream: TStream::Primary,
-                });
-            }
-        }
-        self.fetchq.extend(batch);
+    fn observe(&self, state: &mut CycleState) {
+        state.r_issued = self.stats.r_issued;
     }
 
-    fn finalise(&mut self) {
-        self.stats.pipeline.cycles = self.cycle;
-        self.stats.pipeline.fetched = self.fetch.total_fetched();
-        self.stats.pipeline.branch = self.fetch.branch_stats();
-        self.stats.pipeline.hierarchy = Some(self.hierarchy.stats());
-        self.stats.pipeline.fu_utilisation = FuClass::ALL
-            .iter()
-            .map(|&c| (c, self.fu.utilisation(c, self.cycle)))
-            .collect();
+    fn finish(m: Core<'_, Self>, stop: SimStop) -> ReeseResult {
+        let (base, pol) = m.into_parts(stop);
+        ReeseResult::assemble(base, pol.stats, pol.check.detections, None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ReeseConfig, ReeseSim};
+    use crate::{ReeseConfig, ReeseSim, SchedulerMode};
     use reese_isa::assemble;
     use reese_pipeline::PipelineSim;
 
@@ -863,7 +333,7 @@ mod tests {
     fn duplex_respects_instruction_limit() {
         let prog = assemble("loop: addi t0, t0, 1\n  j loop\n  halt\n").unwrap();
         let r = DuplexSim::new(PipelineConfig::starting())
-            .run_limit(&prog, 50)
+            .simulate(RunSpec::new(&prog).limit(50), &mut NoopObserver)
             .unwrap();
         assert_eq!(r.stop, SimStop::InstructionLimit);
         assert!(r.committed_instructions() >= 50);
@@ -889,7 +359,10 @@ mod tests {
             .run(&prog)
             .unwrap();
         let faulted = DuplexSim::new(PipelineConfig::starting())
-            .run_with_faults(&prog, &[InjectedFault::primary(40, 7)], u64::MAX)
+            .simulate(
+                RunSpec::new(&prog).faults(&[InjectedFault::primary(40, 7)][..]),
+                &mut NoopObserver,
+            )
             .unwrap();
         assert_eq!(faulted.stats.detections, 1);
         assert_eq!(faulted.stats.flushes, 1);
@@ -908,7 +381,10 @@ mod tests {
     fn redundant_stream_fault_is_detected_too() {
         let prog = assemble(LOOP).unwrap();
         let r = DuplexSim::new(PipelineConfig::starting())
-            .run_with_faults(&prog, &[InjectedFault::redundant(10, 3)], u64::MAX)
+            .simulate(
+                RunSpec::new(&prog).faults(&[InjectedFault::redundant(10, 3)][..]),
+                &mut NoopObserver,
+            )
             .unwrap();
         assert_eq!(r.stats.detections, 1);
         assert!(r.detections[0].detect_cycle >= r.detections[0].inject_cycle);
@@ -918,7 +394,10 @@ mod tests {
     fn permanent_fault_stops_the_machine() {
         let prog = assemble(LOOP).unwrap();
         let err = DuplexSim::new(PipelineConfig::starting())
-            .run_with_faults(&prog, &[InjectedFault::permanent(15, 2)], u64::MAX)
+            .simulate(
+                RunSpec::new(&prog).faults(&[InjectedFault::permanent(15, 2)][..]),
+                &mut NoopObserver,
+            )
             .unwrap_err();
         assert!(matches!(err, ReeseError::PermanentFault { seq: 15, .. }));
     }
@@ -931,11 +410,11 @@ mod tests {
             InjectedFault::redundant(900, 60),
         ];
         let scan = DuplexSim::new(PipelineConfig::starting().with_scheduler(SchedulerMode::Scan))
-            .run_with_faults(&prog, &faults, u64::MAX)
+            .simulate(RunSpec::new(&prog).faults(&faults[..]), &mut NoopObserver)
             .unwrap();
         let event =
             DuplexSim::new(PipelineConfig::starting().with_scheduler(SchedulerMode::EventDriven))
-                .run_with_faults(&prog, &faults, u64::MAX)
+                .simulate(RunSpec::new(&prog).faults(&faults[..]), &mut NoopObserver)
                 .unwrap();
         assert_eq!(scan, event);
         assert_eq!(scan.stats.detections, 2);

@@ -77,6 +77,21 @@ impl InjectedFault {
     }
 }
 
+/// The faults a REESE run injects: the fault plan of its
+/// [`reese_pipeline::RunSpec`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Faults<'a> {
+    /// A fault-free run.
+    #[default]
+    None,
+    /// Bit flips in the compare latches of specific dynamic
+    /// instructions.
+    Latch(&'a [InjectedFault]),
+    /// An environmental disturbance; the run's
+    /// [`crate::ReeseResult::duration`] reports what it corrupted.
+    Duration(DurationFault),
+}
+
 /// An environmental disturbance lasting Δt cycles (paper §2).
 ///
 /// While active, the fault flips one result bit of *every* instruction

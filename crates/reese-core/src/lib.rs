@@ -15,17 +15,29 @@
 //! by layering [`ReeseConfig`] spares on top of any baseline
 //! [`reese_pipeline::PipelineConfig`] and comparing IPC.
 //!
+//! Both machines here — [`ReeseSim`] and the dispatch-duplication
+//! comparison point [`DuplexSim`] — are [`reese_pipeline::Redundancy`]
+//! policies on the one timing core, [`reese_pipeline::Core`]. Each has
+//! `run(&program)` plus one `simulate(spec, observer)` entry point,
+//! where the [`reese_pipeline::RunSpec`] says where the run starts
+//! (cold, after a functional skip, or from a checkpoint), when it stops,
+//! and which faults it injects.
+//!
 //! # Example
 //!
 //! ```
-//! use reese_core::{InjectedFault, ReeseConfig, ReeseSim};
+//! use reese_core::{Faults, InjectedFault, ReeseConfig, ReeseSim};
+//! use reese_pipeline::RunSpec;
+//! use reese_trace::NoopObserver;
 //!
 //! let prog = reese_isa::assemble(
 //!     "  li t0, 50\nloop: addi t0, t0, -1\n  bnez t0, loop\n  halt\n",
 //! )?;
 //! // Inject a transient bit flip into instruction #10's result latch.
 //! let sim = ReeseSim::new(ReeseConfig::starting().with_spare_int_alus(2));
-//! let r = sim.run_with_faults(&prog, &[InjectedFault::primary(10, 5)], u64::MAX)?;
+//! let faults = [InjectedFault::primary(10, 5)];
+//! let spec = RunSpec::new(&prog).faults(Faults::Latch(&faults));
+//! let r = sim.simulate(spec, &mut NoopObserver)?;
 //! assert_eq!(r.stats.detections, 1); // caught by the P/R comparison
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -40,7 +52,7 @@ mod stats;
 
 pub use config::ReeseConfig;
 pub use duplex::DuplexSim;
-pub use fault::{DetectionEvent, DurationFault, DurationReport, InjectedFault, Stream};
+pub use fault::{DetectionEvent, DurationFault, DurationReport, Faults, InjectedFault, Stream};
 pub use rqueue::{RQueue, RQueueEntry};
 pub use sim::ReeseSim;
 pub use stats::{ReeseError, ReeseResult, ReeseStats};
@@ -50,7 +62,7 @@ pub use stats::{ReeseError, ReeseResult, ReeseStats};
 pub use reese_pipeline::SchedulerMode;
 
 // Campaigns and sweeps share one `ReeseSim` across worker threads
-// (each `run*` call builds its own machine internally); keep the
+// (each run builds its own machine internally); keep the
 // simulator and its configuration `Send + Sync` so that fan-out stays
 // possible. This fails to compile if a non-shareable field sneaks in.
 const _: () = {

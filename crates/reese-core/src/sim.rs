@@ -1,21 +1,14 @@
-//! The REESE time-redundant simulator.
+//! The REESE time-redundant simulator: the timing core with the
+//! R-stream Queue policy.
 
 use crate::seqmap::{SeqSet, SeqTable};
 use crate::{
-    DetectionEvent, DurationFault, DurationReport, InjectedFault, RQueue, RQueueEntry, ReeseConfig,
-    ReeseError, ReeseResult, ReeseStats, Stream,
+    DetectionEvent, DurationFault, DurationReport, Faults, InjectedFault, RQueue, RQueueEntry,
+    ReeseConfig, ReeseError, ReeseResult, ReeseStats, Stream,
 };
-use reese_cpu::Emulator;
 use reese_isa::{FuClass, Program};
-use reese_mem::MemHierarchy;
-use reese_pipeline::{
-    FetchUnit, Fetched, FuPool, LoadPlan, Lsq, Ruu, SchedulerMode, Seq, SimError, SimStop,
-    WarmState,
-};
-use reese_trace::{CycleState, NoopObserver, Observer, Stage, Stream as TStream, TraceEvent};
-use std::collections::VecDeque;
-
-const DEADLOCK_HORIZON: u64 = 100_000;
+use reese_pipeline::{emit, Core, Redundancy, RunSpec, SchedulerMode, Seq, SimStop};
+use reese_trace::{CycleState, NoopObserver, Observer, Stage, Stream as TStream};
 
 /// The REESE machine: the baseline pipeline plus the R-stream Queue.
 ///
@@ -71,596 +64,256 @@ impl ReeseSim {
     ///
     /// Returns [`ReeseError::Sim`] for program or simulator failures.
     pub fn run(&self, program: &Program) -> Result<ReeseResult, ReeseError> {
-        self.run_with_faults(program, &[], u64::MAX)
+        self.simulate(RunSpec::new(program), &mut NoopObserver)
     }
 
-    /// Runs until `halt` or `max_instructions` commits.
-    ///
-    /// # Errors
-    ///
-    /// See [`ReeseSim::run`].
-    pub fn run_limit(
-        &self,
-        program: &Program,
-        max_instructions: u64,
-    ) -> Result<ReeseResult, ReeseError> {
-        self.run_with_faults(program, &[], max_instructions)
-    }
-
-    /// Runs with a set of faults to inject.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReeseError::PermanentFault`] if a sticky fault makes
-    /// the same instruction fail comparison twice, or [`ReeseError::Sim`]
-    /// for underlying failures.
-    pub fn run_with_faults(
-        &self,
-        program: &Program,
-        faults: &[InjectedFault],
-        max_instructions: u64,
-    ) -> Result<ReeseResult, ReeseError> {
-        self.run_with_faults_observed(program, faults, 0, max_instructions, &mut NoopObserver)
-    }
-
-    /// Like [`ReeseSim::run_with_faults`] — with an optional functional
-    /// fast-forward of `skip` instructions first — and an [`Observer`]
-    /// receiving per-instruction lifecycle events (P and R streams
-    /// tagged separately) plus per-cycle machine state. Observers are
-    /// passive: results are bit-identical with any observer, and with
+    /// Simulates `spec` — from program start, after a functional skip,
+    /// or from a checkpoint — injecting its [`Faults`]. `obs` receives
+    /// per-instruction lifecycle events (P and R streams tagged
+    /// separately) and per-cycle machine state. Observers are passive:
+    /// results are bit-identical with any observer, and with
     /// [`NoopObserver`] the hooks compile away.
     ///
+    /// Under a [`Faults::Duration`] disturbance (§2 of the paper) every
+    /// instruction of the matching functional-unit class that completes
+    /// — in either stream — while the fault is active has one result bit
+    /// flipped. If both executions fall inside the window, the identical
+    /// corruption passes the comparison silently;
+    /// [`ReeseResult::duration`] counts those escapes.
+    ///
     /// # Errors
     ///
-    /// See [`ReeseSim::run_with_faults`].
-    pub fn run_with_faults_observed<O: Observer>(
+    /// Returns [`ReeseError::PermanentFault`] if a sticky fault (or a
+    /// disturbance outlasting the retry) makes the same instruction fail
+    /// comparison twice, or [`ReeseError::Sim`] for underlying failures.
+    pub fn simulate<O: Observer>(
         &self,
-        program: &Program,
-        faults: &[InjectedFault],
-        skip: u64,
-        max_instructions: u64,
+        spec: RunSpec<'_, Faults<'_>>,
         obs: &mut O,
     ) -> Result<ReeseResult, ReeseError> {
-        let mut m = ReeseMachine::new(&self.config, program, faults);
-        if skip > 0 {
-            let skipped = m.fetch.fast_forward(skip);
-            m.next_migrate_seq = skipped;
-        }
-        m.run(max_instructions, obs)
-    }
-
-    /// Runs with an environmental disturbance of duration Δt (§2 of the
-    /// paper): every instruction of the matching functional-unit class
-    /// that completes — in either stream — while the fault is active has
-    /// one result bit flipped. If both executions of an instruction fall
-    /// inside the window, the identical corruption passes the comparison
-    /// silently; the returned [`DurationReport`] counts those escapes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReeseError::PermanentFault`] if the disturbance outlasts
-    /// the retry (the paper's stop-and-notify case), or
-    /// [`ReeseError::Sim`] for underlying failures.
-    pub fn run_with_duration_fault(
-        &self,
-        program: &Program,
-        fault: DurationFault,
-        max_instructions: u64,
-    ) -> Result<(ReeseResult, DurationReport), ReeseError> {
-        let mut m = ReeseMachine::new(&self.config, program, &[]);
-        m.duration_fault = Some(fault);
-        let result = m.run(max_instructions, &mut NoopObserver)?;
-        Ok((result, m.duration_report))
-    }
-
-    /// Fast-forwards `skip` instructions functionally, then simulates
-    /// the timed region (see
-    /// [`reese_pipeline::PipelineSim::run_region`]). Injected-fault
-    /// sequence numbers keep counting from program start, so faults
-    /// inside the skipped region never fire.
-    ///
-    /// # Errors
-    ///
-    /// See [`ReeseSim::run`].
-    pub fn run_region(
-        &self,
-        program: &Program,
-        skip: u64,
-        max_instructions: u64,
-    ) -> Result<ReeseResult, ReeseError> {
-        self.run_with_faults_observed(program, &[], skip, max_instructions, &mut NoopObserver)
-    }
-
-    /// Resumes detailed timing mid-program from a checkpoint-restored
-    /// emulator, fault-free, until `halt` or until `max_instructions`
-    /// commit in this interval (see
-    /// [`reese_pipeline::PipelineSim::run_interval`]). Statistics cover
-    /// this interval only, for stitching with
-    /// [`crate::ReeseStats::merge`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ReeseSim::run`].
-    pub fn run_interval(
-        &self,
-        emulator: Emulator,
-        warm: Option<&WarmState>,
-        max_instructions: u64,
-    ) -> Result<ReeseResult, ReeseError> {
-        self.run_interval_observed(emulator, warm, max_instructions, &mut NoopObserver)
-    }
-
-    /// Like [`ReeseSim::run_interval`] but with an [`Observer`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ReeseSim::run`].
-    pub fn run_interval_observed<O: Observer>(
-        &self,
-        emulator: Emulator,
-        warm: Option<&WarmState>,
-        max_instructions: u64,
-        obs: &mut O,
-    ) -> Result<ReeseResult, ReeseError> {
-        self.run_interval_with_faults_observed(emulator, warm, &[], max_instructions, obs)
-    }
-
-    /// Like [`ReeseSim::run_interval`] but with injected faults. Fault
-    /// sequence numbers stay in the *global* dynamic-instruction
-    /// numbering (the restored machine continues counting from the
-    /// checkpoint boundary), so a fault targeting an instruction before
-    /// the boundary never fires.
-    ///
-    /// # Errors
-    ///
-    /// See [`ReeseSim::run_with_faults`].
-    pub fn run_interval_with_faults(
-        &self,
-        emulator: Emulator,
-        warm: Option<&WarmState>,
-        faults: &[InjectedFault],
-        max_instructions: u64,
-    ) -> Result<ReeseResult, ReeseError> {
-        self.run_interval_with_faults_observed(
-            emulator,
-            warm,
-            faults,
-            max_instructions,
-            &mut NoopObserver,
-        )
-    }
-
-    /// Like [`ReeseSim::run_interval_with_faults`] but with an
-    /// [`Observer`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ReeseSim::run_with_faults`].
-    pub fn run_interval_with_faults_observed<O: Observer>(
-        &self,
-        emulator: Emulator,
-        warm: Option<&WarmState>,
-        faults: &[InjectedFault],
-        max_instructions: u64,
-        obs: &mut O,
-    ) -> Result<ReeseResult, ReeseError> {
-        let mut m = ReeseMachine::restored(&self.config, emulator, warm, faults);
-        m.run(max_instructions, obs)
+        let cfg = &self.config;
+        Core::new(&cfg.pipeline, spec.start, |first| {
+            RStream::new(cfg, spec.faults, first)
+        })
+        .run(spec.max_instructions, obs)
     }
 }
 
-struct ReeseMachine<'c> {
-    cfg: &'c ReeseConfig,
-    cycle: u64,
-    fetch: FetchUnit,
-    fetchq: VecDeque<Fetched>,
-    ruu: Ruu,
-    lsq: Lsq,
-    rqueue: RQueue,
-    fu: FuPool,
-    hierarchy: MemHierarchy,
-    stats: ReeseStats,
-    output: Vec<i64>,
-    exit_code: Option<u64>,
-    last_commit_cycle: u64,
-    /// Pending injected faults keyed by target seq; seq-sorted so any
-    /// walk over the bookkeeping is process-independent (std-hash
-    /// iteration order is seeded per process — a latent determinism
-    /// bug for campaign byte-identity).
-    faults: SeqTable<Vec<InjectedFault>>,
-    /// Cycle each fault first fired, keyed by target seq (same layout).
-    inject_cycles: SeqTable<u64>,
-    detections: Vec<DetectionEvent>,
+/// Pending latch faults keyed by target seq; seq-sorted so any walk over
+/// the bookkeeping is process-independent (std-hash iteration order is
+/// seeded per process — a latent determinism bug for campaign
+/// byte-identity).
+pub(crate) fn fault_table(faults: &[InjectedFault]) -> SeqTable<Vec<InjectedFault>> {
+    let mut table = SeqTable::new();
+    for f in faults {
+        table.get_or_insert_with(f.seq, Vec::new).push(*f);
+    }
+    table
+}
+
+/// Comparison outcomes shared by the redundant policies: detections,
+/// and the retry that tells a transient fault from a permanent one.
+#[derive(Default)]
+pub(crate) struct Checker {
+    pub detections: Vec<DetectionEvent>,
+    /// Instruction re-executing after a detection flush; a second
+    /// consecutive mismatch there is a permanent fault.
     retry_seq: Option<Seq>,
     permanent: Option<(Seq, u64)>,
+}
+
+impl Checker {
+    /// Records a failed comparison of `seq`. Returns whether the machine
+    /// should flush and retry; `false` means the same instruction failed
+    /// twice in a row, and the paper stops the pipeline and notifies the
+    /// user.
+    pub fn mismatch(
+        &mut self,
+        stats: &mut ReeseStats,
+        seq: Seq,
+        pc: u64,
+        detect_cycle: u64,
+        inject_cycle: u64,
+    ) -> bool {
+        stats.detections += 1;
+        stats.flushes += 1;
+        self.detections.push(DetectionEvent {
+            seq,
+            pc,
+            detect_cycle,
+            inject_cycle,
+        });
+        if self.retry_seq == Some(seq) {
+            self.permanent = Some((seq, pc));
+            return false;
+        }
+        self.retry_seq = Some(seq);
+        true
+    }
+
+    /// Records a passed comparison of `seq`.
+    pub fn matched(&mut self, seq: Seq) {
+        if self.retry_seq == Some(seq) {
+            self.retry_seq = None;
+        }
+    }
+
+    /// The permanent-fault error, once one has been raised.
+    pub fn fatal(&self) -> Option<ReeseError> {
+        self.permanent
+            .map(|(seq, pc)| ReeseError::PermanentFault { seq, pc })
+    }
+}
+
+/// Corruption of the compare latches: injected latch faults and an
+/// optional duration disturbance.
+struct Latches {
+    faults: SeqTable<Vec<InjectedFault>>,
+    /// Cycle each target first had a latch corrupted, keyed by seq.
+    inject_cycles: SeqTable<u64>,
+    duration: Option<DurationFault>,
+    report: DurationReport,
+    /// Instructions whose primary copy the disturbance hit.
+    p_hits: SeqSet,
+}
+
+impl Latches {
+    /// Corrupts `stream`'s latched result in `entry` with every fault
+    /// that targets it: pending latch faults first, then the duration
+    /// disturbance if that execution completed inside its window on the
+    /// affected functional-unit class.
+    fn corrupt(&mut self, cycle: u64, entry: &mut RQueueEntry, stream: Stream) {
+        // Outside injection campaigns the table is empty: skip the
+        // per-instruction probe entirely.
+        if !self.faults.is_empty() {
+            if let Some(list) = self.faults.get_mut(entry.seq) {
+                let mut fired = false;
+                list.retain(|f| {
+                    if f.stream != stream {
+                        return true;
+                    }
+                    match stream {
+                        Stream::Primary => entry.p_value ^= f.mask(),
+                        Stream::Redundant => entry.r_value ^= f.mask(),
+                    }
+                    fired = true;
+                    f.sticky // transient faults are consumed; sticky ones persist
+                });
+                if fired {
+                    self.inject_cycles.insert_if_absent(entry.seq, cycle);
+                }
+                if list.is_empty() {
+                    self.faults.remove(entry.seq);
+                }
+            }
+        }
+        let Some(fault) = self.duration else { return };
+        if entry.info.instr.op.fu_class() != fault.class {
+            return;
+        }
+        match stream {
+            Stream::Primary if fault.active_at(entry.p_complete_cycle) => {
+                entry.p_value ^= fault.mask();
+                self.report.p_corrupted += 1;
+                self.p_hits.insert(entry.seq);
+            }
+            Stream::Redundant if fault.active_at(entry.r_complete_cycle) => {
+                entry.r_value ^= fault.mask();
+                self.report.r_corrupted += 1;
+                if self.p_hits.contains(entry.seq) {
+                    // Both copies hit inside the window: identical flips,
+                    // the comparison will pass — a silent escape (§2).
+                    self.report.silent_both += 1;
+                }
+            }
+            _ => return,
+        }
+        self.inject_cycles.insert_if_absent(entry.seq, cycle);
+    }
+}
+
+/// The R-stream Queue policy: completed instructions migrate from the
+/// RUU into the queue, re-execute on idle or spare units, and commit
+/// after their P and R results compare equal.
+struct RStream<'c> {
+    cfg: &'c ReeseConfig,
+    rqueue: RQueue,
+    /// Redundancy statistics; `pipeline` is filled in from the core at
+    /// the end of the run.
+    stats: ReeseStats,
+    latches: Latches,
+    check: Checker,
     /// Next sequence number to migrate into the R-stream Queue.
     next_migrate_seq: Seq,
-    duration_fault: Option<DurationFault>,
-    duration_report: DurationReport,
-    duration_p_hits: SeqSet,
-    /// Reused buffers for the per-cycle writeback/issue work lists, so
-    /// the steady-state loop never allocates.
-    scratch_done: Vec<Seq>,
+    /// Size of the pending R window seen by the last idle-skip probe.
+    window_len: u64,
+    /// Reused buffers for the per-cycle R completion and issue lists.
     scratch_rdone: Vec<Seq>,
-    scratch_ready: Vec<Seq>,
     scratch_pending: Vec<Seq>,
 }
 
-impl<'c> ReeseMachine<'c> {
-    fn new(cfg: &'c ReeseConfig, program: &Program, faults: &[InjectedFault]) -> ReeseMachine<'c> {
-        let fetch = FetchUnit::new(program, cfg.pipeline.predictor.clone());
-        let hierarchy = MemHierarchy::new(cfg.pipeline.hierarchy.clone());
-        ReeseMachine::with_front_end(cfg, fetch, hierarchy, faults)
-    }
-
-    fn restored(
-        cfg: &'c ReeseConfig,
-        emulator: Emulator,
-        warm: Option<&WarmState>,
-        faults: &[InjectedFault],
-    ) -> ReeseMachine<'c> {
-        let start = emulator.instructions();
-        let mut fetch = FetchUnit::from_restored(emulator, cfg.pipeline.predictor.clone());
-        let mut hierarchy = MemHierarchy::new(cfg.pipeline.hierarchy.clone());
-        if let Some(w) = warm {
-            fetch.import_branch_state(&w.branch);
-            hierarchy.import_state(&w.hierarchy);
-        }
-        let mut m = ReeseMachine::with_front_end(cfg, fetch, hierarchy, faults);
-        // Sequence numbering continues from the checkpoint boundary.
-        m.next_migrate_seq = start;
-        m
-    }
-
-    fn with_front_end(
-        cfg: &'c ReeseConfig,
-        fetch: FetchUnit,
-        hierarchy: MemHierarchy,
-        faults: &[InjectedFault],
-    ) -> ReeseMachine<'c> {
-        let mut map: SeqTable<Vec<InjectedFault>> = SeqTable::new();
-        for f in faults {
-            map.get_or_insert_with(f.seq, Vec::new).push(*f);
-        }
-        ReeseMachine {
+impl<'c> RStream<'c> {
+    fn new(cfg: &'c ReeseConfig, faults: Faults<'_>, first_seq: Seq) -> RStream<'c> {
+        let (latch, duration) = match faults {
+            Faults::None => (&[][..], None),
+            Faults::Latch(list) => (list, None),
+            Faults::Duration(fault) => (&[][..], Some(fault)),
+        };
+        RStream {
             cfg,
-            cycle: 0,
-            fetch,
-            fetchq: VecDeque::with_capacity(cfg.pipeline.fetch_queue_size),
-            ruu: Ruu::with_scheduler(cfg.pipeline.ruu_size, cfg.pipeline.scheduler),
-            lsq: Lsq::new(cfg.pipeline.lsq_size),
             rqueue: RQueue::with_scheduler(cfg.rqueue_size, cfg.pipeline.scheduler),
-            fu: FuPool::new(cfg.pipeline.fu),
-            hierarchy,
             stats: ReeseStats::new(cfg.rqueue_size),
-            output: Vec::new(),
-            exit_code: None,
-            last_commit_cycle: 0,
-            faults: map,
-            inject_cycles: SeqTable::new(),
-            detections: Vec::new(),
-            retry_seq: None,
-            permanent: None,
-            next_migrate_seq: 0,
-            duration_fault: None,
-            duration_report: DurationReport::default(),
-            duration_p_hits: SeqSet::new(),
-            scratch_done: Vec::new(),
+            latches: Latches {
+                faults: fault_table(latch),
+                inject_cycles: SeqTable::new(),
+                duration,
+                report: DurationReport::default(),
+                p_hits: SeqSet::new(),
+            },
+            check: Checker::default(),
+            next_migrate_seq: first_seq,
+            window_len: 0,
             scratch_rdone: Vec::new(),
-            scratch_ready: Vec::new(),
             scratch_pending: Vec::new(),
-        }
-    }
-
-    fn run<O: Observer>(
-        &mut self,
-        max_instructions: u64,
-        obs: &mut O,
-    ) -> Result<ReeseResult, ReeseError> {
-        let stop = loop {
-            // The cycle hook fires for the *previous* cycle once all its
-            // stages have run; the final cycle's hook fires after the
-            // loop breaks.
-            if O::ENABLED && self.cycle > 0 {
-                obs.cycle(self.cycle, &self.cycle_state());
-            }
-            self.cycle += 1;
-            if self.cfg.pipeline.scheduler == SchedulerMode::EventDriven {
-                self.skip_idle_cycles(obs);
-            }
-
-            self.commit(max_instructions, obs);
-            if let Some((seq, pc)) = self.permanent {
-                return Err(ReeseError::PermanentFault { seq, pc });
-            }
-            if self.exit_code.is_some() {
-                break SimStop::Halted;
-            }
-            if self.stats.pipeline.committed >= max_instructions {
-                break SimStop::InstructionLimit;
-            }
-            self.migrate(obs);
-            self.writeback(obs);
-            self.issue(obs);
-            self.dispatch(obs);
-            self.do_fetch(obs);
-            self.stats.rqueue_occupancy.record(self.rqueue.len() as u64);
-
-            if self.cfg.pipeline.max_cycles > 0 && self.cycle >= self.cfg.pipeline.max_cycles {
-                break SimStop::CycleLimit;
-            }
-            if self.machine_drained() {
-                if let Some(e) = self.fetch.error() {
-                    return Err(ReeseError::Sim(SimError::Emulation(e.clone())));
-                }
-                break SimStop::InstructionLimit;
-            }
-            if self.cycle - self.last_commit_cycle > DEADLOCK_HORIZON {
-                return Err(ReeseError::Sim(SimError::Deadlock { cycle: self.cycle }));
-            }
-        };
-        if O::ENABLED {
-            obs.cycle(self.cycle, &self.cycle_state());
-        }
-        self.finalise();
-        Ok(ReeseResult {
-            stop,
-            stats: self.stats.clone(),
-            output: std::mem::take(&mut self.output),
-            exit_code: self.exit_code,
-            state_digest: self.fetch.state_digest(),
-            detections: std::mem::take(&mut self.detections),
-        })
-    }
-
-    fn machine_drained(&self) -> bool {
-        self.fetch.exhausted()
-            && self.fetchq.is_empty()
-            && self.ruu.is_empty()
-            && self.rqueue.is_empty()
-    }
-
-    /// The cumulative-counter snapshot handed to [`Observer::cycle`].
-    /// Only built when an observer is enabled.
-    fn cycle_state(&self) -> CycleState {
-        CycleState {
-            committed: self.stats.pipeline.committed,
-            issued: self.stats.pipeline.issued,
-            r_issued: self.stats.r_issued,
-            r_missed: self.stats.r_missed,
-            dispatch_stall_ruu: self.stats.pipeline.dispatch_stall_ruu_full,
-            dispatch_stall_lsq: self.stats.pipeline.dispatch_stall_lsq_full,
-            fetch_empty: self.stats.pipeline.fetch_queue_empty_cycles,
-            fu_busy: self.fu.busy_by_class(),
-            sched_ops: self.ruu.sched_ops() + self.rqueue.sched_ops(),
-            ruu_occ: self.ruu.len(),
-            lsq_occ: self.lsq.len(),
-            rqueue_occ: self.rqueue.len(),
-            fetchq_occ: self.fetchq.len(),
-        }
-    }
-
-    /// Jumps the clock over cycles on which no stage can act (see the
-    /// baseline's `skip_idle_cycles`): no comparable queue head, no
-    /// migratable RUU instruction, no P or R completion due, nothing
-    /// ready or pending to issue, nothing to dispatch, fetch dormant.
-    /// Skipped cycles get their per-cycle statistics applied in bulk;
-    /// the landing cycle runs the normal loop body so the cycle-limit
-    /// and deadlock checks fire exactly as in `Scan` mode.
-    fn skip_idle_cycles<O: Observer>(&mut self, obs: &mut O) {
-        if self.rqueue.head().is_some_and(|e| e.commit_ready())
-            || self.ruu.has_ready()
-            || !self.fetchq.is_empty()
-        {
-            return;
-        }
-        // A completed migration candidate acts this cycle even when the
-        // queue is full (it counts a `rqueue_full_stalls` sample).
-        if self
-            .ruu
-            .get(self.next_migrate_seq)
-            .is_some_and(|e| e.completed)
-        {
-            return;
-        }
-        let p_wake = self.ruu.next_completion_cycle();
-        let r_wake = self.rqueue.next_r_completion_cycle();
-        if p_wake.is_some_and(|t| t <= self.cycle) || r_wake.is_some_and(|t| t <= self.cycle) {
-            return;
-        }
-        let fetch_at = self.fetch.next_fetch_cycle(self.cycle);
-        if fetch_at == Some(self.cycle) {
-            return;
-        }
-        // Pending redundant work no longer pins the clock to one cycle
-        // at a time: during a skip nothing issues anywhere, so the pool's
-        // per-class free times and the lookahead window are both static,
-        // and the earliest cycle the R stream can move is the minimum
-        // over the window of each entry's needed-class free time (memory
-        // verifications need an address-generation ALU *and* a port, so
-        // they wait for the later of the two). If anything can issue
-        // *now*, this cycle acts; otherwise that minimum becomes one
-        // more wake source.
-        let mut fu_wake = None;
-        let mut window_len = 0u64;
-        if self.rqueue.has_pending_r() {
-            let mut pending = std::mem::take(&mut self.scratch_pending);
-            self.rqueue
-                .pending_r_front_into(self.cfg.r_issue_lookahead, &mut pending);
-            window_len = pending.len() as u64;
-            let mut wake = u64::MAX;
-            for &seq in &pending {
-                let entry = self.rqueue.get(seq).expect("pending seq in queue");
-                let at = if entry.info.mem.is_some() {
-                    self.fu
-                        .earliest_free(FuClass::IntAlu)
-                        .max(self.fu.earliest_free(FuClass::MemPort))
-                } else {
-                    self.fu.earliest_free(entry.info.instr.op.fu_class())
-                };
-                wake = wake.min(at);
-            }
-            self.scratch_pending = pending;
-            if wake <= self.cycle {
-                return; // an R entry can issue this cycle
-            }
-            if wake < u64::MAX {
-                fu_wake = Some(wake);
-            }
-        }
-        let Some(target) = [p_wake, r_wake, fetch_at, fu_wake]
-            .into_iter()
-            .flatten()
-            .min()
-        else {
-            // Nothing will ever wake: let the drain/deadlock path run.
-            return;
-        };
-        let mut target = target.min(self.last_commit_cycle + DEADLOCK_HORIZON + 1);
-        if self.cfg.pipeline.max_cycles > 0 {
-            target = target.min(self.cfg.pipeline.max_cycles);
-        }
-        if target <= self.cycle {
-            return;
-        }
-        // Per-cycle bookkeeping the skipped no-op cycles would have done:
-        // the occupancy sample, the empty-queue counter, the R-priority
-        // counter (`issue` counts it even when nothing issues), and —
-        // when pending R work sat blocked on busy units — the
-        // tried/missed accounting the scan-mode redundant scheduler
-        // accrues every cycle it reconsiders the same window.
-        let skipped = target - self.cycle;
-        self.stats
-            .rqueue_occupancy
-            .record_n(self.rqueue.len() as u64, skipped);
-        self.stats.pipeline.fetch_queue_empty_cycles += skipped;
-        if self.rqueue.len() >= self.cfg.high_water {
-            self.stats.r_priority_cycles += skipped;
-        }
-        self.stats.r_tried += window_len * skipped;
-        self.stats.r_missed += window_len * skipped;
-        if O::ENABLED {
-            obs.idle_skip(self.cycle, target, &self.cycle_state());
-        }
-        self.cycle = target;
-    }
-
-    /// Commit from the R-stream Queue head: compare P and R results,
-    /// then retire (paper Figure 1: comparison sits between writeback
-    /// and commit).
-    fn commit<O: Observer>(&mut self, max_instructions: u64, obs: &mut O) {
-        for _ in 0..self.cfg.pipeline.width {
-            if self.stats.pipeline.committed >= max_instructions {
-                return;
-            }
-            let Some(head) = self.rqueue.head() else {
-                return;
-            };
-            if !head.commit_ready() {
-                return;
-            }
-            if !head.results_match() {
-                self.detect_and_flush(obs);
-                return;
-            }
-            let e = self.rqueue.pop_head().expect("checked head");
-            if !self.cfg.early_removal {
-                // The RUU entry was held until this comparison: retire
-                // it now.
-                debug_assert_eq!(self.ruu.head().map(|h| h.seq), Some(e.seq));
-                let p = self.ruu.pop_head();
-                self.lsq.remove(p.seq);
-            }
-            if !e.skip_r {
-                self.stats.comparisons += 1;
-                self.stats
-                    .pr_separation
-                    .record(e.r_complete_cycle.saturating_sub(e.p_complete_cycle));
-                if O::ENABLED {
-                    obs.event(TraceEvent {
-                        cycle: self.cycle,
-                        seq: e.seq,
-                        pc: e.info.pc,
-                        stage: Stage::Compare,
-                        stream: TStream::Redundant,
-                    });
-                }
-            } else {
-                self.stats.r_skipped += 1;
-            }
-            if O::ENABLED {
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq: e.seq,
-                    pc: e.info.pc,
-                    stage: Stage::Commit,
-                    stream: TStream::Primary,
-                });
-            }
-            self.fetch.on_commit(1);
-            self.stats.pipeline.committed += 1;
-            self.last_commit_cycle = self.cycle;
-            if self.retry_seq == Some(e.seq) {
-                self.retry_seq = None;
-            }
-            if let Some(v) = e.info.printed {
-                self.output.push(v);
-            }
-            if e.info.halted {
-                self.exit_code = Some(e.info.result);
-                return;
-            }
         }
     }
 
     /// A comparison failed at the queue head: record the detection and
     /// flush the machine back to the faulting instruction.
-    fn detect_and_flush<O: Observer>(&mut self, obs: &mut O) {
-        let head = *self.rqueue.head().expect("mismatch needs a head");
-        if O::ENABLED {
-            // The mismatching comparison, then the squash it triggers.
-            obs.event(TraceEvent {
-                cycle: self.cycle,
-                seq: head.seq,
-                pc: head.info.pc,
-                stage: Stage::Compare,
-                stream: TStream::Redundant,
-            });
-            obs.event(TraceEvent {
-                cycle: self.cycle,
-                seq: head.seq,
-                pc: head.info.pc,
-                stage: Stage::Flush,
-                stream: TStream::Primary,
-            });
+    fn detect_and_flush<O: Observer>(m: &mut Core<'_, Self>, obs: &mut O) {
+        let head = *m.pol.rqueue.head().expect("mismatch needs a head");
+        // The mismatching comparison, then the squash it triggers.
+        emit(
+            obs,
+            m.cycle,
+            head.seq,
+            head.info.pc,
+            Stage::Compare,
+            TStream::Redundant,
+        );
+        emit(
+            obs,
+            m.cycle,
+            head.seq,
+            head.info.pc,
+            Stage::Flush,
+            TStream::Primary,
+        );
+        let pol = &mut m.pol;
+        let inject_cycle = pol.latches.inject_cycles.get(head.seq).copied();
+        let retry = pol.check.mismatch(
+            &mut pol.stats,
+            head.seq,
+            head.info.pc,
+            m.cycle,
+            inject_cycle.unwrap_or(m.cycle),
+        );
+        if retry {
+            pol.next_migrate_seq = head.seq;
+            pol.rqueue.flush_all();
+            let penalty = pol.cfg.flush_penalty;
+            m.flush_to(head.seq, penalty);
         }
-        self.stats.detections += 1;
-        self.stats.flushes += 1;
-        self.detections.push(DetectionEvent {
-            seq: head.seq,
-            pc: head.info.pc,
-            detect_cycle: self.cycle,
-            inject_cycle: self
-                .inject_cycles
-                .get(head.seq)
-                .copied()
-                .unwrap_or(self.cycle),
-        });
-        if self.retry_seq == Some(head.seq) {
-            // Second consecutive failure of the same instruction: the
-            // paper stops the pipeline and notifies the user.
-            self.permanent = Some((head.seq, head.info.pc));
-            return;
-        }
-        self.retry_seq = Some(head.seq);
-        self.next_migrate_seq = head.seq;
-        self.rqueue.flush_all();
-        self.ruu.flush_all();
-        self.lsq.flush_all();
-        self.fetchq.clear();
-        self.fu.flush();
-        self.fetch
-            .flush_to(head.seq, self.cycle + 1 + u64::from(self.cfg.flush_penalty));
     }
 
     /// Migrate completed instructions from the RUU head into the
@@ -672,362 +325,39 @@ impl<'c> ReeseMachine<'c> {
     /// freeing window space; otherwise the RUU entry is held until the
     /// comparison commits (the conservative implementation), and only a
     /// copy enters the queue.
-    fn migrate<O: Observer>(&mut self, obs: &mut O) {
+    fn migrate<O: Observer>(m: &mut Core<'_, Self>, obs: &mut O) {
         // Size the whole batch up front: one contiguous walk over the
-        // completed run at the migration point replaces the per-seq
-        // probe-check-full sequence the old loop ran for every entry.
-        let run = self
-            .ruu
-            .completed_run_len(self.next_migrate_seq, self.cfg.pipeline.width);
+        // completed run at the migration point.
+        let run = m.ruu.completed_run_len(m.pol.next_migrate_seq, m.cfg.width);
         if run == 0 {
             return;
         }
-        let space = self.rqueue.capacity() - self.rqueue.len();
+        let space = m.pol.rqueue.capacity() - m.pol.rqueue.len();
         let take = run.min(space);
         for _ in 0..take {
-            let seq = self.next_migrate_seq;
-            let (info, p_done) = if self.cfg.early_removal {
-                debug_assert_eq!(self.ruu.head().map(|h| h.seq), Some(seq));
-                let e = self.ruu.pop_head();
-                self.lsq.remove(e.seq);
+            let seq = m.pol.next_migrate_seq;
+            let (info, p_done) = if m.pol.cfg.early_removal {
+                debug_assert_eq!(m.ruu.head().map(|h| h.seq), Some(seq));
+                let e = m.ruu.pop_head();
+                m.lsq.remove(e.seq);
                 (e.info, e.complete_cycle)
             } else {
-                let e = self.ruu.get(seq).expect("sized batch is resident");
+                let e = m.ruu.get(seq).expect("sized batch is resident");
                 (*e.info, e.complete_cycle)
             };
-            self.next_migrate_seq = seq + 1;
-            if O::ENABLED {
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq,
-                    pc: info.pc,
-                    stage: Stage::Migrate,
-                    stream: TStream::Primary,
-                });
-            }
-            let skip_r = !seq.is_multiple_of(self.cfg.duplication_period) && !info.halted;
-            let mut entry = RQueueEntry::new(seq, info, self.cycle, skip_r).with_p_complete(p_done);
-            self.apply_faults(&mut entry, Stream::Primary);
-            self.apply_duration_fault(&mut entry, Stream::Primary);
-            self.rqueue.push(entry);
+            emit(obs, m.cycle, seq, info.pc, Stage::Migrate, TStream::Primary);
+            let pol = &mut m.pol;
+            pol.next_migrate_seq = seq + 1;
+            let skip_r = !seq.is_multiple_of(pol.cfg.duplication_period) && !info.halted;
+            let mut entry = RQueueEntry::new(seq, info, m.cycle, skip_r).with_p_complete(p_done);
+            pol.latches.corrupt(m.cycle, &mut entry, Stream::Primary);
+            pol.rqueue.push(entry);
         }
         if take < run {
-            // The next completed candidate found the queue full — the
-            // same single stall sample per cycle the per-entry loop
-            // recorded before bailing out.
-            self.stats.rqueue_full_stalls += 1;
+            // The next completed candidate found the queue full: one
+            // stall sample per cycle.
+            m.pol.stats.rqueue_full_stalls += 1;
         }
-    }
-
-    fn apply_faults(&mut self, entry: &mut RQueueEntry, stream: Stream) {
-        Self::apply_faults_to(
-            &mut self.faults,
-            &mut self.inject_cycles,
-            self.cycle,
-            entry,
-            stream,
-        );
-    }
-
-    /// Field-wise form of [`Self::apply_faults`] so call sites that
-    /// already hold a mutable borrow of the queue (writeback's in-place
-    /// pass) can split-borrow the fault state instead of copying the
-    /// entry out and back.
-    fn apply_faults_to(
-        faults: &mut SeqTable<Vec<InjectedFault>>,
-        inject_cycles: &mut SeqTable<u64>,
-        cycle: u64,
-        entry: &mut RQueueEntry,
-        stream: Stream,
-    ) {
-        if faults.is_empty() {
-            // The common case outside injection campaigns: skip the
-            // per-instruction probe entirely.
-            return;
-        }
-        let Some(list) = faults.get_mut(entry.seq) else {
-            return;
-        };
-        let mut fired = false;
-        list.retain(|f| {
-            if f.stream != stream {
-                return true;
-            }
-            match stream {
-                Stream::Primary => entry.p_value ^= f.mask(),
-                Stream::Redundant => entry.r_value ^= f.mask(),
-            }
-            fired = true;
-            f.sticky // transient faults are consumed; sticky ones persist
-        });
-        if fired {
-            inject_cycles.insert_if_absent(entry.seq, cycle);
-        }
-        if list.is_empty() {
-            faults.remove(entry.seq);
-        }
-    }
-
-    /// Applies an active [`DurationFault`] to one stream's result if
-    /// the corresponding execution completed inside the fault window on
-    /// the affected functional-unit class.
-    fn apply_duration_fault(&mut self, entry: &mut RQueueEntry, stream: Stream) {
-        Self::apply_duration_fault_to(
-            self.duration_fault,
-            &mut self.duration_report,
-            &mut self.duration_p_hits,
-            &mut self.inject_cycles,
-            self.cycle,
-            entry,
-            stream,
-        );
-    }
-
-    /// Field-wise form of [`Self::apply_duration_fault`] (see
-    /// [`Self::apply_faults_to`] for why it exists).
-    fn apply_duration_fault_to(
-        duration_fault: Option<DurationFault>,
-        duration_report: &mut DurationReport,
-        duration_p_hits: &mut SeqSet,
-        inject_cycles: &mut SeqTable<u64>,
-        cycle: u64,
-        entry: &mut RQueueEntry,
-        stream: Stream,
-    ) {
-        let Some(fault) = duration_fault else { return };
-        if entry.info.instr.op.fu_class() != fault.class {
-            return;
-        }
-        match stream {
-            Stream::Primary if fault.active_at(entry.p_complete_cycle) => {
-                entry.p_value ^= fault.mask();
-                duration_report.p_corrupted += 1;
-                duration_p_hits.insert(entry.seq);
-                inject_cycles.insert_if_absent(entry.seq, cycle);
-            }
-            Stream::Redundant if fault.active_at(entry.r_complete_cycle) => {
-                entry.r_value ^= fault.mask();
-                duration_report.r_corrupted += 1;
-                if duration_p_hits.contains(entry.seq) {
-                    // Both copies hit inside the window: identical flips,
-                    // the comparison will pass — a silent escape (§2).
-                    duration_report.silent_both += 1;
-                }
-                inject_cycles.insert_if_absent(entry.seq, cycle);
-            }
-            _ => {}
-        }
-    }
-
-    /// Writeback for both streams: P completions in the RUU (waking
-    /// dependants, resolving control) and R completions in the queue.
-    fn writeback<O: Observer>(&mut self, obs: &mut O) {
-        // Primary stream, identical to the baseline.
-        let mut done = std::mem::take(&mut self.scratch_done);
-        match self.cfg.pipeline.scheduler {
-            SchedulerMode::Scan => {
-                done.clear();
-                done.extend(
-                    self.ruu
-                        .iter()
-                        .filter(|e| e.issued && !e.completed && e.complete_cycle <= self.cycle)
-                        .map(|e| e.seq),
-                );
-            }
-            SchedulerMode::EventDriven => self.ruu.take_completions_into(self.cycle, &mut done),
-        }
-        for seq in done.drain(..) {
-            self.ruu.complete(seq);
-            // Copy out the two Copy fields needed below rather than
-            // cloning the whole entry per completion.
-            let e = self.ruu.get(seq).expect("just completed");
-            let is_mem = e.is_mem();
-            let fetched = e.is_control().then_some(Fetched {
-                seq: e.seq,
-                info: *e.info,
-                pred: e.pred,
-            });
-            if O::ENABLED {
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq,
-                    pc: e.info.pc,
-                    stage: Stage::Writeback,
-                    stream: TStream::Primary,
-                });
-            }
-            if is_mem {
-                self.lsq.mark_executed(seq);
-            }
-            if let Some(fetched) = fetched {
-                self.fetch.resolve_control(
-                    &fetched,
-                    self.cycle,
-                    self.cfg.pipeline.mispredict_penalty,
-                );
-            }
-        }
-        self.scratch_done = done;
-        // Redundant stream completions: one in-place pass. Splitting the
-        // borrows (queue vs fault state) avoids the old
-        // copy-out/apply/copy-back dance, which walked the queue twice
-        // per completion on top of the linear `get_mut` lookups. Fault
-        // application is per-seq and order-independent, so the event
-        // wheel's (cycle, seq) pop order is as good as queue order.
-        let cycle = self.cycle;
-        let event_driven = self.cfg.pipeline.scheduler == SchedulerMode::EventDriven;
-        let mut r_done = std::mem::take(&mut self.scratch_rdone);
-        if event_driven {
-            self.rqueue.take_r_completions_into(cycle, &mut r_done);
-        }
-        let Self {
-            rqueue,
-            faults,
-            inject_cycles,
-            duration_fault,
-            duration_report,
-            duration_p_hits,
-            ..
-        } = self;
-        let mut finish = |entry: &mut RQueueEntry| {
-            entry.r_completed = true;
-            Self::apply_faults_to(faults, inject_cycles, cycle, entry, Stream::Redundant);
-            Self::apply_duration_fault_to(
-                *duration_fault,
-                duration_report,
-                duration_p_hits,
-                inject_cycles,
-                cycle,
-                entry,
-                Stream::Redundant,
-            );
-        };
-        if event_driven {
-            for seq in r_done.drain(..) {
-                let entry = rqueue.get_mut(seq).expect("completing seq in queue");
-                finish(entry);
-                if O::ENABLED {
-                    obs.event(TraceEvent {
-                        cycle,
-                        seq,
-                        pc: entry.info.pc,
-                        stage: Stage::Writeback,
-                        stream: TStream::Redundant,
-                    });
-                }
-            }
-        } else {
-            for entry in rqueue.iter_mut() {
-                if entry.r_issued && !entry.r_completed && entry.r_complete_cycle <= cycle {
-                    finish(entry);
-                    if O::ENABLED {
-                        obs.event(TraceEvent {
-                            cycle,
-                            seq: entry.seq,
-                            pc: entry.info.pc,
-                            stage: Stage::Writeback,
-                            stream: TStream::Redundant,
-                        });
-                    }
-                }
-            }
-        }
-        self.scratch_rdone = r_done;
-    }
-
-    /// Issue both streams under a shared width budget. Primary
-    /// instructions have priority ("we want to always choose the P
-    /// stream instruction, whenever possible", §4.3) until the queue
-    /// crosses its high-water mark, at which point the redundant stream
-    /// goes first to guarantee forward progress.
-    fn issue<O: Observer>(&mut self, obs: &mut O) {
-        let mut budget = self.cfg.pipeline.width;
-        if self.rqueue.len() >= self.cfg.high_water {
-            self.stats.r_priority_cycles += 1;
-            self.issue_redundant(&mut budget, obs);
-            self.issue_primary(&mut budget, obs);
-        } else {
-            self.issue_primary(&mut budget, obs);
-            self.issue_redundant(&mut budget, obs);
-        }
-    }
-
-    fn issue_primary<O: Observer>(&mut self, budget: &mut usize, obs: &mut O) {
-        let mut ready = std::mem::take(&mut self.scratch_ready);
-        let event_driven = self.cfg.pipeline.scheduler == SchedulerMode::EventDriven;
-        match self.cfg.pipeline.scheduler {
-            SchedulerMode::Scan => {
-                ready.clear();
-                ready.extend(self.ruu.ready_seqs());
-            }
-            SchedulerMode::EventDriven => self.ruu.ready_into(&mut ready),
-        }
-        for seq in ready.drain(..) {
-            if *budget == 0 {
-                break;
-            }
-            let e = self.ruu.get(seq).expect("ready seq in window");
-            let op = e.info.instr.op;
-            // O(1) per-class gate (event mode): `class_free` is exactly
-            // `try_issue`'s success condition, so a blocked entry is
-            // skipped on one compare instead of a per-unit probe. Stores
-            // need an address-generation ALU and a port together; loads
-            // are never gated because a forwarded load issues without
-            // any functional unit.
-            if event_driven {
-                let blocked = match e.info.mem {
-                    None => !self.fu.class_free(op.fu_class(), self.cycle),
-                    Some(mem) if mem.is_store => {
-                        !(self.fu.class_free(FuClass::IntAlu, self.cycle)
-                            && self.fu.class_free(FuClass::MemPort, self.cycle))
-                    }
-                    Some(_) => false,
-                };
-                if blocked {
-                    continue;
-                }
-            }
-            let latency: u64 = if let Some(mem) = e.info.mem {
-                if mem.is_store {
-                    if !self.fu.try_issue_mem(op, self.cycle) {
-                        continue;
-                    }
-                    1 + u64::from(self.hierarchy.access_data(mem.addr, true))
-                } else {
-                    match self.lsq.plan_load(seq, mem.addr, mem.width.bytes()) {
-                        LoadPlan::Wait { .. } => continue,
-                        LoadPlan::Forward { .. } => {
-                            self.stats.pipeline.loads_forwarded += 1;
-                            2
-                        }
-                        LoadPlan::CacheAccess => {
-                            if !self.fu.try_issue_mem(op, self.cycle) {
-                                continue;
-                            }
-                            1 + u64::from(self.hierarchy.access_data(mem.addr, false))
-                        }
-                    }
-                }
-            } else {
-                if !self.fu.try_issue(op, self.cycle) {
-                    continue;
-                }
-                u64::from(op.latency())
-            };
-            if O::ENABLED {
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq,
-                    pc: e.info.pc,
-                    stage: Stage::Issue,
-                    stream: TStream::Primary,
-                });
-            }
-            self.ruu.mark_issued(seq, self.cycle, self.cycle + latency);
-            *budget -= 1;
-            self.stats.pipeline.issued += 1;
-        }
-        self.scratch_ready = ready;
     }
 
     /// Issue redundant executions from the front of the R-stream Queue.
@@ -1037,16 +367,17 @@ impl<'c> ReeseMachine<'c> {
     /// the FIFO lookahead. R loads are guaranteed L1 hits — the primary
     /// access warmed the cache (§4.4) — so they charge the hit latency
     /// and a memory port but never walk the hierarchy.
-    fn issue_redundant<O: Observer>(&mut self, budget: &mut usize, obs: &mut O) {
-        let cycle = self.cycle;
-        let l1d_hit = u64::from(self.hierarchy.l1d_hit_latency());
-        let lookahead = self.cfg.r_issue_lookahead;
+    fn issue_redundant<O: Observer>(m: &mut Core<'_, Self>, budget: &mut usize, obs: &mut O) {
+        let cycle = m.cycle;
+        let l1d_hit = u64::from(m.hierarchy.l1d_hit_latency());
+        let lookahead = m.pol.cfg.r_issue_lookahead;
+        let (fu, pol) = (&mut m.fu, &mut m.pol);
         let mut issued_now = 0u64;
         let mut tried = 0u64;
-        match self.cfg.pipeline.scheduler {
+        match m.cfg.scheduler {
             SchedulerMode::Scan => {
                 let mut considered = 0usize;
-                for entry in self.rqueue.iter_mut() {
+                for entry in pol.rqueue.iter_mut() {
                     if *budget == 0 || considered == lookahead {
                         break;
                     }
@@ -1060,10 +391,11 @@ impl<'c> ReeseMachine<'c> {
                     // address on an integer ALU and re-access the cache
                     // (a guaranteed L1 hit, §4.4) through a port, just
                     // like the primary access.
-                    let issued = if entry.info.mem.is_some() {
-                        self.fu.try_issue_mem(op, cycle)
+                    let is_mem = entry.info.mem.is_some();
+                    let issued = if is_mem {
+                        fu.try_issue_mem(op, cycle)
                     } else {
-                        self.fu.try_issue(op, cycle)
+                        fu.try_issue(op, cycle)
                     };
                     if !issued {
                         // A blocked entry does not dam the whole queue:
@@ -1073,20 +405,19 @@ impl<'c> ReeseMachine<'c> {
                         // entries).
                         continue;
                     }
-                    let latency: u64 = if entry.info.mem.is_some() {
+                    let latency = if is_mem {
                         1 + l1d_hit
                     } else {
                         u64::from(op.latency())
                     };
-                    if O::ENABLED {
-                        obs.event(TraceEvent {
-                            cycle,
-                            seq: entry.seq,
-                            pc: entry.info.pc,
-                            stage: Stage::Issue,
-                            stream: TStream::Redundant,
-                        });
-                    }
+                    emit(
+                        obs,
+                        cycle,
+                        entry.seq,
+                        entry.info.pc,
+                        Stage::Issue,
+                        TStream::Redundant,
+                    );
                     entry.r_issued = true;
                     entry.r_complete_cycle = cycle + latency;
                     *budget -= 1;
@@ -1099,14 +430,14 @@ impl<'c> ReeseMachine<'c> {
                 // first `lookahead` un-issued, un-skipped entries in
                 // queue (= seq) order (served from the incrementally
                 // maintained front window, not a per-cycle ring scan).
-                let mut pending = std::mem::take(&mut self.scratch_pending);
-                self.rqueue.pending_r_front_into(lookahead, &mut pending);
+                let mut pending = std::mem::take(&mut pol.scratch_pending);
+                pol.rqueue.pending_r_front_into(lookahead, &mut pending);
                 for seq in pending.drain(..) {
                     if *budget == 0 {
                         break;
                     }
                     tried += 1;
-                    let entry = self.rqueue.get(seq).expect("pending seq in queue");
+                    let entry = pol.rqueue.get(seq).expect("pending seq in queue");
                     let op = entry.info.instr.op;
                     let is_mem = entry.info.mem.is_some();
                     let pc = entry.info.pc;
@@ -1114,116 +445,238 @@ impl<'c> ReeseMachine<'c> {
                     // success condition of `try_issue`, so a busy class
                     // skips the entry without probing per-unit state.
                     let free = if is_mem {
-                        self.fu.class_free(FuClass::IntAlu, cycle)
-                            && self.fu.class_free(FuClass::MemPort, cycle)
+                        fu.class_free(FuClass::IntAlu, cycle)
+                            && fu.class_free(FuClass::MemPort, cycle)
                     } else {
-                        self.fu.class_free(op.fu_class(), cycle)
+                        fu.class_free(op.fu_class(), cycle)
                     };
                     if !free {
                         continue;
                     }
                     let issued = if is_mem {
-                        self.fu.try_issue_mem(op, cycle)
+                        fu.try_issue_mem(op, cycle)
                     } else {
-                        self.fu.try_issue(op, cycle)
+                        fu.try_issue(op, cycle)
                     };
                     debug_assert!(issued, "a free class must accept the issue");
-                    let latency: u64 = if is_mem {
+                    let latency = if is_mem {
                         1 + l1d_hit
                     } else {
                         u64::from(op.latency())
                     };
-                    if O::ENABLED {
-                        obs.event(TraceEvent {
-                            cycle,
-                            seq,
-                            pc,
-                            stage: Stage::Issue,
-                            stream: TStream::Redundant,
-                        });
-                    }
-                    self.rqueue.mark_r_issued(seq, cycle + latency);
+                    emit(obs, cycle, seq, pc, Stage::Issue, TStream::Redundant);
+                    pol.rqueue.mark_r_issued(seq, cycle + latency);
                     *budget -= 1;
                     issued_now += 1;
                 }
-                self.scratch_pending = pending;
+                pol.scratch_pending = pending;
             }
         }
-        self.stats.r_issued += issued_now;
-        self.stats.r_tried += tried;
-        self.stats.r_missed += tried - issued_now;
+        pol.stats.r_issued += issued_now;
+        pol.stats.r_tried += tried;
+        pol.stats.r_missed += tried - issued_now;
     }
+}
 
-    fn dispatch<O: Observer>(&mut self, obs: &mut O) {
-        if self.fetchq.is_empty() {
-            self.stats.pipeline.fetch_queue_empty_cycles += 1;
-            return;
-        }
-        for _ in 0..self.cfg.pipeline.width {
-            let Some(front) = self.fetchq.front() else {
-                break;
-            };
-            if self.ruu.is_full() {
-                self.stats.pipeline.dispatch_stall_ruu_full += 1;
-                break;
-            }
-            if front.info.mem.is_some() && self.lsq.is_full() {
-                self.stats.pipeline.dispatch_stall_lsq_full += 1;
-                break;
-            }
-            let f = self.fetchq.pop_front().expect("checked front");
-            if O::ENABLED {
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq: f.seq,
-                    pc: f.info.pc,
-                    stage: Stage::Dispatch,
-                    stream: TStream::Primary,
-                });
-            }
-            self.ruu.dispatch(f.seq, f.info, f.pred, self.cycle);
-            if let Some(mem) = f.info.mem {
-                self.lsq
-                    .insert(f.seq, mem.addr, mem.width.bytes(), mem.is_store);
-            }
-        }
-    }
+impl Redundancy for RStream<'_> {
+    type Output = ReeseResult;
+    type Error = ReeseError;
 
-    fn do_fetch<O: Observer>(&mut self, obs: &mut O) {
-        let space = self.cfg.pipeline.fetch_queue_size - self.fetchq.len();
-        if space == 0 {
-            return;
+    /// Commit from the R-stream Queue head: compare P and R results,
+    /// then retire (paper Figure 1: comparison sits between writeback
+    /// and commit).
+    fn commit_one<O: Observer>(m: &mut Core<'_, Self>, obs: &mut O) -> bool {
+        let Some(head) = m.pol.rqueue.head() else {
+            return false;
+        };
+        if !head.commit_ready() {
+            return false;
         }
-        let batch = self.fetch.fetch_cycle(
-            self.cycle,
-            self.cfg.pipeline.width,
-            space,
-            &mut self.hierarchy,
+        if !head.results_match() {
+            Self::detect_and_flush(m, obs);
+            return false;
+        }
+        let e = m.pol.rqueue.pop_head().expect("checked head");
+        if !m.pol.cfg.early_removal {
+            // The RUU entry was held until this comparison: retire it now.
+            debug_assert_eq!(m.ruu.head().map(|h| h.seq), Some(e.seq));
+            let p = m.ruu.pop_head();
+            m.lsq.remove(p.seq);
+        }
+        let stats = &mut m.pol.stats;
+        if e.skip_r {
+            stats.r_skipped += 1;
+        } else {
+            stats.comparisons += 1;
+            stats
+                .pr_separation
+                .record(e.r_complete_cycle.saturating_sub(e.p_complete_cycle));
+            emit(
+                obs,
+                m.cycle,
+                e.seq,
+                e.info.pc,
+                Stage::Compare,
+                TStream::Redundant,
+            );
+        }
+        emit(
+            obs,
+            m.cycle,
+            e.seq,
+            e.info.pc,
+            Stage::Commit,
+            TStream::Primary,
         );
-        if O::ENABLED {
-            for f in &batch {
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq: f.seq,
-                    pc: f.info.pc,
-                    stage: Stage::Fetch,
-                    stream: TStream::Primary,
-                });
-            }
-        }
-        self.fetchq.extend(batch);
+        m.pol.check.matched(e.seq);
+        m.retire(&e.info)
     }
 
-    fn finalise(&mut self) {
-        self.stats.pipeline.cycles = self.cycle;
-        self.stats.pipeline.fetched = self.fetch.total_fetched();
-        self.stats.pipeline.branch = self.fetch.branch_stats();
-        self.stats.pipeline.hierarchy = Some(self.hierarchy.stats());
-        self.stats.pipeline.fu_utilisation = FuClass::ALL
+    fn fatal(&self) -> Option<ReeseError> {
+        self.check.fatal()
+    }
+
+    /// Migration, then the per-cycle occupancy sample: nothing later in
+    /// the cycle changes the queue's length.
+    fn pre_writeback<O: Observer>(m: &mut Core<'_, Self>, obs: &mut O) {
+        Self::migrate(m, obs);
+        let len = m.pol.rqueue.len() as u64;
+        m.pol.stats.rqueue_occupancy.record(len);
+    }
+
+    /// Redundant-stream completions: one in-place pass over the queue.
+    /// Fault application is per-seq and order-independent, so the event
+    /// wheel's (cycle, seq) pop order is as good as queue order.
+    fn r_writeback<O: Observer>(m: &mut Core<'_, Self>, obs: &mut O) {
+        let cycle = m.cycle;
+        let event_driven = m.cfg.scheduler == SchedulerMode::EventDriven;
+        let RStream {
+            rqueue,
+            latches,
+            scratch_rdone,
+            ..
+        } = &mut m.pol;
+        let mut finish = |entry: &mut RQueueEntry| {
+            entry.r_completed = true;
+            latches.corrupt(cycle, entry, Stream::Redundant);
+            emit(
+                obs,
+                cycle,
+                entry.seq,
+                entry.info.pc,
+                Stage::Writeback,
+                TStream::Redundant,
+            );
+        };
+        if event_driven {
+            rqueue.take_r_completions_into(cycle, scratch_rdone);
+            for seq in scratch_rdone.drain(..) {
+                finish(rqueue.get_mut(seq).expect("completing seq in queue"));
+            }
+        } else {
+            for entry in rqueue.iter_mut() {
+                if entry.r_issued && !entry.r_completed && entry.r_complete_cycle <= cycle {
+                    finish(entry);
+                }
+            }
+        }
+    }
+
+    /// Issue both streams under a shared width budget. Primary
+    /// instructions have priority ("we want to always choose the P
+    /// stream instruction, whenever possible", §4.3) until the queue
+    /// crosses its high-water mark, at which point the redundant stream
+    /// goes first to guarantee forward progress.
+    fn issue<O: Observer>(m: &mut Core<'_, Self>, obs: &mut O) {
+        let mut budget = m.cfg.width;
+        if m.pol.rqueue.len() >= m.pol.cfg.high_water {
+            m.pol.stats.r_priority_cycles += 1;
+            Self::issue_redundant(m, &mut budget, obs);
+            m.issue_primary(&mut budget, obs);
+        } else {
+            m.issue_primary(&mut budget, obs);
+            Self::issue_redundant(m, &mut budget, obs);
+        }
+    }
+
+    /// A comparable queue head, a completed migration candidate (it
+    /// acts even when the queue is full, counting a stall sample), an R
+    /// completion, or a pending R entry whose functional unit frees up.
+    ///
+    /// Pending redundant work does not pin the clock to one cycle at a
+    /// time: during a skip nothing issues anywhere, so the pool's
+    /// per-class free times and the lookahead window are both static,
+    /// and the earliest cycle the R stream can move is the minimum over
+    /// the window of each entry's needed-class free time (memory
+    /// verifications need an address-generation ALU *and* a port, so
+    /// they wait for the later of the two).
+    fn wake(m: &mut Core<'_, Self>) -> Option<u64> {
+        let pol = &mut m.pol;
+        if pol.rqueue.head().is_some_and(|e| e.commit_ready())
+            || m.ruu.get(pol.next_migrate_seq).is_some_and(|e| e.completed)
+        {
+            return Some(m.cycle);
+        }
+        let r_wake = pol.rqueue.next_r_completion_cycle();
+        pol.window_len = 0;
+        if r_wake.is_some_and(|t| t <= m.cycle) || !pol.rqueue.has_pending_r() {
+            return r_wake;
+        }
+        let mut pending = std::mem::take(&mut pol.scratch_pending);
+        pol.rqueue
+            .pending_r_front_into(pol.cfg.r_issue_lookahead, &mut pending);
+        pol.window_len = pending.len() as u64;
+        let fu = &m.fu;
+        let fu_wake = pending
             .iter()
-            .map(|&c| (c, self.fu.utilisation(c, self.cycle)))
-            .collect();
-        self.stats.rqueue_peak = self.rqueue.peak_occupancy();
+            .map(|&seq| {
+                let entry = pol.rqueue.get(seq).expect("pending seq in queue");
+                if entry.info.mem.is_some() {
+                    fu.earliest_free(FuClass::IntAlu)
+                        .max(fu.earliest_free(FuClass::MemPort))
+                } else {
+                    fu.earliest_free(entry.info.instr.op.fu_class())
+                }
+            })
+            .min()
+            .filter(|&t| t < u64::MAX);
+        pol.scratch_pending = pending;
+        [r_wake, fu_wake].into_iter().flatten().min()
+    }
+
+    /// Per-cycle bookkeeping the skipped no-op cycles would have done:
+    /// the occupancy sample, the R-priority counter (`issue` counts it
+    /// even when nothing issues), and — when pending R work sat blocked
+    /// on busy units — the tried/missed accounting the scan-mode
+    /// redundant scheduler accrues every cycle it reconsiders the same
+    /// window.
+    fn skipped(m: &mut Core<'_, Self>, skipped: u64) {
+        let pol = &mut m.pol;
+        let len = pol.rqueue.len();
+        pol.stats.rqueue_occupancy.record_n(len as u64, skipped);
+        if len >= pol.cfg.high_water {
+            pol.stats.r_priority_cycles += skipped;
+        }
+        pol.stats.r_tried += pol.window_len * skipped;
+        pol.stats.r_missed += pol.window_len * skipped;
+    }
+
+    fn drained(&self) -> bool {
+        self.rqueue.is_empty()
+    }
+
+    fn observe(&self, state: &mut CycleState) {
+        state.r_issued = self.stats.r_issued;
+        state.r_missed = self.stats.r_missed;
+        state.sched_ops += self.rqueue.sched_ops();
+        state.rqueue_occ = self.rqueue.len();
+    }
+
+    fn finish(m: Core<'_, Self>, stop: SimStop) -> ReeseResult {
+        let (base, mut pol) = m.into_parts(stop);
+        pol.stats.rqueue_peak = pol.rqueue.peak_occupancy();
+        let duration = pol.latches.duration.map(|_| pol.latches.report);
+        ReeseResult::assemble(base, pol.stats, pol.check.detections, duration)
     }
 }
 
@@ -1283,7 +736,10 @@ mod tests {
         let prog = assemble(LOOP).unwrap();
         let faults = [InjectedFault::primary(10, 5)];
         let r = ReeseSim::new(ReeseConfig::starting())
-            .run_with_faults(&prog, &faults, u64::MAX)
+            .simulate(
+                RunSpec::new(&prog).faults(Faults::Latch(&faults)),
+                &mut NoopObserver,
+            )
             .unwrap();
         assert_eq!(r.stats.detections, 1);
         assert_eq!(r.stats.flushes, 1);
@@ -1301,7 +757,10 @@ mod tests {
         let prog = assemble(LOOP).unwrap();
         let faults = [InjectedFault::redundant(20, 63)];
         let r = ReeseSim::new(ReeseConfig::starting())
-            .run_with_faults(&prog, &faults, u64::MAX)
+            .simulate(
+                RunSpec::new(&prog).faults(Faults::Latch(&faults)),
+                &mut NoopObserver,
+            )
             .unwrap();
         assert_eq!(r.stats.detections, 1);
         assert_eq!(r.detections[0].seq, 20);
@@ -1317,7 +776,10 @@ mod tests {
             InjectedFault::redundant(100, 3),
         ];
         let r = ReeseSim::new(ReeseConfig::starting())
-            .run_with_faults(&prog, &faults, u64::MAX)
+            .simulate(
+                RunSpec::new(&prog).faults(Faults::Latch(&faults)),
+                &mut NoopObserver,
+            )
             .unwrap();
         assert_eq!(r.stats.detections, 3);
     }
@@ -1327,7 +789,10 @@ mod tests {
         let prog = assemble(LOOP).unwrap();
         let faults = [InjectedFault::permanent(10, 4)];
         let err = ReeseSim::new(ReeseConfig::starting())
-            .run_with_faults(&prog, &faults, u64::MAX)
+            .simulate(
+                RunSpec::new(&prog).faults(Faults::Latch(&faults)),
+                &mut NoopObserver,
+            )
             .unwrap_err();
         assert!(matches!(err, ReeseError::PermanentFault { seq: 10, .. }));
     }
@@ -1337,7 +802,10 @@ mod tests {
         let prog = assemble(LOOP).unwrap();
         let faults = [InjectedFault::primary(10, 5)];
         let r = ReeseSim::new(ReeseConfig::starting())
-            .run_with_faults(&prog, &faults, u64::MAX)
+            .simulate(
+                RunSpec::new(&prog).faults(Faults::Latch(&faults)),
+                &mut NoopObserver,
+            )
             .unwrap();
         assert!(
             r.detections[0].latency() >= 1,
@@ -1369,7 +837,10 @@ mod tests {
         // Period 2 re-executes even seqs; corrupt an odd one.
         let faults = [InjectedFault::primary(11, 5)];
         let r = ReeseSim::new(ReeseConfig::starting().with_duplication_period(2))
-            .run_with_faults(&prog, &faults, u64::MAX)
+            .simulate(
+                RunSpec::new(&prog).faults(Faults::Latch(&faults)),
+                &mut NoopObserver,
+            )
             .unwrap();
         assert_eq!(
             r.stats.detections, 0,
@@ -1428,7 +899,7 @@ mod tests {
     fn instruction_limit_respected() {
         let prog = assemble("loop: addi t0, t0, 1\n  j loop\n  halt\n").unwrap();
         let r = ReeseSim::new(ReeseConfig::starting())
-            .run_limit(&prog, 100)
+            .simulate(RunSpec::new(&prog).limit(100), &mut NoopObserver)
             .unwrap();
         assert_eq!(r.stop, SimStop::InstructionLimit);
         assert!(r.committed_instructions() >= 100);
@@ -1464,11 +935,17 @@ mod tests {
             InjectedFault::primary(100, 2),
         ];
         let scan = ReeseSim::new(ReeseConfig::starting().with_scheduler(SchedulerMode::Scan))
-            .run_with_faults(&prog, &faults, u64::MAX)
+            .simulate(
+                RunSpec::new(&prog).faults(Faults::Latch(&faults)),
+                &mut NoopObserver,
+            )
             .unwrap();
         let event =
             ReeseSim::new(ReeseConfig::starting().with_scheduler(SchedulerMode::EventDriven))
-                .run_with_faults(&prog, &faults, u64::MAX)
+                .simulate(
+                    RunSpec::new(&prog).faults(Faults::Latch(&faults)),
+                    &mut NoopObserver,
+                )
                 .unwrap();
         assert_eq!(scan, event);
         assert_eq!(event.stats.detections, 3);
@@ -1501,11 +978,17 @@ mod tests {
                 })
                 .collect();
             let scan = ReeseSim::new(ReeseConfig::starting().with_scheduler(SchedulerMode::Scan))
-                .run_with_faults(&prog, &faults, u64::MAX)
+                .simulate(
+                    RunSpec::new(&prog).faults(Faults::Latch(&faults)),
+                    &mut NoopObserver,
+                )
                 .unwrap();
             let event =
                 ReeseSim::new(ReeseConfig::starting().with_scheduler(SchedulerMode::EventDriven))
-                    .run_with_faults(&prog, &faults, u64::MAX)
+                    .simulate(
+                        RunSpec::new(&prog).faults(Faults::Latch(&faults)),
+                        &mut NoopObserver,
+                    )
                     .unwrap();
             assert_eq!(scan, event, "trial {trial} faults {faults:?}");
             assert_eq!(event.stop, SimStop::Halted, "trial {trial}");
@@ -1519,7 +1002,10 @@ mod tests {
         // halt is seq 1; corrupt its (exit-code) result latch.
         let faults = [InjectedFault::primary(1, 0)];
         let r = ReeseSim::new(ReeseConfig::starting())
-            .run_with_faults(&prog, &faults, u64::MAX)
+            .simulate(
+                RunSpec::new(&prog).faults(Faults::Latch(&faults)),
+                &mut NoopObserver,
+            )
             .unwrap();
         assert_eq!(r.stats.detections, 1);
         assert_eq!(r.exit_code, Some(7), "recovered exit code is clean");

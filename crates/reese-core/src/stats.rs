@@ -1,7 +1,7 @@
 //! REESE run results and statistics.
 
-use crate::DetectionEvent;
-use reese_pipeline::{PipelineStats, SimStop};
+use crate::{DetectionEvent, DurationReport};
+use reese_pipeline::{PipelineStats, SimResult, SimStop};
 use reese_stats::Histogram;
 use std::fmt;
 
@@ -136,9 +136,32 @@ pub struct ReeseResult {
     pub state_digest: u64,
     /// Every soft-error detection, in order.
     pub detections: Vec<DetectionEvent>,
+    /// What a [`crate::Faults::Duration`] disturbance corrupted; `None`
+    /// when the run had none.
+    pub duration: Option<DurationReport>,
 }
 
 impl ReeseResult {
+    /// Combines a timing-core result with the redundancy statistics
+    /// and detections gathered alongside it.
+    pub(crate) fn assemble(
+        base: SimResult,
+        mut stats: ReeseStats,
+        detections: Vec<DetectionEvent>,
+        duration: Option<DurationReport>,
+    ) -> ReeseResult {
+        stats.pipeline = base.stats;
+        ReeseResult {
+            stop: base.stop,
+            stats,
+            output: base.output,
+            exit_code: base.exit_code,
+            state_digest: base.state_digest,
+            detections,
+            duration,
+        }
+    }
+
     /// Committed instructions per cycle.
     pub fn ipc(&self) -> f64 {
         self.stats.ipc()

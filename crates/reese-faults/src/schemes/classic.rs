@@ -19,29 +19,43 @@ use super::{DetectionScheme, SchemeRun, Trial};
 use crate::engine::output_fnv;
 use crate::{FaultClass, TrialOutcome};
 use reese_ckpt::{Checkpoint, Scheme};
-use reese_core::{DuplexSim, InjectedFault, ReeseConfig, ReeseResult, ReeseSim};
+use reese_core::{DuplexSim, Faults, InjectedFault, ReeseConfig, ReeseResult, ReeseSim};
+use reese_cpu::Emulator;
 use reese_isa::Program;
-use reese_pipeline::{PipelineSim, SimResult};
-use reese_trace::{DeepLog, Pair};
+use reese_pipeline::{PipelineSim, RunSpec, SimResult};
+use reese_trace::{DeepLog, NoopObserver, Observer, Pair};
 
-fn from_pipeline(r: SimResult) -> SchemeRun {
-    SchemeRun {
-        cycles: r.stats.cycles,
-        committed: r.stats.committed,
-        output: r.output,
-        exit_code: r.exit_code,
-        state_digest: r.state_digest,
-    }
+/// A clean window on the plain pipeline: restore from `ck` and run
+/// until `budget` instructions commit. The single-stream schemes
+/// (baseline, MEEK, SWIFT) all measure their windows this way.
+pub(super) fn core_window<O: Observer>(
+    sim: &PipelineSim,
+    program: &Program,
+    ck: &Checkpoint,
+    budget: u64,
+    obs: &mut O,
+) -> Result<SchemeRun, String> {
+    sim.simulate(
+        RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget),
+        obs,
+    )
+    .map(SchemeRun::from)
+    .map_err(|e| e.to_string())
 }
 
-fn from_redundant(r: ReeseResult) -> SchemeRun {
-    SchemeRun {
-        cycles: r.cycles(),
-        committed: r.committed_instructions(),
-        output: r.output,
-        exit_code: r.exit_code,
-        state_digest: r.state_digest,
-    }
+/// A faulted window on the plain pipeline: `emu` already carries the
+/// trial's architectural fault, and `probe` records the commit stream
+/// (plus the faulted seq's first writeback) alongside the trial's own
+/// observers.
+pub(super) fn probed_window(
+    sim: &PipelineSim,
+    t: &mut Trial<'_>,
+    emu: Emulator,
+    probe: &mut CommitProbe,
+) -> Result<SimResult, String> {
+    let spec = RunSpec::restored(emu, t.ck.warm.as_ref()).limit(t.budget);
+    with_trial_observers!(t, |obs| sim.simulate(spec, &mut Pair(probe, obs)))
+        .map_err(|e| e.to_string())
 }
 
 /// Scores a redundant-machine window result exactly as the campaign
@@ -104,8 +118,11 @@ impl DetectionScheme for BaselineScheme {
 
     fn run_limit(&self, program: &Program, max_instructions: u64) -> Result<SchemeRun, String> {
         self.sim
-            .run_limit(program, max_instructions)
-            .map(from_pipeline)
+            .simulate(
+                RunSpec::new(program).limit(max_instructions),
+                &mut NoopObserver,
+            )
+            .map(SchemeRun::from)
             .map_err(|e| e.to_string())
     }
 
@@ -115,10 +132,7 @@ impl DetectionScheme for BaselineScheme {
         ck: &Checkpoint,
         budget: u64,
     ) -> Result<SchemeRun, String> {
-        self.sim
-            .run_interval(ck.restore(program), ck.warm.as_ref(), budget)
-            .map(from_pipeline)
-            .map_err(|e| e.to_string())
+        core_window(&self.sim, program, ck, budget, &mut NoopObserver)
     }
 
     fn run_window_observed(
@@ -128,10 +142,7 @@ impl DetectionScheme for BaselineScheme {
         budget: u64,
         probe: &mut DeepLog,
     ) -> Result<SchemeRun, String> {
-        self.sim
-            .run_interval_observed(ck.restore(program), ck.warm.as_ref(), budget, probe)
-            .map(from_pipeline)
-            .map_err(|e| e.to_string())
+        core_window(&self.sim, program, ck, budget, probe)
     }
 
     fn run_trial(&self, mut t: Trial<'_>) -> Result<TrialOutcome, String> {
@@ -142,27 +153,7 @@ impl DetectionScheme for BaselineScheme {
         // The probe pins the injection (first writeback of the faulted
         // seq) and divergence (its commit) cycles; nothing detects.
         let mut probe = CommitProbe::watching(t.seq);
-        let warm = t.ck.warm.as_ref();
-        let r = match (t.tracer.take(), t.probe.take()) {
-            (Some(tr), Some(dp)) => self.sim.run_interval_observed(
-                emu,
-                warm,
-                t.budget,
-                &mut Pair(&mut probe, &mut Pair(tr, dp)),
-            ),
-            (Some(tr), None) => {
-                self.sim
-                    .run_interval_observed(emu, warm, t.budget, &mut Pair(&mut probe, tr))
-            }
-            (None, Some(dp)) => {
-                self.sim
-                    .run_interval_observed(emu, warm, t.budget, &mut Pair(&mut probe, dp))
-            }
-            (None, None) => self
-                .sim
-                .run_interval_observed(emu, warm, t.budget, &mut probe),
-        }
-        .map_err(|e| e.to_string())?;
+        let r = probed_window(&self.sim, &mut t, emu, &mut probe)?;
         let state_clean = output_fnv(&r.output) == t.baseline.output_fnv
             && (!t.baseline.halted || r.state_digest == t.baseline.digest);
         let committed = probe.commit_cycle(t.seq);
@@ -201,8 +192,11 @@ impl DetectionScheme for ReeseScheme {
 
     fn run_limit(&self, program: &Program, max_instructions: u64) -> Result<SchemeRun, String> {
         self.sim
-            .run_limit(program, max_instructions)
-            .map(from_redundant)
+            .simulate(
+                RunSpec::new(program).limit(max_instructions),
+                &mut NoopObserver,
+            )
+            .map(SchemeRun::from)
             .map_err(|e| e.to_string())
     }
 
@@ -212,9 +206,10 @@ impl DetectionScheme for ReeseScheme {
         ck: &Checkpoint,
         budget: u64,
     ) -> Result<SchemeRun, String> {
+        let spec = RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget);
         self.sim
-            .run_interval(ck.restore(program), ck.warm.as_ref(), budget)
-            .map(from_redundant)
+            .simulate(spec, &mut NoopObserver)
+            .map(SchemeRun::from)
             .map_err(|e| e.to_string())
     }
 
@@ -225,35 +220,20 @@ impl DetectionScheme for ReeseScheme {
         budget: u64,
         probe: &mut DeepLog,
     ) -> Result<SchemeRun, String> {
+        let spec = RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget);
         self.sim
-            .run_interval_observed(ck.restore(program), ck.warm.as_ref(), budget, probe)
-            .map(from_redundant)
+            .simulate(spec, probe)
+            .map(SchemeRun::from)
             .map_err(|e| e.to_string())
     }
 
     fn run_trial(&self, mut t: Trial<'_>) -> Result<TrialOutcome, String> {
         let faults = [latch_fault(t.class, t.seq, t.bit)];
-        let emu = t.ck.restore(t.program);
-        let warm = t.ck.warm.as_ref();
-        let r = match (t.tracer.take(), t.probe.take()) {
-            (Some(tr), Some(dp)) => self.sim.run_interval_with_faults_observed(
-                emu,
-                warm,
-                &faults,
-                t.budget,
-                &mut Pair(tr, dp),
-            ),
-            (Some(tr), None) => self
-                .sim
-                .run_interval_with_faults_observed(emu, warm, &faults, t.budget, tr),
-            (None, Some(dp)) => self
-                .sim
-                .run_interval_with_faults_observed(emu, warm, &faults, t.budget, dp),
-            (None, None) => self
-                .sim
-                .run_interval_with_faults(emu, warm, &faults, t.budget),
-        }
-        .map_err(|e| e.to_string())?;
+        let spec = RunSpec::restored(t.ck.restore(t.program), t.ck.warm.as_ref())
+            .limit(t.budget)
+            .faults(Faults::Latch(&faults));
+        let r = with_trial_observers!(t, |obs| self.sim.simulate(spec, obs))
+            .map_err(|e| e.to_string())?;
         Ok(score_redundant(&t, &r))
     }
 }
@@ -278,8 +258,11 @@ impl DetectionScheme for DuplexScheme {
 
     fn run_limit(&self, program: &Program, max_instructions: u64) -> Result<SchemeRun, String> {
         self.sim
-            .run_limit(program, max_instructions)
-            .map(from_redundant)
+            .simulate(
+                RunSpec::new(program).limit(max_instructions),
+                &mut NoopObserver,
+            )
+            .map(SchemeRun::from)
             .map_err(|e| e.to_string())
     }
 
@@ -289,9 +272,10 @@ impl DetectionScheme for DuplexScheme {
         ck: &Checkpoint,
         budget: u64,
     ) -> Result<SchemeRun, String> {
+        let spec = RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget);
         self.sim
-            .run_interval(ck.restore(program), ck.warm.as_ref(), budget)
-            .map(from_redundant)
+            .simulate(spec, &mut NoopObserver)
+            .map(SchemeRun::from)
             .map_err(|e| e.to_string())
     }
 
@@ -302,35 +286,20 @@ impl DetectionScheme for DuplexScheme {
         budget: u64,
         probe: &mut DeepLog,
     ) -> Result<SchemeRun, String> {
+        let spec = RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget);
         self.sim
-            .run_interval_observed(ck.restore(program), ck.warm.as_ref(), budget, probe)
-            .map(from_redundant)
+            .simulate(spec, probe)
+            .map(SchemeRun::from)
             .map_err(|e| e.to_string())
     }
 
     fn run_trial(&self, mut t: Trial<'_>) -> Result<TrialOutcome, String> {
         let faults = [latch_fault(t.class, t.seq, t.bit)];
-        let emu = t.ck.restore(t.program);
-        let warm = t.ck.warm.as_ref();
-        let r = match (t.tracer.take(), t.probe.take()) {
-            (Some(tr), Some(dp)) => self.sim.run_interval_with_faults_observed(
-                emu,
-                warm,
-                &faults,
-                t.budget,
-                &mut Pair(tr, dp),
-            ),
-            (Some(tr), None) => self
-                .sim
-                .run_interval_with_faults_observed(emu, warm, &faults, t.budget, tr),
-            (None, Some(dp)) => self
-                .sim
-                .run_interval_with_faults_observed(emu, warm, &faults, t.budget, dp),
-            (None, None) => self
-                .sim
-                .run_interval_with_faults(emu, warm, &faults, t.budget),
-        }
-        .map_err(|e| e.to_string())?;
+        let spec = RunSpec::restored(t.ck.restore(t.program), t.ck.warm.as_ref())
+            .limit(t.budget)
+            .faults(&faults[..]);
+        let r = with_trial_observers!(t, |obs| self.sim.simulate(spec, obs))
+            .map_err(|e| e.to_string())?;
         Ok(score_redundant(&t, &r))
     }
 }

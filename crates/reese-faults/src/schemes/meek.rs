@@ -26,6 +26,7 @@
 //! Clean-run time overhead is the verification tail: the run is done
 //! when the last instruction is *checked*, not when it commits.
 
+use super::classic::{core_window, probed_window};
 use super::observe::CommitProbe;
 use super::{DetectionScheme, SchemeRun, Trial};
 use crate::engine::output_fnv;
@@ -33,8 +34,8 @@ use crate::{FaultClass, TrialOutcome};
 use reese_ckpt::{Checkpoint, Scheme};
 use reese_core::ReeseConfig;
 use reese_isa::{OpKind, Program};
-use reese_pipeline::PipelineSim;
-use reese_trace::{DeepLog, Pair};
+use reese_pipeline::{PipelineSim, RunSpec};
+use reese_trace::{DeepLog, NoopObserver};
 
 /// Number of small in-order checker cores.
 pub const CHECKERS: usize = 2;
@@ -111,22 +112,18 @@ impl DetectionScheme for MeekScheme {
 
     fn run_limit(&self, program: &Program, max_instructions: u64) -> Result<SchemeRun, String> {
         let mut probe = CommitProbe::new();
-        let r = self
+        let mut run = self
             .sim
-            .run_observed(program, 0, max_instructions, &mut probe)
+            .simulate(RunSpec::new(program).limit(max_instructions), &mut probe)
+            .map(SchemeRun::from)
             .map_err(|e| e.to_string())?;
         // The run is over when the last commit has been *checked*.
         let verified_end = checker_completions(&probe.commits)
             .last()
             .copied()
             .unwrap_or(0);
-        Ok(SchemeRun {
-            cycles: r.stats.cycles.max(verified_end),
-            committed: r.stats.committed,
-            output: r.output,
-            exit_code: r.exit_code,
-            state_digest: r.state_digest,
-        })
+        run.cycles = run.cycles.max(verified_end);
+        Ok(run)
     }
 
     fn run_window(
@@ -138,16 +135,7 @@ impl DetectionScheme for MeekScheme {
         // Window baselines stay in core cycles: trial recovery cost is
         // charged explicitly from the checker model, and mixing the
         // drain tail into the reference would double-count it.
-        self.sim
-            .run_interval(ck.restore(program), ck.warm.as_ref(), budget)
-            .map(|r| SchemeRun {
-                cycles: r.stats.cycles,
-                committed: r.stats.committed,
-                output: r.output,
-                exit_code: r.exit_code,
-                state_digest: r.state_digest,
-            })
-            .map_err(|e| e.to_string())
+        core_window(&self.sim, program, ck, budget, &mut NoopObserver)
     }
 
     fn run_window_observed(
@@ -157,16 +145,7 @@ impl DetectionScheme for MeekScheme {
         budget: u64,
         probe: &mut DeepLog,
     ) -> Result<SchemeRun, String> {
-        self.sim
-            .run_interval_observed(ck.restore(program), ck.warm.as_ref(), budget, probe)
-            .map(|r| SchemeRun {
-                cycles: r.stats.cycles,
-                committed: r.stats.committed,
-                output: r.output,
-                exit_code: r.exit_code,
-                state_digest: r.state_digest,
-            })
-            .map_err(|e| e.to_string())
+        core_window(&self.sim, program, ck, budget, probe)
     }
 
     fn run_trial(&self, mut t: Trial<'_>) -> Result<TrialOutcome, String> {
@@ -179,27 +158,7 @@ impl DetectionScheme for MeekScheme {
             emu.inject_result_fault(t.seq, t.bit);
         }
         let mut probe = CommitProbe::watching(t.seq);
-        let warm = t.ck.warm.as_ref();
-        let r = match (t.tracer.take(), t.probe.take()) {
-            (Some(tr), Some(dp)) => self.sim.run_interval_observed(
-                emu,
-                warm,
-                t.budget,
-                &mut Pair(&mut probe, &mut Pair(tr, dp)),
-            ),
-            (Some(tr), None) => {
-                self.sim
-                    .run_interval_observed(emu, warm, t.budget, &mut Pair(&mut probe, tr))
-            }
-            (None, Some(dp)) => {
-                self.sim
-                    .run_interval_observed(emu, warm, t.budget, &mut Pair(&mut probe, dp))
-            }
-            (None, None) => self
-                .sim
-                .run_interval_observed(emu, warm, t.budget, &mut probe),
-        }
-        .map_err(|e| e.to_string())?;
+        let r = probed_window(&self.sim, &mut t, emu, &mut probe)?;
 
         let pc = probe.pc_of(t.seq);
         let detected = match (primary, pc) {

@@ -33,6 +33,33 @@
 //! Window planning, anchor capture, baseline sharing, memoization, and
 //! report assembly all stay in the campaign, shared by every backend.
 
+/// Evaluates `$run` with `$obs` bound to the trial's observers: its
+/// metrics tracer and forensic log when present, [`NoopObserver`]
+/// otherwise, so an unobserved trial compiles to the unobserved
+/// simulator.
+macro_rules! with_trial_observers {
+    ($t:expr, |$obs:ident| $run:expr) => {
+        match ($t.tracer.take(), $t.probe.take()) {
+            (Some(tracer), Some(log)) => {
+                let $obs = &mut reese_trace::Pair(tracer, log);
+                $run
+            }
+            (Some(tracer), None) => {
+                let $obs = tracer;
+                $run
+            }
+            (None, Some(log)) => {
+                let $obs = log;
+                $run
+            }
+            (None, None) => {
+                let $obs = &mut reese_trace::NoopObserver;
+                $run
+            }
+        }
+    };
+}
+
 pub(crate) mod classic;
 pub(crate) mod meek;
 mod observe;
@@ -42,8 +69,9 @@ pub(crate) mod swift;
 use crate::engine::WindowBaseline;
 use crate::{FaultClass, TrialOutcome};
 use reese_ckpt::{Checkpoint, Scheme};
-use reese_core::ReeseConfig;
+use reese_core::{ReeseConfig, ReeseResult};
 use reese_isa::Program;
+use reese_pipeline::SimResult;
 use reese_trace::{DeepLog, Tracer};
 
 pub use report::{EvalOptions, SchemeRow, SchemesReport};
@@ -63,6 +91,30 @@ pub struct SchemeRun {
     pub exit_code: Option<u64>,
     /// Digest of the final architectural register state.
     pub state_digest: u64,
+}
+
+impl From<SimResult> for SchemeRun {
+    fn from(r: SimResult) -> SchemeRun {
+        SchemeRun {
+            cycles: r.stats.cycles,
+            committed: r.stats.committed,
+            output: r.output,
+            exit_code: r.exit_code,
+            state_digest: r.state_digest,
+        }
+    }
+}
+
+impl From<ReeseResult> for SchemeRun {
+    fn from(r: ReeseResult) -> SchemeRun {
+        SchemeRun {
+            cycles: r.cycles(),
+            committed: r.committed_instructions(),
+            output: r.output,
+            exit_code: r.exit_code,
+            state_digest: r.state_digest,
+        }
+    }
 }
 
 /// One fault-injection trial, as handed to a scheme: the anchored

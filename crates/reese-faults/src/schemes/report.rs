@@ -22,8 +22,9 @@ use crate::{Campaign, CampaignError, FaultMix, TrialEngine};
 use reese_ckpt::Scheme;
 use reese_core::ReeseConfig;
 use reese_isa::Program;
-use reese_pipeline::PipelineSim;
+use reese_pipeline::{PipelineSim, RunSpec};
 use reese_stats::Histogram;
+use reese_trace::NoopObserver;
 use std::fmt;
 
 /// One (scheme, kernel) measurement.
@@ -131,7 +132,10 @@ impl SchemesReport {
         let mut rows = Vec::with_capacity(Scheme::ALL.len() * programs.len());
         for (kernel, program) in programs {
             let baseline_cycles = PipelineSim::new(config.pipeline.clone())
-                .run_limit(program, opts.max_instructions)
+                .simulate(
+                    RunSpec::new(program).limit(opts.max_instructions),
+                    &mut NoopObserver,
+                )
                 .map_err(|e| CampaignError::Workload(e.to_string()))?
                 .stats
                 .cycles;

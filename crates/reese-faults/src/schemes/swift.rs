@@ -40,6 +40,7 @@
 //! rejected — the transform supports the kernel suite's direct
 //! control flow, not arbitrary call graphs.
 
+use super::classic::{core_window, probed_window};
 use super::observe::CommitProbe;
 use super::{DetectionScheme, SchemeRun, Trial};
 use crate::engine::output_fnv;
@@ -50,8 +51,8 @@ use reese_isa::{
     Instr, OpKind, Opcode, Program, ProgramBuilder, Reg, DATA_BASE, NUM_FP_REGS, NUM_INT_REGS,
     TEXT_BASE,
 };
-use reese_pipeline::PipelineSim;
-use reese_trace::{DeepLog, Pair};
+use reese_pipeline::{PipelineSim, RunSpec};
+use reese_trace::{DeepLog, NoopObserver};
 
 /// Exit code of the software trap handler ("SWFT"). A detected fault
 /// halts the machine with this sentinel; the scheme reserves it.
@@ -438,14 +439,11 @@ impl DetectionScheme for SwiftScheme {
 
     fn run_limit(&self, program: &Program, max_instructions: u64) -> Result<SchemeRun, String> {
         self.sim
-            .run_limit(program, max_instructions)
-            .map(|r| SchemeRun {
-                cycles: r.stats.cycles,
-                committed: r.stats.committed,
-                output: r.output,
-                exit_code: r.exit_code,
-                state_digest: r.state_digest,
-            })
+            .simulate(
+                RunSpec::new(program).limit(max_instructions),
+                &mut NoopObserver,
+            )
+            .map(SchemeRun::from)
             .map_err(|e| e.to_string())
     }
 
@@ -455,16 +453,7 @@ impl DetectionScheme for SwiftScheme {
         ck: &Checkpoint,
         budget: u64,
     ) -> Result<SchemeRun, String> {
-        self.sim
-            .run_interval(ck.restore(program), ck.warm.as_ref(), budget)
-            .map(|r| SchemeRun {
-                cycles: r.stats.cycles,
-                committed: r.stats.committed,
-                output: r.output,
-                exit_code: r.exit_code,
-                state_digest: r.state_digest,
-            })
-            .map_err(|e| e.to_string())
+        core_window(&self.sim, program, ck, budget, &mut NoopObserver)
     }
 
     fn run_window_observed(
@@ -474,16 +463,7 @@ impl DetectionScheme for SwiftScheme {
         budget: u64,
         probe: &mut DeepLog,
     ) -> Result<SchemeRun, String> {
-        self.sim
-            .run_interval_observed(ck.restore(program), ck.warm.as_ref(), budget, probe)
-            .map(|r| SchemeRun {
-                cycles: r.stats.cycles,
-                committed: r.stats.committed,
-                output: r.output,
-                exit_code: r.exit_code,
-                state_digest: r.state_digest,
-            })
-            .map_err(|e| e.to_string())
+        core_window(&self.sim, program, ck, budget, probe)
     }
 
     fn run_trial(&self, mut t: Trial<'_>) -> Result<TrialOutcome, String> {
@@ -494,27 +474,7 @@ impl DetectionScheme for SwiftScheme {
         let mut emu = t.ck.restore(t.program);
         emu.inject_result_fault(t.seq, t.bit);
         let mut probe = CommitProbe::watching(t.seq);
-        let warm = t.ck.warm.as_ref();
-        let r = match (t.tracer.take(), t.probe.take()) {
-            (Some(tr), Some(dp)) => self.sim.run_interval_observed(
-                emu,
-                warm,
-                t.budget,
-                &mut Pair(&mut probe, &mut Pair(tr, dp)),
-            ),
-            (Some(tr), None) => {
-                self.sim
-                    .run_interval_observed(emu, warm, t.budget, &mut Pair(&mut probe, tr))
-            }
-            (None, Some(dp)) => {
-                self.sim
-                    .run_interval_observed(emu, warm, t.budget, &mut Pair(&mut probe, dp))
-            }
-            (None, None) => self
-                .sim
-                .run_interval_observed(emu, warm, t.budget, &mut probe),
-        }
-        .map_err(|e| e.to_string())?;
+        let r = probed_window(&self.sim, &mut t, emu, &mut probe)?;
 
         let detected = r.exit_code == Some(SWIFT_TRAP_EXIT);
         let committed = probe.commit_cycle(t.seq);

@@ -11,8 +11,11 @@
 //! correct path and the timing model charges latencies, structural
 //! stalls, and branch-misprediction penalties on the dynamic stream.
 //!
-//! The individual components are public because the REESE simulator in
-//! `reese-core` composes them with its R-stream Queue.
+//! The pipeline itself is written once, as the timing [`Core`]; what a
+//! detection mechanism adds on top is a [`Redundancy`] policy. The
+//! baseline is the empty policy `()`. The components and the core's
+//! state are public because `reese-core` implements the R-stream Queue
+//! and dispatch-duplication policies against them.
 //!
 //! # Example
 //!
@@ -37,6 +40,7 @@ mod readyring;
 mod ruu;
 mod sim;
 mod stats;
+mod timing;
 mod wheel;
 
 pub use arena::{InstArena, InstView};
@@ -47,6 +51,7 @@ pub use fu::FuPool;
 pub use lsq::{LoadPlan, Lsq};
 pub use readyring::ReadyRing;
 pub use ruu::Ruu;
-pub use sim::{PipelineSim, WarmState};
+pub use sim::PipelineSim;
 pub use stats::{PipelineStats, SimError, SimResult, SimStop};
+pub use timing::{emit, Core, Redundancy, RunSpec, Start, WarmState};
 pub use wheel::EventWheel;

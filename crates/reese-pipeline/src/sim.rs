@@ -1,31 +1,10 @@
-//! The baseline out-of-order superscalar simulator.
+//! The baseline out-of-order superscalar simulator: the timing core
+//! with no redundancy policy.
 
-use crate::{
-    FetchUnit, Fetched, FuPool, LoadPlan, Lsq, PipelineConfig, PipelineStats, Ruu, SchedulerMode,
-    SimError, SimResult, SimStop,
-};
-use reese_cpu::Emulator;
-use reese_isa::{FuClass, Program};
-use reese_mem::MemHierarchy;
-use reese_trace::{CycleState, NoopObserver, Observer, Stage, Stream, TraceEvent};
-use std::collections::VecDeque;
-
-/// Warm microarchitectural state to seed an interval run with: the
-/// cache/TLB hierarchy and the branch unit as some earlier execution
-/// left them. Produced by a checkpointing fast-forward pass and
-/// consumed by [`PipelineSim::run_interval`]; both sides must use the
-/// same hierarchy and predictor geometry.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WarmState {
-    /// Cache and TLB state.
-    pub hierarchy: reese_mem::HierarchySnapshot,
-    /// Branch predictor, BTB, and RAS state.
-    pub branch: reese_bpred::BranchSnapshot,
-}
-
-/// Cycles without a commit after which the simulator declares a
-/// deadlock (an internal invariant violation, not a program property).
-const DEADLOCK_HORIZON: u64 = 100_000;
+use crate::timing::{emit, Core, Redundancy, RunSpec};
+use crate::{PipelineConfig, SimError, SimResult, SimStop};
+use reese_isa::Program;
+use reese_trace::{NoopObserver, Observer, Stage, Stream};
 
 /// The baseline machine: SimpleScalar `sim-outorder` re-imagined in
 /// Rust. Fetch → dispatch → out-of-order issue → writeback → in-order
@@ -74,528 +53,58 @@ impl PipelineSim {
     /// Returns [`SimError::Emulation`] if the program misbehaves and
     /// [`SimError::Deadlock`] on an internal invariant violation.
     pub fn run(&self, program: &Program) -> Result<SimResult, SimError> {
-        self.run_limit(program, u64::MAX)
+        self.simulate(RunSpec::new(program), &mut NoopObserver)
     }
 
-    /// Runs a program until `halt` or until `max_instructions` commit.
+    /// Simulates `spec` — from program start, after a functional skip,
+    /// or from a checkpoint — reporting per-instruction lifecycle events
+    /// and per-cycle state to `obs`. Observers are passive: results are
+    /// bit-identical with any observer, and with [`NoopObserver`] the
+    /// hooks compile away.
     ///
     /// # Errors
     ///
     /// See [`PipelineSim::run`].
-    pub fn run_limit(
+    pub fn simulate<O: Observer>(
         &self,
-        program: &Program,
-        max_instructions: u64,
-    ) -> Result<SimResult, SimError> {
-        self.run_region(program, 0, max_instructions)
-    }
-
-    /// Fast-forwards `skip` instructions functionally (SimpleScalar's
-    /// `-fastfwd`), then simulates timing until `halt` or until
-    /// `max_instructions` commit in the timed region. Architectural
-    /// state is warm at the start of measurement; caches, predictors,
-    /// and queues are cold, exactly as in SimpleScalar.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineSim::run`].
-    pub fn run_region(
-        &self,
-        program: &Program,
-        skip: u64,
-        max_instructions: u64,
-    ) -> Result<SimResult, SimError> {
-        self.run_observed(program, skip, max_instructions, &mut NoopObserver)
-    }
-
-    /// Like [`PipelineSim::run_region`] but with an [`Observer`]
-    /// receiving per-instruction lifecycle events and per-cycle state.
-    /// Observers are passive — results are bit-identical with any
-    /// observer, and with [`NoopObserver`] the hooks compile away.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineSim::run`].
-    pub fn run_observed<O: Observer>(
-        &self,
-        program: &Program,
-        skip: u64,
-        max_instructions: u64,
+        spec: RunSpec<'_>,
         obs: &mut O,
     ) -> Result<SimResult, SimError> {
-        let mut m = Machine::new(&self.config, program);
-        m.fetch.fast_forward(skip);
-        m.run(max_instructions, obs)
-    }
-
-    /// Resumes detailed timing mid-program from a checkpoint-restored
-    /// emulator (see [`FetchUnit::from_restored`]), simulating until
-    /// `halt` or until `max_instructions` commit in this interval.
-    /// Caches, predictors, and queues start cold unless `warm` state is
-    /// supplied. The returned statistics cover this interval only, so a
-    /// sharded driver can stitch intervals with
-    /// [`PipelineStats::merge`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineSim::run`].
-    pub fn run_interval(
-        &self,
-        emulator: Emulator,
-        warm: Option<&WarmState>,
-        max_instructions: u64,
-    ) -> Result<SimResult, SimError> {
-        self.run_interval_observed(emulator, warm, max_instructions, &mut NoopObserver)
-    }
-
-    /// Like [`PipelineSim::run_interval`] but with an [`Observer`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineSim::run`].
-    pub fn run_interval_observed<O: Observer>(
-        &self,
-        emulator: Emulator,
-        warm: Option<&WarmState>,
-        max_instructions: u64,
-        obs: &mut O,
-    ) -> Result<SimResult, SimError> {
-        let mut m = Machine::restored(&self.config, emulator, warm);
-        m.run(max_instructions, obs)
+        Core::new(&self.config, spec.start, |_| ()).run(spec.max_instructions, obs)
     }
 }
 
-/// Transient per-run machine state.
-struct Machine<'c> {
-    cfg: &'c PipelineConfig,
-    cycle: u64,
-    fetch: FetchUnit,
-    fetchq: VecDeque<Fetched>,
-    ruu: Ruu,
-    lsq: Lsq,
-    fu: FuPool,
-    hierarchy: MemHierarchy,
-    stats: PipelineStats,
-    output: Vec<i64>,
-    exit_code: Option<u64>,
-    last_commit_cycle: u64,
-    /// Reused buffers for the per-cycle writeback/issue work lists, so
-    /// the steady-state loop never allocates.
-    scratch_done: Vec<u64>,
-    scratch_ready: Vec<u64>,
-}
+/// The unprotected baseline: in-order commit straight from the RUU head.
+impl Redundancy for () {
+    type Output = SimResult;
+    type Error = SimError;
 
-impl<'c> Machine<'c> {
-    fn new(cfg: &'c PipelineConfig, program: &Program) -> Machine<'c> {
-        let fetch = FetchUnit::new(program, cfg.predictor.clone());
-        Machine::with_front_end(cfg, fetch, MemHierarchy::new(cfg.hierarchy.clone()))
+    fn commit_one<O: Observer>(m: &mut Core<'_, ()>, obs: &mut O) -> bool {
+        if !m.ruu.head().is_some_and(|e| e.completed) {
+            return false;
+        }
+        let e = m.ruu.pop_head();
+        m.lsq.remove(e.seq);
+        emit(
+            obs,
+            m.cycle,
+            e.seq,
+            e.info.pc,
+            Stage::Commit,
+            Stream::Primary,
+        );
+        m.retire(&e.info)
     }
 
-    fn restored(
-        cfg: &'c PipelineConfig,
-        emulator: Emulator,
-        warm: Option<&WarmState>,
-    ) -> Machine<'c> {
-        let mut fetch = FetchUnit::from_restored(emulator, cfg.predictor.clone());
-        let mut hierarchy = MemHierarchy::new(cfg.hierarchy.clone());
-        if let Some(w) = warm {
-            fetch.import_branch_state(&w.branch);
-            hierarchy.import_state(&w.hierarchy);
-        }
-        Machine::with_front_end(cfg, fetch, hierarchy)
-    }
-
-    fn with_front_end(
-        cfg: &'c PipelineConfig,
-        fetch: FetchUnit,
-        hierarchy: MemHierarchy,
-    ) -> Machine<'c> {
-        Machine {
-            cfg,
-            cycle: 0,
-            fetch,
-            fetchq: VecDeque::with_capacity(cfg.fetch_queue_size),
-            ruu: Ruu::with_scheduler(cfg.ruu_size, cfg.scheduler),
-            lsq: Lsq::new(cfg.lsq_size),
-            fu: FuPool::new(cfg.fu),
-            hierarchy,
-            stats: PipelineStats::default(),
-            output: Vec::new(),
-            exit_code: None,
-            last_commit_cycle: 0,
-            scratch_done: Vec::new(),
-            scratch_ready: Vec::new(),
-        }
-    }
-
-    fn run<O: Observer>(
-        &mut self,
-        max_instructions: u64,
-        obs: &mut O,
-    ) -> Result<SimResult, SimError> {
-        let stop = loop {
-            // The cycle hook fires for the *previous* cycle once all its
-            // stages have run, so the state it sees is complete; the
-            // final cycle's hook fires after the loop breaks.
-            if O::ENABLED && self.cycle > 0 {
-                obs.cycle(self.cycle, &self.cycle_state());
-            }
-            self.cycle += 1;
-            if self.cfg.scheduler == SchedulerMode::EventDriven {
-                self.skip_idle_cycles(obs);
-            }
-
-            self.commit(max_instructions, obs);
-            if self.exit_code.is_some() {
-                break SimStop::Halted;
-            }
-            if self.stats.committed >= max_instructions {
-                break SimStop::InstructionLimit;
-            }
-            self.writeback(obs);
-            self.issue(obs);
-            self.dispatch(obs);
-            self.do_fetch(obs);
-
-            if self.cfg.max_cycles > 0 && self.cycle >= self.cfg.max_cycles {
-                break SimStop::CycleLimit;
-            }
-            if self.machine_drained() {
-                // No more instructions will ever arrive: surface the
-                // emulator error that cut the program short.
-                if let Some(e) = self.fetch.error() {
-                    return Err(SimError::Emulation(e.clone()));
-                }
-                // A program without halt that ran dry (cannot happen for
-                // halting programs) — treat as an instruction limit.
-                break SimStop::InstructionLimit;
-            }
-            if self.cycle - self.last_commit_cycle > DEADLOCK_HORIZON {
-                return Err(SimError::Deadlock { cycle: self.cycle });
-            }
-        };
-        if O::ENABLED {
-            obs.cycle(self.cycle, &self.cycle_state());
-        }
-        self.finalise();
-        Ok(SimResult {
-            stop,
-            stats: self.stats.clone(),
-            output: std::mem::take(&mut self.output),
-            exit_code: self.exit_code,
-            state_digest: self.fetch.state_digest(),
-        })
-    }
-
-    fn machine_drained(&self) -> bool {
-        self.fetch.exhausted() && self.fetchq.is_empty() && self.ruu.is_empty()
-    }
-
-    /// The cumulative-counter snapshot handed to [`Observer::cycle`].
-    /// Only built when an observer is enabled.
-    fn cycle_state(&self) -> CycleState {
-        CycleState {
-            committed: self.stats.committed,
-            issued: self.stats.issued,
-            r_issued: 0,
-            r_missed: 0,
-            dispatch_stall_ruu: self.stats.dispatch_stall_ruu_full,
-            dispatch_stall_lsq: self.stats.dispatch_stall_lsq_full,
-            fetch_empty: self.stats.fetch_queue_empty_cycles,
-            fu_busy: self.fu.busy_by_class(),
-            sched_ops: self.ruu.sched_ops(),
-            ruu_occ: self.ruu.len(),
-            lsq_occ: self.lsq.len(),
-            rqueue_occ: 0,
-            fetchq_occ: self.fetchq.len(),
-        }
-    }
-
-    /// When this cycle provably does nothing — no committable head, no
-    /// completion due, nothing ready to issue, nothing to dispatch, and
-    /// fetch dormant — jumps the clock to the next cycle on which any
-    /// unit can make progress, bulk-accounting the skipped idle cycles.
-    /// The landing cycle then runs through the normal loop body, so the
-    /// cycle-limit and deadlock checks fire exactly as in `Scan` mode.
-    fn skip_idle_cycles<O: Observer>(&mut self, obs: &mut O) {
-        if self.ruu.head().is_some_and(|e| e.completed)
-            || self.ruu.has_ready()
-            || !self.fetchq.is_empty()
-        {
-            return;
-        }
-        if self
-            .ruu
-            .next_completion_cycle()
-            .is_some_and(|t| t <= self.cycle)
-        {
-            return;
-        }
-        let fetch_at = self.fetch.next_fetch_cycle(self.cycle);
-        if fetch_at == Some(self.cycle) {
-            return;
-        }
-        let target = match (self.ruu.next_completion_cycle(), fetch_at) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            // Nothing will ever wake: let the drain/deadlock path run.
-            (None, None) => return,
-        };
-        let mut target = target.min(self.last_commit_cycle + DEADLOCK_HORIZON + 1);
-        if self.cfg.max_cycles > 0 {
-            target = target.min(self.cfg.max_cycles);
-        }
-        if target <= self.cycle {
-            return;
-        }
-        // Cycles `self.cycle..target` are no-ops; the only per-cycle
-        // bookkeeping they would have done is the empty-queue counter.
-        self.stats.fetch_queue_empty_cycles += target - self.cycle;
-        if O::ENABLED {
-            obs.idle_skip(self.cycle, target, &self.cycle_state());
-        }
-        self.cycle = target;
-    }
-
-    /// In-order commit from the RUU head, up to the machine width.
-    fn commit<O: Observer>(&mut self, max_instructions: u64, obs: &mut O) {
-        for _ in 0..self.cfg.width {
-            if self.stats.committed >= max_instructions {
-                return;
-            }
-            let Some(head) = self.ruu.head() else { return };
-            if !head.completed {
-                return;
-            }
-            let e = self.ruu.pop_head();
-            self.lsq.remove(e.seq);
-            self.fetch.on_commit(1);
-            if O::ENABLED {
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq: e.seq,
-                    pc: e.info.pc,
-                    stage: Stage::Commit,
-                    stream: Stream::Primary,
-                });
-            }
-            self.stats.committed += 1;
-            self.last_commit_cycle = self.cycle;
-            if let Some(v) = e.info.printed {
-                self.output.push(v);
-            }
-            if e.info.halted {
-                self.exit_code = Some(e.info.result);
-                return;
-            }
-        }
-    }
-
-    /// Completes instructions whose execution finishes this cycle,
-    /// waking dependants and resolving control flow.
-    fn writeback<O: Observer>(&mut self, obs: &mut O) {
-        let mut done = std::mem::take(&mut self.scratch_done);
-        match self.cfg.scheduler {
-            SchedulerMode::Scan => {
-                done.clear();
-                done.extend(
-                    self.ruu
-                        .iter()
-                        .filter(|e| e.issued && !e.completed && e.complete_cycle <= self.cycle)
-                        .map(|e| e.seq),
-                );
-            }
-            SchedulerMode::EventDriven => self.ruu.take_completions_into(self.cycle, &mut done),
-        }
-        for seq in done.drain(..) {
-            self.ruu.complete(seq);
-            // Copy out the two Copy fields needed below rather than
-            // cloning the whole entry per completion.
-            let e = self.ruu.get(seq).expect("just completed");
-            let is_mem = e.is_mem();
-            let fetched = e.is_control().then_some(Fetched {
-                seq: e.seq,
-                info: *e.info,
-                pred: e.pred,
-            });
-            if O::ENABLED {
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq,
-                    pc: e.info.pc,
-                    stage: Stage::Writeback,
-                    stream: Stream::Primary,
-                });
-            }
-            if is_mem {
-                self.lsq.mark_executed(seq);
-            }
-            if let Some(fetched) = fetched {
-                self.fetch
-                    .resolve_control(&fetched, self.cycle, self.cfg.mispredict_penalty);
-            }
-        }
-        self.scratch_done = done;
-    }
-
-    /// Out-of-order issue: oldest ready instructions first, bounded by
-    /// the machine width and functional-unit availability.
-    fn issue<O: Observer>(&mut self, obs: &mut O) {
-        let mut ready = std::mem::take(&mut self.scratch_ready);
-        match self.cfg.scheduler {
-            SchedulerMode::Scan => {
-                ready.clear();
-                ready.extend(self.ruu.ready_seqs());
-            }
-            SchedulerMode::EventDriven => self.ruu.ready_into(&mut ready),
-        }
-        let event_driven = self.cfg.scheduler == SchedulerMode::EventDriven;
-        let mut issued = 0usize;
-        for seq in ready.drain(..) {
-            if issued == self.cfg.width {
-                break;
-            }
-            let e = self.ruu.get(seq).expect("ready seq in window");
-            let op = e.info.instr.op;
-            // O(1) per-class gate (event mode): `class_free` is exactly
-            // `try_issue`'s success condition, so a blocked entry skips
-            // on one compare instead of a per-unit probe. Stores need an
-            // agen ALU and a port together; loads are never gated — a
-            // forwarded load issues without any functional unit.
-            if event_driven {
-                let blocked = match e.info.mem {
-                    None => !self.fu.class_free(op.fu_class(), self.cycle),
-                    Some(mem) if mem.is_store => {
-                        !(self.fu.class_free(FuClass::IntAlu, self.cycle)
-                            && self.fu.class_free(FuClass::MemPort, self.cycle))
-                    }
-                    Some(_) => false,
-                };
-                if blocked {
-                    continue;
-                }
-            }
-            let latency: u64 = if let Some(mem) = e.info.mem {
-                if mem.is_store {
-                    if !self.fu.try_issue_mem(op, self.cycle) {
-                        continue; // no agen ALU + memory port this cycle
-                    }
-                    1 + u64::from(self.hierarchy.access_data(mem.addr, true))
-                } else {
-                    match self.lsq.plan_load(seq, mem.addr, mem.width.bytes()) {
-                        LoadPlan::Wait { .. } => continue,
-                        LoadPlan::Forward { .. } => {
-                            // Store-to-load forwarding: address generation
-                            // plus the bypass, no cache port needed.
-                            self.stats.loads_forwarded += 1;
-                            2
-                        }
-                        LoadPlan::CacheAccess => {
-                            if !self.fu.try_issue_mem(op, self.cycle) {
-                                continue;
-                            }
-                            1 + u64::from(self.hierarchy.access_data(mem.addr, false))
-                        }
-                    }
-                }
-            } else {
-                if !self.fu.try_issue(op, self.cycle) {
-                    continue;
-                }
-                u64::from(op.latency())
-            };
-            if O::ENABLED {
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq,
-                    pc: e.info.pc,
-                    stage: Stage::Issue,
-                    stream: Stream::Primary,
-                });
-            }
-            self.ruu.mark_issued(seq, self.cycle, self.cycle + latency);
-            issued += 1;
-            self.stats.issued += 1;
-        }
-        self.scratch_ready = ready;
-    }
-
-    /// In-order dispatch from the fetch queue into the RUU/LSQ.
-    fn dispatch<O: Observer>(&mut self, obs: &mut O) {
-        if self.fetchq.is_empty() {
-            self.stats.fetch_queue_empty_cycles += 1;
-            return;
-        }
-        for _ in 0..self.cfg.width {
-            let Some(front) = self.fetchq.front() else {
-                break;
-            };
-            if self.ruu.is_full() {
-                self.stats.dispatch_stall_ruu_full += 1;
-                break;
-            }
-            if front.info.mem.is_some() && self.lsq.is_full() {
-                self.stats.dispatch_stall_lsq_full += 1;
-                break;
-            }
-            let f = self.fetchq.pop_front().expect("checked front");
-            self.ruu.dispatch(f.seq, f.info, f.pred, self.cycle);
-            if O::ENABLED {
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq: f.seq,
-                    pc: f.info.pc,
-                    stage: Stage::Dispatch,
-                    stream: Stream::Primary,
-                });
-            }
-            if let Some(mem) = f.info.mem {
-                self.lsq
-                    .insert(f.seq, mem.addr, mem.width.bytes(), mem.is_store);
-            }
-        }
-    }
-
-    /// Fetches new instructions into the fetch queue.
-    fn do_fetch<O: Observer>(&mut self, obs: &mut O) {
-        let space = self.cfg.fetch_queue_size - self.fetchq.len();
-        if space == 0 {
-            return;
-        }
-        let batch = self
-            .fetch
-            .fetch_cycle(self.cycle, self.cfg.width, space, &mut self.hierarchy);
-        if O::ENABLED {
-            for f in &batch {
-                obs.event(TraceEvent {
-                    cycle: self.cycle,
-                    seq: f.seq,
-                    pc: f.info.pc,
-                    stage: Stage::Fetch,
-                    stream: Stream::Primary,
-                });
-            }
-        }
-        self.fetchq.extend(batch);
-    }
-
-    /// Final bookkeeping into the stats structure.
-    fn finalise(&mut self) {
-        self.stats.cycles = self.cycle;
-        self.stats.fetched = self.fetch.total_fetched();
-        self.stats.branch = self.fetch.branch_stats();
-        self.stats.hierarchy = Some(self.hierarchy.stats());
-        self.stats.fu_utilisation = FuClass::ALL
-            .iter()
-            .map(|&c| (c, self.fu.utilisation(c, self.cycle)))
-            .collect();
+    fn finish(m: Core<'_, ()>, stop: SimStop) -> SimResult {
+        m.into_parts(stop).0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SchedulerMode;
     use reese_cpu::Emulator;
     use reese_isa::assemble;
 
@@ -720,7 +229,7 @@ mod tests {
     fn instruction_limit_stops_run() {
         let prog = assemble("loop: addi t0, t0, 1\n  j loop\n  halt\n").unwrap();
         let r = PipelineSim::new(PipelineConfig::starting())
-            .run_limit(&prog, 100)
+            .simulate(RunSpec::new(&prog).limit(100), &mut NoopObserver)
             .unwrap();
         assert_eq!(r.stop, SimStop::InstructionLimit);
         assert!(r.committed_instructions() >= 100);

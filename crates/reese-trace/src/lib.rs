@@ -227,9 +227,9 @@ pub struct CycleState {
 /// A sink for simulator observability hooks.
 ///
 /// The simulators are generic over `O: Observer` and guard every hook
-/// behind `if O::ENABLED { ... }`, so with [`NoopObserver`] (the
-/// default used by all public `run*` entry points) the hooks — and the
-/// work of building their arguments — compile away entirely.
+/// behind `if O::ENABLED { ... }`, so with [`NoopObserver`] (what every
+/// simulator's `run` passes to its `simulate` entry point) the hooks —
+/// and the work of building their arguments — compile away entirely.
 pub trait Observer {
     /// Whether the hooks do anything. `false` makes the simulator
     /// byte-identical to an unobserved build.

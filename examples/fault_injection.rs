@@ -7,8 +7,10 @@
 //! ```
 
 use reese::ckpt::Scheme;
-use reese::core::{InjectedFault, ReeseConfig, ReeseError, ReeseSim};
+use reese::core::{Faults, InjectedFault, ReeseConfig, ReeseError, ReeseSim};
 use reese::faults::{Campaign, FaultMix};
+use reese::pipeline::RunSpec;
+use reese::trace::NoopObserver;
 use reese::workloads::Kernel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,7 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. One transient bit flip in the primary stream's result latch.
     let faults = [InjectedFault::primary(1_000, 13)];
-    let hit = sim.run_with_faults(&program, &faults, u64::MAX)?;
+    let hit = sim.simulate(
+        RunSpec::new(&program).faults(Faults::Latch(&faults)),
+        &mut NoopObserver,
+    )?;
     let d = hit.detections[0];
     println!(
         "transient fault on instruction #{} at pc {:#x}: detected after {} cycles, \
@@ -40,7 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. A sticky (permanent) fault: REESE retries once, then reports.
     let sticky = [InjectedFault::permanent(1_000, 13)];
-    match sim.run_with_faults(&program, &sticky, u64::MAX) {
+    match sim.simulate(
+        RunSpec::new(&program).faults(Faults::Latch(&sticky)),
+        &mut NoopObserver,
+    ) {
         Err(ReeseError::PermanentFault { seq, pc }) => {
             println!("permanent fault on instruction #{seq} at pc {pc:#x}: machine stopped, user notified");
         }

@@ -54,6 +54,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (reese.cycles() as f64 / base.cycles() as f64 - 1.0) * 100.0
     );
 
+    // One run spec drives every machine: a timed region after a
+    // functional fast-forward, with a transient fault past the skip
+    // point, on the dispatch-duplication machine.
+    let faults = [InjectedFault::primary(1_500, 4)];
+    let spec = RunSpec::skipping(&program, 1_000)
+        .limit(1_000)
+        .faults(&faults[..]);
+    let region = DuplexSim::new(PipelineConfig::starting()).simulate(spec, &mut NoopObserver)?;
+    println!(
+        "duplex after a 1000-instruction skip: {} instructions in {} cycles, {} detection(s)",
+        region.committed_instructions(),
+        region.cycles(),
+        region.detections.len()
+    );
+
     // Every registered detection scheme, through the one trait the
     // fault campaign drives: prepare (a no-op for hardware schemes, a
     // duplicating rewrite for the software-only one), then a clean run.

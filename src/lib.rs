@@ -52,9 +52,10 @@ pub use reese_workloads as workloads;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use reese_ckpt::{run_sharded, Checkpoint, Scheme, ShardOptions};
-    pub use reese_core::{ReeseConfig, ReeseSim};
+    pub use reese_core::{DuplexSim, Faults, InjectedFault, ReeseConfig, ReeseSim};
     pub use reese_cpu::Emulator;
     pub use reese_isa::{abi, assemble, Program, ProgramBuilder};
-    pub use reese_pipeline::{PipelineConfig, PipelineSim};
+    pub use reese_pipeline::{PipelineConfig, PipelineSim, RunSpec};
+    pub use reese_trace::NoopObserver;
     pub use reese_workloads::{Kernel, Suite};
 }

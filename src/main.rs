@@ -37,7 +37,8 @@
 //! --rqueue N         R-stream Queue size (default 32)
 //! --early-removal    enable the §4.3 RUU-removal optimisation
 //! --dup-period K     re-execute 1 in K instructions (default 1)
-//! --inject SEQ:BIT:p|r   inject a transient fault (repeatable)
+//! --inject SEQ:BIT:p|r   inject a transient fault (repeatable; reese and
+//!                    duplex only — a fault aimed before --skip never fires)
 //! --max-insns N      stop after N committed instructions
 //! --skip N           fast-forward N instructions functionally first
 //! --stats            print the full statistics block
@@ -149,13 +150,13 @@
 //! ```
 
 use reese::ckpt::{self, Scheme, ShardOptions};
-use reese::core::{DuplexSim, InjectedFault, ReeseConfig, ReeseSim};
+use reese::core::{DuplexSim, Faults, InjectedFault, ReeseConfig, ReeseResult, ReeseSim};
 use reese::cpu::Emulator;
 use reese::faults::schemes::EvalOptions;
 use reese::faults::SchemesReport;
 use reese::isa::{IsaId, Program};
-use reese::pipeline::{PipelineConfig, PipelineSim};
-use reese::trace::{MetricsSeries, TraceRing, Tracer};
+use reese::pipeline::{PipelineConfig, PipelineSim, RunSpec};
+use reese::trace::{MetricsSeries, NoopObserver, Observer, TraceRing, Tracer};
 use reese::workloads::rv32::Rv32Kernel;
 use reese::workloads::{measure_mix, Kernel};
 use std::process::ExitCode;
@@ -357,6 +358,25 @@ struct RunOpts {
 }
 
 impl RunOpts {
+    /// The timed run of a redundant scheme (`reese` or `duplex`): the
+    /// fast-forward, instruction limit, and injected faults all go into
+    /// one run spec, so any combination of them is honoured.
+    fn run_redundant<O: Observer>(&self, obs: &mut O) -> Result<ReeseResult, CliError> {
+        let spec = RunSpec::skipping(&self.program, self.skip).limit(self.max_insns);
+        let run = if self.scheme == "duplex" {
+            DuplexSim::new(self.base.clone()).simulate(spec.faults(&self.faults[..]), obs)
+        } else {
+            let cfg = ReeseConfig::over(self.base.clone())
+                .with_spare_int_alus(self.spare_alus)
+                .with_spare_int_muldivs(self.spare_muls)
+                .with_rqueue_size(self.rqueue)
+                .with_early_removal(self.early_removal)
+                .with_duplication_period(self.dup_period);
+            ReeseSim::new(cfg).simulate(spec.faults(Faults::Latch(&self.faults)), obs)
+        };
+        Ok(run?)
+    }
+
     /// A collecting tracer when any observability output was requested;
     /// `None` keeps the simulators on the statically-dispatched no-op
     /// path.
@@ -523,12 +543,18 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             print_output(&r.output);
         }
         "baseline" => {
+            if !o.faults.is_empty() {
+                return Err(
+                    "`baseline` runs clean here; inject faults with `reese campaign --scheme baseline`"
+                        .into(),
+                );
+            }
             let mut tracer = o.tracer();
+            let sim = PipelineSim::new(o.base);
+            let spec = RunSpec::skipping(&o.program, o.skip).limit(o.max_insns);
             let r = match &mut tracer {
-                Some(t) => {
-                    PipelineSim::new(o.base).run_observed(&o.program, o.skip, o.max_insns, t)?
-                }
-                None => PipelineSim::new(o.base).run_region(&o.program, o.skip, o.max_insns)?,
+                Some(t) => sim.simulate(spec, t)?,
+                None => sim.simulate(spec, &mut NoopObserver)?,
             };
             println!(
                 "baseline: {} instructions in {} cycles — IPC {:.3}",
@@ -544,69 +570,33 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             }
             write_observability(tracer, o.trace_out.as_deref(), o.metrics_out.as_deref())?;
         }
-        "duplex" => {
+        "duplex" | "reese" => {
             let mut tracer = o.tracer();
             let r = match &mut tracer {
-                Some(t) => DuplexSim::new(o.base).run_limit_observed(&o.program, o.max_insns, t)?,
-                None => DuplexSim::new(o.base).run_limit(&o.program, o.max_insns)?,
+                Some(t) => o.run_redundant(t)?,
+                None => o.run_redundant(&mut NoopObserver)?,
+            };
+            let label = if o.scheme == "duplex" {
+                "dispatch duplication"
+            } else {
+                "REESE"
             };
             println!(
-                "dispatch duplication: {} instructions in {} cycles — IPC {:.3}, {} comparisons",
-                r.committed_instructions(),
-                r.cycles(),
-                r.ipc(),
-                r.stats.comparisons
-            );
-            print_output(&r.output);
-            write_observability(tracer, o.trace_out.as_deref(), o.metrics_out.as_deref())?;
-        }
-        "reese" => {
-            let mut tracer = o.tracer();
-            let cfg = ReeseConfig::over(o.base)
-                .with_spare_int_alus(o.spare_alus)
-                .with_spare_int_muldivs(o.spare_muls)
-                .with_rqueue_size(o.rqueue)
-                .with_early_removal(o.early_removal)
-                .with_duplication_period(o.dup_period);
-            let r = match &mut tracer {
-                Some(t) => {
-                    // run_region drops faults when skipping; mirror that so the
-                    // traced and untraced paths simulate the same run.
-                    let faults: &[InjectedFault] = if o.skip > 0 { &[] } else { &o.faults };
-                    ReeseSim::new(cfg).run_with_faults_observed(
-                        &o.program,
-                        faults,
-                        o.skip,
-                        o.max_insns,
-                        t,
-                    )?
-                }
-                None if o.skip > 0 => {
-                    ReeseSim::new(cfg).run_region(&o.program, o.skip, o.max_insns)?
-                }
-                None => ReeseSim::new(cfg).run_with_faults(&o.program, &o.faults, o.max_insns)?,
-            };
-            println!(
-                "REESE: {} instructions in {} cycles — IPC {:.3}, {} comparisons, {} detections",
+                "{label}: {} instructions in {} cycles — IPC {:.3}, {} comparisons, {} detections",
                 r.committed_instructions(),
                 r.cycles(),
                 r.ipc(),
                 r.stats.comparisons,
                 r.stats.detections
             );
-            for d in &r.detections {
-                println!(
-                    "  soft error detected: instruction #{} at pc {:#x}, latency {} cycles",
-                    d.seq,
-                    d.pc,
-                    d.latency()
-                );
-            }
+            print_detections(&r.detections);
             print_output(&r.output);
-            if o.verbose {
-                print!("{}", r.stats);
-            } else {
-                print_pipeline_stats(&r.stats.pipeline);
+            if o.scheme == "reese" {
+                if o.verbose {
+                    print!("{}", r.stats);
+                } else {
+                    print_pipeline_stats(&r.stats.pipeline);
+                }
             }
             write_observability(tracer, o.trace_out.as_deref(), o.metrics_out.as_deref())?;
         }
@@ -806,13 +796,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
         // of all of them would be meaningless. Trace the clean (fault-free)
         // reference run instead, which every trial is compared against.
         let mut tracer = Tracer::new().with_interval(o.metrics_interval);
-        ReeseSim::new(cfg).run_with_faults_observed(
-            &o.program,
-            &[],
-            0,
-            o.max_insns,
-            &mut tracer,
-        )?;
+        ReeseSim::new(cfg).simulate(RunSpec::new(&o.program).limit(o.max_insns), &mut tracer)?;
         tracer.finish();
         let (ring, _) = tracer.into_parts();
         write_trace(path, &ring)?;
@@ -943,11 +927,8 @@ fn cmd_schemes(args: &[String]) -> Result<(), CliError> {
         let mut offset = 0u64;
         for (name, program) in &o.programs {
             let mut tracer = Tracer::new().with_interval(o.metrics_interval);
-            let r = ReeseSim::new(cfg.clone()).run_with_faults_observed(
-                program,
-                &[],
-                0,
-                o.eval.max_instructions,
+            let r = ReeseSim::new(cfg.clone()).simulate(
+                RunSpec::new(program).limit(o.eval.max_instructions),
                 &mut tracer,
             )?;
             tracer.finish();
@@ -1285,6 +1266,17 @@ fn shard_report_json(r: &ckpt::ShardReport) -> String {
     s
 }
 
+fn print_detections(detections: &[reese::core::DetectionEvent]) {
+    for d in detections {
+        println!(
+            "  soft error detected: instruction #{} at pc {:#x}, latency {} cycles",
+            d.seq,
+            d.pc,
+            d.latency()
+        );
+    }
+}
+
 fn print_output(output: &[i64]) {
     if !output.is_empty() {
         println!("program output: {output:?}");
@@ -1529,6 +1521,53 @@ mod tests {
         assert!(o.trace_out.is_none() && o.metrics_out.is_none());
         assert_eq!(o.metrics_interval, Tracer::DEFAULT_INTERVAL);
         assert!(o.tracer().is_none(), "no flags → no tracer → no-op path");
+    }
+
+    /// `reese run` on a short lisp window with extra flags, through the
+    /// same timed path the CLI prints from.
+    fn run_redundant(extra: &[&str]) -> reese::core::ReeseResult {
+        let mut args = strings(&["--kernel", "lisp", "--max-insns", "8000"]);
+        args.extend(strings(extra));
+        parse_run(&args)
+            .unwrap()
+            .run_redundant(&mut NoopObserver)
+            .unwrap()
+    }
+
+    #[test]
+    fn duplex_honours_skip_and_inject() {
+        let plain = run_redundant(&["--scheme", "duplex"]);
+        let skipped = run_redundant(&["--scheme", "duplex", "--skip", "2000"]);
+        assert_ne!(
+            plain.cycles(),
+            skipped.cycles(),
+            "--skip must move the window"
+        );
+        let hit = run_redundant(&["--scheme", "duplex", "--inject", "3000:3:p"]);
+        assert_eq!(hit.detections.len(), 1, "--inject must reach duplex");
+        assert_eq!(hit.detections[0].seq, 3000);
+    }
+
+    #[test]
+    fn skip_and_inject_combine_on_redundant_schemes() {
+        for scheme in ["reese", "duplex"] {
+            let later = ["--scheme", scheme, "--skip", "2000", "--inject", "3000:3:p"];
+            let r = run_redundant(&later);
+            assert_eq!(r.detections.len(), 1, "{scheme}: fault past the skip fires");
+            assert_eq!(r.detections[0].seq, 3000);
+            // A fault inside the skipped prefix never fires.
+            let earlier = ["--scheme", scheme, "--skip", "2000", "--inject", "1000:3:p"];
+            assert!(run_redundant(&earlier).detections.is_empty(), "{scheme}");
+        }
+    }
+
+    #[test]
+    fn baseline_rejects_inject() {
+        let args = strings(&[
+            "--kernel", "lisp", "--scheme", "baseline", "--inject", "100:3:p",
+        ]);
+        let err = cmd_run(&args).unwrap_err().to_string();
+        assert!(err.contains("runs clean here"), "{err}");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 
 use reese::core::{ReeseConfig, ReeseSim};
 use reese::cpu::Emulator;
-use reese::pipeline::{PipelineConfig, PipelineSim};
+use reese::pipeline::{PipelineConfig, PipelineSim, RunSpec};
+use reese::trace::NoopObserver;
 use reese::workloads::Kernel;
 
 #[test]
@@ -116,10 +117,10 @@ fn runs_are_bit_identical_across_repeats() {
 fn instruction_limited_runs_agree_on_prefix_behaviour() {
     let program = Kernel::Strings.build(2);
     let base = PipelineSim::new(PipelineConfig::starting())
-        .run_limit(&program, 20_000)
+        .simulate(RunSpec::new(&program).limit(20_000), &mut NoopObserver)
         .expect("runs");
     let reese = ReeseSim::new(ReeseConfig::starting())
-        .run_limit(&program, 20_000)
+        .simulate(RunSpec::new(&program).limit(20_000), &mut NoopObserver)
         .expect("runs");
     assert!(base.committed_instructions() >= 20_000);
     assert!(reese.committed_instructions() >= 20_000);
@@ -167,7 +168,7 @@ fn fast_forward_preserves_architectural_results() {
     let total = full.committed_instructions();
     let skip = total / 2;
     let region = PipelineSim::new(PipelineConfig::starting())
-        .run_region(&program, skip, u64::MAX)
+        .simulate(RunSpec::skipping(&program, skip), &mut NoopObserver)
         .expect("runs");
     // The timed region commits exactly the remaining instructions and
     // lands on the same final architectural state.
@@ -179,7 +180,7 @@ fn fast_forward_preserves_architectural_results() {
     );
 
     let reese_region = ReeseSim::new(ReeseConfig::starting())
-        .run_region(&program, skip, u64::MAX)
+        .simulate(RunSpec::skipping(&program, skip), &mut NoopObserver)
         .expect("runs");
     assert_eq!(reese_region.committed_instructions(), total - skip);
     assert_eq!(reese_region.state_digest, full.state_digest);

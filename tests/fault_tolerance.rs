@@ -1,8 +1,11 @@
 //! End-to-end fault-tolerance properties: the coverage REESE promises
 //! in §4.2, measured rather than argued.
 
-use reese::core::{InjectedFault, ReeseConfig, ReeseError, ReeseSim};
+use reese::core::{DuplexSim, Faults, InjectedFault, ReeseConfig, ReeseError, ReeseSim};
+use reese::cpu::Emulator;
 use reese::faults::{Campaign, FaultClass, FaultMix};
+use reese::pipeline::{PipelineConfig, RunSpec};
+use reese::trace::NoopObserver;
 use reese::workloads::Kernel;
 
 #[test]
@@ -20,7 +23,10 @@ fn every_result_error_is_detected_and_recovered() {
             InjectedFault::redundant(seq, bit)
         };
         let run = sim
-            .run_with_faults(&program, &[fault], u64::MAX)
+            .simulate(
+                RunSpec::new(&program).faults(Faults::Latch(&[fault])),
+                &mut NoopObserver,
+            )
             .expect("faulted run");
         assert_eq!(run.stats.detections, 1, "{kernel}: the flip must be caught");
         assert_eq!(
@@ -43,6 +49,50 @@ fn every_result_error_is_detected_and_recovered() {
             run.cycles(),
             clean.cycles()
         );
+    }
+}
+
+#[test]
+fn skipped_runs_match_the_emulator_and_catch_later_faults() {
+    // From a functional fast-forward, both redundant machines commit
+    // exactly the remaining instructions with the emulator's output and
+    // final state. A fault aimed past the skip point is caught; one
+    // aimed inside the skipped prefix never fires.
+    let program = Kernel::Database.build(1);
+    let skip = 2_000;
+    let mut emu = Emulator::new(&program);
+    let printed_before = emu.run(skip).expect("prefix").output.len();
+    let golden = emu.run(u64::MAX).expect("halts");
+    let target = skip + 1_000;
+    let faults = [
+        InjectedFault::primary(skip / 2, 3),
+        InjectedFault::primary(target, 7),
+    ];
+    let spec = || RunSpec::skipping(&program, skip);
+    let reese = ReeseSim::new(ReeseConfig::starting())
+        .simulate(spec().faults(Faults::Latch(&faults)), &mut NoopObserver)
+        .expect("reese runs");
+    let duplex = DuplexSim::new(PipelineConfig::starting())
+        .simulate(spec().faults(&faults[..]), &mut NoopObserver)
+        .expect("duplex runs");
+    for (name, run) in [("reese", reese), ("duplex", duplex)] {
+        assert_eq!(
+            run.committed_instructions(),
+            golden.instructions - skip,
+            "{name}"
+        );
+        assert_eq!(
+            run.output,
+            golden.output[printed_before..],
+            "{name}: output"
+        );
+        assert_eq!(run.state_digest, golden.state_digest, "{name}: state");
+        assert_eq!(
+            run.detections.len(),
+            1,
+            "{name}: only the later fault fires"
+        );
+        assert_eq!(run.detections[0].seq, target, "{name}");
     }
 }
 
@@ -87,7 +137,10 @@ fn sticky_faults_are_reported_as_permanent() {
     let program = Kernel::Database.build(1);
     let sim = ReeseSim::new(ReeseConfig::starting());
     let err = sim
-        .run_with_faults(&program, &[InjectedFault::permanent(50, 3)], u64::MAX)
+        .simulate(
+            RunSpec::new(&program).faults(Faults::Latch(&[InjectedFault::permanent(50, 3)])),
+            &mut NoopObserver,
+        )
         .expect_err("a sticky fault cannot be recovered from");
     match err {
         ReeseError::PermanentFault { seq, .. } => assert_eq!(seq, 50),
@@ -104,7 +157,10 @@ fn multiple_transients_each_detected_once() {
         InjectedFault::primary(2_000, 63),
     ];
     let run = ReeseSim::new(ReeseConfig::starting())
-        .run_with_faults(&program, &faults, u64::MAX)
+        .simulate(
+            RunSpec::new(&program).faults(Faults::Latch(&faults)),
+            &mut NoopObserver,
+        )
         .expect("runs");
     assert_eq!(run.stats.detections, 3);
     let seqs: Vec<u64> = run.detections.iter().map(|d| d.seq).collect();
@@ -131,7 +187,10 @@ fn partial_duplication_trades_coverage_for_nothing_worse() {
     assert!(half.stats.r_skipped > 0);
     // A fault on a skipped (odd) instruction silently escapes.
     let escaped = ReeseSim::new(ReeseConfig::starting().with_duplication_period(2))
-        .run_with_faults(&program, &[InjectedFault::primary(101, 5)], u64::MAX)
+        .simulate(
+            RunSpec::new(&program).faults(Faults::Latch(&[InjectedFault::primary(101, 5)])),
+            &mut NoopObserver,
+        )
         .expect("runs");
     assert_eq!(
         escaped.stats.detections, 0,
@@ -145,7 +204,10 @@ fn detection_works_in_early_removal_mode_too() {
     let sim = ReeseSim::new(ReeseConfig::starting().with_early_removal(true));
     let clean = sim.run(&program).expect("runs");
     let run = sim
-        .run_with_faults(&program, &[InjectedFault::primary(777, 21)], u64::MAX)
+        .simulate(
+            RunSpec::new(&program).faults(Faults::Latch(&[InjectedFault::primary(777, 21)])),
+            &mut NoopObserver,
+        )
         .expect("runs");
     assert_eq!(run.stats.detections, 1);
     assert_eq!(run.state_digest, clean.state_digest);
@@ -168,9 +230,13 @@ fn short_duration_faults_always_detected() {
             class: FuClass::IntAlu,
             bit: 5,
         };
-        let (run, report) = sim
-            .run_with_duration_fault(&program, fault, u64::MAX)
+        let run = sim
+            .simulate(
+                RunSpec::new(&program).faults(Faults::Duration(fault)),
+                &mut NoopObserver,
+            )
             .expect("runs");
+        let report = run.duration.expect("a duration run reports");
         assert_eq!(
             report.silent_both, 0,
             "Δt=1 cannot straddle both executions"
@@ -206,8 +272,12 @@ fn long_duration_faults_escape_silently() {
         class: FuClass::IntAlu,
         bit: 3,
     };
-    match sim.run_with_duration_fault(&program, fault, u64::MAX) {
-        Ok((_, report)) => {
+    match sim.simulate(
+        RunSpec::new(&program).faults(Faults::Duration(fault)),
+        &mut NoopObserver,
+    ) {
+        Ok(run) => {
+            let report = run.duration.expect("a duration run reports");
             assert!(
                 report.silent_both > 0,
                 "long faults must produce silent escapes: {report:?}"

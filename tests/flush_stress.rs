@@ -11,7 +11,8 @@
 //! writeback is matched by a redundant-stream issue that happened after
 //! that same flush.
 
-use reese::core::{InjectedFault, ReeseConfig, ReeseSim, SchedulerMode};
+use reese::core::{Faults, InjectedFault, ReeseConfig, ReeseSim, SchedulerMode};
+use reese::pipeline::RunSpec;
 use reese::stats::SplitMix64;
 use reese::trace::{CycleState, Observer, Stage, Stream, TraceEvent};
 use reese::workloads::Kernel;
@@ -78,7 +79,12 @@ fn run_and_check(cfg: ReeseConfig, faults: &[InjectedFault]) -> usize {
     // Faulty runs may end in a permanent-fault error if the seeded
     // stream hits the same seq twice; the event log is still valid up
     // to that point, so ignore the result itself.
-    let _ = ReeseSim::new(cfg).run_with_faults_observed(&program, faults, 0, 50_000, &mut log);
+    let _ = ReeseSim::new(cfg).simulate(
+        RunSpec::new(&program)
+            .limit(50_000)
+            .faults(Faults::Latch(faults)),
+        &mut log,
+    );
     check_no_stale_r_completions(&log.events)
 }
 

@@ -4,12 +4,13 @@
 //! round-trip anything. Every case derives from a fixed SplitMix64
 //! stream, so failures reproduce exactly.
 
-use reese::core::{InjectedFault, ReeseConfig, ReeseSim};
+use reese::core::{Faults, InjectedFault, ReeseConfig, ReeseSim};
 use reese::cpu::Emulator;
 use reese::isa::ProgramBuilder;
 use reese::isa::{abi, decode, encode, rv32i, Instr, IsaId, Opcode, Reg};
-use reese::pipeline::{PipelineConfig, PipelineSim};
+use reese::pipeline::{PipelineConfig, PipelineSim, RunSpec};
 use reese::stats::SplitMix64;
+use reese::trace::NoopObserver;
 use reese::workloads::SyntheticSpec;
 
 fn random_instr_with(op: Opcode, rng: &mut SplitMix64) -> Instr {
@@ -236,7 +237,10 @@ fn any_result_fault_is_detected() {
         let sim = ReeseSim::new(ReeseConfig::starting());
         let clean = sim.run(&program).expect("clean");
         let run = sim
-            .run_with_faults(&program, &[fault], u64::MAX)
+            .simulate(
+                RunSpec::new(&program).faults(Faults::Latch(&[fault])),
+                &mut NoopObserver,
+            )
             .expect("faulted");
         assert_eq!(run.stats.detections, 1);
         assert_eq!(run.detections[0].seq, seq);

@@ -7,9 +7,10 @@
 //! replaced.
 
 use reese::ckpt::Scheme;
-use reese::core::{DuplexSim, ReeseConfig, ReeseSim, SchedulerMode};
+use reese::core::{DuplexSim, Faults, InjectedFault, ReeseConfig, ReeseSim, SchedulerMode};
 use reese::faults::{schemes, Campaign, FaultMix};
-use reese::pipeline::{PipelineConfig, PipelineSim};
+use reese::pipeline::{PipelineConfig, PipelineSim, RunSpec};
+use reese::trace::NoopObserver;
 use reese::workloads::Kernel;
 
 fn scan_pipeline() -> PipelineConfig {
@@ -109,6 +110,48 @@ fn duplex_modes_agree_on_all_kernels() {
         let event = DuplexSim::new(event_pipeline()).run(&program).unwrap();
         assert_eq!(scan, event, "{kernel}: duplex modes diverged");
     }
+}
+
+#[test]
+fn skipped_runs_agree_across_modes() {
+    // A functional fast-forward starts the timing core mid-program;
+    // both redundant machines run from there with faults on both sides
+    // of the skip point (the earlier one never fires).
+    let program = Kernel::Lisp.build(1);
+    let faults = [
+        InjectedFault::primary(3_000, 3),
+        InjectedFault::primary(6_000, 3),
+        InjectedFault::redundant(9_000, 60),
+    ];
+    let spec = || RunSpec::skipping(&program, 5_000).limit(20_000);
+    let duplex = |mode| {
+        DuplexSim::new(PipelineConfig::starting().with_scheduler(mode))
+            .simulate(spec().faults(&faults[..]), &mut NoopObserver)
+            .unwrap()
+    };
+    let (scan, event) = (
+        duplex(SchedulerMode::Scan),
+        duplex(SchedulerMode::EventDriven),
+    );
+    assert_eq!(
+        scan, event,
+        "duplex with skip and faults diverged across modes"
+    );
+    assert_eq!(event.stats.detections, 2);
+    let reese = |mode| {
+        ReeseSim::new(ReeseConfig::starting().with_scheduler(mode))
+            .simulate(spec().faults(Faults::Latch(&faults)), &mut NoopObserver)
+            .unwrap()
+    };
+    let (scan, event) = (
+        reese(SchedulerMode::Scan),
+        reese(SchedulerMode::EventDriven),
+    );
+    assert_eq!(
+        scan, event,
+        "REESE with skip and faults diverged across modes"
+    );
+    assert_eq!(event.stats.detections, 2);
 }
 
 #[test]

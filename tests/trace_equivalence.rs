@@ -8,8 +8,8 @@
 //! scheduler modes.
 
 use reese::core::{DuplexSim, ReeseConfig, ReeseSim, SchedulerMode};
-use reese::pipeline::{PipelineConfig, PipelineSim};
-use reese::trace::Tracer;
+use reese::pipeline::{PipelineConfig, PipelineSim, RunSpec};
+use reese::trace::{NoopObserver, Tracer};
 use reese::workloads::Kernel;
 
 /// Per-kernel instruction cap: long enough to exercise stalls, idle
@@ -29,11 +29,11 @@ fn baseline_results_identical_with_tracing_on() {
         for mode in MODES {
             let cfg = PipelineConfig::starting().with_scheduler(mode);
             let plain = PipelineSim::new(cfg.clone())
-                .run_region(&program, 0, CAP)
+                .simulate(RunSpec::new(&program).limit(CAP), &mut NoopObserver)
                 .unwrap();
             let mut t = tracer();
             let traced = PipelineSim::new(cfg)
-                .run_observed(&program, 0, CAP, &mut t)
+                .simulate(RunSpec::new(&program).limit(CAP), &mut t)
                 .unwrap();
             assert_eq!(plain, traced, "{kernel}/{mode:?}: tracing changed baseline");
             t.finish();
@@ -51,11 +51,11 @@ fn reese_results_identical_with_tracing_on() {
         for mode in MODES {
             let cfg = ReeseConfig::starting().with_scheduler(mode);
             let plain = ReeseSim::new(cfg.clone())
-                .run_with_faults(&program, &[], CAP)
+                .simulate(RunSpec::new(&program).limit(CAP), &mut NoopObserver)
                 .unwrap();
             let mut t = tracer();
             let traced = ReeseSim::new(cfg)
-                .run_with_faults_observed(&program, &[], 0, CAP, &mut t)
+                .simulate(RunSpec::new(&program).limit(CAP), &mut t)
                 .unwrap();
             assert_eq!(plain, traced, "{kernel}/{mode:?}: tracing changed REESE");
             t.finish();
@@ -73,11 +73,11 @@ fn duplex_results_identical_with_tracing_on() {
         for mode in MODES {
             let cfg = PipelineConfig::starting().with_scheduler(mode);
             let plain = DuplexSim::new(cfg.clone())
-                .run_limit(&program, CAP)
+                .simulate(RunSpec::new(&program).limit(CAP), &mut NoopObserver)
                 .unwrap();
             let mut t = tracer();
             let traced = DuplexSim::new(cfg)
-                .run_limit_observed(&program, CAP, &mut t)
+                .simulate(RunSpec::new(&program).limit(CAP), &mut t)
                 .unwrap();
             assert_eq!(plain, traced, "{kernel}/{mode:?}: tracing changed duplex");
             t.finish();
@@ -101,11 +101,11 @@ fn reese_traced_run_matches_under_spares_and_partial_duplication() {
         ReeseConfig::starting().with_early_removal(true),
     ] {
         let plain = ReeseSim::new(cfg.clone())
-            .run_with_faults(&program, &[], CAP)
+            .simulate(RunSpec::new(&program).limit(CAP), &mut NoopObserver)
             .unwrap();
         let mut t = tracer();
         let traced = ReeseSim::new(cfg)
-            .run_with_faults_observed(&program, &[], 0, CAP, &mut t)
+            .simulate(RunSpec::new(&program).limit(CAP), &mut t)
             .unwrap();
         assert_eq!(plain, traced, "tracing changed a tuned REESE run");
     }
@@ -125,7 +125,7 @@ fn sched_ops_counter_proves_per_cycle_op_reduction() {
         let cfg = ReeseConfig::starting().with_scheduler(mode);
         let mut t = tracer();
         let result = ReeseSim::new(cfg)
-            .run_with_faults_observed(&program, &[], 0, CAP, &mut t)
+            .simulate(RunSpec::new(&program).limit(CAP), &mut t)
             .unwrap();
         t.finish();
         let (_, metrics) = t.into_parts();
@@ -199,7 +199,7 @@ fn campaign_outcomes_identical_with_metrics_sampling_for_every_scheme() {
 fn chrome_trace_export_is_wellformed_json() {
     let mut t = tracer();
     ReeseSim::new(ReeseConfig::starting())
-        .run_with_faults_observed(&Kernel::Strings.build(1), &[], 0, CAP, &mut t)
+        .simulate(RunSpec::new(&Kernel::Strings.build(1)).limit(CAP), &mut t)
         .unwrap();
     t.finish();
     let (ring, metrics) = t.into_parts();
