@@ -158,7 +158,8 @@ pub struct Checkpoint {
     pub output: Vec<i64>,
     /// Touched memory pages, sorted by page number.
     pub pages: Vec<(u64, [u8; PAGE_SIZE as usize])>,
-    /// Microarchitectural warm state, if warm-up was requested.
+    /// Microarchitectural warm state; fast-forward attaches it at every
+    /// boundary past instruction 0.
     pub warm: Option<WarmState>,
     /// Detection scheme the snapshot was captured under. The functional
     /// state is scheme-independent, but warm state and downstream

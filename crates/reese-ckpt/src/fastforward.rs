@@ -1,14 +1,22 @@
 //! Fast functional fast-forward: run the emulator to chosen instruction
-//! boundaries and emit [`Checkpoint`]s, optionally warming the caches,
-//! TLBs, and branch predictor over the last `warmup` instructions
-//! before each boundary.
+//! boundaries and emit continuous-warm [`Checkpoint`]s.
 //!
-//! The fast-forward pass is purely functional — no pipeline, no
-//! scheduling — so it costs one emulator step per instruction plus, only
-//! inside warm windows, one hierarchy access and one predictor update
-//! per instruction. Warm windows never overlap (each is clamped at the
-//! previous boundary), so at most one set of warm structures is live at
-//! a time.
+//! Every entry point drives one loop, `FastForward`: the emulator steps
+//! one instruction at a time and each committed instruction also drives
+//! a cache hierarchy and branch predictor, from instruction 0 (or from
+//! the warm state of the checkpoint a pass resumes from). Every
+//! checkpoint past instruction 0 therefore carries the **full history**
+//! of the caches, TLBs, and predictor, and a checkpoint at a given
+//! boundary is bit-identical whichever entry point captured it. Full
+//! history matters to both consumers: a sharded interval starts from the
+//! cache and predictor contents the monolithic run had at its boundary,
+//! and a replay-anchored fault trial compares cycle-exact deltas against
+//! a clean replay from the same state — a large L2 remembers lines from
+//! far before any bounded window.
+//!
+//! The pass is purely functional — no pipeline, no scheduling — so it
+//! costs one emulator step, one hierarchy access, and (for control flow)
+//! one predictor update per instruction.
 
 use crate::Checkpoint;
 use reese_bpred::{BranchStats, BranchUnit};
@@ -27,18 +35,18 @@ pub fn boundaries(total: u64, intervals: usize) -> Vec<u64> {
     out
 }
 
-/// Runs the program functionally, capturing a [`Checkpoint`] at each of
-/// the given instruction `boundaries` (which must be strictly ascending
-/// and reachable before the program halts). With `warmup > 0`, the last
-/// `warmup` instructions before each boundary — clamped at the previous
-/// boundary — additionally drive a fresh cache hierarchy and branch
-/// predictor whose state is attached to that boundary's checkpoint.
+/// Runs the program functionally from instruction 0, capturing a
+/// continuous-warm [`Checkpoint`] at each of the given instruction
+/// `boundaries` (which must be strictly ascending and reachable before
+/// the program halts). A checkpoint at boundary 0 carries no warm state;
+/// every later one carries the caches, TLBs, and branch predictor as
+/// the whole prefix left them, with their statistics scrubbed so a
+/// restored interval reports only its own activity.
 ///
-/// The warm structures mirror what the detailed front end and execution
-/// stages would have touched: an instruction-cache access per fetch, a
-/// data access per load/store, and a predict-then-train pass per
-/// control instruction. Their statistics are scrubbed before attachment
-/// so a restored interval reports only its own activity.
+/// With one boundary this is the campaign's from-scratch oracle arm: it
+/// shares no state with any cached sweep, so agreement with
+/// [`checkpoint_stream_thinned`] and [`derive_checkpoint`] proves the
+/// sweep's reuse machinery faithful.
 ///
 /// # Errors
 ///
@@ -51,97 +59,35 @@ pub fn boundaries(total: u64, intervals: usize) -> Vec<u64> {
 pub fn checkpoints_at(
     program: &Program,
     boundaries: &[u64],
-    warmup: u64,
     pipeline: &PipelineConfig,
 ) -> Result<Vec<Checkpoint>, EmuError> {
     assert!(
         boundaries.windows(2).all(|w| w[0] < w[1]),
         "checkpoint boundaries must be strictly ascending"
     );
-    let mut emu = Emulator::new(program);
-    let inst_size = program.inst_size();
+    let mut ff = FastForward::new(Emulator::new(program), program, pipeline);
     let mut out = Vec::with_capacity(boundaries.len());
-    let mut warm_active: Option<(MemHierarchy, BranchUnit)> = None;
-    let mut next = 0;
-    while next < boundaries.len() {
-        let executed = emu.instructions();
-        if boundaries[next] == executed {
-            let warm = warm_active.take().map(|(hierarchy, branch)| {
-                scrubbed(WarmState {
-                    hierarchy: hierarchy.export_state(),
-                    branch: branch.export_state(),
-                })
-            });
-            out.push(Checkpoint::capture(&emu, warm));
-            next += 1;
-            continue;
-        }
-        assert!(
-            emu.exit_code().is_none(),
-            "checkpoint boundary {} lies beyond the program's halt",
-            boundaries[next]
-        );
-        let target = boundaries[next];
-        let window_floor = if next == 0 { 0 } else { boundaries[next - 1] };
-        if warmup > 0
-            && warm_active.is_none()
-            && executed >= target.saturating_sub(warmup).max(window_floor)
-        {
-            warm_active = Some((
-                MemHierarchy::new(pipeline.hierarchy.clone()),
-                BranchUnit::new(pipeline.predictor.clone()),
-            ));
-        }
-        let info = emu.step()?;
-        if let Some((hierarchy, branch)) = &mut warm_active {
-            warm_step(hierarchy, branch, &info, inst_size);
-        }
+    for &boundary in boundaries {
+        ff.reach(boundary)?;
+        out.push(ff.capture());
     }
     Ok(out)
 }
 
 /// Runs the program functionally to its halt (or to `max_instructions`
-/// committed), capturing a warm [`Checkpoint`] every `every`
-/// instructions starting at 0. The sweep doubles as the campaign's
-/// reference pass: the returned count is the program's dynamic length
-/// under the same budget `Emulator::run` would apply, so no separate
-/// reference emulation is needed.
-///
-/// Unlike [`checkpoints_at`]'s bounded warm windows, the warm
-/// structures here run continuously from instruction 0 and every
-/// boundary past 0 snapshots their **full history**: replay-anchored
-/// fault trials compare cycle-exact deltas against a clean replay from
-/// the same state, so the restored caches, TLBs, and predictor must
-/// carry everything the program has touched, not just the last
-/// interval — a large L2 remembers lines from far before any bounded
-/// window. No checkpoint is captured at the halt/budget point itself —
-/// a suffix starting there would have nothing to run.
-///
-/// # Errors
-///
-/// Returns [`EmuError`] if the program leaves its text segment.
-///
-/// # Panics
-///
-/// Panics if `every` is 0.
-pub fn checkpoint_stream(
-    program: &Program,
-    every: u64,
-    pipeline: &PipelineConfig,
-    max_instructions: u64,
-) -> Result<(Vec<Checkpoint>, u64), EmuError> {
-    let (out, stride, len) =
-        checkpoint_stream_thinned(program, every, pipeline, max_instructions, usize::MAX)?;
-    debug_assert_eq!(stride, every, "an unbounded stream never thins");
-    Ok((out, len))
-}
-
-/// [`checkpoint_stream`] with a bounded resident set: whenever the
-/// sweep would hold more than `max_resident` checkpoints it drops every
-/// other one and doubles the capture stride, so an arbitrarily long
-/// program costs a bounded number of captures (each capture clones the
-/// touched pages plus the full cache/TLB/predictor tables — on long
+/// committed), capturing a continuous-warm [`Checkpoint`] every `every`
+/// instructions starting at 0, with a bounded resident set: whenever
+/// the sweep would hold more than `max_resident` checkpoints it drops
+/// every other one and doubles the capture stride, so an arbitrarily
+/// long program costs a bounded number of captures (each capture clones
+/// the touched pages plus the full cache/TLB/predictor tables — on long
 /// programs that, not the emulation, dominates the sweep).
+///
+/// The sweep doubles as the campaign's reference pass: the returned
+/// length is the program's dynamic length under the same budget
+/// `Emulator::run` would apply, so no separate reference emulation is
+/// needed. No checkpoint is captured at the halt/budget point itself —
+/// a suffix starting there would have nothing to run.
 ///
 /// Returns the kept checkpoints (at instruction `i * stride` for
 /// consecutive `i` from 0), the final stride (`every * 2^j` for some
@@ -165,57 +111,44 @@ pub fn checkpoint_stream_thinned(
 ) -> Result<(Vec<Checkpoint>, u64, u64), EmuError> {
     assert!(every > 0, "checkpoint interval must be at least 1");
     assert!(max_resident >= 2, "need at least two resident checkpoints");
-    let mut emu = Emulator::new(program);
-    let inst_size = program.inst_size();
+    let mut ff = FastForward::new(Emulator::new(program), program, pipeline);
     let mut out: Vec<Checkpoint> = Vec::new();
-    let mut hierarchy = MemHierarchy::new(pipeline.hierarchy.clone());
-    let mut branch = BranchUnit::new(pipeline.predictor.clone());
     let mut stride = every;
-    let mut next_boundary = 0u64;
     loop {
-        let executed = emu.instructions();
-        if emu.exit_code().is_some() || executed >= max_instructions {
+        let executed = ff.emu.instructions();
+        if ff.emu.exit_code().is_some() || executed >= max_instructions {
             break;
         }
-        if executed == next_boundary {
-            if out.len() == max_resident {
-                // Thin: keep the even-indexed checkpoints (still a
-                // consecutive grid under the doubled stride).
-                let mut i = 0;
-                out.retain(|_| {
-                    i += 1;
-                    (i - 1) % 2 == 0
-                });
-                stride *= 2;
-            }
-            // After a thin the current boundary may fall off the new
-            // grid — it would have been a dropped odd slot.
-            if executed.is_multiple_of(stride) {
-                let warm = (executed > 0).then(|| {
-                    scrubbed(WarmState {
-                        hierarchy: hierarchy.export_state(),
-                        branch: branch.export_state(),
-                    })
-                });
-                out.push(Checkpoint::capture(&emu, warm));
-            }
-            next_boundary = (executed / stride + 1) * stride;
+        if out.len() == max_resident {
+            // Thin: keep the even-indexed checkpoints (still a
+            // consecutive grid under the doubled stride).
+            let mut i = 0;
+            out.retain(|_| {
+                i += 1;
+                (i - 1) % 2 == 0
+            });
+            stride *= 2;
         }
-        let info = emu.step()?;
-        warm_step(&mut hierarchy, &mut branch, &info, inst_size);
+        // After a thin the current boundary may fall off the new grid —
+        // it would have been a dropped odd slot.
+        if executed.is_multiple_of(stride) {
+            out.push(ff.capture());
+        }
+        let next_boundary = (executed / stride + 1) * stride;
+        ff.run_to(next_boundary.min(max_instructions))?;
     }
-    Ok((out, stride, emu.instructions()))
+    Ok((out, stride, ff.emu.instructions()))
 }
 
 /// Re-derives the continuous-warm checkpoint at `boundary` from an
-/// earlier sweep checkpoint, bit-identical to what the sweep itself
+/// earlier one, bit-identical to what [`checkpoints_at`] or the sweep
 /// would have captured there: the base carries the full
 /// architectural-plus-warm history of instructions `0..base`, and the
 /// snapshots are lossless, so continuing the same emulator and warm
-/// structures reproduces the sweep's state exactly. This is how a
-/// campaign recovers the handful of anchor boundaries its trials
-/// actually use from a thinned (coarse-stride) sweep without paying a
-/// capture at every fine boundary.
+/// structures reproduces the state exactly. This is how a campaign
+/// recovers the handful of anchor boundaries its trials actually use
+/// from a thinned (coarse-stride) sweep without paying a capture at
+/// every fine boundary.
 ///
 /// # Errors
 ///
@@ -239,69 +172,67 @@ pub fn derive_checkpoint(
     if boundary == base.instructions {
         return Ok(base.clone());
     }
-    let mut emu = base.restore(program);
-    let inst_size = program.inst_size();
-    let mut hierarchy = MemHierarchy::new(pipeline.hierarchy.clone());
-    let mut branch = BranchUnit::new(pipeline.predictor.clone());
+    let mut ff = FastForward::new(base.restore(program), program, pipeline);
     if let Some(w) = &base.warm {
-        hierarchy.import_state(&w.hierarchy);
-        branch.import_state(&w.branch);
+        ff.hierarchy.import_state(&w.hierarchy);
+        ff.branch.import_state(&w.branch);
     }
-    while emu.instructions() < boundary {
-        assert!(
-            emu.exit_code().is_none(),
-            "checkpoint boundary {boundary} lies beyond the program's halt"
-        );
-        let info = emu.step()?;
-        warm_step(&mut hierarchy, &mut branch, &info, inst_size);
-    }
-    let warm = (boundary > 0).then(|| {
-        scrubbed(WarmState {
-            hierarchy: hierarchy.export_state(),
-            branch: branch.export_state(),
-        })
-    });
-    Ok(Checkpoint::capture(&emu, warm))
+    ff.reach(boundary)?;
+    Ok(ff.capture())
 }
 
-/// Captures the single continuous-warm checkpoint at `boundary`,
-/// bit-identical to the one [`checkpoint_stream`] produces there: the
-/// emulator and the warm structures run from instruction 0. This is the
-/// from-scratch arm of the campaign trial oracle — it shares no state
-/// with any cached sweep, so agreement between the two proves the
-/// sweep's reuse machinery faithful.
-///
-/// # Errors
-///
-/// Returns [`EmuError`] if the program leaves its text segment.
-///
-/// # Panics
-///
-/// Panics if `boundary` lies beyond the program's halt.
-pub fn warm_checkpoint_at(
-    program: &Program,
-    boundary: u64,
-    pipeline: &PipelineConfig,
-) -> Result<Checkpoint, EmuError> {
-    let mut emu = Emulator::new(program);
-    let inst_size = program.inst_size();
-    let mut hierarchy = MemHierarchy::new(pipeline.hierarchy.clone());
-    let mut branch = BranchUnit::new(pipeline.predictor.clone());
-    while emu.instructions() < boundary {
+/// The one fast-forward loop: an emulator and the warm structures its
+/// committed instructions drive, stepped in lockstep.
+struct FastForward {
+    emu: Emulator,
+    hierarchy: MemHierarchy,
+    branch: BranchUnit,
+    inst_size: u64,
+}
+
+impl FastForward {
+    /// Pairs `emu` with cold warm structures for `pipeline`.
+    fn new(emu: Emulator, program: &Program, pipeline: &PipelineConfig) -> FastForward {
+        FastForward {
+            emu,
+            hierarchy: MemHierarchy::new(pipeline.hierarchy.clone()),
+            branch: BranchUnit::new(pipeline.predictor.clone()),
+            inst_size: program.inst_size(),
+        }
+    }
+
+    /// Steps until `boundary` instructions have committed or the program
+    /// halts, whichever comes first.
+    fn run_to(&mut self, boundary: u64) -> Result<(), EmuError> {
+        while self.emu.instructions() < boundary && self.emu.exit_code().is_none() {
+            let info = self.emu.step()?;
+            warm_step(&mut self.hierarchy, &mut self.branch, &info, self.inst_size);
+        }
+        Ok(())
+    }
+
+    /// [`FastForward::run_to`] a checkpoint boundary the program must
+    /// reach.
+    fn reach(&mut self, boundary: u64) -> Result<(), EmuError> {
+        self.run_to(boundary)?;
         assert!(
-            emu.exit_code().is_none(),
+            self.emu.instructions() == boundary,
             "checkpoint boundary {boundary} lies beyond the program's halt"
         );
-        let info = emu.step()?;
-        warm_step(&mut hierarchy, &mut branch, &info, inst_size);
+        Ok(())
     }
-    let warm = (boundary > 0).then(|| {
-        scrubbed(WarmState {
-            hierarchy: hierarchy.export_state(),
-            branch: branch.export_state(),
-        })
-    });
-    Ok(Checkpoint::capture(&emu, warm))
+
+    /// Captures the current state; warm state rides along past
+    /// instruction 0.
+    fn capture(&self) -> Checkpoint {
+        let warm = (self.emu.instructions() > 0).then(|| {
+            scrubbed(WarmState {
+                hierarchy: self.hierarchy.export_state(),
+                branch: self.branch.export_state(),
+            })
+        });
+        Checkpoint::capture(&self.emu, warm)
+    }
 }
 
 /// Drives the warm structures exactly as the detailed machine would for
@@ -370,6 +301,20 @@ mod tests {
                         add t2, a0, t1\n  sd s0, 0(t2)\n  ld t3, 0(t2)\n  addi s0, s0, -1\n  \
                         bnez s0, loop\n  halt\n  .data\nbuf: .space 256\n";
 
+    /// The unthinned sweep: a checkpoint at every multiple of `every`.
+    fn stream(prog: &Program, every: u64, max_instructions: u64) -> (Vec<Checkpoint>, u64) {
+        let (out, stride, len) = checkpoint_stream_thinned(
+            prog,
+            every,
+            &PipelineConfig::starting(),
+            max_instructions,
+            usize::MAX,
+        )
+        .unwrap();
+        assert_eq!(stride, every, "an unbounded sweep never thins");
+        (out, len)
+    }
+
     #[test]
     fn boundaries_are_even_and_deduplicated() {
         assert_eq!(boundaries(100, 4), vec![0, 25, 50, 75]);
@@ -383,11 +328,11 @@ mod tests {
         let prog = assemble(PROG).unwrap();
         let n = Emulator::new(&prog).run(u64::MAX).unwrap().instructions;
         let bs = boundaries(n, 4);
-        let cks = checkpoints_at(&prog, &bs, 0, &PipelineConfig::starting()).unwrap();
+        let cks = checkpoints_at(&prog, &bs, &PipelineConfig::starting()).unwrap();
         assert_eq!(cks.len(), bs.len());
         for (ck, &b) in cks.iter().zip(&bs) {
             assert_eq!(ck.instructions, b);
-            assert!(ck.warm.is_none());
+            assert_eq!(ck.warm.is_some(), b > 0, "warm state rides past 0");
         }
     }
 
@@ -396,7 +341,7 @@ mod tests {
         let prog = assemble(PROG).unwrap();
         let reference = Emulator::new(&prog).run(u64::MAX).unwrap();
         let bs = boundaries(reference.instructions, 3);
-        let cks = checkpoints_at(&prog, &bs, 16, &PipelineConfig::starting()).unwrap();
+        let cks = checkpoints_at(&prog, &bs, &PipelineConfig::starting()).unwrap();
         for ck in &cks {
             let mut emu = ck.restore(&prog);
             let done = emu.run(u64::MAX).unwrap();
@@ -407,49 +352,52 @@ mod tests {
     }
 
     #[test]
-    fn warmup_attaches_scrubbed_state_to_later_boundaries() {
+    fn warm_state_is_scrubbed_and_trained() {
         let prog = assemble(PROG).unwrap();
         let n = Emulator::new(&prog).run(u64::MAX).unwrap().instructions;
         let bs = boundaries(n, 3);
-        let cks = checkpoints_at(&prog, &bs, 32, &PipelineConfig::starting()).unwrap();
-        // Boundary 0 has an empty window; later boundaries carry state.
+        let cks = checkpoints_at(&prog, &bs, &PipelineConfig::starting()).unwrap();
         assert!(cks[0].warm.is_none());
         for ck in &cks[1..] {
             let warm = ck.warm.as_ref().expect("warm state present");
             assert!(
                 warm.hierarchy.l1d.lines.iter().any(|l| l.valid),
-                "warm-up must have touched the data cache"
+                "fast-forward must have touched the data cache"
             );
             assert_eq!(warm.hierarchy.l1d.stats, CacheStats::default());
             assert_eq!(warm.branch.stats, BranchStats::default());
             assert!(
                 warm.branch.dir_words.iter().any(|&w| w != 0),
-                "warm-up must have trained the direction predictor"
+                "fast-forward must have trained the direction predictor"
             );
         }
     }
 
     #[test]
-    fn stream_matches_checkpoints_at_on_shared_boundaries() {
+    fn checkpoints_at_equals_the_sweep_on_shared_boundaries() {
+        // The campaign oracle and the shard driver both depend on this
+        // identity: a from-scratch capture equals the sweep's checkpoint
+        // at the same boundary, warm state included.
         let prog = assemble(PROG).unwrap();
         let n = Emulator::new(&prog).run(u64::MAX).unwrap().instructions;
         let every = 64;
-        let (stream, len) =
-            checkpoint_stream(&prog, every, &PipelineConfig::starting(), u64::MAX).unwrap();
+        let (sweep, len) = stream(&prog, every, u64::MAX);
         assert_eq!(len, n, "the sweep doubles as the reference pass");
         let expected: Vec<u64> = (0..n).step_by(every as usize).collect();
-        let got: Vec<u64> = stream.iter().map(|c| c.instructions).collect();
+        let got: Vec<u64> = sweep.iter().map(|c| c.instructions).collect();
         assert_eq!(got, expected);
-        let batch = checkpoints_at(&prog, &expected, every, &PipelineConfig::starting()).unwrap();
-        for (s, b) in stream.iter().zip(&batch) {
-            assert_eq!(s.instructions, b.instructions);
-            assert_eq!(s.arch_digest(), b.arch_digest());
-            assert_eq!(s.warm.is_some(), b.warm.is_some());
+        let batch = checkpoints_at(&prog, &expected, &PipelineConfig::starting()).unwrap();
+        assert_eq!(batch, sweep);
+        // One boundary at a time gives the same checkpoints.
+        for ck in &sweep {
+            let single =
+                checkpoints_at(&prog, &[ck.instructions], &PipelineConfig::starting()).unwrap();
+            assert_eq!(&single[0], ck, "boundary {}", ck.instructions);
         }
-        // Continuous warm-up carries full history: a restored stream
-        // checkpoint finishes the program bit-identically.
+        // Full history: a restored sweep checkpoint finishes the program
+        // bit-identically.
         let reference = Emulator::new(&prog).run(u64::MAX).unwrap();
-        for ck in &stream {
+        for ck in &sweep {
             let mut emu = ck.restore(&prog);
             let done = emu.run(u64::MAX).unwrap();
             assert_eq!(done.state_digest, reference.state_digest);
@@ -457,27 +405,10 @@ mod tests {
     }
 
     #[test]
-    fn single_boundary_capture_equals_stream_checkpoint() {
-        // The campaign oracle depends on this identity: the Full arm's
-        // per-trial from-scratch capture must equal the Replay arm's
-        // swept checkpoint at the same boundary, warm state included.
-        let prog = assemble(PROG).unwrap();
-        let (stream, _) =
-            checkpoint_stream(&prog, 96, &PipelineConfig::starting(), u64::MAX).unwrap();
-        assert!(stream.len() > 2, "need several boundaries");
-        for ck in &stream {
-            let single =
-                warm_checkpoint_at(&prog, ck.instructions, &PipelineConfig::starting()).unwrap();
-            assert_eq!(&single, ck, "boundary {}", ck.instructions);
-        }
-    }
-
-    #[test]
     fn thinned_stream_is_a_strided_subset_of_the_plain_stream() {
         let prog = assemble(PROG).unwrap();
         let every = 16;
-        let (plain, _) =
-            checkpoint_stream(&prog, every, &PipelineConfig::starting(), u64::MAX).unwrap();
+        let (plain, _) = stream(&prog, every, u64::MAX);
         assert!(plain.len() > 8, "need enough boundaries to force thinning");
         let (thinned, stride, len) =
             checkpoint_stream_thinned(&prog, every, &PipelineConfig::starting(), u64::MAX, 4)
@@ -500,11 +431,10 @@ mod tests {
         // sweep checkpoint and warm-stepping forward must reproduce the
         // sweep's own checkpoint at the target boundary, bit for bit.
         let prog = assemble(PROG).unwrap();
-        let (stream, _) =
-            checkpoint_stream(&prog, 48, &PipelineConfig::starting(), u64::MAX).unwrap();
-        assert!(stream.len() > 3, "need several boundaries");
-        for (i, base) in stream.iter().enumerate() {
-            for target in &stream[i..] {
+        let (sweep, _) = stream(&prog, 48, u64::MAX);
+        assert!(sweep.len() > 3, "need several boundaries");
+        for (i, base) in sweep.iter().enumerate() {
+            for target in &sweep[i..] {
                 let derived = derive_checkpoint(
                     &prog,
                     base,
@@ -525,37 +455,36 @@ mod tests {
     #[should_panic(expected = "precedes the base checkpoint")]
     fn deriving_backwards_panics() {
         let prog = assemble(PROG).unwrap();
-        let (stream, _) =
-            checkpoint_stream(&prog, 48, &PipelineConfig::starting(), u64::MAX).unwrap();
-        let _ = derive_checkpoint(&prog, &stream[1], 0, &PipelineConfig::starting());
+        let (sweep, _) = stream(&prog, 48, u64::MAX);
+        let _ = derive_checkpoint(&prog, &sweep[1], 0, &PipelineConfig::starting());
     }
 
     #[test]
     #[should_panic(expected = "beyond the program's halt")]
-    fn single_boundary_capture_past_halt_panics() {
+    fn boundary_past_halt_panics() {
         let prog = assemble("  halt\n").unwrap();
-        let _ = warm_checkpoint_at(&prog, 100, &PipelineConfig::starting());
+        let _ = checkpoints_at(&prog, &[100], &PipelineConfig::starting());
     }
 
     #[test]
     fn stream_respects_instruction_budget() {
         let prog = assemble(PROG).unwrap();
-        let (stream, len) = checkpoint_stream(&prog, 32, &PipelineConfig::starting(), 100).unwrap();
+        let (sweep, len) = stream(&prog, 32, 100);
         assert_eq!(len, 100);
-        assert!(stream.iter().all(|c| c.instructions < 100));
+        assert!(sweep.iter().all(|c| c.instructions < 100));
     }
 
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_stream_interval_panics() {
         let prog = assemble("  halt\n").unwrap();
-        let _ = checkpoint_stream(&prog, 0, &PipelineConfig::starting(), u64::MAX);
+        let _ = checkpoint_stream_thinned(&prog, 0, &PipelineConfig::starting(), u64::MAX, 2);
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn unordered_boundaries_panic() {
         let prog = assemble("  halt\n").unwrap();
-        let _ = checkpoints_at(&prog, &[5, 3], 0, &PipelineConfig::starting());
+        let _ = checkpoints_at(&prog, &[5, 3], &PipelineConfig::starting());
     }
 }

@@ -10,9 +10,10 @@
 //!   pages, printed output, instruction count — plus an optional warm
 //!   section carrying cache, TLB, and branch-predictor state.
 //! - [`checkpoints_at`]: the fast functional fast-forward executor that
-//!   emits checkpoints at instruction boundaries, with optional
-//!   microarchitectural warm-up over the last W instructions before
-//!   each boundary.
+//!   emits checkpoints at instruction boundaries, each carrying the
+//!   full-history cache, TLB, and branch-predictor state of the prefix
+//!   before it — the same continuous-warm state the campaign sweep
+//!   ([`checkpoint_stream_thinned`], [`derive_checkpoint`]) captures.
 //! - [`run_sharded`]: the sharded driver. One run is split into K
 //!   intervals at checkpoint boundaries; each interval's detailed
 //!   timing (baseline, REESE, or duplex) runs on a worker pool; the
@@ -43,10 +44,7 @@ mod shard;
 mod wire;
 
 pub use checkpoint::{Checkpoint, CkptError, MAGIC, VERSION};
-pub use fastforward::{
-    boundaries, checkpoint_stream, checkpoint_stream_thinned, checkpoints_at, derive_checkpoint,
-    warm_checkpoint_at,
-};
+pub use fastforward::{boundaries, checkpoint_stream_thinned, checkpoints_at, derive_checkpoint};
 pub use scheme::Scheme;
 pub use shard::{run_sharded, IntervalResult, ShardError, ShardOptions, ShardOracle, ShardReport};
 pub use wire::crc32;

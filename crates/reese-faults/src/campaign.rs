@@ -9,7 +9,7 @@ use crate::stream::{fnv1a64, outcome_line, read_log, LogHeader, LogWriter};
 use crate::telemetry::{json_str, Telemetry};
 use crate::{CoverageReport, FaultClass, FaultMix, TrialEngine, TrialOutcome};
 use reese_ckpt::{
-    checkpoint_stream_thinned, derive_checkpoint, warm_checkpoint_at, Checkpoint, Scheme,
+    checkpoint_stream_thinned, checkpoints_at, derive_checkpoint, Checkpoint, Scheme,
 };
 use reese_core::ReeseConfig;
 use reese_cpu::Emulator;
@@ -772,12 +772,14 @@ impl Campaign {
                 // The oracle arm: re-derive the anchor state from
                 // instruction 0 and re-run the clean window, every
                 // trial, sharing nothing with any other trial.
-                owned = warm_checkpoint_at(
+                owned = checkpoints_at(
                     program,
-                    window.anchor(self.ckpt_every),
+                    &[window.anchor(self.ckpt_every)],
                     &self.config.pipeline,
                 )
-                .map_err(|e| e.to_string())?;
+                .map_err(|e| e.to_string())?
+                .pop()
+                .expect("one boundary requested");
                 let baseline = clean_window(scheme, program, &owned, window.budget)?;
                 (&owned, baseline)
             }

@@ -23,10 +23,11 @@
 //!
 //! [`TrialEngine::Full`] is the oracle arm: every trial re-derives its
 //! anchor state by functionally executing the program from instruction
-//! 0 (via [`reese_ckpt::warm_checkpoint_at`]) and re-runs its own
+//! 0 (via [`reese_ckpt::checkpoints_at`]) and re-runs its own
 //! clean window — no sweep, no caches, no memoization, full
-//! per-trial cost. [`TrialEngine::Replay`] captures all anchors in one
-//! [`reese_ckpt::checkpoint_stream`] sweep, restores per trial, shares
+//! per-trial cost. [`TrialEngine::Replay`] captures its anchors from
+//! one [`reese_ckpt::checkpoint_stream_thinned`] sweep (plus
+//! [`reese_ckpt::derive_checkpoint`]), restores per trial, shares
 //! clean-window baselines across trials with the same window, and
 //! memoizes outcomes by fault key. Outcome byte-identity between the
 //! two arms therefore certifies the entire reuse machinery —

@@ -29,7 +29,7 @@ use crate::engine::{boundary_count, output_fnv, plan_window};
 use crate::schemes::{self, Trial};
 use crate::stream::{fnv1a64, read_log_raw, trial_id};
 use crate::{CampaignError, FaultClass, TrialOutcome, WindowBaseline};
-use reese_ckpt::{warm_checkpoint_at, Scheme};
+use reese_ckpt::{checkpoints_at, Scheme};
 use reese_core::ReeseConfig;
 use reese_cpu::Emulator;
 use reese_isa::Program;
@@ -267,8 +267,10 @@ pub fn explain_trial(
         header.dynamic_len,
     );
     let anchor = window.anchor(header.ckpt_every);
-    let ck = warm_checkpoint_at(program, anchor, &config.pipeline)
-        .map_err(|e| CampaignError::Workload(e.to_string()))?;
+    let ck = checkpoints_at(program, &[anchor], &config.pipeline)
+        .map_err(|e| CampaignError::Workload(e.to_string()))?
+        .pop()
+        .expect("one boundary requested");
 
     let mut clean_log = DeepLog::new();
     let clean_run = backend

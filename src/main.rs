@@ -139,8 +139,6 @@
 //! --scheme <scheme>  interval timing machine (default reese;
 //!                    must be shardable: baseline|reese|duplex)
 //! --machine ...      base configuration, as for `run`
-//! --warmup W         warm caches/bpred over the last W instructions
-//!                    of each interval's fast-forward (default 0)
 //! --no-verify        skip the monolithic run (no cycle-error oracle)
 //! --out FILE         write the shard report as JSON
 //! --snapshot FILE    write the first mid-run checkpoint to FILE
@@ -514,7 +512,7 @@ fn parse_run(args: &[String]) -> Result<RunOpts, CliError> {
             "--skip" => opts.skip = value()?.parse()?,
             "--stats" => opts.verbose = true,
             "--kernel" => kernel = Some(value()?.clone()),
-            "--scale" => scale = value()?.parse()?,
+            "--scale" => scale = positive(a, value()?)?,
             "--trace-out" => opts.trace_out = Some(value()?.clone()),
             "--metrics-out" => opts.metrics_out = Some(value()?.clone()),
             "--metrics-interval" => opts.metrics_interval = positive(a, value()?)?,
@@ -533,6 +531,9 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         "emulate" => {
             if o.trace_out.is_some() || o.metrics_out.is_some() {
                 return Err("--trace-out/--metrics-out need a timing scheme, not emulate".into());
+            }
+            if !o.faults.is_empty() || o.skip > 0 {
+                return Err("--inject/--skip need a timing scheme, not emulate".into());
             }
             let mut emu = Emulator::new(&o.program);
             let r = emu.run(o.max_insns)?;
@@ -1084,7 +1085,6 @@ fn parse_shard(args: &[String]) -> Result<ShardCliOpts, CliError> {
             "--intervals" => opts.shard.intervals = positive(a, value()?)?,
             "--isa" => isa = parse_isa(value()?)?,
             "-j" | "--jobs" => opts.shard.jobs = positive(a, value()?)?,
-            "--warmup" => opts.shard.warmup = value()?.parse()?,
             "--no-verify" => opts.shard.compare_monolithic = false,
             "--scheme" => {
                 let s = parse_scheme(value()?)?;
@@ -1112,7 +1112,7 @@ fn parse_shard(args: &[String]) -> Result<ShardCliOpts, CliError> {
             "--metrics-out" => opts.metrics_out = Some(value()?.clone()),
             "--metrics-interval" => metrics_interval = positive(a, value()?)?,
             "--kernel" => kernel = Some(value()?.clone()),
-            "--scale" => scale = value()?.parse()?,
+            "--scale" => scale = positive(a, value()?)?,
             other if !other.starts_with('-') => file = Some(other.to_string()),
             other => return Err(format!("unknown option `{other}`").into()),
         }
@@ -1131,20 +1131,16 @@ fn cmd_shard(args: &[String]) -> Result<(), CliError> {
     let report = ckpt::run_sharded(&o.program, &config, o.scheme, &o.shard)?;
 
     println!(
-        "sharded {} run: {} instructions over {} intervals on {} jobs (warmup {})",
+        "sharded {} run: {} instructions over {} intervals on {} jobs",
         report.scheme.name(),
         report.total_instructions,
         report.intervals.len(),
-        o.shard.jobs,
-        o.shard.warmup
+        o.shard.jobs
     );
     for (i, iv) in report.intervals.iter().enumerate() {
         println!(
-            "  interval {i}: start {:>10}, {:>9} instructions, {:>9} cycles{}",
-            iv.start,
-            iv.instructions,
-            iv.cycles,
-            if iv.warmed { ", warmed" } else { "" }
+            "  interval {i}: start {:>10}, {:>9} instructions, {:>9} cycles",
+            iv.start, iv.instructions, iv.cycles
         );
     }
     println!(
@@ -1174,12 +1170,7 @@ fn cmd_shard(args: &[String]) -> Result<(), CliError> {
         // from the same deterministic fast-forward pass.
         let bounds = ckpt::boundaries(report.total_instructions, o.shard.intervals);
         let which = usize::from(bounds.len() > 1);
-        let cks = ckpt::checkpoints_at(
-            &o.program,
-            &bounds[which..=which],
-            o.shard.warmup,
-            &config.pipeline,
-        )?;
+        let cks = ckpt::checkpoints_at(&o.program, &bounds[which..=which], &config.pipeline)?;
         // Stamp the scheme so a later restore under a different machine
         // is rejected at decode time instead of silently mis-timed.
         let ck = cks
@@ -1238,11 +1229,10 @@ fn shard_report_json(r: &ckpt::ShardReport) -> String {
     ));
     for (i, iv) in r.intervals.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"start\": {}, \"instructions\": {}, \"cycles\": {}, \"warmed\": {}}}{}\n",
+            "    {{\"start\": {}, \"instructions\": {}, \"cycles\": {}}}{}\n",
             iv.start,
             iv.instructions,
             iv.cycles,
-            iv.warmed,
             if i + 1 < r.intervals.len() { "," } else { "" }
         ));
     }
@@ -1568,6 +1558,16 @@ mod tests {
         ]);
         let err = cmd_run(&args).unwrap_err().to_string();
         assert!(err.contains("runs clean here"), "{err}");
+    }
+
+    #[test]
+    fn emulate_rejects_inject_and_skip() {
+        for extra in [["--inject", "100:3:p"], ["--skip", "100"]] {
+            let mut args = strings(&["--kernel", "lisp", "--scheme", "emulate"]);
+            args.extend(strings(&extra));
+            let err = cmd_run(&args).unwrap_err().to_string();
+            assert!(err.contains("need a timing scheme"), "{err}");
+        }
     }
 
     #[test]
@@ -2095,6 +2095,21 @@ mod tests {
             err.contains("--intervals") && err.contains("at least 1"),
             "got: {err}"
         );
+    }
+
+    #[test]
+    fn zero_scale_is_rejected_at_parse_time() {
+        let args = strings(&["--kernel", "lisp", "--scale", "0"]);
+        for err in [
+            parse_run(&args).err().map(|e| e.to_string()),
+            parse_shard(&args).err().map(|e| e.to_string()),
+        ] {
+            let err = err.expect("zero scale must be rejected");
+            assert!(
+                err.contains("--scale") && err.contains("at least 1"),
+                "got: {err}"
+            );
+        }
     }
 
     #[test]
