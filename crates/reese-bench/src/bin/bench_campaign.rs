@@ -12,14 +12,20 @@
 //! `Replay` restores from the once-per-campaign checkpoint sweep,
 //! shares clean-window baselines, and memoizes duplicate fault keys.
 //!
+//! One more cell packs many trials into each anchored window — REESE
+//! under result errors only, on a short database run — where Replay
+//! scores a window's keys by forking them off one clean pass. Its
+//! replay/full ratio carries a seed value like the kernels', so the
+//! guard fails if Replay stops forking.
+//!
 //! Results are printed and written to `BENCH_campaign.json` (override
 //! with `--out FILE`; `--samples N` adjusts the timed sample count;
 //! `--guard` fails the run if the median replay/full speedup across
-//! the kernels drops below the 5x acceptance floor, or any kernel
+//! the kernels drops below the 5x acceptance floor, or any cell
 //! regresses against its recorded seed value).
 
 use reese_core::ReeseConfig;
-use reese_faults::{Campaign, FaultMix, TrialEngine};
+use reese_faults::{Campaign, CoverageReport, FaultMix, TrialEngine};
 use reese_stats::bench::{Criterion, PairMeasurement};
 use reese_workloads::Kernel;
 use std::hint::black_box;
@@ -32,10 +38,20 @@ const TARGET_INSTRUCTIONS: u64 = 2_000_000;
 /// Injection trials per campaign — the CLI default.
 const TRIALS: usize = 200;
 
-/// Replay/full campaign speedups measured when this benchmark was
-/// seeded, keyed by kernel. Kept in the report so `BENCH_campaign.json`
-/// records the before/after of later engine work without digging
-/// through git history.
+/// The many-keys-per-window cell: dynamic instructions, trials, and
+/// the label its row and seed carry. About 50 anchored windows share
+/// 400 result-error trials, some 8 keys per window. Without the fork
+/// (one from-scratch faulted run per key plus a clean run per window)
+/// the cell's replay/full ratio measured 3.3 against 5.3 with it
+/// (medians of six alternating pairs on a 2-core host).
+const DENSE_INSTRUCTIONS: u64 = 50_000;
+const DENSE_TRIALS: usize = 400;
+const DENSE_LABEL: &str = "database-dense";
+
+/// Replay/full campaign speedups measured when each cell was seeded,
+/// keyed by kernel (or cell label). Kept in the report so
+/// `BENCH_campaign.json` records the before/after of later engine
+/// work without digging through git history.
 const SPEEDUP_SEED: &[(&str, f64)] = &[
     ("compiler", 6.63),
     ("database", 6.33),
@@ -43,6 +59,7 @@ const SPEEDUP_SEED: &[(&str, f64)] = &[
     ("imaging", 5.66),
     ("lisp", 8.00),
     ("strings", 5.90),
+    (DENSE_LABEL, 5.30),
 ];
 
 /// `--guard` tolerance: a live per-kernel speedup may sit this
@@ -62,18 +79,17 @@ const TELEMETRY_CEILING: f64 = 1.10;
 
 struct Cell {
     kernel: &'static str,
+    trials: usize,
     pair: PairMeasurement,
-    coverage: f64,
-    detected: u64,
 }
 
 impl Cell {
     fn full_trials_per_s(&self) -> f64 {
-        TRIALS as f64 / self.pair.a.min.as_secs_f64()
+        self.trials as f64 / self.pair.a.min.as_secs_f64()
     }
 
     fn replay_trials_per_s(&self) -> f64 {
-        TRIALS as f64 / self.pair.b.min.as_secs_f64()
+        self.trials as f64 / self.pair.b.min.as_secs_f64()
     }
 
     fn speedup(&self) -> f64 {
@@ -107,60 +123,54 @@ fn main() {
         }
     }
 
-    let mut cells = Vec::new();
     let mut c = Criterion::default();
+    // Times one cell's two arms after checking them against each other:
+    // the arms must agree byte-for-byte before their relative speed
+    // means anything.
+    let mut cell =
+        |label: &'static str, trials: usize, run: &dyn Fn(TrialEngine) -> CoverageReport| {
+            let full = run(TrialEngine::Full);
+            let replay = run(TrialEngine::Replay);
+            assert_eq!(replay, full, "{label}: replay diverged from full");
+            assert_eq!(
+                replay.to_json(),
+                full.to_json(),
+                "{label}: reports must serialise identically"
+            );
+            let mut g = c.benchmark_group(label);
+            g.sample_size(samples);
+            let pair = g.bench_pair(
+                "campaign/full",
+                "campaign/replay",
+                || black_box(run(TrialEngine::Full)),
+                || black_box(run(TrialEngine::Replay)),
+            );
+            g.finish();
+            Cell {
+                kernel: label,
+                trials,
+                pair,
+            }
+        };
+    let mut cells = Vec::new();
     for kernel in Kernel::ALL {
         let program = kernel.build_for(TARGET_INSTRUCTIONS);
-        let campaign = |engine: TrialEngine| {
+        cells.push(cell(kernel.name(), TRIALS, &|engine| {
             Campaign::new(ReeseConfig::starting(), FaultMix::broad())
                 .trials(TRIALS)
                 .engine(engine)
-        };
-
-        // Oracle first: the two arms must agree byte-for-byte before
-        // their relative speed means anything.
-        let full = campaign(TrialEngine::Full)
-            .run(&program)
-            .expect("campaign runs");
-        let replay = campaign(TrialEngine::Replay)
-            .run(&program)
-            .expect("campaign runs");
-        assert_eq!(replay, full, "{}: replay diverged from full", kernel.name());
-        assert_eq!(
-            replay.to_json(),
-            full.to_json(),
-            "{}: reports must serialise identically",
-            kernel.name()
-        );
-
-        let mut g = c.benchmark_group(kernel.name());
-        g.sample_size(samples);
-        let pair = g.bench_pair(
-            "campaign/full",
-            "campaign/replay",
-            || {
-                black_box(
-                    campaign(TrialEngine::Full)
-                        .run(&program)
-                        .expect("campaign runs"),
-                )
-            },
-            || {
-                black_box(
-                    campaign(TrialEngine::Replay)
-                        .run(&program)
-                        .expect("campaign runs"),
-                )
-            },
-        );
-        g.finish();
-        cells.push(Cell {
-            kernel: kernel.name(),
-            pair,
-            coverage: full.coverage(),
-            detected: full.detected,
-        });
+                .run(&program)
+                .expect("campaign runs")
+        }));
     }
+    let program = Kernel::Database.build_for(DENSE_INSTRUCTIONS);
+    let dense = cell(DENSE_LABEL, DENSE_TRIALS, &|engine| {
+        Campaign::new(ReeseConfig::starting(), FaultMix::result_errors_only())
+            .trials(DENSE_TRIALS)
+            .engine(engine)
+            .run(&program)
+            .expect("campaign runs")
+    });
 
     // Telemetry must be free: the journal is written around the
     // phases, not inside trials, so a campaign with `--telemetry-out`
@@ -197,20 +207,11 @@ fn main() {
 
     println!();
     println!(
-        "{:<10} {:>8} {:>14} {:>16} {:>8} {:>8}",
+        "{:<15} {:>8} {:>14} {:>16} {:>8} {:>8}",
         "kernel", "trials", "full trials/s", "replay trials/s", "seed", "speedup"
     );
-    for cell in &cells {
-        println!(
-            "{:<10} {:>8} {:>14.1} {:>16.1} {:>7.2}x {:>7.2}x",
-            cell.kernel,
-            TRIALS,
-            cell.full_trials_per_s(),
-            cell.replay_trials_per_s(),
-            cell.speedup_seed().unwrap_or(f64::NAN),
-            cell.speedup()
-        );
-    }
+    // The median spans the standard kernels; the dense cell is a
+    // different shape, guarded by its own seed ratio.
     let mut sorted: Vec<f64> = cells.iter().map(Cell::speedup).collect();
     sorted.sort_by(|a, b| a.total_cmp(b));
     let mid = sorted.len() / 2;
@@ -219,6 +220,18 @@ fn main() {
     } else {
         (sorted[mid - 1] + sorted[mid]) / 2.0
     };
+    cells.push(dense);
+    for cell in &cells {
+        println!(
+            "{:<15} {:>8} {:>14.1} {:>16.1} {:>7.2}x {:>7.2}x",
+            cell.kernel,
+            cell.trials,
+            cell.full_trials_per_s(),
+            cell.replay_trials_per_s(),
+            cell.speedup_seed().unwrap_or(f64::NAN),
+            cell.speedup()
+        );
+    }
     println!("median speedup across kernels: {median:.2}x");
     println!(
         "telemetry journal cost: on/off time ratio {:.3} (ceiling {TELEMETRY_CEILING})",
@@ -250,7 +263,7 @@ fn main() {
             );
         }
         println!(
-            "guard: median holds the {GUARD_FLOOR}x floor and every kernel holds its seed ratio"
+            "guard: median holds the {GUARD_FLOOR}x floor and every cell holds its seed ratio"
         );
     }
 
@@ -275,20 +288,18 @@ fn main() {
         .iter()
         .map(|cell| {
             format!(
-                "    {{\"kernel\": \"{}\", \"trials\": {TRIALS}, \
+                "    {{\"kernel\": \"{}\", \"trials\": {}, \
                  \"full_min_s\": {:.6}, \"replay_min_s\": {:.6}, \
                  \"full_trials_per_s\": {:.1}, \"replay_trials_per_s\": {:.1}, \
-                 \"speedup_seed\": {:.3}, \"speedup\": {:.3}, \
-                 \"coverage\": {:.6}, \"detected\": {}, \"byte_identical\": true}}",
+                 \"speedup_seed\": {:.3}, \"speedup\": {:.3}, \"byte_identical\": true}}",
                 cell.kernel,
+                cell.trials,
                 cell.pair.a.min.as_secs_f64(),
                 cell.pair.b.min.as_secs_f64(),
                 cell.full_trials_per_s(),
                 cell.replay_trials_per_s(),
                 cell.speedup_seed().unwrap_or(f64::NAN),
                 cell.speedup(),
-                cell.coverage,
-                cell.detected,
             )
         })
         .collect();

@@ -102,17 +102,53 @@ impl BranchStats {
 /// bu.resolve_branch(0x1000, guess, true);
 /// assert_eq!(bu.stats().branch_lookups, 1);
 /// ```
+#[derive(Clone)]
 pub struct BranchUnit {
-    dir: Box<dyn DirectionPredictor + Send>,
+    dir: Direction,
     btb: Btb,
     ras: Ras,
     stats: BranchStats,
 }
 
+/// The direction predictor a [`PredictorKind`] names. The kinds are a
+/// closed set, so an enum (not a trait object) holds it: the unit stays
+/// `Clone`, and a forked timing machine copies its predictor tables
+/// along with everything else.
+#[derive(Debug, Clone)]
+enum Direction {
+    Static(StaticPredictor),
+    Bimodal(Bimodal),
+    Gshare(Gshare),
+    TwoLevel(TwoLevel),
+    Combined(Combined),
+}
+
+impl Direction {
+    fn get(&self) -> &dyn DirectionPredictor {
+        match self {
+            Direction::Static(p) => p,
+            Direction::Bimodal(p) => p,
+            Direction::Gshare(p) => p,
+            Direction::TwoLevel(p) => p,
+            Direction::Combined(p) => p,
+        }
+    }
+
+    fn get_mut(&mut self) -> &mut dyn DirectionPredictor {
+        match self {
+            Direction::Static(p) => p,
+            Direction::Bimodal(p) => p,
+            Direction::Gshare(p) => p,
+            Direction::TwoLevel(p) => p,
+            Direction::Combined(p) => p,
+        }
+    }
+}
+
 impl std::fmt::Debug for BranchUnit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BranchUnit")
-            .field("direction", &self.dir.name())
+            .field("direction", &self.dir.get().name())
             .field("stats", &self.stats)
             .finish()
     }
@@ -121,17 +157,19 @@ impl std::fmt::Debug for BranchUnit {
 impl BranchUnit {
     /// Instantiates the unit from a configuration.
     pub fn new(config: PredictorConfig) -> BranchUnit {
-        let dir: Box<dyn DirectionPredictor + Send> = match config.kind {
-            PredictorKind::AlwaysTaken => Box::new(StaticPredictor::taken()),
-            PredictorKind::AlwaysNotTaken => Box::new(StaticPredictor::not_taken()),
-            PredictorKind::Bimodal => Box::new(Bimodal::new(config.table_bits)),
-            PredictorKind::Gshare => Box::new(Gshare::new(config.table_bits, config.history_bits)),
-            PredictorKind::TwoLevel => Box::new(TwoLevel::new(
+        let dir = match config.kind {
+            PredictorKind::AlwaysTaken => Direction::Static(StaticPredictor::taken()),
+            PredictorKind::AlwaysNotTaken => Direction::Static(StaticPredictor::not_taken()),
+            PredictorKind::Bimodal => Direction::Bimodal(Bimodal::new(config.table_bits)),
+            PredictorKind::Gshare => {
+                Direction::Gshare(Gshare::new(config.table_bits, config.history_bits))
+            }
+            PredictorKind::TwoLevel => Direction::TwoLevel(TwoLevel::new(
                 config.table_bits.min(20),
                 config.history_bits.min(20),
             )),
             PredictorKind::Combined => {
-                Box::new(Combined::new(config.table_bits, config.history_bits))
+                Direction::Combined(Combined::new(config.table_bits, config.history_bits))
             }
         };
         BranchUnit {
@@ -145,7 +183,7 @@ impl BranchUnit {
     /// Predicts the direction of the conditional branch at `pc`.
     pub fn predict_branch(&mut self, pc: u64) -> bool {
         self.stats.branch_lookups += 1;
-        self.dir.predict(pc)
+        self.dir.get().predict(pc)
     }
 
     /// Resolves a conditional branch: trains the predictor and counts a
@@ -154,7 +192,7 @@ impl BranchUnit {
         if predicted != actual {
             self.stats.branch_mispredicts += 1;
         }
-        self.dir.update(pc, actual);
+        self.dir.get_mut().update(pc, actual);
     }
 
     /// Predicts the target of an indirect jump (non-return `jalr`).
@@ -183,7 +221,7 @@ impl BranchUnit {
 
     /// Name of the active direction predictor.
     pub fn direction_name(&self) -> &'static str {
-        self.dir.name()
+        self.dir.get().name()
     }
 
     /// Accumulated statistics.
@@ -197,7 +235,7 @@ impl BranchUnit {
     /// [`PredictorConfig`].
     pub fn export_state(&self) -> BranchSnapshot {
         BranchSnapshot {
-            dir_words: self.dir.export_words(),
+            dir_words: self.dir.get().export_words(),
             btb: self.btb.export_entries(),
             ras: self.ras.export_state(),
             stats: self.stats,
@@ -211,7 +249,7 @@ impl BranchUnit {
     /// Panics if any component's snapshot does not match this unit's
     /// geometry.
     pub fn import_state(&mut self, snap: &BranchSnapshot) {
-        self.dir.import_words(&snap.dir_words);
+        self.dir.get_mut().import_words(&snap.dir_words);
         self.btb.import_entries(&snap.btb);
         self.ras.import_state(&snap.ras);
         self.stats = snap.stats;

@@ -103,6 +103,14 @@ pub enum CkptError {
         /// ISA the caller is restoring under.
         requested: IsaId,
     },
+    /// A pass was asked to hold more checkpoints at once than
+    /// [`crate::MAX_RESIDENT_CHECKPOINTS`] allows.
+    TooManyCheckpoints {
+        /// Checkpoints asked for.
+        requested: usize,
+        /// The resident-checkpoint cap.
+        cap: usize,
+    },
 }
 
 impl fmt::Display for CkptError {
@@ -130,6 +138,10 @@ impl fmt::Display for CkptError {
                 "checkpoint was captured under ISA `{}` but is being restored under `{}`",
                 stored.name(),
                 requested.name()
+            ),
+            CkptError::TooManyCheckpoints { requested, cap } => write!(
+                f,
+                "{requested} checkpoints requested, but at most {cap} may be resident at once"
             ),
         }
     }

@@ -74,6 +74,15 @@ pub fn checkpoints_at(
     Ok(out)
 }
 
+/// Cap on checkpoints one pass holds resident. Each capture clones the
+/// touched pages plus the full cache/TLB/predictor tables, so holding
+/// one per boundary of a long program costs memory and capture time
+/// without bound. A campaign sweep past this count thins itself (see
+/// [`checkpoint_stream_thinned`]) and derives the anchors its trials use
+/// afterwards; a sharded run, which holds one checkpoint per interval
+/// until it stitches, rejects more intervals than this.
+pub const MAX_RESIDENT_CHECKPOINTS: usize = 96;
+
 /// Runs the program functionally to its halt (or to `max_instructions`
 /// committed), capturing a continuous-warm [`Checkpoint`] every `every`
 /// instructions starting at 0, with a bounded resident set: whenever

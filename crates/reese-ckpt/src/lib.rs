@@ -44,7 +44,10 @@ mod shard;
 mod wire;
 
 pub use checkpoint::{Checkpoint, CkptError, MAGIC, VERSION};
-pub use fastforward::{boundaries, checkpoint_stream_thinned, checkpoints_at, derive_checkpoint};
+pub use fastforward::{
+    boundaries, checkpoint_stream_thinned, checkpoints_at, derive_checkpoint,
+    MAX_RESIDENT_CHECKPOINTS,
+};
 pub use scheme::Scheme;
 pub use shard::{run_sharded, IntervalResult, ShardError, ShardOptions, ShardOracle, ShardReport};
 pub use wire::crc32;

@@ -18,7 +18,7 @@
 //! interval, so every sharded run also exercises the wire format
 //! end-to-end.
 
-use crate::{boundaries, checkpoints_at, Checkpoint, CkptError, Scheme};
+use crate::{boundaries, checkpoints_at, Checkpoint, CkptError, Scheme, MAX_RESIDENT_CHECKPOINTS};
 use reese_core::{DuplexSim, ReeseConfig, ReeseError, ReeseSim, ReeseStats};
 use reese_cpu::{EmuError, Emulator, StopReason};
 use reese_isa::Program;
@@ -76,7 +76,8 @@ impl From<EmuError> for ShardError {
 /// How to shard a run.
 #[derive(Debug, Clone)]
 pub struct ShardOptions {
-    /// Number of intervals K (collapsed if the program is shorter).
+    /// Number of intervals K (collapsed if the program is shorter), at
+    /// most [`MAX_RESIDENT_CHECKPOINTS`].
     pub intervals: usize,
     /// Worker threads for the interval simulations.
     pub jobs: usize,
@@ -236,6 +237,13 @@ pub fn run_sharded(
 ) -> Result<ShardReport, ShardError> {
     if !scheme.shardable() {
         return Err(ShardError::UnsupportedScheme(scheme));
+    }
+    // Every interval's checkpoint stays resident until the stitch.
+    if opts.intervals > MAX_RESIDENT_CHECKPOINTS {
+        return Err(ShardError::Ckpt(CkptError::TooManyCheckpoints {
+            requested: opts.intervals,
+            cap: MAX_RESIDENT_CHECKPOINTS,
+        }));
     }
 
     // Pass 1: the functional reference run. Its instruction count fixes
@@ -569,6 +577,33 @@ mod tests {
                 run_sharded(&prog, &ReeseConfig::starting(), scheme, &options(2)).unwrap_err();
             assert_eq!(err, ShardError::UnsupportedScheme(scheme));
         }
+    }
+
+    #[test]
+    fn intervals_beyond_the_resident_cap_are_rejected_up_front() {
+        let prog = program();
+        let cap = MAX_RESIDENT_CHECKPOINTS;
+        let err = run_sharded(
+            &prog,
+            &ReeseConfig::starting(),
+            Scheme::Baseline,
+            &options(cap + 1),
+        )
+        .unwrap_err();
+        let want = CkptError::TooManyCheckpoints {
+            requested: cap + 1,
+            cap,
+        };
+        assert_eq!(err, ShardError::Ckpt(want));
+        assert!(err.to_string().contains("at most 96"), "{err}");
+        // The cap itself is allowed (the program collapses it).
+        assert!(run_sharded(
+            &prog,
+            &ReeseConfig::starting(),
+            Scheme::Baseline,
+            &options(cap)
+        )
+        .is_ok());
     }
 
     #[test]

@@ -96,12 +96,46 @@ impl DuplexSim {
         };
         Core::new(&self.config, spec.start, |_| pol).run(spec.max_instructions, obs)
     }
+
+    /// Simulates the fault-free `spec` once and, in the same pass, one
+    /// faulted run per fault in `faults`: each forks from the clean
+    /// machine just before its target can execute (see
+    /// [`Core::run_forked`]) with that one fault installed, exactly as
+    /// [`DuplexSim::simulate`] with that fault would run it. `each(i,
+    /// result, obs)` receives fork `i` with its copy of the observer.
+    /// Returns the clean result.
+    ///
+    /// # Errors
+    ///
+    /// See [`DuplexSim::run`]; a fork's own error goes to `each`.
+    pub fn simulate_forked<O: Observer + Clone>(
+        &self,
+        spec: RunSpec<'_>,
+        faults: &[InjectedFault],
+        obs: &mut O,
+        each: impl FnMut(usize, Result<ReeseResult, ReeseError>, O),
+    ) -> Result<ReeseResult, ReeseError> {
+        let pol = Twin {
+            stats: ReeseStats::new(1),
+            faults: SeqTable::new(),
+            check: Checker::default(),
+        };
+        let targets: Vec<Seq> = faults.iter().map(|f| f.seq).collect();
+        Core::new(&self.config, spec.start, |_| pol).run_forked(
+            &targets,
+            spec.max_instructions,
+            obs,
+            |i, fork, _| fork.pol.faults = fault_table(&faults[i..=i]),
+            each,
+        )
+    }
 }
 
 /// The dispatch-twin policy. Copies are identified by RUU seq parity:
 /// the redundant copy of fetched instruction `s` is entry `2s`, the
 /// primary `2s + 1`. There is no R-stream Queue, so the queue occupancy
 /// and missed-slot counters stay zero.
+#[derive(Clone)]
 struct Twin {
     stats: ReeseStats,
     /// Pending injected faults keyed by *fetch* seq (the pair index).

@@ -97,6 +97,38 @@ impl ReeseSim {
         })
         .run(spec.max_instructions, obs)
     }
+
+    /// Simulates the fault-free `spec` once and, in the same pass, one
+    /// faulted run per latch fault in `faults`: each forks from the clean
+    /// machine just before its target can execute (see
+    /// [`Core::run_forked`]) with that one fault installed, exactly as
+    /// [`ReeseSim::simulate`] with [`Faults::Latch`] of that fault would
+    /// run it. `each(i, result, obs)` receives fork `i` with its copy of
+    /// the observer. Returns the clean result.
+    ///
+    /// # Errors
+    ///
+    /// See [`ReeseSim::run`]; a fork's own error goes to `each`.
+    pub fn simulate_forked<O: Observer + Clone>(
+        &self,
+        spec: RunSpec<'_>,
+        faults: &[InjectedFault],
+        obs: &mut O,
+        each: impl FnMut(usize, Result<ReeseResult, ReeseError>, O),
+    ) -> Result<ReeseResult, ReeseError> {
+        let cfg = &self.config;
+        let targets: Vec<Seq> = faults.iter().map(|f| f.seq).collect();
+        Core::new(&cfg.pipeline, spec.start, |first| {
+            RStream::new(cfg, Faults::None, first)
+        })
+        .run_forked(
+            &targets,
+            spec.max_instructions,
+            obs,
+            |i, fork, _| fork.pol.latches.faults = fault_table(&faults[i..=i]),
+            each,
+        )
+    }
 }
 
 /// Pending latch faults keyed by target seq; seq-sorted so any walk over
@@ -113,7 +145,7 @@ pub(crate) fn fault_table(faults: &[InjectedFault]) -> SeqTable<Vec<InjectedFaul
 
 /// Comparison outcomes shared by the redundant policies: detections,
 /// and the retry that tells a transient fault from a permanent one.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct Checker {
     pub detections: Vec<DetectionEvent>,
     /// Instruction re-executing after a detection flush; a second
@@ -167,6 +199,7 @@ impl Checker {
 
 /// Corruption of the compare latches: injected latch faults and an
 /// optional duration disturbance.
+#[derive(Clone)]
 struct Latches {
     faults: SeqTable<Vec<InjectedFault>>,
     /// Cycle each target first had a latch corrupted, keyed by seq.
@@ -235,6 +268,7 @@ impl Latches {
 /// The R-stream Queue policy: completed instructions migrate from the
 /// RUU into the queue, re-execute on idle or spare units, and commit
 /// after their P and R results compare equal.
+#[derive(Clone)]
 struct RStream<'c> {
     cfg: &'c ReeseConfig,
     rqueue: RQueue,

@@ -1,20 +1,18 @@
 //! Monte-Carlo fault-injection campaigns.
 
-use crate::engine::{
-    boundary_count, clean_window, plan_window, TrialWindow, WindowBaseline,
-    MAX_RESIDENT_CHECKPOINTS,
-};
+use crate::engine::{boundary_count, clean_window, plan_window, TrialWindow, WindowBaseline};
 use crate::schemes::{self, DetectionScheme, Trial};
 use crate::stream::{fnv1a64, outcome_line, read_log, LogHeader, LogWriter};
 use crate::telemetry::{json_str, Telemetry};
 use crate::{CoverageReport, FaultClass, FaultMix, TrialEngine, TrialOutcome};
 use reese_ckpt::{
     checkpoint_stream_thinned, checkpoints_at, derive_checkpoint, Checkpoint, Scheme,
+    MAX_RESIDENT_CHECKPOINTS,
 };
 use reese_core::ReeseConfig;
 use reese_cpu::Emulator;
 use reese_isa::Program;
-use reese_stats::{par_map_indexed, SplitMix64};
+use reese_stats::{par_map_indexed, par_map_weighted, ParallelStats, SplitMix64};
 use reese_trace::{MetricsSeries, Tracer};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -66,10 +64,11 @@ impl std::error::Error for CampaignError {}
 ///
 /// Simulated trials are scored over a **checkpoint-anchored window**
 /// around the fault (see [`crate::engine`]): under the default
-/// [`TrialEngine::Replay`] a fault deep in a long workload costs a
-/// restore plus a short suffix run instead of a whole-program
-/// re-simulation, and identical fault keys are memoized, so campaigns
-/// with millions of injections stay tractable. [`TrialEngine::Full`]
+/// [`TrialEngine::Replay`] a fault deep in a long workload costs its
+/// share of one restore and one detailed pass over its window (every
+/// faulted run forks off the window's clean run) instead of a
+/// whole-program re-simulation, and identical fault keys are memoized,
+/// so campaigns with millions of injections stay tractable. [`TrialEngine::Full`]
 /// recomputes every trial from instruction 0 with no shared state and
 /// is kept as the oracle arm: both engines must produce byte-identical
 /// reports.
@@ -433,52 +432,44 @@ impl Campaign {
                 ],
             );
         }
-        let phase_start = std::time::Instant::now();
-        let baselines = self.window_baselines(
-            scheme.as_ref(),
-            program,
-            &anchors,
-            boundaries,
-            dynamic_len,
-            &keys,
-        )?;
-        if let Some(t) = &tele {
-            t.emit(
-                "baselines_cached",
-                &[
-                    ("windows", baselines.len().to_string()),
-                    (
-                        "phase_ms",
-                        (phase_start.elapsed().as_millis() as u64).to_string(),
-                    ),
-                ],
-            );
-        }
-
         let mut computed: BTreeMap<usize, TrialOutcome> = BTreeMap::new();
         let mut metrics: Option<MetricsSeries> = None;
         let throughput;
         if self.metrics_interval == 0 {
             let total = keys.len() as u64;
             let stride = (total / 16).max(1);
-            let (results, stats) = par_map_indexed(self.jobs, &keys, |_, &(class, seq, bit)| {
-                let r = self.trial_outcome(
-                    scheme.as_ref(),
-                    program,
-                    &anchors,
-                    &baselines,
-                    boundaries,
-                    dynamic_len,
-                    class,
-                    seq,
-                    bit,
-                    None,
-                );
+            let tick = || {
                 if let Some(t) = &tele {
                     t.progress(total, stride);
                 }
-                r
-            });
+            };
+            let (results, stats) = match self.engine {
+                TrialEngine::Replay => self.window_trials(
+                    scheme.as_ref(),
+                    program,
+                    &anchors,
+                    boundaries,
+                    dynamic_len,
+                    &keys,
+                    tick,
+                )?,
+                TrialEngine::Full => par_map_indexed(self.jobs, &keys, |_, &(class, seq, bit)| {
+                    let r = self.trial_outcome(
+                        scheme.as_ref(),
+                        program,
+                        &anchors,
+                        &HashMap::new(),
+                        boundaries,
+                        dynamic_len,
+                        class,
+                        seq,
+                        bit,
+                        None,
+                    );
+                    tick();
+                    r
+                }),
+            };
             throughput = stats;
             for &t in &todo {
                 match &results[key_of[&params[t]]] {
@@ -496,7 +487,30 @@ impl Campaign {
         } else {
             // Metrics sampling pools one series per simulated *trial*;
             // memoization would collapse duplicate keys and change the
-            // pooled totals, so every trial simulates individually.
+            // pooled totals, so every trial simulates individually, from
+            // scratch over its window, against a separately cached
+            // clean baseline.
+            let phase_start = std::time::Instant::now();
+            let baselines = self.window_baselines(
+                scheme.as_ref(),
+                program,
+                &anchors,
+                boundaries,
+                dynamic_len,
+                &keys,
+            )?;
+            if let (Some(t), TrialEngine::Replay) = (&tele, self.engine) {
+                t.emit(
+                    "baselines_cached",
+                    &[
+                        ("windows", baselines.len().to_string()),
+                        (
+                            "phase_ms",
+                            (phase_start.elapsed().as_millis() as u64).to_string(),
+                        ),
+                    ],
+                );
+            }
             let total = todo.len() as u64;
             let stride = (total / 16).max(1);
             let (results, stats) = par_map_indexed(self.jobs, &todo, |_, &t| {
@@ -626,13 +640,7 @@ impl Campaign {
         let mut seen = HashSet::new();
         for &(class, seq, _) in keys {
             if class.detectable_by_design() {
-                let w = plan_window(
-                    seq,
-                    self.ckpt_every,
-                    boundaries,
-                    self.max_instructions,
-                    dynamic_len,
-                );
+                let w = self.window(seq, boundaries, dynamic_len);
                 if seen.insert(w.anchor_idx) {
                     wanted.push(w.anchor_idx);
                 }
@@ -651,6 +659,17 @@ impl Campaign {
             map.insert(idx, ck);
         }
         Ok(map)
+    }
+
+    /// The anchored window a fault at `seq` is scored over.
+    fn window(&self, seq: u64, boundaries: usize, dynamic_len: u64) -> TrialWindow {
+        plan_window(
+            seq,
+            self.ckpt_every,
+            boundaries,
+            self.max_instructions,
+            dynamic_len,
+        )
     }
 
     /// The campaign-log header: everything the outcome sequence is a
@@ -681,10 +700,74 @@ impl Campaign {
         }
     }
 
+    /// The default Replay path: scores every distinct key with one
+    /// detailed pass per anchored window. The simulated keys are grouped
+    /// by window and each window runs its clean machine once, forking
+    /// one faulted run per key from it
+    /// ([`DetectionScheme::run_window_trials`]); the clean pass is also
+    /// the window's baseline, so no separate baseline phase runs. Keys
+    /// of classes scored by fiat form one more group. The fan-out counts
+    /// each key as one item and `tick` fires once per key, so throughput
+    /// and progress read in keys whatever the grouping. Returns one
+    /// result per key, in `keys` order.
+    #[allow(clippy::too_many_arguments)]
+    fn window_trials(
+        &self,
+        scheme: &dyn DetectionScheme,
+        program: &Program,
+        anchors: &HashMap<usize, Checkpoint>,
+        boundaries: usize,
+        dynamic_len: u64,
+        keys: &[(FaultClass, u64, u8)],
+        tick: impl Fn() + Sync,
+    ) -> Result<(Vec<Result<TrialOutcome, String>>, ParallelStats), CampaignError> {
+        // Windows in first-occurrence order of their keys.
+        let mut groups: Vec<(Option<TrialWindow>, Vec<usize>)> = Vec::new();
+        let mut group_of: HashMap<Option<TrialWindow>, usize> = HashMap::new();
+        for (k, &(class, seq, _)) in keys.iter().enumerate() {
+            let window = class
+                .detectable_by_design()
+                .then(|| self.window(seq, boundaries, dynamic_len));
+            let g = *group_of.entry(window).or_insert_with(|| {
+                groups.push((window, Vec::new()));
+                groups.len() - 1
+            });
+            groups[g].1.push(k);
+        }
+        let (results, stats) = par_map_weighted(
+            self.jobs,
+            &groups,
+            |(_, members)| members.len() as u64,
+            |_, (window, members)| {
+                let group: Vec<(FaultClass, u64, u8)> = members.iter().map(|&k| keys[k]).collect();
+                let r = match window {
+                    Some(w) => scheme
+                        .run_window_trials(program, &anchors[&w.anchor_idx], w.budget, &group)
+                        .map(|(_, outcomes)| outcomes),
+                    None => Ok(group.into_iter().map(|key| Ok(by_fiat(key))).collect()),
+                };
+                members.iter().for_each(|_| tick());
+                r
+            },
+        );
+        let mut outcomes: Vec<Option<Result<TrialOutcome, String>>> = vec![None; keys.len()];
+        for ((_, members), r) in groups.iter().zip(results) {
+            let r = r.map_err(|m| CampaignError::Workload(format!("clean window failed: {m}")))?;
+            for (&k, o) in members.iter().zip(r) {
+                outcomes[k] = Some(o);
+            }
+        }
+        let outcomes = outcomes
+            .into_iter()
+            .map(|o| o.expect("every key belongs to one group"))
+            .collect();
+        Ok((outcomes, stats))
+    }
+
     /// Clean-window baselines for every distinct window the simulated
-    /// keys touch, computed on the worker pool before trial fan-out.
-    /// Replay-only: the `Full` arm recomputes its baseline inside each
-    /// trial, sharing nothing.
+    /// keys touch, computed on the worker pool before a per-trial
+    /// fan-out (the metrics-sampling path). Replay-only: the `Full` arm
+    /// recomputes its baseline inside each trial, sharing nothing.
     fn window_baselines(
         &self,
         scheme: &dyn DetectionScheme,
@@ -701,13 +784,7 @@ impl Campaign {
         let mut seen = HashSet::new();
         for &(class, seq, _) in keys {
             if class.detectable_by_design() {
-                let w = plan_window(
-                    seq,
-                    self.ckpt_every,
-                    boundaries,
-                    self.max_instructions,
-                    dynamic_len,
-                );
+                let w = self.window(seq, boundaries, dynamic_len);
                 if seen.insert(w) {
                     windows.push(w);
                 }
@@ -743,28 +820,9 @@ impl Campaign {
         tracer: Option<&mut Tracer>,
     ) -> Result<TrialOutcome, String> {
         if !class.detectable_by_design() {
-            // Classes outside every scheme's observation window:
-            // scored undetected-by-design, nothing to simulate.
-            return Ok(TrialOutcome {
-                class,
-                seq,
-                bit,
-                detected: false,
-                detection_latency: None,
-                extra_cycles: 0,
-                state_clean: true,
-                inject_cycle: None,
-                diverge_cycle: None,
-                detect_cycle: None,
-            });
+            return Ok(by_fiat((class, seq, bit)));
         }
-        let window = plan_window(
-            seq,
-            self.ckpt_every,
-            boundaries,
-            self.max_instructions,
-            dynamic_len,
-        );
+        let window = self.window(seq, boundaries, dynamic_len);
         let owned;
         let (ck, baseline): (&Checkpoint, WindowBaseline) = match self.engine {
             TrialEngine::Replay => (&anchors[&window.anchor_idx], baselines[&window]),
@@ -795,6 +853,23 @@ impl Campaign {
             tracer,
             probe: None,
         })
+    }
+}
+
+/// The outcome of a key whose class lies outside every scheme's
+/// observation window: scored undetected-by-design, nothing simulated.
+fn by_fiat((class, seq, bit): (FaultClass, u64, u8)) -> TrialOutcome {
+    TrialOutcome {
+        class,
+        seq,
+        bit,
+        detected: false,
+        detection_latency: None,
+        extra_cycles: 0,
+        state_clean: true,
+        inject_cycle: None,
+        diverge_cycle: None,
+        detect_cycle: None,
     }
 }
 

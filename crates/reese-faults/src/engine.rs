@@ -27,14 +27,16 @@
 //! clean window — no sweep, no caches, no memoization, full
 //! per-trial cost. [`TrialEngine::Replay`] captures its anchors from
 //! one [`reese_ckpt::checkpoint_stream_thinned`] sweep (plus
-//! [`reese_ckpt::derive_checkpoint`]), restores per trial, shares
-//! clean-window baselines across trials with the same window, and
-//! memoizes outcomes by fault key. Outcome byte-identity between the
-//! two arms therefore certifies the entire reuse machinery —
-//! checkpoint capture/restore, baseline caching, memoization, parallel
-//! fan-out, and resume — against the from-scratch computation.
+//! [`reese_ckpt::derive_checkpoint`]), restores once per window, runs
+//! each window's clean machine once and forks every faulted trial of
+//! that window off it (see
+//! [`crate::DetectionScheme::run_window_trials`]), and memoizes
+//! outcomes by fault key. Outcome byte-identity between the two arms
+//! therefore certifies the entire reuse machinery — checkpoint
+//! capture/restore, the fork, memoization, parallel fan-out, and
+//! resume — against the from-scratch computation.
 
-use crate::schemes::DetectionScheme;
+use crate::schemes::{DetectionScheme, SchemeRun};
 use reese_ckpt::Checkpoint;
 use reese_isa::Program;
 use std::fmt;
@@ -53,14 +55,6 @@ pub(crate) const MARGIN: u64 = 512;
 /// Default checkpoint spacing for campaigns (instructions).
 pub const DEFAULT_CKPT_EVERY: u64 = 2048;
 
-/// Cap on checkpoints resident during the reference sweep. Each
-/// capture clones the touched pages plus the full cache/TLB/predictor
-/// tables, so an unbounded sweep over a long program is dominated by
-/// capture cost; past this count the sweep thins itself (stride
-/// doubles) and the campaign derives the anchors its trials actually
-/// use from the nearest coarse checkpoint instead.
-pub(crate) const MAX_RESIDENT_CHECKPOINTS: usize = 96;
-
 /// Which machinery computes each simulated trial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrialEngine {
@@ -69,8 +63,9 @@ pub enum TrialEngine {
     /// clean window and the faulted window. The oracle arm — it shares
     /// no state across trials.
     Full,
-    /// One checkpoint sweep per campaign; per-trial restore, shared
-    /// clean-window baselines, memoized outcomes. The default arm.
+    /// One checkpoint sweep per campaign; one detailed pass per
+    /// anchored window with every trial forked off its clean run,
+    /// memoized outcomes. The default arm.
     Replay,
 }
 
@@ -172,6 +167,17 @@ pub struct WindowBaseline {
     pub halted: bool,
 }
 
+impl From<&SchemeRun> for WindowBaseline {
+    fn from(r: &SchemeRun) -> WindowBaseline {
+        WindowBaseline {
+            cycles: r.cycles,
+            digest: r.state_digest,
+            output_fnv: output_fnv(&r.output),
+            halted: r.exit_code.is_some(),
+        }
+    }
+}
+
 /// FNV-1a over a committed output stream.
 pub(crate) fn output_fnv(out: &[i64]) -> u64 {
     let bytes: Vec<u8> = out.iter().flat_map(|v| v.to_le_bytes()).collect();
@@ -185,13 +191,9 @@ pub(crate) fn clean_window(
     ck: &Checkpoint,
     budget: u64,
 ) -> Result<WindowBaseline, String> {
-    let r = scheme.run_window(program, ck, budget)?;
-    Ok(WindowBaseline {
-        cycles: r.cycles,
-        digest: r.state_digest,
-        output_fnv: output_fnv(&r.output),
-        halted: r.exit_code.is_some(),
-    })
+    Ok(WindowBaseline::from(
+        &scheme.run_window(program, ck, budget)?,
+    ))
 }
 
 #[cfg(test)]

@@ -15,8 +15,7 @@
 //! rate the protected schemes are measured against.
 
 use super::observe::CommitProbe;
-use super::{DetectionScheme, SchemeRun, Trial};
-use crate::engine::output_fnv;
+use super::{judged, DetectionScheme, Faulted, Pending, SchemeRun, Scored, Trial, WindowTrials};
 use crate::{FaultClass, TrialOutcome};
 use reese_ckpt::{Checkpoint, Scheme};
 use reese_core::{DuplexSim, Faults, InjectedFault, ReeseConfig, ReeseResult, ReeseSim};
@@ -25,8 +24,17 @@ use reese_isa::Program;
 use reese_pipeline::{PipelineSim, RunSpec, SimResult};
 use reese_trace::{DeepLog, NoopObserver, Observer, Pair};
 
-/// A clean window on the plain pipeline: restore from `ck` and run
-/// until `budget` instructions commit. The single-stream schemes
+/// The fault-free run of an anchored window: restore from `ck` and
+/// stop once `budget` instructions commit.
+fn window_spec<'a, F: Default>(
+    program: &Program,
+    ck: &'a Checkpoint,
+    budget: u64,
+) -> RunSpec<'a, F> {
+    RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget)
+}
+
+/// A clean window on the plain pipeline. The single-stream schemes
 /// (baseline, MEEK, SWIFT) all measure their windows this way.
 pub(super) fn core_window<O: Observer>(
     sim: &PipelineSim,
@@ -35,12 +43,9 @@ pub(super) fn core_window<O: Observer>(
     budget: u64,
     obs: &mut O,
 ) -> Result<SchemeRun, String> {
-    sim.simulate(
-        RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget),
-        obs,
-    )
-    .map(SchemeRun::from)
-    .map_err(|e| e.to_string())
+    sim.simulate(window_spec(program, ck, budget), obs)
+        .map(SchemeRun::from)
+        .map_err(|e| e.to_string())
 }
 
 /// A faulted window on the plain pipeline: `emu` already carries the
@@ -58,33 +63,113 @@ pub(super) fn probed_window(
         .map_err(|e| e.to_string())
 }
 
-/// Scores a redundant-machine window result exactly as the campaign
-/// historically scored REESE trials.
-fn score_redundant(t: &Trial<'_>, r: &ReeseResult) -> TrialOutcome {
-    // Commit-granularity cleanliness: recovery must leave the
-    // committed output stream identical to the clean window's. The
-    // frontier digest is only comparable when the window reached
-    // halt — a budget-limited stop leaves the fetch emulator a
-    // recovery-dependent distance past the last commit, so there
-    // the digest measures speculative fetch depth, not state.
-    let state_clean = output_fnv(&r.output) == t.baseline.output_fnv
-        && (!t.baseline.halted || r.state_digest == t.baseline.digest);
-    let first = r.detections.first();
-    TrialOutcome {
-        class: t.class,
-        seq: t.seq,
-        bit: t.bit,
-        detected: !r.detections.is_empty(),
-        detection_latency: first.map(|d| d.latency()),
-        extra_cycles: r.cycles().saturating_sub(t.baseline.cycles),
-        state_clean,
-        inject_cycle: first.map(|d| d.inject_cycle),
-        // Compare-before-commit: a detected corruption is squashed in
-        // the compare latch and never goes architectural; an undetected
-        // latch fault on these machines never fired at all.
-        diverge_cycle: None,
-        detect_cycle: first.map(|d| d.detect_cycle),
+/// One detailed pass over a window on the plain pipeline: the clean run
+/// with a commit probe, plus one fork per `(seq, bit)` in `faults` with
+/// that architectural fault armed and the fork's probe watching `seq`.
+/// `score(i, run, probe)` reduces fork `i` as soon as it finishes.
+/// Returns the clean run, its probe, and the forks' pending verdicts.
+pub(super) fn forked_window(
+    sim: &PipelineSim,
+    program: &Program,
+    ck: &Checkpoint,
+    budget: u64,
+    faults: &[(u64, u8)],
+    score: impl Fn(usize, &SchemeRun, &CommitProbe) -> Scored,
+) -> Result<(SchemeRun, CommitProbe, Pending), String> {
+    let mut scored: Pending = vec![None; faults.len()];
+    let mut probe = CommitProbe::new();
+    let spec = window_spec(program, ck, budget);
+    let clean = sim
+        .simulate_forked(
+            spec,
+            faults,
+            &mut probe,
+            CommitProbe::watch,
+            |i, r, fork_probe| {
+                scored[i] = Some(
+                    r.map(|r| score(i, &SchemeRun::from(r), &fork_probe))
+                        .map_err(|e| e.to_string()),
+                );
+            },
+        )
+        .map_err(|e| e.to_string())?;
+    Ok((SchemeRun::from(clean), probe, scored))
+}
+
+/// Scores a single-stream machine's window where nothing checks the
+/// result: the architectural fault is injected at `seq`'s execution,
+/// enters the machine at its first writeback, and goes architectural at
+/// its commit.
+fn score_unchecked(key: (FaultClass, u64, u8), r: &SchemeRun, probe: &CommitProbe) -> Scored {
+    let (class, seq, bit) = key;
+    let committed = probe.commit_cycle(seq);
+    Scored {
+        outcome: TrialOutcome {
+            class,
+            seq,
+            bit,
+            detected: false,
+            detection_latency: None,
+            extra_cycles: 0,
+            state_clean: false,
+            inject_cycle: probe.first_writeback.or(committed),
+            diverge_cycle: committed,
+            detect_cycle: None,
+        },
+        faulted: Some(Faulted::of(r)),
     }
+}
+
+/// Scores a redundant-machine window result exactly as the campaign
+/// historically scored REESE trials. Cleanliness is judged at commit
+/// granularity against the clean window ([`Scored::against`]):
+/// recovery must leave the committed output stream identical.
+fn score_redundant(key: (FaultClass, u64, u8), r: ReeseResult) -> Scored {
+    let (class, seq, bit) = key;
+    let first = r.detections.first();
+    Scored {
+        outcome: TrialOutcome {
+            class,
+            seq,
+            bit,
+            detected: !r.detections.is_empty(),
+            detection_latency: first.map(|d| d.latency()),
+            extra_cycles: 0,
+            state_clean: false,
+            inject_cycle: first.map(|d| d.inject_cycle),
+            // Compare-before-commit: a detected corruption is squashed
+            // in the compare latch and never goes architectural; an
+            // undetected latch fault on these machines never fired.
+            diverge_cycle: None,
+            detect_cycle: first.map(|d| d.detect_cycle),
+        },
+        faulted: Some(Faulted::of(&SchemeRun::from(r))),
+    }
+}
+
+/// Scores every key of a window on a redundant machine: `run` is the
+/// machine's forked entry, handed one latch fault per key and a sink
+/// for each fork's result.
+fn redundant_window<E: std::fmt::Display>(
+    keys: &[(FaultClass, u64, u8)],
+    run: impl FnOnce(
+        &[InjectedFault],
+        &mut dyn FnMut(usize, Result<ReeseResult, E>),
+    ) -> Result<ReeseResult, E>,
+) -> Result<WindowTrials, String> {
+    let faults: Vec<InjectedFault> = keys
+        .iter()
+        .map(|&(class, seq, bit)| latch_fault(class, seq, bit))
+        .collect();
+    let mut scored: Pending = vec![None; keys.len()];
+    let clean = run(&faults, &mut |i, r| {
+        scored[i] = Some(
+            r.map(|r| score_redundant(keys[i], r))
+                .map_err(|e| e.to_string()),
+        );
+    })
+    .map_err(|e| e.to_string())?;
+    Ok(judged(&SchemeRun::from(clean), scored))
 }
 
 /// The fault a redundant machine latches for a trial key: primary or
@@ -153,22 +238,23 @@ impl DetectionScheme for BaselineScheme {
         // The probe pins the injection (first writeback of the faulted
         // seq) and divergence (its commit) cycles; nothing detects.
         let mut probe = CommitProbe::watching(t.seq);
-        let r = probed_window(&self.sim, &mut t, emu, &mut probe)?;
-        let state_clean = output_fnv(&r.output) == t.baseline.output_fnv
-            && (!t.baseline.halted || r.state_digest == t.baseline.digest);
-        let committed = probe.commit_cycle(t.seq);
-        Ok(TrialOutcome {
-            class: t.class,
-            seq: t.seq,
-            bit: t.bit,
-            detected: false,
-            detection_latency: None,
-            extra_cycles: r.stats.cycles.saturating_sub(t.baseline.cycles),
-            state_clean,
-            inject_cycle: probe.first_writeback.or(committed),
-            diverge_cycle: committed,
-            detect_cycle: None,
-        })
+        let r = SchemeRun::from(probed_window(&self.sim, &mut t, emu, &mut probe)?);
+        Ok(score_unchecked((t.class, t.seq, t.bit), &r, &probe).against(t.baseline))
+    }
+
+    fn run_window_trials(
+        &self,
+        program: &Program,
+        ck: &Checkpoint,
+        budget: u64,
+        keys: &[(FaultClass, u64, u8)],
+    ) -> Result<WindowTrials, String> {
+        let faults: Vec<(u64, u8)> = keys.iter().map(|&(_, seq, bit)| (seq, bit)).collect();
+        let (clean, _, scored) =
+            forked_window(&self.sim, program, ck, budget, &faults, |i, r, probe| {
+                score_unchecked(keys[i], r, probe)
+            })?;
+        Ok(judged(&clean, scored))
     }
 }
 
@@ -206,7 +292,7 @@ impl DetectionScheme for ReeseScheme {
         ck: &Checkpoint,
         budget: u64,
     ) -> Result<SchemeRun, String> {
-        let spec = RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget);
+        let spec = window_spec(program, ck, budget);
         self.sim
             .simulate(spec, &mut NoopObserver)
             .map(SchemeRun::from)
@@ -220,7 +306,7 @@ impl DetectionScheme for ReeseScheme {
         budget: u64,
         probe: &mut DeepLog,
     ) -> Result<SchemeRun, String> {
-        let spec = RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget);
+        let spec = window_spec(program, ck, budget);
         self.sim
             .simulate(spec, probe)
             .map(SchemeRun::from)
@@ -234,7 +320,21 @@ impl DetectionScheme for ReeseScheme {
             .faults(Faults::Latch(&faults));
         let r = with_trial_observers!(t, |obs| self.sim.simulate(spec, obs))
             .map_err(|e| e.to_string())?;
-        Ok(score_redundant(&t, &r))
+        Ok(score_redundant((t.class, t.seq, t.bit), r).against(t.baseline))
+    }
+
+    fn run_window_trials(
+        &self,
+        program: &Program,
+        ck: &Checkpoint,
+        budget: u64,
+        keys: &[(FaultClass, u64, u8)],
+    ) -> Result<WindowTrials, String> {
+        redundant_window(keys, |faults, each| {
+            let spec = window_spec(program, ck, budget);
+            self.sim
+                .simulate_forked(spec, faults, &mut NoopObserver, |i, r, _| each(i, r))
+        })
     }
 }
 
@@ -272,7 +372,7 @@ impl DetectionScheme for DuplexScheme {
         ck: &Checkpoint,
         budget: u64,
     ) -> Result<SchemeRun, String> {
-        let spec = RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget);
+        let spec = window_spec(program, ck, budget);
         self.sim
             .simulate(spec, &mut NoopObserver)
             .map(SchemeRun::from)
@@ -286,7 +386,7 @@ impl DetectionScheme for DuplexScheme {
         budget: u64,
         probe: &mut DeepLog,
     ) -> Result<SchemeRun, String> {
-        let spec = RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget);
+        let spec = window_spec(program, ck, budget);
         self.sim
             .simulate(spec, probe)
             .map(SchemeRun::from)
@@ -300,6 +400,20 @@ impl DetectionScheme for DuplexScheme {
             .faults(&faults[..]);
         let r = with_trial_observers!(t, |obs| self.sim.simulate(spec, obs))
             .map_err(|e| e.to_string())?;
-        Ok(score_redundant(&t, &r))
+        Ok(score_redundant((t.class, t.seq, t.bit), r).against(t.baseline))
+    }
+
+    fn run_window_trials(
+        &self,
+        program: &Program,
+        ck: &Checkpoint,
+        budget: u64,
+        keys: &[(FaultClass, u64, u8)],
+    ) -> Result<WindowTrials, String> {
+        redundant_window(keys, |faults, each| {
+            let spec = window_spec(program, ck, budget);
+            self.sim
+                .simulate_forked(spec, faults, &mut NoopObserver, |i, r, _| each(i, r))
+        })
     }
 }

@@ -26,10 +26,9 @@
 //! Clean-run time overhead is the verification tail: the run is done
 //! when the last instruction is *checked*, not when it commits.
 
-use super::classic::{core_window, probed_window};
+use super::classic::{core_window, forked_window, probed_window};
 use super::observe::CommitProbe;
-use super::{DetectionScheme, SchemeRun, Trial};
-use crate::engine::output_fnv;
+use super::{judged, DetectionScheme, Faulted, SchemeRun, Scored, Trial, WindowTrials};
 use crate::{FaultClass, TrialOutcome};
 use reese_ckpt::{Checkpoint, Scheme};
 use reese_core::ReeseConfig;
@@ -103,6 +102,70 @@ impl MeekScheme {
             None => false,
         }
     }
+
+    /// Scores a window run: a fault the checkers see is caught at its
+    /// check's completion and rolled back; an escape (masked fault, or
+    /// a forwarded load value) is judged against the clean window.
+    fn score(
+        &self,
+        program: &Program,
+        key: (FaultClass, u64, u8),
+        r: &SchemeRun,
+        probe: &CommitProbe,
+    ) -> Scored {
+        let (class, seq, bit) = key;
+        let primary = class == FaultClass::PrimaryResult;
+        let detected = match (primary, probe.pc_of(seq)) {
+            (true, Some(pc)) => Self::primary_fault_checked(program, pc),
+            (false, Some(pc)) => Self::checker_fault_checked(program, pc),
+            // The fault target never committed in the window (halt
+            // landed first): nothing reached the checkers.
+            (_, None) => false,
+        };
+        // A primary fault goes architectural at the faulted seq's
+        // commit; a checker-side upset never touches the main core.
+        let commit = probe.commit_cycle(seq);
+        let mut outcome = TrialOutcome {
+            class,
+            seq,
+            bit,
+            detected,
+            detection_latency: None,
+            extra_cycles: 0,
+            state_clean: false,
+            inject_cycle: if primary {
+                probe.first_writeback.or(commit)
+            } else {
+                commit
+            },
+            diverge_cycle: if primary { commit } else { None },
+            detect_cycle: None,
+        };
+        if !detected {
+            return Scored {
+                outcome,
+                faulted: Some(Faulted::of(r)),
+            };
+        }
+        // Caught at check completion; rollback restores the last
+        // verified checkpoint, so the architectural state is clean and
+        // the cost is the latency plus the rollback penalty.
+        let complete = checker_completions(&probe.commits);
+        let idx = probe
+            .commits
+            .iter()
+            .position(|&(s, _, _)| s == seq)
+            .expect("detected fault must be in the commit stream");
+        let latency = complete[idx].saturating_sub(probe.commits[idx].1);
+        outcome.detection_latency = Some(latency);
+        outcome.extra_cycles = latency + self.rollback;
+        outcome.state_clean = true;
+        outcome.detect_cycle = Some(complete[idx]);
+        Scored {
+            outcome,
+            faulted: None,
+        }
+    }
 }
 
 impl DetectionScheme for MeekScheme {
@@ -153,76 +216,42 @@ impl DetectionScheme for MeekScheme {
         // checker-side (redundant) upsets corrupt only the checker's
         // latched copy, so the main core stays clean.
         let mut emu = t.ck.restore(t.program);
-        let primary = t.class == FaultClass::PrimaryResult;
-        if primary {
+        if t.class == FaultClass::PrimaryResult {
             emu.inject_result_fault(t.seq, t.bit);
         }
         let mut probe = CommitProbe::watching(t.seq);
-        let r = probed_window(&self.sim, &mut t, emu, &mut probe)?;
+        let r = SchemeRun::from(probed_window(&self.sim, &mut t, emu, &mut probe)?);
+        Ok(self
+            .score(t.program, (t.class, t.seq, t.bit), &r, &probe)
+            .against(t.baseline))
+    }
 
-        let pc = probe.pc_of(t.seq);
-        let detected = match (primary, pc) {
-            (true, Some(pc)) => Self::primary_fault_checked(t.program, pc),
-            (false, Some(pc)) => Self::checker_fault_checked(t.program, pc),
-            // The fault target never committed in the window (halt
-            // landed first): nothing reached the checkers.
-            (_, None) => false,
-        };
-
-        if detected {
-            // Caught at check completion; rollback restores the last
-            // verified checkpoint, so the architectural state is clean
-            // and the cost is the latency plus the rollback penalty.
-            let complete = checker_completions(&probe.commits);
-            let idx = probe
-                .commits
-                .iter()
-                .position(|&(s, _, _)| s == t.seq)
-                .expect("detected fault must be in the commit stream");
-            let latency = complete[idx].saturating_sub(probe.commits[idx].1);
-            // A primary fault goes architectural at the faulted seq's
-            // commit; a checker-side upset never touches the main core.
-            let commit = Some(probe.commits[idx].1);
-            Ok(TrialOutcome {
-                class: t.class,
-                seq: t.seq,
-                bit: t.bit,
-                detected: true,
-                detection_latency: Some(latency),
-                extra_cycles: latency + self.rollback,
-                state_clean: true,
-                inject_cycle: if primary {
-                    probe.first_writeback.or(commit)
-                } else {
-                    commit
-                },
-                diverge_cycle: if primary { commit } else { None },
-                detect_cycle: Some(complete[idx]),
+    fn run_window_trials(
+        &self,
+        program: &Program,
+        ck: &Checkpoint,
+        budget: u64,
+        keys: &[(FaultClass, u64, u8)],
+    ) -> Result<WindowTrials, String> {
+        let forks: Vec<usize> = (0..keys.len())
+            .filter(|&i| keys[i].0 == FaultClass::PrimaryResult)
+            .collect();
+        let faults: Vec<(u64, u8)> = forks.iter().map(|&i| (keys[i].1, keys[i].2)).collect();
+        let (clean, probe, forked) =
+            forked_window(&self.sim, program, ck, budget, &faults, |j, r, probe| {
+                self.score(program, keys[forks[j]], r, probe)
+            })?;
+        // A checker-side upset never touches the main core, so its
+        // faulted run is the clean run itself.
+        let mut forked = forked.into_iter();
+        let scored = keys
+            .iter()
+            .map(|&key| match key.0 {
+                FaultClass::PrimaryResult => forked.next().expect("one fork per primary key"),
+                _ => Some(Ok(self.score(program, key, &clean, &probe))),
             })
-        } else {
-            // Escaped (masked fault, or a forwarded load value): score
-            // the architectural damage honestly against the clean
-            // window.
-            let state_clean = output_fnv(&r.output) == t.baseline.output_fnv
-                && (!t.baseline.halted || r.state_digest == t.baseline.digest);
-            let commit = probe.commit_cycle(t.seq);
-            Ok(TrialOutcome {
-                class: t.class,
-                seq: t.seq,
-                bit: t.bit,
-                detected: false,
-                detection_latency: None,
-                extra_cycles: r.stats.cycles.saturating_sub(t.baseline.cycles),
-                state_clean,
-                inject_cycle: if primary {
-                    probe.first_writeback.or(commit)
-                } else {
-                    commit
-                },
-                diverge_cycle: if primary { commit } else { None },
-                detect_cycle: None,
-            })
-        }
+            .collect();
+        Ok(judged(&clean, scored))
     }
 }
 

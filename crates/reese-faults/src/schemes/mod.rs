@@ -29,7 +29,9 @@
 //!   the unprotected baseline core runs the hardened binary.
 //!
 //! The trait is deliberately small: a scheme is a way to run a program
-//! (clean, or over an anchored window) plus a way to score one fault.
+//! (clean, or over an anchored window) plus a way to score one fault —
+//! alone, or with every other fault of its window in one detailed pass
+//! that forks each faulted run off the clean one.
 //! Window planning, anchor capture, baseline sharing, memoization, and
 //! report assembly all stay in the campaign, shared by every backend.
 
@@ -66,7 +68,7 @@ mod observe;
 pub mod report;
 pub(crate) mod swift;
 
-use crate::engine::WindowBaseline;
+use crate::engine::{output_fnv, WindowBaseline};
 use crate::{FaultClass, TrialOutcome};
 use reese_ckpt::{Checkpoint, Scheme};
 use reese_core::{ReeseConfig, ReeseResult};
@@ -115,6 +117,81 @@ impl From<ReeseResult> for SchemeRun {
             state_digest: r.state_digest,
         }
     }
+}
+
+/// A trial's verdict before its clean window is known: every outcome
+/// field the faulted run decides by itself, plus — when the verdict is
+/// judged against the clean window — the faulted run's cycles, output
+/// and state. Each scheme scores through one function returning this,
+/// from [`DetectionScheme::run_trial`] and from
+/// [`DetectionScheme::run_window_trials`] alike; the latter reduces
+/// every fork as soon as it finishes, before the clean run that yields
+/// the baseline has reached the window's end.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Scored {
+    /// The outcome; `extra_cycles` and `state_clean` are filled in by
+    /// [`Scored::against`] when `faulted` is set.
+    pub outcome: TrialOutcome,
+    /// The faulted run, when the clean window judges it.
+    pub faulted: Option<Faulted>,
+}
+
+/// What a faulted window run leaves for the clean window to judge.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Faulted {
+    cycles: u64,
+    output_fnv: u64,
+    state_digest: u64,
+}
+
+impl Faulted {
+    pub fn of(r: &SchemeRun) -> Faulted {
+        Faulted {
+            cycles: r.cycles,
+            output_fnv: output_fnv(&r.output),
+            state_digest: r.state_digest,
+        }
+    }
+}
+
+impl Scored {
+    /// The final outcome against the window's clean baseline: recovery
+    /// cost is the cycles beyond the clean run, and the state is clean
+    /// when the committed output matches and — if the clean window
+    /// reached halt, so the fetch-frontier digest is final state — the
+    /// digest matches too (a budget-limited stop leaves the emulator a
+    /// recovery-dependent distance past the last commit).
+    pub fn against(self, baseline: &WindowBaseline) -> TrialOutcome {
+        let mut outcome = self.outcome;
+        if let Some(f) = self.faulted {
+            outcome.extra_cycles = f.cycles.saturating_sub(baseline.cycles);
+            outcome.state_clean = f.output_fnv == baseline.output_fnv
+                && (!baseline.halted || f.state_digest == baseline.digest);
+        }
+        outcome
+    }
+}
+
+/// What [`DetectionScheme::run_window_trials`] returns: the window's
+/// clean baseline and one outcome (or fault-run failure) per key.
+pub type WindowTrials = (WindowBaseline, Vec<Result<TrialOutcome, String>>);
+
+/// One slot per key of a window, filled with the key's [`Scored`]
+/// verdict (or its faulted run's failure) as its fork finishes.
+pub(crate) type Pending = Vec<Option<Result<Scored, String>>>;
+
+/// Assembles [`WindowTrials`] from a window's clean run and the pending
+/// verdicts of its forks, one per key in key order.
+pub(crate) fn judged(clean: &SchemeRun, scored: Pending) -> WindowTrials {
+    let baseline = WindowBaseline::from(clean);
+    let outcomes = scored
+        .into_iter()
+        .map(|s| {
+            s.expect("every key is scored")
+                .map(|s| s.against(&baseline))
+        })
+        .collect();
+    (baseline, outcomes)
 }
 
 /// One fault-injection trial, as handed to a scheme: the anchored
@@ -193,6 +270,28 @@ pub trait DetectionScheme: Send + Sync {
     /// campaign scores the modeled-undetectable classes itself,
     /// identically for every scheme.
     fn run_trial(&self, trial: Trial<'_>) -> Result<TrialOutcome, String>;
+
+    /// Scores every fault key `(class, seq, bit)` of one anchored window
+    /// in one detailed pass: the clean window from `ck` under `budget`,
+    /// plus one faulted run per key forked from it at the last cycle
+    /// boundary before the key's target can execute (see
+    /// [`reese_pipeline::Core::run_forked`]). Returns the clean baseline
+    /// ([`DetectionScheme::run_window`]'s) and, in `keys` order, what
+    /// [`DetectionScheme::run_trial`] scores for each key against it —
+    /// or that faulted run's failure. Keys may repeat and come in any
+    /// order; all must be of classes with
+    /// [`FaultClass::detectable_by_design`].
+    ///
+    /// # Errors
+    ///
+    /// The clean window's failure.
+    fn run_window_trials(
+        &self,
+        program: &Program,
+        ck: &Checkpoint,
+        budget: u64,
+        keys: &[(FaultClass, u64, u8)],
+    ) -> Result<WindowTrials, String>;
 }
 
 /// Builds the registered backend for a scheme over a REESE

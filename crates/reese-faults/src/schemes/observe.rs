@@ -11,7 +11,7 @@ use reese_trace::{CycleState, Observer, Stage, TraceEvent};
 /// A probe built with [`CommitProbe::watching`] additionally latches
 /// the first writeback cycle of one dynamic instruction — the cycle an
 /// architecturally injected fault's corrupt value enters the machine.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CommitProbe {
     pub commits: Vec<(u64, u64, u64)>,
     watch_seq: Option<u64>,
@@ -25,10 +25,14 @@ impl CommitProbe {
 
     /// A probe that also latches the first writeback of `seq`.
     pub fn watching(seq: u64) -> CommitProbe {
-        CommitProbe {
-            watch_seq: Some(seq),
-            ..CommitProbe::default()
-        }
+        let mut probe = CommitProbe::new();
+        probe.watch(seq);
+        probe
+    }
+
+    /// Latches the first writeback of `seq` from here on.
+    pub fn watch(&mut self, seq: u64) {
+        self.watch_seq = Some(seq);
     }
 
     /// The commit cycle of a dynamic instruction, if it committed in

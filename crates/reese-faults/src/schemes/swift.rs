@@ -40,11 +40,10 @@
 //! rejected — the transform supports the kernel suite's direct
 //! control flow, not arbitrary call graphs.
 
-use super::classic::{core_window, probed_window};
+use super::classic::{core_window, forked_window, probed_window};
 use super::observe::CommitProbe;
-use super::{DetectionScheme, SchemeRun, Trial};
-use crate::engine::output_fnv;
-use crate::TrialOutcome;
+use super::{judged, DetectionScheme, Faulted, SchemeRun, Scored, Trial, WindowTrials};
+use crate::{FaultClass, TrialOutcome};
 use reese_ckpt::{Checkpoint, Scheme};
 use reese_core::ReeseConfig;
 use reese_isa::{
@@ -474,39 +473,60 @@ impl DetectionScheme for SwiftScheme {
         let mut emu = t.ck.restore(t.program);
         emu.inject_result_fault(t.seq, t.bit);
         let mut probe = CommitProbe::watching(t.seq);
-        let r = probed_window(&self.sim, &mut t, emu, &mut probe)?;
+        let r = SchemeRun::from(probed_window(&self.sim, &mut t, emu, &mut probe)?);
+        Ok(score((t.class, t.seq, t.bit), &r, &probe).against(t.baseline))
+    }
 
-        let detected = r.exit_code == Some(SWIFT_TRAP_EXIT);
-        let committed = probe.commit_cycle(t.seq);
-        // Latency: from the faulted instruction's commit to the trap
-        // handler's halt (the last commit of the window).
-        let detect_cycle = if detected {
-            probe.commits.last().map(|&(_, c, _)| c)
-        } else {
-            None
-        };
-        let detection_latency = match (detect_cycle, committed) {
-            (Some(end), Some(c)) => Some(end.saturating_sub(c)),
-            _ => None,
-        };
-        // Detection halts the run at the trap: the architectural state
-        // is *not* repaired (software-only detection has no recovery
-        // hardware), so cleanliness is scored honestly against the
-        // clean window.
-        let state_clean = output_fnv(&r.output) == t.baseline.output_fnv
-            && (!t.baseline.halted || r.state_digest == t.baseline.digest);
-        Ok(TrialOutcome {
-            class: t.class,
-            seq: t.seq,
-            bit: t.bit,
+    fn run_window_trials(
+        &self,
+        program: &Program,
+        ck: &Checkpoint,
+        budget: u64,
+        keys: &[(FaultClass, u64, u8)],
+    ) -> Result<WindowTrials, String> {
+        let faults: Vec<(u64, u8)> = keys.iter().map(|&(_, seq, bit)| (seq, bit)).collect();
+        let (clean, _, scored) =
+            forked_window(&self.sim, program, ck, budget, &faults, |i, r, probe| {
+                score(keys[i], r, probe)
+            })?;
+        Ok(judged(&clean, scored))
+    }
+}
+
+/// Scores a window run of the hardened program: detected iff the run
+/// exits through the trap handler. Detection halts the run at the trap
+/// and repairs nothing (software-only detection has no recovery
+/// hardware), so cleanliness is judged honestly against the clean
+/// window.
+fn score(key: (FaultClass, u64, u8), r: &SchemeRun, probe: &CommitProbe) -> Scored {
+    let (class, seq, bit) = key;
+    let detected = r.exit_code == Some(SWIFT_TRAP_EXIT);
+    let committed = probe.commit_cycle(seq);
+    // Latency: from the faulted instruction's commit to the trap
+    // handler's halt (the last commit of the window).
+    let detect_cycle = if detected {
+        probe.commits.last().map(|&(_, c, _)| c)
+    } else {
+        None
+    };
+    let detection_latency = match (detect_cycle, committed) {
+        (Some(end), Some(c)) => Some(end.saturating_sub(c)),
+        _ => None,
+    };
+    Scored {
+        outcome: TrialOutcome {
+            class,
+            seq,
+            bit,
             detected,
             detection_latency,
-            extra_cycles: r.stats.cycles.saturating_sub(t.baseline.cycles),
-            state_clean,
+            extra_cycles: 0,
+            state_clean: false,
             inject_cycle: probe.first_writeback.or(committed),
             diverge_cycle: committed,
             detect_cycle,
-        })
+        },
+        faulted: Some(Faulted::of(r)),
     }
 }
 

@@ -21,7 +21,10 @@
 //! 5. `anchors_derived` — anchor checkpoints restored/derived, with
 //!    the phase's wall time: the checkpoint-restore cost.
 //! 6. `baselines_cached` — clean windows computed for the baseline
-//!    cache, with the phase's wall time.
+//!    cache, with the phase's wall time. Only where a separate
+//!    baseline phase still exists (Replay with metrics sampling): on
+//!    the default path each window's clean pass runs inside the trial
+//!    fan-out and yields the baseline there.
 //! 7. `progress` (repeated) — trials done / total, trials per second,
 //!    and an ETA, sampled from the worker fan-out.
 //! 8. `trials_done` — end-to-end fan-out stats: items, wall ms, items

@@ -11,7 +11,7 @@
 //! the entire reuse machinery against the from-scratch computation.
 
 use reese_ckpt::Scheme;
-use reese_core::ReeseConfig;
+use reese_core::{ReeseConfig, SchedulerMode};
 use reese_faults::{Campaign, FaultMix, TrialEngine};
 use reese_workloads::Kernel;
 
@@ -146,4 +146,39 @@ fn interrupted_and_resumed_replay_matches_uninterrupted_full() {
     assert_eq!(resumed, full);
     assert_eq!(resumed.to_json(), full.to_json());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn replay_matches_full_with_many_keys_per_window() {
+    // Replay scores a window's keys by forking each faulted run from the
+    // window's one clean pass. The smallest database kernel runs 4,552
+    // instructions (9,943 once SWIFT hardens it), so at a 4,096-
+    // instruction interval it has two to five anchored windows, the
+    // last run to halt; 20 result-error trials put five keys or more on
+    // each on average, so many forks come off one clean machine.
+    let program = Kernel::Database.build(1);
+    let run = |config: ReeseConfig, scheme: Scheme, engine: TrialEngine| {
+        Campaign::new(config, FaultMix::result_errors_only())
+            .scheme(scheme)
+            .trials(20)
+            .seed(0x5EED)
+            .engine(engine)
+            .ckpt_every(4096)
+            .jobs(2)
+            .run(&program)
+            .unwrap()
+    };
+    for scheme in Scheme::ALL {
+        let full = run(ReeseConfig::starting(), scheme, TrialEngine::Full);
+        let replay = run(ReeseConfig::starting(), scheme, TrialEngine::Replay);
+        assert_eq!(replay, full, "{scheme}");
+        assert_eq!(replay.to_json(), full.to_json(), "{scheme}");
+    }
+    // Scan clones the array-of-structs window, which the event-driven
+    // default never does.
+    let scan = ReeseConfig::starting().with_scheduler(SchedulerMode::Scan);
+    let full = run(scan.clone(), Scheme::Reese, TrialEngine::Full);
+    let replay = run(scan, Scheme::Reese, TrialEngine::Replay);
+    assert_eq!(replay, full, "reese under Scan");
+    assert_eq!(replay.to_json(), full.to_json(), "reese under Scan");
 }

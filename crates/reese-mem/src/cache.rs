@@ -169,7 +169,10 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every way of every set in one allocation, sets-major: set `s`
+    /// is `lines[s * assoc..(s + 1) * assoc]` — the same order as
+    /// [`CacheSnapshot::lines`].
+    lines: Vec<Line>,
     stats: CacheStats,
     tick: u64,
 }
@@ -177,13 +180,19 @@ pub struct Cache {
 impl Cache {
     /// Creates an empty (all-invalid) cache.
     pub fn new(config: CacheConfig) -> Cache {
-        let sets = vec![vec![Line::default(); config.assoc as usize]; config.num_sets() as usize];
+        let lines = vec![Line::default(); (config.num_sets() * config.assoc) as usize];
         Cache {
             config,
-            sets,
+            lines,
             stats: CacheStats::default(),
             tick: 0,
         }
+    }
+
+    /// The ways of set `set_idx`.
+    fn set(&self, set_idx: usize) -> &[Line] {
+        let ways = self.config.assoc as usize;
+        &self.lines[set_idx * ways..(set_idx + 1) * ways]
     }
 
     /// The cache's configuration.
@@ -214,7 +223,8 @@ impl Cache {
         let (tag, set_idx) = self.split(addr);
         let num_sets = self.config.num_sets();
         let line_bytes = self.config.line_bytes;
-        let set = &mut self.sets[set_idx];
+        let ways = self.config.assoc as usize;
+        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
 
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.lru = self.tick;
@@ -259,26 +269,21 @@ impl Cache {
     /// Whether `addr` currently hits, without disturbing any state.
     pub fn probe(&self, addr: u64) -> bool {
         let (tag, set_idx) = self.split(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        self.set(set_idx).iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Invalidates every line and discards dirty data (used on machine
     /// reset; the architectural memory is always authoritative).
     pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                *line = Line::default();
-            }
-        }
+        self.lines.fill(Line::default());
     }
 
     /// Exports the full dynamic state for checkpointing.
     pub fn export_state(&self) -> CacheSnapshot {
         CacheSnapshot {
             lines: self
-                .sets
+                .lines
                 .iter()
-                .flatten()
                 .map(|l| LineState {
                     tag: l.tag,
                     valid: l.valid,
@@ -298,14 +303,13 @@ impl Cache {
     /// Panics if the snapshot's line count does not match this cache's
     /// geometry (sets × ways).
     pub fn import_state(&mut self, snap: &CacheSnapshot) {
-        let ways = self.config.assoc as usize;
         assert_eq!(
             snap.lines.len(),
-            self.sets.len() * ways,
+            self.lines.len(),
             "cache snapshot geometry mismatch"
         );
-        for (i, line) in snap.lines.iter().enumerate() {
-            self.sets[i / ways][i % ways] = Line {
+        for (way, line) in self.lines.iter_mut().zip(&snap.lines) {
+            *way = Line {
                 tag: line.tag,
                 valid: line.valid,
                 dirty: line.dirty,

@@ -45,7 +45,7 @@ pub struct Fetched {
 /// assert!(got.len() <= 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FetchUnit {
     emulator: Emulator,
     branch: BranchUnit,
@@ -116,6 +116,22 @@ impl FetchUnit {
     /// Overwrites the branch unit's dynamic state (checkpoint warm-up).
     pub fn import_branch_state(&mut self, snap: &reese_bpred::BranchSnapshot) {
         self.branch.import_state(snap);
+    }
+
+    /// Dynamic instructions the functional emulator has executed, in
+    /// global numbering: instruction `seq` has executed iff
+    /// `seq < emulated()`. Fetch runs at most `width` emulator steps
+    /// per cycle, which is what makes a fork point exact (see
+    /// [`crate::Core::run_forked`]).
+    pub fn emulated(&self) -> Seq {
+        self.emulator.instructions()
+    }
+
+    /// Arms an architectural result fault on dynamic instruction `seq`
+    /// (see [`Emulator::inject_result_fault`]). It fires only if the
+    /// emulator has not executed `seq` yet.
+    pub fn inject_result_fault(&mut self, seq: Seq, bit: u8) {
+        self.emulator.inject_result_fault(seq, bit);
     }
 
     /// Sequence number of the next instruction to deliver.

@@ -2,7 +2,7 @@
 //! with no redundancy policy.
 
 use crate::timing::{emit, Core, Redundancy, RunSpec};
-use crate::{PipelineConfig, SimError, SimResult, SimStop};
+use crate::{PipelineConfig, Seq, SimError, SimResult, SimStop};
 use reese_isa::Program;
 use reese_trace::{NoopObserver, Observer, Stage, Stream};
 
@@ -71,6 +71,41 @@ impl PipelineSim {
         obs: &mut O,
     ) -> Result<SimResult, SimError> {
         Core::new(&self.config, spec.start, |_| ()).run(spec.max_instructions, obs)
+    }
+
+    /// Simulates the fault-free `spec` once and, in the same pass, one
+    /// faulted run per `(seq, bit)` in `faults`: each forks from the
+    /// clean machine just before `seq` can execute (see
+    /// [`Core::run_forked`]) with bit `bit` of `seq`'s result flipped
+    /// architecturally ([`reese_cpu::Emulator::inject_result_fault`]).
+    /// `watch(obs, seq)` tells the fork's copy of the observer which
+    /// instruction was hit; `each(i, result, obs)` receives fork `i`.
+    /// Each fork's result equals [`PipelineSim::simulate`] with the
+    /// fault armed on the start emulator. Returns the clean result.
+    ///
+    /// # Errors
+    ///
+    /// See [`PipelineSim::run`]; a fork's own error goes to `each`.
+    pub fn simulate_forked<O: Observer + Clone>(
+        &self,
+        spec: RunSpec<'_>,
+        faults: &[(Seq, u8)],
+        obs: &mut O,
+        mut watch: impl FnMut(&mut O, Seq),
+        each: impl FnMut(usize, Result<SimResult, SimError>, O),
+    ) -> Result<SimResult, SimError> {
+        let targets: Vec<Seq> = faults.iter().map(|&(seq, _)| seq).collect();
+        Core::new(&self.config, spec.start, |_| ()).run_forked(
+            &targets,
+            spec.max_instructions,
+            obs,
+            |i, fork, fork_obs| {
+                let (seq, bit) = faults[i];
+                fork.fetch.inject_result_fault(seq, bit);
+                watch(fork_obs, seq);
+            },
+            each,
+        )
     }
 }
 

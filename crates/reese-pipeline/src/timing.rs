@@ -216,6 +216,11 @@ pub trait Redundancy: Sized {
 /// The timing core: SimpleScalar `sim-outorder` re-imagined in Rust,
 /// with a [`Redundancy`] policy `R` layered on. Fields are public so
 /// policies can drive the shared structures.
+///
+/// A core whose policy is `Clone` is itself `Clone`: a copy taken
+/// between two [`Core::step`]s continues exactly as the original would,
+/// which is what [`Core::run_forked`] builds on.
+#[derive(Clone)]
 pub struct Core<'c, R> {
     /// Machine configuration.
     pub cfg: &'c PipelineConfig,
@@ -303,65 +308,150 @@ impl<'c, R: Redundancy> Core<'c, R> {
         max_instructions: u64,
         obs: &mut O,
     ) -> Result<R::Output, R::Error> {
-        let stop = loop {
-            // The cycle hook fires for the *previous* cycle once all its
-            // stages have run, so the state it sees is complete; the
-            // final cycle's hook fires after the loop breaks.
-            if O::ENABLED && self.cycle > 0 {
-                obs.cycle(self.cycle, &self.cycle_state());
+        loop {
+            if let Some(stop) = self.step(max_instructions, obs)? {
+                return Ok(self.end(stop, obs));
             }
-            self.cycle += 1;
-            if self.cfg.scheduler == SchedulerMode::EventDriven {
-                self.skip_idle_cycles(obs);
-            }
+        }
+    }
 
-            for _ in 0..self.cfg.width / R::COPIES {
-                if self.stats.committed >= max_instructions || !R::commit_one(&mut self, obs) {
-                    break;
-                }
-            }
-            if let Some(e) = self.pol.fatal() {
-                return Err(e);
-            }
-            if self.exit_code.is_some() {
-                break SimStop::Halted;
-            }
-            if self.stats.committed >= max_instructions {
-                break SimStop::InstructionLimit;
-            }
-            R::pre_writeback(&mut self, obs);
-            self.writeback(obs);
-            R::r_writeback(&mut self, obs);
-            R::issue(&mut self, obs);
-            self.dispatch(obs);
-            self.do_fetch(obs);
+    /// Simulates one cycle: commit, writeback, issue, dispatch, fetch,
+    /// then the stop checks. Returns why the run stopped, or `None` if
+    /// it goes on; a stopped core is finished with [`Core::end`]. Between
+    /// two steps the machine is at a cycle boundary, where a caller may
+    /// pause, inspect, or clone it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Core::run`].
+    #[inline]
+    pub fn step<O: Observer>(
+        &mut self,
+        max_instructions: u64,
+        obs: &mut O,
+    ) -> Result<Option<SimStop>, R::Error> {
+        // The cycle hook fires for the *previous* cycle once all its
+        // stages have run, so the state it sees is complete; the final
+        // cycle's hook fires in `end`.
+        if O::ENABLED && self.cycle > 0 {
+            obs.cycle(self.cycle, &self.cycle_state());
+        }
+        self.cycle += 1;
+        if self.cfg.scheduler == SchedulerMode::EventDriven {
+            self.skip_idle_cycles(obs);
+        }
 
-            if self.cfg.max_cycles > 0 && self.cycle >= self.cfg.max_cycles {
-                break SimStop::CycleLimit;
+        for _ in 0..self.cfg.width / R::COPIES {
+            if self.stats.committed >= max_instructions || !R::commit_one(self, obs) {
+                break;
             }
-            if self.fetch.exhausted()
-                && self.fetchq.is_empty()
-                && self.ruu.is_empty()
-                && self.pol.drained()
-            {
-                // No more instructions will ever arrive: surface the
-                // emulator error that cut the program short.
-                if let Some(e) = self.fetch.error() {
-                    return Err(SimError::Emulation(e.clone()).into());
-                }
-                // A program without halt that ran dry (cannot happen for
-                // halting programs) — treat as an instruction limit.
-                break SimStop::InstructionLimit;
+        }
+        if let Some(e) = self.pol.fatal() {
+            return Err(e);
+        }
+        if self.exit_code.is_some() {
+            return Ok(Some(SimStop::Halted));
+        }
+        if self.stats.committed >= max_instructions {
+            return Ok(Some(SimStop::InstructionLimit));
+        }
+        R::pre_writeback(self, obs);
+        self.writeback(obs);
+        R::r_writeback(self, obs);
+        R::issue(self, obs);
+        self.dispatch(obs);
+        self.do_fetch(obs);
+
+        if self.cfg.max_cycles > 0 && self.cycle >= self.cfg.max_cycles {
+            return Ok(Some(SimStop::CycleLimit));
+        }
+        if self.fetch.exhausted()
+            && self.fetchq.is_empty()
+            && self.ruu.is_empty()
+            && self.pol.drained()
+        {
+            // No more instructions will ever arrive: surface the
+            // emulator error that cut the program short.
+            if let Some(e) = self.fetch.error() {
+                return Err(SimError::Emulation(e.clone()).into());
             }
-            if self.cycle - self.last_commit_cycle > DEADLOCK_HORIZON {
-                return Err(SimError::Deadlock { cycle: self.cycle }.into());
-            }
-        };
+            // A program without halt that ran dry (cannot happen for
+            // halting programs) — treat as an instruction limit.
+            return Ok(Some(SimStop::InstructionLimit));
+        }
+        if self.cycle - self.last_commit_cycle > DEADLOCK_HORIZON {
+            return Err(SimError::Deadlock { cycle: self.cycle }.into());
+        }
+        Ok(None)
+    }
+
+    /// Ends a run that [`Core::step`] stopped with `stop`: the final
+    /// cycle hook, the closing statistics, and the policy's result.
+    pub fn end<O: Observer>(mut self, stop: SimStop, obs: &mut O) -> R::Output {
         if O::ENABLED {
             obs.cycle(self.cycle, &self.cycle_state());
         }
         self.finalise();
-        Ok(R::finish(self, stop))
+        R::finish(self, stop)
+    }
+
+    /// One detailed pass that also scores faults: runs this machine as
+    /// the clean run and, for each `targets[i]`, a clone forked at the
+    /// last cycle boundary before the front end's emulator could execute
+    /// that dynamic instruction. `arm(i, clone, clone_obs)` installs fork
+    /// `i`'s fault; the clone then runs to the same stop conditions with
+    /// its own copy of the observer, and `each(i, result, clone_obs)`
+    /// receives it before the clean run goes on, so at most one clone is
+    /// alive at a time. Targets may come in any order; forks run in
+    /// target order. Returns the clean run's result.
+    ///
+    /// A fork equals a run from the same start with the fault armed from
+    /// the beginning, provided the fault stays dormant until its target
+    /// executes. Fetch steps the emulator at most `width` times per
+    /// cycle, so a machine with `emulated() + width <= target` cannot
+    /// have touched the target yet: the clean run advances while that
+    /// holds. Observers are passive, so the cloned observer holds exactly
+    /// the prefix a from-scratch run would have recorded. Several targets
+    /// on one instruction fork again from the same paused state; a
+    /// target the clean run never reaches (it halts or hits a limit
+    /// first) forks from the final state and ends with the same stop.
+    ///
+    /// # Errors
+    ///
+    /// An error on the clean run ends the pass (as [`Core::run`]); a
+    /// fork's own error goes to `each`.
+    pub fn run_forked<O: Observer + Clone>(
+        mut self,
+        targets: &[Seq],
+        max_instructions: u64,
+        obs: &mut O,
+        mut arm: impl FnMut(usize, &mut Self, &mut O),
+        mut each: impl FnMut(usize, Result<R::Output, R::Error>, O),
+    ) -> Result<R::Output, R::Error>
+    where
+        R: Clone,
+    {
+        let mut order: Vec<usize> = (0..targets.len()).collect();
+        order.sort_by_key(|&i| targets[i]);
+        let mut pending = order.into_iter().peekable();
+        let width = self.cfg.width as Seq;
+        let stop = loop {
+            while let Some(i) = pending.next_if(|&i| self.fetch.emulated() + width > targets[i]) {
+                let (mut fork, mut fork_obs) = (self.clone(), obs.clone());
+                arm(i, &mut fork, &mut fork_obs);
+                let r = fork.run(max_instructions, &mut fork_obs);
+                each(i, r, fork_obs);
+            }
+            if let Some(stop) = self.step(max_instructions, obs)? {
+                break stop;
+            }
+        };
+        for i in pending {
+            let (mut fork, mut fork_obs) = (self.clone(), obs.clone());
+            arm(i, &mut fork, &mut fork_obs);
+            each(i, Ok(fork.end(stop, &mut fork_obs)), fork_obs);
+        }
+        Ok(self.end(stop, obs))
     }
 
     /// Whether RUU entry `seq` is its instruction's primary copy.
@@ -688,5 +778,138 @@ impl<'c, R: Redundancy> Core<'c, R> {
             .iter()
             .map(|&c| (c, self.fu.utilisation(c, self.cycle)))
             .collect();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{PipelineSim, RunSpec};
+    use reese_isa::assemble;
+
+    /// Records every hook in order, so a fork's observer copy can be
+    /// compared with a from-scratch run's.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct Log(Vec<(u64, u64, u64)>);
+
+    impl Observer for Log {
+        const ENABLED: bool = true;
+
+        fn event(&mut self, ev: TraceEvent) {
+            self.0.push((ev.cycle, ev.seq, ev.stage as u64));
+        }
+
+        fn cycle(&mut self, cycle: u64, state: &CycleState) {
+            self.0.push((cycle, state.committed, u64::MAX));
+        }
+
+        fn idle_skip(&mut self, from: u64, to: u64, _state: &CycleState) {
+            self.0.push((from, to, u64::MAX - 1));
+        }
+    }
+
+    /// 164 dynamic instructions; the printed value depends on every
+    /// loop iteration, so most result flips change the output.
+    const LOOP: &str = "  li t0, 40\n  li t1, 0\n\
+        loop: addi t1, t1, 3\n  mul t2, t1, t0\n  addi t0, t0, -1\n  bnez t0, loop\n\
+        \n  print t2\n  halt\n";
+
+    #[test]
+    fn every_fork_equals_a_run_with_the_fault_armed_from_the_start() {
+        let prog = assemble(LOOP).unwrap();
+        // Seq 0 forks before the first cycle; two keys share seq 6 and
+        // fork from one paused state; seq 120 flips a high bit of the
+        // loop counter, so its fork runs away into the cycle cap; seq
+        // 163 is the halt; seq 400 is never reached, so its fork ends
+        // with the clean run's stop.
+        let faults: [(Seq, u8); 8] = [
+            (36, 1),
+            (6, 0),
+            (0, 3),
+            (6, 9),
+            (120, 62),
+            (159, 40),
+            (163, 2),
+            (400, 4),
+        ];
+        for mode in [SchedulerMode::Scan, SchedulerMode::EventDriven] {
+            let mut cfg = PipelineConfig::starting().with_scheduler(mode);
+            cfg.max_cycles = 3_000;
+            let sim = PipelineSim::new(cfg.clone());
+            let scratch = |fault: Option<(Seq, u8)>| {
+                let mut emu = Emulator::new(&prog);
+                if let Some((seq, bit)) = fault {
+                    emu.inject_result_fault(seq, bit);
+                }
+                let mut log = Log::default();
+                let r = sim
+                    .simulate(RunSpec::restored(emu, None), &mut log)
+                    .unwrap();
+                (r, log)
+            };
+            let mut forks = vec![None; faults.len()];
+            let mut log = Log::default();
+            let start = Start::Restored {
+                emulator: Emulator::new(&prog),
+                warm: None,
+            };
+            let targets: Vec<Seq> = faults.iter().map(|f| f.0).collect();
+            let clean = Core::new(&cfg, start, |_| ())
+                .run_forked(
+                    &targets,
+                    u64::MAX,
+                    &mut log,
+                    |i, fork, _| fork.fetch.inject_result_fault(faults[i].0, faults[i].1),
+                    |i, r, fork_log| forks[i] = Some((r.unwrap(), fork_log)),
+                )
+                .unwrap();
+            assert_eq!((clean, log), scratch(None), "{mode:?}: clean pass");
+            for (i, &fault) in faults.iter().enumerate() {
+                let fork = forks[i].take().expect("every target forks once");
+                assert_eq!(fork, scratch(Some(fault)), "{mode:?}: fault {fault:?}");
+            }
+            // The forks really diverge: most change the output, and the
+            // runaway stops on the cycle cap.
+            let clean = scratch(None).0;
+            let changed = faults
+                .iter()
+                .filter(|&&f| scratch(Some(f)).0.output != clean.output)
+                .count();
+            assert!(
+                changed >= 4,
+                "{mode:?}: only {changed} faults changed the output"
+            );
+            assert_eq!(scratch(Some((120, 62))).0.stop, SimStop::CycleLimit);
+        }
+    }
+
+    #[test]
+    fn forks_stop_at_the_clean_runs_instruction_limit() {
+        let prog = assemble(LOOP).unwrap();
+        let cfg = PipelineConfig::starting();
+        let sim = PipelineSim::new(cfg.clone());
+        let faults = [(30, 7), (90, 2), (150, 5)];
+        let mut forks = Vec::new();
+        sim.simulate_forked(
+            RunSpec::new(&prog).limit(100),
+            &faults,
+            &mut reese_trace::NoopObserver,
+            |_, _| {},
+            |i, r, _| forks.push((i, r.unwrap())),
+        )
+        .unwrap();
+        assert_eq!(forks.len(), 3);
+        for (i, r) in forks {
+            let mut emu = Emulator::new(&prog);
+            emu.inject_result_fault(faults[i].0, faults[i].1);
+            let want = sim
+                .simulate(
+                    RunSpec::restored(emu, None).limit(100),
+                    &mut reese_trace::NoopObserver,
+                )
+                .unwrap();
+            assert_eq!(r, want, "fault {:?}", faults[i]);
+            assert_eq!(r.stop, SimStop::InstructionLimit);
+        }
     }
 }

@@ -40,7 +40,8 @@ pub fn available_jobs() -> usize {
 pub struct WorkerStats {
     /// Worker index, `0..jobs`.
     pub worker: usize,
-    /// Items this worker processed.
+    /// Items this worker processed (units of work, under
+    /// [`par_map_weighted`]).
     pub items: u64,
     /// Items this worker claimed one at a time from the shared tail
     /// region — steals that level out stragglers — as opposed to items
@@ -144,8 +145,37 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    par_map_weighted(jobs, items, |_| 1, f)
+}
+
+/// [`par_map_indexed`] over work items that stand for several units of
+/// work each: item `i` counts as `weight(&items[i])` units in the
+/// returned [`ParallelStats`], and up to `jobs` workers run as long as
+/// there are that many units, even when fewer items carry them. A
+/// caller that batches its units (a fault campaign scoring every key of
+/// one window in one pass) thereby reports the same worker count and
+/// throughput as a per-unit map would.
+///
+/// # Panics
+///
+/// Propagates a panic from `f` after all workers stop.
+pub fn par_map_weighted<T, R, F, W>(
+    jobs: usize,
+    items: &[T],
+    weight: W,
+    f: F,
+) -> (Vec<R>, ParallelStats)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+    W: Fn(&T) -> u64 + Sync,
+{
     let start = Instant::now();
-    let jobs = jobs.max(1).min(items.len().max(1));
+    let units: u64 = items.iter().map(&weight).sum();
+    let jobs = jobs
+        .max(1)
+        .min(usize::try_from(units.max(1)).unwrap_or(usize::MAX));
     if jobs == 1 {
         let t0 = Instant::now();
         let results: Vec<R> = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
@@ -155,7 +185,7 @@ where
             wall: start.elapsed(),
             workers: vec![WorkerStats {
                 worker: 0,
-                items: items.len() as u64,
+                items: units,
                 steals: 0,
                 busy,
             }],
@@ -179,14 +209,17 @@ where
                 let bulk_cursor = &bulk_cursor;
                 let tail_cursor = &tail_cursor;
                 let f = &f;
+                let weight = &weight;
                 s.spawn(move || {
                     let mut out: Vec<(usize, R)> = Vec::new();
                     let mut busy = Duration::ZERO;
                     let mut steals = 0u64;
+                    let mut done = 0u64;
                     let mut work = |i: usize, out: &mut Vec<(usize, R)>| {
                         let t0 = Instant::now();
                         let r = f(i, &items[i]);
                         busy += t0.elapsed();
+                        done += weight(&items[i]);
                         out.push((i, r));
                     };
                     loop {
@@ -208,7 +241,7 @@ where
                     }
                     let stats = WorkerStats {
                         worker,
-                        items: out.len() as u64,
+                        items: done,
                         steals,
                         busy,
                     };
@@ -250,6 +283,27 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn weighted_map_counts_units_not_items() {
+        // Two batches standing for eight units: four workers still run
+        // (two find nothing to do), and the stats count units.
+        let batches = [vec![1u64, 2, 3], vec![4, 5, 6, 7, 8]];
+        for jobs in [1, 4] {
+            let (sums, stats) = par_map_weighted(
+                jobs,
+                &batches,
+                |b| b.len() as u64,
+                |_, b| b.iter().sum::<u64>(),
+            );
+            assert_eq!(sums, vec![6, 30]);
+            assert_eq!(stats.items(), 8);
+            assert_eq!(stats.jobs, jobs);
+            assert_eq!(stats.workers.len(), jobs);
+        }
+        let (_, stats) = par_map_weighted(16, &batches, |b| b.len() as u64, |_, _| ());
+        assert_eq!(stats.jobs, 8, "never more workers than units");
+    }
 
     #[test]
     fn results_are_in_input_order() {

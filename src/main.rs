@@ -327,8 +327,8 @@ fn parse_fault(spec: &str) -> Result<InjectedFault, CliError> {
     if parts.len() != 3 {
         return Err(format!("bad fault spec `{spec}`, want SEQ:BIT:p|r").into());
     }
-    let seq: u64 = parts[0].parse()?;
-    let bit: u8 = parts[1].parse()?;
+    let seq: u64 = number("--inject", parts[0])?;
+    let bit: u8 = number("--inject", parts[1])?;
     Ok(match parts[2] {
         "p" => InjectedFault::primary(seq, bit),
         "r" => InjectedFault::redundant(seq, bit),
@@ -453,6 +453,18 @@ fn positive<T: TryFrom<u64>>(flag: &str, raw: &str) -> Result<T, CliError> {
     T::try_from(v).map_err(|_| format!("`{flag}` value `{raw}` is out of range").into())
 }
 
+/// Parses a numeric flag value, naming the flag and the value when it
+/// is not a number of the flag's type.
+fn number<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, CliError> {
+    raw.parse().map_err(|_| {
+        if raw.parse::<i128>().is_ok() {
+            format!("`{flag}` value `{raw}` is out of range").into()
+        } else {
+            format!("`{flag}` expects an integer, got `{raw}`").into()
+        }
+    })
+}
+
 /// Rejects inconsistent machine-geometry overrides at parse time, so
 /// a bad `--ruu-size`/`--lsq-size` pair surfaces as a CLI error instead
 /// of an `assert!` deep inside `PipelineConfig::validate`.
@@ -502,14 +514,14 @@ fn parse_run(args: &[String]) -> Result<RunOpts, CliError> {
             "--ruu-size" => opts.base.ruu_size = positive(a, value()?)?,
             "--lsq-size" => opts.base.lsq_size = positive(a, value()?)?,
             "--width" => opts.base.width = positive(a, value()?)?,
-            "--spare-alus" => opts.spare_alus = value()?.parse()?,
-            "--spare-muls" => opts.spare_muls = value()?.parse()?,
-            "--rqueue" => opts.rqueue = value()?.parse()?,
+            "--spare-alus" => opts.spare_alus = number(a, value()?)?,
+            "--spare-muls" => opts.spare_muls = number(a, value()?)?,
+            "--rqueue" => opts.rqueue = number(a, value()?)?,
             "--early-removal" => opts.early_removal = true,
-            "--dup-period" => opts.dup_period = value()?.parse()?,
+            "--dup-period" => opts.dup_period = number(a, value()?)?,
             "--inject" => opts.faults.push(parse_fault(value()?)?),
-            "--max-insns" => opts.max_insns = value()?.parse()?,
-            "--skip" => opts.skip = value()?.parse()?,
+            "--max-insns" => opts.max_insns = number(a, value()?)?,
+            "--skip" => opts.skip = number(a, value()?)?,
             "--stats" => opts.verbose = true,
             "--kernel" => kernel = Some(value()?.clone()),
             "--scale" => scale = positive(a, value()?)?,
@@ -697,11 +709,11 @@ fn parse_campaign(args: &[String]) -> Result<CampaignOpts, CliError> {
                 .ok_or_else(|| format!("`{a}` needs a value").into())
         };
         match a.as_str() {
-            "--trials" | "--injections" => opts.trials = value()?.parse()?,
+            "--trials" | "--injections" => opts.trials = number(a, value()?)?,
             "--isa" => isa = parse_isa(value()?)?,
             "--scale" => opts.scale = positive(a, value()?)?,
             "--scheme" => opts.scheme = parse_scheme(value()?)?,
-            "--seed" => opts.seed = value()?.parse()?,
+            "--seed" => opts.seed = number(a, value()?)?,
             "--mix" => {
                 opts.mix = match value()?.as_str() {
                     "broad" => reese::faults::FaultMix::broad(),
@@ -713,9 +725,9 @@ fn parse_campaign(args: &[String]) -> Result<CampaignOpts, CliError> {
             "--ruu-size" => opts.base.ruu_size = positive(a, value()?)?,
             "--lsq-size" => opts.base.lsq_size = positive(a, value()?)?,
             "--width" => opts.base.width = positive(a, value()?)?,
-            "--spare-alus" => opts.spare_alus = value()?.parse()?,
-            "--spare-muls" => opts.spare_muls = value()?.parse()?,
-            "--max-insns" => opts.max_insns = value()?.parse()?,
+            "--spare-alus" => opts.spare_alus = number(a, value()?)?,
+            "--spare-muls" => opts.spare_muls = number(a, value()?)?,
+            "--max-insns" => opts.max_insns = number(a, value()?)?,
             "-j" | "--jobs" => opts.jobs = positive(a, value()?)?,
             "--engine" => opts.engine = value()?.parse::<reese::faults::TrialEngine>()?,
             "--ckpt-every" => opts.ckpt_every = positive(a, value()?)?,
@@ -845,7 +857,7 @@ fn parse_schemes(args: &[String]) -> Result<SchemesOpts, CliError> {
             "--scale" => scale = positive(a, value()?)?,
             "--target" => target = Some(positive(a, value()?)?),
             "--trials" => opts.eval.trials = positive(a, value()?)?,
-            "--seed" => opts.eval.seed = value()?.parse()?,
+            "--seed" => opts.eval.seed = number(a, value()?)?,
             "--mix" => {
                 opts.mix = match value()?.as_str() {
                     "broad" => reese::faults::FaultMix::broad(),
@@ -857,7 +869,7 @@ fn parse_schemes(args: &[String]) -> Result<SchemesOpts, CliError> {
             "--ruu-size" => opts.base.ruu_size = positive(a, value()?)?,
             "--lsq-size" => opts.base.lsq_size = positive(a, value()?)?,
             "--width" => opts.base.width = positive(a, value()?)?,
-            "--max-insns" => opts.eval.max_instructions = value()?.parse()?,
+            "--max-insns" => opts.eval.max_instructions = number(a, value()?)?,
             "-j" | "--jobs" => opts.eval.jobs = positive(a, value()?)?,
             "--engine" => opts.eval.engine = value()?.parse::<reese::faults::TrialEngine>()?,
             "--csv" => opts.csv = Some(value()?.clone()),
@@ -992,13 +1004,15 @@ fn parse_explain(args: &[String]) -> Result<ExplainOpts, CliError> {
             "--outcomes" => outcomes = Some(value()?.clone()),
             "--isa" => isa = parse_isa(value()?)?,
             "--trial" => {
-                which = Some(reese::faults::TrialRef::Index(value()?.parse()?));
+                which = Some(reese::faults::TrialRef::Index(number(a, value()?)?));
             }
             "--id" => {
                 let raw = value()?;
                 let id = match raw.strip_prefix("0x") {
-                    Some(hex) => u64::from_str_radix(hex, 16)?,
-                    None => raw.parse()?,
+                    Some(hex) => u64::from_str_radix(hex, 16).map_err(|_| {
+                        format!("`{a}` expects a decimal or 0x-prefixed hex integer, got `{raw}`")
+                    })?,
+                    None => number(a, raw)?,
                 };
                 which = Some(reese::faults::TrialRef::Id(id));
             }
@@ -1007,8 +1021,8 @@ fn parse_explain(args: &[String]) -> Result<ExplainOpts, CliError> {
             "--ruu-size" => opts.base.ruu_size = positive(a, value()?)?,
             "--lsq-size" => opts.base.lsq_size = positive(a, value()?)?,
             "--width" => opts.base.width = positive(a, value()?)?,
-            "--spare-alus" => opts.spare_alus = value()?.parse()?,
-            "--spare-muls" => opts.spare_muls = value()?.parse()?,
+            "--spare-alus" => opts.spare_alus = number(a, value()?)?,
+            "--spare-muls" => opts.spare_muls = number(a, value()?)?,
             "--scale" => scale = positive(a, value()?)?,
             "--kernel" => kernel = Some(value()?.clone()),
             "--out" => opts.out = Some(value()?.clone()),
@@ -2161,6 +2175,51 @@ mod tests {
             (o.base.ruu_size, o.base.lsq_size, o.base.width),
             (64, 32, 4)
         );
+    }
+
+    #[test]
+    fn non_numeric_flags_are_rejected_at_parse_time_by_name() {
+        type Parse = fn(&[String]) -> Result<(), CliError>;
+        let run: Parse = |a| parse_run(a).map(drop);
+        let campaign: Parse = |a| parse_campaign(a).map(drop);
+        let schemes: Parse = |a| parse_schemes(a).map(drop);
+        let explain: Parse = |a| parse_explain(a).map(drop);
+        let cases: [(Parse, &str, &str); 12] = [
+            (campaign, "--trials", "abc"),
+            (campaign, "--injections", "1e6"),
+            (campaign, "--seed", "-1"),
+            (campaign, "--max-insns", "lots"),
+            (campaign, "--spare-alus", "two"),
+            (run, "--skip", "10k"),
+            (run, "--spare-muls", "x"),
+            (run, "--inject", "5:x:p"),
+            (schemes, "--seed", "0.5"),
+            (explain, "--trial", "first"),
+            (explain, "--id", "0xZZ"),
+            (explain, "--spare-alus", "5000000000"),
+        ];
+        for (parse, flag, raw) in cases {
+            let err = parse(&strings(&[flag, raw]))
+                .err()
+                .unwrap_or_else(|| panic!("`{flag} {raw}` must be rejected"))
+                .to_string();
+            assert!(err.contains(flag), "`{flag} {raw}` got: {err}");
+            let shown = if flag == "--inject" { "x" } else { raw };
+            assert!(
+                err.contains(&format!("`{shown}`")),
+                "`{flag} {raw}` got: {err}"
+            );
+        }
+        let err = parse_campaign(&strings(&["--trials", "abc"]))
+            .err()
+            .unwrap()
+            .to_string();
+        assert_eq!(err, "`--trials` expects an integer, got `abc`");
+        let err = parse_explain(&strings(&["--spare-alus", "5000000000"]))
+            .err()
+            .unwrap()
+            .to_string();
+        assert_eq!(err, "`--spare-alus` value `5000000000` is out of range");
     }
 
     #[test]
