@@ -369,6 +369,20 @@ impl Campaign {
             (None, None) => (BTreeMap::new(), None),
         };
 
+        // A recorded trial must carry the fault key this campaign drew
+        // for it, or resuming would splice in a different fault's
+        // outcome.
+        for (&trial, o) in &recorded {
+            let (class, seq, bit) = params[trial];
+            if (o.class, o.seq, o.bit) != (class, seq, bit) {
+                return Err(CampaignError::Resume(format!(
+                    "trial {trial} records fault {} seq {} bit {} but this campaign \
+                     drew {class} seq {seq} bit {bit}",
+                    o.class, o.seq, o.bit
+                )));
+            }
+        }
+
         if let Some(t) = &tele {
             if !recorded.is_empty() {
                 t.emit("resume_loaded", &[("recorded", recorded.len().to_string())]);
@@ -1099,6 +1113,53 @@ mod tests {
             CampaignError::Resume(m) => assert!(m.contains("`seed`"), "{m}"),
             other => panic!("expected Resume error, got {other}"),
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_rejects_fault_keys_the_campaign_never_drew() {
+        let dir = std::env::temp_dir().join(format!("reese-campaign-key-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let log = dir.join("campaign.jsonl");
+        let base = || {
+            Campaign::new(ReeseConfig::starting(), FaultMix::broad())
+                .trials(6)
+                .seed(3)
+        };
+        base().outcomes_jsonl(&log).run(&loop_prog()).unwrap();
+        let text = std::fs::read_to_string(&log).unwrap();
+        let line = text.lines().nth(2).unwrap();
+        let field = |key: &str| {
+            let rest = &line[line.find(&format!("\"{key}\": ")).unwrap() + key.len() + 4..];
+            rest[..rest.find(',').unwrap()].to_string()
+        };
+        let (class, seq, bit) = (field("class"), field("seq"), field("bit"));
+        let class = class.trim_matches('"');
+        let edit = |from: String, to: String| {
+            let edited = line.replace(&from, &to);
+            std::fs::write(&log, text.replacen(line, &edited, 1)).unwrap();
+            base()
+                .resume(&log)
+                .run(&loop_prog())
+                .unwrap_err()
+                .to_string()
+        };
+
+        // An edited seq is a fault this campaign never drew for trial 1.
+        let new_seq = (seq.parse::<u64>().unwrap() + 1) % 6;
+        let err = edit(format!("\"seq\": {seq},"), format!("\"seq\": {new_seq},"));
+        assert_eq!(
+            err,
+            format!(
+                "resume log mismatch: trial 1 records fault {class} seq {new_seq} bit {bit} \
+                 but this campaign drew {class} seq {seq} bit {bit}"
+            )
+        );
+
+        // A bit past 63 would be masked into another fault, so the
+        // reader rejects it outright.
+        let err = edit(format!("\"bit\": {bit},"), "\"bit\": 200,".to_string());
+        assert!(err.contains("line 3: bit 200 out of range"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -187,7 +187,13 @@ pub(crate) fn parse_outcome_line(line: &str) -> Result<(usize, Option<u64>, Tria
         json_str(line, "class").ok_or_else(|| "outcome is missing `class`".to_string())?;
     let class = FaultClass::from_name(&class_name)
         .ok_or_else(|| format!("unknown fault class `{class_name}`"))?;
-    let bit = u8::try_from(field("bit")?).map_err(|_| "bit out of range".to_string())?;
+    // Injection flips one of a 64-bit value's bits; a larger bit would
+    // be masked to a different fault than the line names.
+    let bit = field("bit")?;
+    let bit = u8::try_from(bit)
+        .ok()
+        .filter(|&b| b < 64)
+        .ok_or_else(|| format!("bit {bit} out of range 0..64"))?;
     Ok((
         trial,
         json_u64(line, "id"),

@@ -1,4 +1,10 @@
-//! A two-pass text assembler built on [`ProgramBuilder`].
+//! The text assembler: one source layer over [`ProgramBuilder`] for
+//! every ISA.
+//!
+//! [`assemble_with`] handles comments, labels, segments, directives,
+//! the data segment, `.entry`, label references and error positions;
+//! each ISA supplies only an instruction emitter. [`assemble`] is the
+//! native ISA's; [`crate::rv32i::assemble`] is RV32I's.
 //!
 //! Supported syntax (one statement per line):
 //!
@@ -15,10 +21,13 @@
 //! msg:    .asciz "hello"
 //! ```
 //!
-//! Pseudo-instructions: `nop li la mv neg not seqz snez beqz bnez bltz
-//! bgez ble bgt j jr call ret halt print`.
+//! Native pseudo-instructions: `nop li la mv neg not seqz snez beqz bnez
+//! bltz bgez ble bgt j jr call ret halt print`.
 
-use crate::{BuildError, Opcode, Program, ProgramBuilder, Reg};
+use crate::{
+    BuildError, Instr, IsaId, Label, OpKind, Opcode, Program, ProgramBuilder, Reg, DATA_BASE,
+    STACK_TOP,
+};
 use std::fmt;
 
 /// Error produced by [`assemble`], with a 1-based source position.
@@ -35,14 +44,6 @@ pub struct AsmError {
 }
 
 impl AsmError {
-    pub(crate) fn new(line: usize, message: String) -> AsmError {
-        AsmError {
-            line,
-            col: 0,
-            message,
-        }
-    }
-
     pub(crate) fn at(line: usize, col: usize, message: String) -> AsmError {
         AsmError { line, col, message }
     }
@@ -62,14 +63,14 @@ impl std::error::Error for AsmError {}
 
 impl From<BuildError> for AsmError {
     fn from(e: BuildError) -> Self {
-        AsmError::new(0, e.to_string())
+        AsmError::at(0, 0, e.to_string())
     }
 }
 
 /// 1-based column of `token` within `raw` (0 if `token` is not a
 /// subslice of `raw`). Tokens are always subslices of their source
 /// line, so this recovers the column without tracking offsets.
-pub(crate) fn col_in(raw: &str, token: &str) -> usize {
+fn col_in(raw: &str, token: &str) -> usize {
     let raw_start = raw.as_ptr() as usize;
     let tok_start = token.as_ptr() as usize;
     if tok_start >= raw_start && tok_start + token.len() <= raw_start + raw.len() {
@@ -81,7 +82,7 @@ pub(crate) fn col_in(raw: &str, token: &str) -> usize {
 
 /// Strips a trailing comment (`#`, `//`, or `;`) outside string
 /// literals, so `.asciz "a#b"` keeps its hash.
-pub(crate) fn strip_comment(line: &str) -> &str {
+fn strip_comment(line: &str) -> &str {
     let bytes = line.as_bytes();
     let mut in_string = false;
     let mut escaped = false;
@@ -106,19 +107,126 @@ pub(crate) fn strip_comment(line: &str) -> &str {
     line
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Segment {
-    Text,
-    Data,
+/// Splits a statement at its first whitespace into the mnemonic (or
+/// directive) and the rest.
+fn split_word(code: &str) -> (&str, &str) {
+    match code.find(char::is_whitespace) {
+        Some(pos) => (&code[..pos], code[pos..].trim()),
+        None => (code, ""),
+    }
 }
 
-/// Assembles source text into a [`Program`].
+/// A label reference: the label, its name, and the source line and
+/// column that named it.
+type Ref<'a> = (Label, &'a str, usize, usize);
+
+/// The source statement one instruction came from: its line, the
+/// column of its mnemonic, and the mnemonic.
+pub(crate) type Origin<'a> = (usize, usize, &'a str);
+
+/// An ISA's instruction emitter: appends one statement, given its
+/// mnemonic and comma-separated operands, to [`Asm::b`].
+pub(crate) type Emitter<'a> = fn(&mut Asm<'a>, &'a str, &[&'a str]) -> Result<(), AsmError>;
+
+/// The source layer's state while it assembles one program: the
+/// builder, the line being read, and where every label reference and
+/// instruction came from.
+pub(crate) struct Asm<'a> {
+    pub(crate) b: ProgramBuilder,
+    line: usize,
+    raw: &'a str,
+    data: bool,
+    code_refs: Vec<Ref<'a>>,
+    data_refs: Vec<Ref<'a>>,
+    entry: Option<Ref<'a>>,
+    origin: Vec<Origin<'a>>,
+}
+
+/// Assembles source text into a [`Program`] for `isa`, calling
+/// `instruction` for every statement that is not a label, a directive
+/// or one of the register pseudo-instructions both ISAs share (`mv neg
+/// not seqz snez jr ret`). Returns the program and the [`Origin`] of
+/// each of its instructions.
+///
+/// A reference to a label that is never bound is reported where the
+/// code first names it, then where the data does, then at `.entry`.
+pub(crate) fn assemble_with<'a>(
+    isa: IsaId,
+    source: &'a str,
+    instruction: Emitter<'a>,
+) -> Result<(Program, Vec<Origin<'a>>), AsmError> {
+    let mut a = Asm {
+        b: ProgramBuilder::for_isa(isa),
+        line: 0,
+        raw: "",
+        data: false,
+        code_refs: Vec::new(),
+        data_refs: Vec::new(),
+        entry: None,
+        origin: Vec::new(),
+    };
+    for (lineno, raw) in source.lines().enumerate() {
+        (a.line, a.raw) = (lineno + 1, raw);
+        let mut code = strip_comment(raw).trim();
+        while let Some(colon) = code.find(':') {
+            let name = code[..colon].trim();
+            if name.is_empty() || !is_ident(name) {
+                return Err(a.err(name, format!("bad label `{name}`")));
+            }
+            let l = a.b.label(name);
+            if a.b.is_bound(l) {
+                return Err(a.err(name, format!("label `{name}` defined twice")));
+            }
+            if a.data {
+                a.b.bind_data(l);
+            } else {
+                a.b.bind(l);
+            }
+            code = code[colon + 1..].trim();
+        }
+        if code.is_empty() {
+            continue;
+        }
+        let (head, rest) = split_word(code);
+        if let Some(name) = head.strip_prefix('.') {
+            a.directive(name, rest)?;
+            continue;
+        }
+        if a.data {
+            return Err(a.err(code, "instructions are not allowed in .data".to_string()));
+        }
+        let ops: Vec<&str> = if rest.is_empty() {
+            Vec::new()
+        } else {
+            rest.split(',').map(str::trim).collect()
+        };
+        if !a.register_pseudo(head, &ops)? {
+            instruction(&mut a, head, &ops)?;
+        }
+        a.origin
+            .resize(a.b.len(), (a.line, col_in(raw, head), head));
+    }
+    let mut refs = a.code_refs.iter().chain(&a.data_refs).chain(&a.entry);
+    if let Some(&(_, name, line, col)) = refs.find(|r| !a.b.is_bound(r.0)) {
+        let e = BuildError::UnboundLabel(name.to_string());
+        return Err(AsmError::at(line, col, e.to_string()));
+    }
+    let program = a.b.build().map_err(|e| match (&e, a.entry) {
+        (BuildError::EntryNotCode(_), Some((_, _, line, col))) => {
+            AsmError::at(line, col, e.to_string())
+        }
+        _ => AsmError::from(e),
+    })?;
+    Ok((program, a.origin))
+}
+
+/// Assembles native source text into a [`Program`].
 ///
 /// # Errors
 ///
 /// Returns an [`AsmError`] naming the first offending line for syntax
-/// errors, unknown mnemonics/registers, malformed operands, or unbound
-/// labels.
+/// errors, unknown mnemonics/registers, malformed operands, unbound
+/// labels, or data that would run past [`STACK_TOP`].
 ///
 /// # Example
 ///
@@ -133,68 +241,10 @@ enum Segment {
 /// # Ok::<(), reese_isa::AsmError>(())
 /// ```
 pub fn assemble(source: &str) -> Result<Program, AsmError> {
-    let mut b = ProgramBuilder::new();
-    let mut segment = Segment::Text;
-
-    for (lineno, raw) in source.lines().enumerate() {
-        let line = lineno + 1;
-
-        // Strip comments (string-literal aware) and surrounding space.
-        let mut code = strip_comment(raw).trim();
-
-        // Peel off any leading labels.
-        while let Some(colon) = code.find(':') {
-            let (name, rest) = code.split_at(colon);
-            let name = name.trim();
-            if name.is_empty() || !is_ident(name) {
-                return Err(AsmError::at(
-                    line,
-                    col_in(raw, name),
-                    format!("bad label `{name}`"),
-                ));
-            }
-            let l = b.label(name);
-            if b.is_bound(l) {
-                return Err(AsmError::at(
-                    line,
-                    col_in(raw, name),
-                    format!("label `{name}` defined twice"),
-                ));
-            }
-            match segment {
-                Segment::Text => {
-                    b.bind(l);
-                }
-                Segment::Data => {
-                    // `data_label` binds by name; re-resolve in data space.
-                    b.bind_data(l);
-                }
-            }
-            code = rest[1..].trim();
-        }
-        if code.is_empty() {
-            continue;
-        }
-
-        if let Some(directive) = code.strip_prefix('.') {
-            parse_directive(&mut b, &mut segment, directive, raw, line)?;
-            continue;
-        }
-
-        if segment == Segment::Data {
-            return Err(AsmError::at(
-                line,
-                col_in(raw, code),
-                "instructions are not allowed in .data".to_string(),
-            ));
-        }
-        parse_instruction(&mut b, code, raw, line)?;
-    }
-
-    b.build().map_err(AsmError::from)
+    assemble_with(IsaId::Native, source, parse_instruction).map(|(program, _)| program)
 }
 
-pub(crate) fn is_ident(s: &str) -> bool {
+fn is_ident(s: &str) -> bool {
     let mut chars = s.chars();
     match chars.next() {
         Some(c) if c.is_ascii_alphabetic() || c == '_' || c == '.' => {}
@@ -203,7 +253,7 @@ pub(crate) fn is_ident(s: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
 }
 
-pub(crate) fn parse_int(s: &str) -> Option<i64> {
+fn parse_int(s: &str) -> Option<i64> {
     let s = s.trim();
     let (neg, body) = match s.strip_prefix('-') {
         Some(rest) => (true, rest),
@@ -217,103 +267,7 @@ pub(crate) fn parse_int(s: &str) -> Option<i64> {
     Some(if neg { -v } else { v })
 }
 
-fn parse_directive(
-    b: &mut ProgramBuilder,
-    segment: &mut Segment,
-    directive: &str,
-    raw: &str,
-    line: usize,
-) -> Result<(), AsmError> {
-    let err = |tok: &str, message: String| AsmError::at(line, col_in(raw, tok), message);
-    let (name, args) = match directive.find(char::is_whitespace) {
-        Some(pos) => (&directive[..pos], directive[pos..].trim()),
-        None => (directive, ""),
-    };
-    let ints = |args: &str| -> Result<Vec<i64>, AsmError> {
-        args.split(',')
-            .map(|a| {
-                parse_int(a).ok_or_else(|| err(a.trim(), format!("bad integer `{}`", a.trim())))
-            })
-            .collect()
-    };
-    // `.word`/`.dword` accept labels alongside integers; label slots
-    // are patched with the final address at build time, so forward
-    // references inside data are safe.
-    let words = |b: &mut ProgramBuilder, args: &str, wide: bool| -> Result<(), AsmError> {
-        for a in args.split(',') {
-            let a = a.trim();
-            if let Some(v) = parse_int(a) {
-                if wide {
-                    b.dword(v as u64);
-                } else {
-                    b.word(v as u32);
-                }
-            } else if is_ident(a) {
-                let l = b.label(a);
-                if wide {
-                    b.dword_label(l);
-                } else {
-                    b.word_label(l);
-                }
-            } else {
-                return Err(err(a, format!("bad integer or label `{a}`")));
-            }
-        }
-        Ok(())
-    };
-    match name {
-        "text" => *segment = Segment::Text,
-        "data" => *segment = Segment::Data,
-        "globl" | "global" => {} // accepted and ignored
-        "entry" => {
-            if !is_ident(args) {
-                return Err(err(args, format!("bad entry label `{args}`")));
-            }
-            let l = b.label(args);
-            b.entry(l);
-        }
-        "byte" => {
-            for v in ints(args)? {
-                b.byte(v as u8);
-            }
-        }
-        "half" => {
-            for v in ints(args)? {
-                b.bytes(&(v as u16).to_le_bytes());
-            }
-        }
-        "word" => words(b, args, false)?,
-        "dword" => words(b, args, true)?,
-        "space" => {
-            let n = parse_int(args).ok_or_else(|| err(args, format!("bad size `{args}`")))?;
-            if n < 0 {
-                return Err(err(args, "negative .space".to_string()));
-            }
-            b.space(n as usize);
-        }
-        "align" => {
-            let n = parse_int(args).ok_or_else(|| err(args, format!("bad alignment `{args}`")))?;
-            if n <= 0 || !(n as u64).is_power_of_two() {
-                return Err(err(
-                    args,
-                    format!("alignment must be a positive power of two, got {n}"),
-                ));
-            }
-            b.align(n as usize);
-        }
-        "asciz" | "string" => {
-            let s = args
-                .strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .ok_or_else(|| err(args, "expected a quoted string".to_string()))?;
-            b.asciz(&unescape(s));
-        }
-        other => return Err(err(name, format!("unknown directive `.{other}`"))),
-    }
-    Ok(())
-}
-
-pub(crate) fn unescape(s: &str) -> String {
+fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -335,7 +289,7 @@ pub(crate) fn unescape(s: &str) -> String {
 }
 
 /// Splits `off(base)` into its parts.
-pub(crate) fn parse_mem_operand(s: &str) -> Option<(i64, Reg)> {
+fn parse_mem_operand(s: &str) -> Option<(i64, Reg)> {
     let open = s.find('(')?;
     let close = s.rfind(')')?;
     if close != s.len() - 1 {
@@ -351,292 +305,339 @@ pub(crate) fn parse_mem_operand(s: &str) -> Option<(i64, Reg)> {
     Some((off, base))
 }
 
-fn parse_instruction(
-    b: &mut ProgramBuilder,
-    code: &str,
-    raw: &str,
-    line: usize,
-) -> Result<(), AsmError> {
-    let err = |tok: &str, message: String| AsmError::at(line, col_in(raw, tok), message);
-    let (mnemonic, rest) = match code.find(char::is_whitespace) {
-        Some(pos) => (&code[..pos], code[pos..].trim()),
-        None => (code, ""),
-    };
-    let ops: Vec<&str> = if rest.is_empty() {
-        Vec::new()
-    } else {
-        rest.split(',').map(str::trim).collect()
-    };
+impl<'a> Asm<'a> {
+    /// An error at `tok` on the current line.
+    pub(crate) fn err(&self, tok: &str, message: String) -> AsmError {
+        AsmError::at(self.line, col_in(self.raw, tok), message)
+    }
 
-    let reg = |s: &str| Reg::parse(s).ok_or_else(|| err(s, format!("bad register `{s}`")));
-    let imm = |s: &str| parse_int(s).ok_or_else(|| err(s, format!("bad immediate `{s}`")));
-    let nops = |want: usize| -> Result<(), AsmError> {
+    /// Checks the operand count of mnemonic `m`.
+    pub(crate) fn nops(&self, m: &str, ops: &[&str], want: usize) -> Result<(), AsmError> {
         if ops.len() == want {
             Ok(())
         } else {
-            Err(err(
-                mnemonic,
-                format!("`{mnemonic}` expects {want} operands, got {}", ops.len()),
-            ))
+            let got = ops.len();
+            Err(self.err(m, format!("`{m}` expects {want} operands, got {got}")))
         }
-    };
-
-    // Pseudo-instructions and special forms first.
-    match mnemonic {
-        "nop" => {
-            nops(0)?;
-            b.nop();
-            return Ok(());
-        }
-        "halt" => {
-            // `halt` defaults the exit-code register to a0; `halt rs`
-            // names it explicitly (the form the disassembler prints).
-            match ops.len() {
-                0 => b.halt(),
-                1 => {
-                    let rs = reg(ops[0])?;
-                    b.emit(crate::Instr {
-                        op: Opcode::Halt,
-                        rs1: rs,
-                        ..crate::Instr::nop()
-                    })
-                }
-                n => {
-                    return Err(err(
-                        mnemonic,
-                        format!("`halt` expects 0 or 1 operands, got {n}"),
-                    ))
-                }
-            };
-            return Ok(());
-        }
-        "print" => {
-            nops(1)?;
-            let r = reg(ops[0])?;
-            b.print(r);
-            return Ok(());
-        }
-        "li" => {
-            nops(2)?;
-            let (rd, v) = (reg(ops[0])?, imm(ops[1])?);
-            b.li(rd, v);
-            return Ok(());
-        }
-        "la" => {
-            nops(2)?;
-            let rd = reg(ops[0])?;
-            if !is_ident(ops[1]) {
-                return Err(err(ops[1], format!("bad label `{}`", ops[1])));
-            }
-            let l = b.label(ops[1]);
-            b.la(rd, l);
-            return Ok(());
-        }
-        "mv" => {
-            nops(2)?;
-            let (rd, rs) = (reg(ops[0])?, reg(ops[1])?);
-            b.mv(rd, rs);
-            return Ok(());
-        }
-        "neg" => {
-            nops(2)?;
-            let (rd, rs) = (reg(ops[0])?, reg(ops[1])?);
-            b.neg(rd, rs);
-            return Ok(());
-        }
-        "not" => {
-            nops(2)?;
-            let (rd, rs) = (reg(ops[0])?, reg(ops[1])?);
-            b.not(rd, rs);
-            return Ok(());
-        }
-        "seqz" => {
-            nops(2)?;
-            let (rd, rs) = (reg(ops[0])?, reg(ops[1])?);
-            b.seqz(rd, rs);
-            return Ok(());
-        }
-        "snez" => {
-            nops(2)?;
-            let (rd, rs) = (reg(ops[0])?, reg(ops[1])?);
-            b.snez(rd, rs);
-            return Ok(());
-        }
-        "j" => {
-            nops(1)?;
-            let l = label_ref(b, ops[0], raw, line)?;
-            b.j(l);
-            return Ok(());
-        }
-        "jr" => {
-            nops(1)?;
-            let rs = reg(ops[0])?;
-            b.jalr(Reg::ZERO, rs, 0);
-            return Ok(());
-        }
-        "call" => {
-            nops(1)?;
-            let l = label_ref(b, ops[0], raw, line)?;
-            b.call(l);
-            return Ok(());
-        }
-        "ret" => {
-            nops(0)?;
-            b.ret();
-            return Ok(());
-        }
-        "beqz" | "bnez" | "bltz" | "bgez" => {
-            nops(2)?;
-            let rs = reg(ops[0])?;
-            let l = label_ref(b, ops[1], raw, line)?;
-            match mnemonic {
-                "beqz" => b.beqz(rs, l),
-                "bnez" => b.bnez(rs, l),
-                "bltz" => b.bltz(rs, l),
-                _ => b.bgez(rs, l),
-            };
-            return Ok(());
-        }
-        "ble" | "bgt" => {
-            nops(3)?;
-            let (r1, r2) = (reg(ops[0])?, reg(ops[1])?);
-            let l = label_ref(b, ops[2], raw, line)?;
-            if mnemonic == "ble" {
-                b.ble(r1, r2, l);
-            } else {
-                b.bgt(r1, r2, l);
-            }
-            return Ok(());
-        }
-        _ => {}
     }
 
-    let op = Opcode::from_mnemonic(mnemonic)
-        .ok_or_else(|| err(mnemonic, format!("unknown mnemonic `{mnemonic}`")))?;
+    /// Rejects a floating-point register on an ISA without them.
+    fn int_only(&self, tok: &str, r: Reg) -> Result<Reg, AsmError> {
+        let isa = self.b.isa();
+        if r.is_int() || isa == IsaId::Native {
+            Ok(r)
+        } else {
+            Err(self.err(tok, format!("`{tok}`: {isa} has no fp registers")))
+        }
+    }
 
-    use crate::{Instr, OpKind};
-    match op.kind() {
-        OpKind::Load => {
-            nops(2)?;
-            let rd = reg(ops[0])?;
-            let (off, base) = parse_mem_operand(ops[1])
-                .ok_or_else(|| err(ops[1], format!("bad memory operand `{}`", ops[1])))?;
-            b.emit(Instr::load(op, rd, base, off));
+    pub(crate) fn reg(&self, tok: &str) -> Result<Reg, AsmError> {
+        let r = Reg::parse(tok).ok_or_else(|| self.err(tok, format!("bad register `{tok}`")))?;
+        self.int_only(tok, r)
+    }
+
+    pub(crate) fn imm(&self, tok: &str) -> Result<i64, AsmError> {
+        parse_int(tok).ok_or_else(|| self.err(tok, format!("bad immediate `{tok}`")))
+    }
+
+    /// An `off(base)` memory operand.
+    pub(crate) fn mem(&self, tok: &str) -> Result<(i64, Reg), AsmError> {
+        let (off, base) = parse_mem_operand(tok)
+            .ok_or_else(|| self.err(tok, format!("bad memory operand `{tok}`")))?;
+        Ok((off, self.int_only(tok, base)?))
+    }
+
+    /// A label named by an instruction operand.
+    pub(crate) fn label(&mut self, tok: &'a str) -> Result<Label, AsmError> {
+        if !is_ident(tok) {
+            return Err(self.err(tok, format!("bad label `{tok}`")));
         }
-        OpKind::Store => {
-            nops(2)?;
-            let src = reg(ops[0])?;
-            let (off, base) = parse_mem_operand(ops[1])
-                .ok_or_else(|| err(ops[1], format!("bad memory operand `{}`", ops[1])))?;
-            b.emit(Instr::store(op, src, base, off));
+        let l = self.b.label(tok);
+        let col = col_in(self.raw, tok);
+        self.code_refs.push((l, tok, self.line, col));
+        Ok(l)
+    }
+
+    /// Emits a branch or `jal` whose target `tok` is a numeric offset
+    /// or a label.
+    pub(crate) fn branch(&mut self, mut i: Instr, tok: &'a str) -> Result<(), AsmError> {
+        if let Some(off) = parse_int(tok) {
+            i.imm = off;
+            self.b.emit(i);
+        } else {
+            let l = self.label(tok)?;
+            self.b.emit_branch(i, l);
         }
-        OpKind::Branch => {
-            nops(3)?;
-            let (r1, r2) = (reg(ops[0])?, reg(ops[1])?);
-            if let Some(off) = parse_int(ops[2]) {
-                b.emit(Instr::branch(op, r1, r2, off));
-            } else {
-                let l = label_ref(b, ops[2], raw, line)?;
-                match op {
-                    Opcode::Beq => b.beq(r1, r2, l),
-                    Opcode::Bne => b.bne(r1, r2, l),
-                    Opcode::Blt => b.blt(r1, r2, l),
-                    Opcode::Bge => b.bge(r1, r2, l),
-                    Opcode::Bltu => b.bltu(r1, r2, l),
-                    Opcode::Bgeu => b.bgeu(r1, r2, l),
-                    _ => unreachable!("branch kind covers only branch opcodes"),
-                };
+        Ok(())
+    }
+
+    /// Emits a base instruction: the loads, stores, branches, jumps,
+    /// ALU forms and environment calls both ISAs spell alike.
+    pub(crate) fn base(&mut self, op: Opcode, m: &str, ops: &[&'a str]) -> Result<(), AsmError> {
+        let i = match op.kind() {
+            OpKind::Load => {
+                self.nops(m, ops, 2)?;
+                let rd = self.reg(ops[0])?;
+                let (off, base) = self.mem(ops[1])?;
+                Instr::load(op, rd, base, off)
             }
-        }
-        OpKind::Jump => match op {
-            Opcode::Jal => {
-                nops(2)?;
-                let rd = reg(ops[0])?;
-                if let Some(off) = parse_int(ops[1]) {
-                    b.emit(Instr::rri(Opcode::Jal, rd, Reg::ZERO, off));
-                } else {
-                    let l = label_ref(b, ops[1], raw, line)?;
-                    b.jal(rd, l);
+            OpKind::Store => {
+                self.nops(m, ops, 2)?;
+                let src = self.reg(ops[0])?;
+                let (off, base) = self.mem(ops[1])?;
+                Instr::store(op, src, base, off)
+            }
+            OpKind::Branch => {
+                self.nops(m, ops, 3)?;
+                let (r1, r2) = (self.reg(ops[0])?, self.reg(ops[1])?);
+                return self.branch(Instr::branch(op, r1, r2, 0), ops[2]);
+            }
+            OpKind::Jump => {
+                self.nops(m, ops, 2)?;
+                let rd = self.reg(ops[0])?;
+                if op == Opcode::Jal {
+                    return self.branch(Instr::rri(op, rd, Reg::ZERO, 0), ops[1]);
                 }
+                let (off, base) = self.mem(ops[1])?;
+                Instr::rri(op, rd, base, off)
             }
-            _ => {
-                // jalr rd, off(rs1)
-                nops(2)?;
-                let rd = reg(ops[0])?;
-                let (off, base) = parse_mem_operand(ops[1])
-                    .ok_or_else(|| err(ops[1], format!("bad memory operand `{}`", ops[1])))?;
-                b.jalr(rd, base, off);
+            OpKind::System => {
+                self.nops(m, ops, 0)?;
+                Instr { op, ..Instr::nop() }.canonical()
             }
-        },
-        OpKind::System => match op {
-            Opcode::Halt => {
-                nops(1)?;
-                let rs = reg(ops[0])?;
-                b.emit(Instr {
-                    op,
-                    rs1: rs,
-                    ..Instr::nop()
-                });
-            }
-            Opcode::Print => {
-                nops(1)?;
-                let rs = reg(ops[0])?;
-                b.print(rs);
-            }
-            Opcode::Ecall | Opcode::Ebreak => {
-                nops(0)?;
-                b.emit(Instr { op, ..Instr::nop() }.canonical());
-            }
-            _ => {
-                nops(0)?;
-                b.nop();
-            }
-        },
-        OpKind::Alu => {
-            if op == Opcode::Li || op == Opcode::Lih || op == Opcode::Auipc {
-                nops(2)?;
-                let (rd, v) = (reg(ops[0])?, imm(ops[1])?);
+            OpKind::Alu if matches!(op, Opcode::Li | Opcode::Lih | Opcode::Auipc) => {
+                self.nops(m, ops, 2)?;
+                let (rd, imm) = (self.reg(ops[0])?, self.imm(ops[1])?);
                 let rs1 = if op == Opcode::Lih { rd } else { Reg::ZERO };
-                b.emit(Instr {
+                Instr {
                     op,
                     rd,
                     rs1,
                     rs2: Reg::ZERO,
-                    imm: v,
-                });
-            } else if op.uses_imm() {
-                nops(3)?;
-                let (rd, rs1, v) = (reg(ops[0])?, reg(ops[1])?, imm(ops[2])?);
-                b.emit(Instr::rri(op, rd, rs1, v));
-            } else if op.reads_rs2() {
-                nops(3)?;
-                let (rd, rs1, rs2) = (reg(ops[0])?, reg(ops[1])?, reg(ops[2])?);
-                b.emit(Instr::rrr(op, rd, rs1, rs2));
-            } else {
-                nops(2)?;
-                let (rd, rs1) = (reg(ops[0])?, reg(ops[1])?);
-                b.emit(Instr::rrr(op, rd, rs1, Reg::ZERO));
+                    imm,
+                }
             }
+            OpKind::Alu if op.uses_imm() => {
+                self.nops(m, ops, 3)?;
+                let (rd, rs1) = (self.reg(ops[0])?, self.reg(ops[1])?);
+                Instr::rri(op, rd, rs1, self.imm(ops[2])?)
+            }
+            OpKind::Alu if op.reads_rs2() => {
+                self.nops(m, ops, 3)?;
+                let (rd, rs1) = (self.reg(ops[0])?, self.reg(ops[1])?);
+                Instr::rrr(op, rd, rs1, self.reg(ops[2])?)
+            }
+            OpKind::Alu => {
+                self.nops(m, ops, 2)?;
+                let (rd, rs1) = (self.reg(ops[0])?, self.reg(ops[1])?);
+                Instr::rrr(op, rd, rs1, Reg::ZERO)
+            }
+        };
+        self.b.emit(i);
+        Ok(())
+    }
+
+    /// Emits `mv neg not seqz snez jr ret`, which both ISAs expand the
+    /// same way. Returns false for any other mnemonic.
+    fn register_pseudo(&mut self, m: &str, ops: &[&str]) -> Result<bool, AsmError> {
+        match m {
+            "mv" | "neg" | "not" | "seqz" | "snez" => {
+                self.nops(m, ops, 2)?;
+                let (rd, rs) = (self.reg(ops[0])?, self.reg(ops[1])?);
+                match m {
+                    "mv" => self.b.mv(rd, rs),
+                    "neg" => self.b.neg(rd, rs),
+                    "not" => self.b.not(rd, rs),
+                    "seqz" => self.b.seqz(rd, rs),
+                    _ => self.b.snez(rd, rs),
+                };
+            }
+            "jr" => {
+                self.nops(m, ops, 1)?;
+                let rs = self.reg(ops[0])?;
+                self.b.jalr(Reg::ZERO, rs, 0);
+            }
+            "ret" => {
+                self.nops(m, ops, 0)?;
+                self.b.ret();
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Checks that `n` more data bytes stay below [`STACK_TOP`].
+    fn fits(&self, tok: &str, n: u64) -> Result<(), AsmError> {
+        let end = DATA_BASE + self.b.data_len() as u64;
+        if n > STACK_TOP.saturating_sub(end) {
+            let message = format!("data segment would run past the stack at {STACK_TOP:#x}");
+            return Err(self.err(tok, message));
+        }
+        Ok(())
+    }
+
+    fn directive(&mut self, name: &'a str, args: &'a str) -> Result<(), AsmError> {
+        let ints = |args: &str| -> Result<Vec<i64>, AsmError> {
+            args.split(',')
+                .map(|t| {
+                    let t = t.trim();
+                    parse_int(t).ok_or_else(|| self.err(t, format!("bad integer `{t}`")))
+                })
+                .collect()
+        };
+        match name {
+            "text" => self.data = false,
+            "data" => self.data = true,
+            "globl" | "global" => {} // accepted and ignored
+            "entry" => {
+                if !is_ident(args) {
+                    return Err(self.err(args, format!("bad entry label `{args}`")));
+                }
+                let l = self.b.label(args);
+                self.b.entry(l);
+                self.entry = Some((l, args, self.line, col_in(self.raw, args)));
+            }
+            "byte" => {
+                for v in ints(args)? {
+                    self.b.byte(v as u8);
+                }
+            }
+            "half" => {
+                for v in ints(args)? {
+                    self.b.bytes(&(v as u16).to_le_bytes());
+                }
+            }
+            // `.word`/`.dword` accept labels alongside integers; label
+            // slots are patched with the final address at build time,
+            // so forward references inside data are safe.
+            "word" | "dword" => {
+                for t in args.split(',').map(str::trim) {
+                    if let Some(v) = parse_int(t) {
+                        match name {
+                            "word" => self.b.word(v as u32),
+                            _ => self.b.dword(v as u64),
+                        };
+                    } else if is_ident(t) {
+                        let l = self.b.label(t);
+                        self.data_refs.push((l, t, self.line, col_in(self.raw, t)));
+                        match name {
+                            "word" => self.b.word_label(l),
+                            _ => self.b.dword_label(l),
+                        };
+                    } else {
+                        return Err(self.err(t, format!("bad integer or label `{t}`")));
+                    }
+                }
+            }
+            "space" => {
+                let n =
+                    parse_int(args).ok_or_else(|| self.err(args, format!("bad size `{args}`")))?;
+                if n < 0 {
+                    return Err(self.err(args, "negative .space".to_string()));
+                }
+                self.fits(args, n as u64)?;
+                self.b.space(n as usize);
+            }
+            "align" => {
+                let n = parse_int(args)
+                    .ok_or_else(|| self.err(args, format!("bad alignment `{args}`")))?;
+                if n <= 0 || !(n as u64).is_power_of_two() {
+                    return Err(self.err(
+                        args,
+                        format!("alignment must be a positive power of two, got {n}"),
+                    ));
+                }
+                let len = self.b.data_len() as u64;
+                self.fits(args, len.next_multiple_of(n as u64) - len)?;
+                self.b.align(n as usize);
+            }
+            "asciz" | "string" => {
+                let s = args
+                    .strip_prefix('"')
+                    .and_then(|s| s.strip_suffix('"'))
+                    .ok_or_else(|| self.err(args, "expected a quoted string".to_string()))?;
+                self.b.asciz(&unescape(s));
+            }
+            other => return Err(self.err(name, format!("unknown directive `.{other}`"))),
+        }
+        Ok(())
+    }
+}
+
+/// The native instruction emitter: the native pseudo-instructions, then
+/// every [`Opcode`] by its mnemonic.
+fn parse_instruction<'a>(a: &mut Asm<'a>, m: &'a str, ops: &[&'a str]) -> Result<(), AsmError> {
+    match m {
+        "nop" => {
+            a.nops(m, ops, 0)?;
+            a.b.nop();
+        }
+        // `halt` defaults the exit-code register to a0; `halt rs` names
+        // it explicitly (the form the disassembler prints).
+        "halt" => match ops.len() {
+            0 => {
+                a.b.halt();
+            }
+            1 => {
+                let rs1 = a.reg(ops[0])?;
+                a.b.emit(Instr {
+                    op: Opcode::Halt,
+                    rs1,
+                    ..Instr::nop()
+                });
+            }
+            n => return Err(a.err(m, format!("`halt` expects 0 or 1 operands, got {n}"))),
+        },
+        "print" => {
+            a.nops(m, ops, 1)?;
+            let r = a.reg(ops[0])?;
+            a.b.print(r);
+        }
+        "li" => {
+            a.nops(m, ops, 2)?;
+            let (rd, v) = (a.reg(ops[0])?, a.imm(ops[1])?);
+            a.b.li(rd, v);
+        }
+        "la" => {
+            a.nops(m, ops, 2)?;
+            let rd = a.reg(ops[0])?;
+            let l = a.label(ops[1])?;
+            a.b.la(rd, l);
+        }
+        "j" | "call" => {
+            a.nops(m, ops, 1)?;
+            let l = a.label(ops[0])?;
+            let rd = if m == "j" { Reg::ZERO } else { Reg::RA };
+            a.b.jal(rd, l);
+        }
+        "beqz" | "bnez" | "bltz" | "bgez" => {
+            a.nops(m, ops, 2)?;
+            let rs = a.reg(ops[0])?;
+            let l = a.label(ops[1])?;
+            match m {
+                "beqz" => a.b.beqz(rs, l),
+                "bnez" => a.b.bnez(rs, l),
+                "bltz" => a.b.bltz(rs, l),
+                _ => a.b.bgez(rs, l),
+            };
+        }
+        "ble" | "bgt" => {
+            a.nops(m, ops, 3)?;
+            let (r1, r2) = (a.reg(ops[0])?, a.reg(ops[1])?);
+            let l = a.label(ops[2])?;
+            if m == "ble" {
+                a.b.ble(r1, r2, l);
+            } else {
+                a.b.bgt(r1, r2, l);
+            }
+        }
+        _ => {
+            let op = Opcode::from_mnemonic(m)
+                .ok_or_else(|| a.err(m, format!("unknown mnemonic `{m}`")))?;
+            a.base(op, m, ops)?;
         }
     }
     Ok(())
-}
-
-fn label_ref(
-    b: &mut ProgramBuilder,
-    s: &str,
-    raw: &str,
-    line: usize,
-) -> Result<crate::Label, AsmError> {
-    if is_ident(s) {
-        Ok(b.label(s))
-    } else {
-        Err(AsmError::at(
-            line,
-            col_in(raw, s),
-            format!("bad label `{s}`"),
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -737,8 +738,33 @@ mod tests {
         let e = assemble("  li t0, zzz\n").unwrap_err();
         assert!(e.message.contains("bad immediate"));
 
-        let e = assemble("  j nowhere\n").unwrap_err();
+        // Unbound labels name their first reference: code, then data,
+        // then `.entry`.
+        let e = assemble("  nop\n  j nowhere\n  j nowhere\n").unwrap_err();
         assert!(e.message.contains("never bound"));
+        assert_eq!((e.line, e.col), (2, 5));
+        let e = assemble("  .entry main\n  halt\n  .data\n  .word nowhere\n").unwrap_err();
+        assert_eq!(
+            (e.line, e.col, e.message.as_str()),
+            (4, 9, "label `nowhere` was never bound")
+        );
+        let e = assemble("  .entry main\n  halt\n").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 10));
+
+        // A data label cannot be the entry point.
+        let e = assemble("  .entry arr\n  halt\n  .data\narr: .dword 1\n").unwrap_err();
+        assert_eq!(
+            (e.line, e.col, e.message.as_str()),
+            (1, 10, "entry label `arr` is in .data")
+        );
+
+        // The data segment must stay below the stack.
+        let e = assemble("  halt\n  .data\n  .space 99999999999999\n").unwrap_err();
+        assert_eq!((e.line, e.col), (3, 10));
+        assert!(e.message.contains("past the stack"), "{e}");
+        let e = assemble("  halt\n  .data\n  .byte 1\n  .align 1099511627776\n").unwrap_err();
+        assert_eq!((e.line, e.col), (4, 10));
+        assert!(e.message.contains("past the stack"), "{e}");
     }
 
     #[test]

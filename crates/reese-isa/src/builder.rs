@@ -5,6 +5,7 @@
 //! a data segment, expands the usual pseudo-instructions, and resolves
 //! everything into a [`Program`] at the end.
 
+use crate::rv32i::hi_lo;
 use crate::{Instr, IsaId, Opcode, Program, Reg, DATA_BASE, TEXT_BASE};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -24,6 +25,8 @@ pub enum BuildError {
     UnboundLabel(String),
     /// A resolved address or offset does not fit the 32-bit immediate.
     ImmOverflow { instr_index: usize, value: i64 },
+    /// The entry label is bound in the data segment, not to code.
+    EntryNotCode(String),
 }
 
 impl fmt::Display for BuildError {
@@ -36,6 +39,7 @@ impl fmt::Display for BuildError {
                     "value {value} at instruction {instr_index} overflows the immediate field"
                 )
             }
+            BuildError::EntryNotCode(n) => write!(f, "entry label `{n}` is in .data"),
         }
     }
 }
@@ -57,6 +61,10 @@ enum Fixup {
     PcRelative(Label),
     /// Patch `imm` with the label's absolute address (`la` via `li32`).
     Absolute(Label),
+    /// Patch `imm` with the `lui` or `addi` half of the label's address
+    /// (`la` on RV32I, see [`crate::rv32i::hi_lo`]).
+    Hi(Label),
+    Lo(Label),
 }
 
 /// A label reference inside the data segment (`.word`/`.dword` with a
@@ -288,10 +296,13 @@ impl ProgramBuilder {
     /// Panics if `n` is not a power of two.
     pub fn align(&mut self, n: usize) -> &mut Self {
         assert!(n.is_power_of_two(), "alignment must be a power of two");
-        while !self.data.len().is_multiple_of(n) {
-            self.data.push(0);
-        }
+        self.data.resize(self.data.len().next_multiple_of(n), 0);
         self
+    }
+
+    /// Bytes of data emitted so far.
+    pub(crate) fn data_len(&self) -> usize {
+        self.data.len()
     }
 
     /// Appends a NUL-terminated string.
@@ -421,6 +432,13 @@ impl ProgramBuilder {
             Instr::rri(Opcode::Li, rd, Reg::ZERO, 0),
             Fixup::Absolute(label),
         )
+    }
+
+    /// Loads the address of a label as an RV32I `lui`/`addi` pair. It
+    /// is always two instructions, whatever the address.
+    pub(crate) fn la_hi_lo(&mut self, rd: Reg, label: Label) -> &mut Self {
+        self.emit_fixup(Instr::rri(Opcode::Li, rd, Reg::ZERO, 0), Fixup::Hi(label));
+        self.emit_fixup(Instr::rri(Opcode::Addi, rd, rd, 0), Fixup::Lo(label))
     }
 
     // -- memory ---------------------------------------------------------------
@@ -662,8 +680,9 @@ impl ProgramBuilder {
     /// # Errors
     ///
     /// Returns [`BuildError::UnboundLabel`] if any referenced label was
-    /// never bound, or [`BuildError::ImmOverflow`] if a resolved address
-    /// or branch offset exceeds the 32-bit immediate field.
+    /// never bound, [`BuildError::ImmOverflow`] if a resolved address
+    /// or branch offset exceeds the 32-bit immediate field, or
+    /// [`BuildError::EntryNotCode`] if the entry label is a data label.
     pub fn build(mut self) -> Result<Program, BuildError> {
         for &(idx, fixup) in &self.fixups {
             let value = match fixup {
@@ -673,6 +692,8 @@ impl ProgramBuilder {
                     target as i64 - pc as i64
                 }
                 Fixup::Absolute(l) => self.label_address(l)? as i64,
+                Fixup::Hi(l) => hi_lo(self.label_address(l)? as i64).0,
+                Fixup::Lo(l) => hi_lo(self.label_address(l)? as i64).1,
             };
             if i32::try_from(value).is_err() {
                 return Err(BuildError::ImmOverflow {
@@ -698,6 +719,9 @@ impl ProgramBuilder {
             self.data[offset..offset + width].copy_from_slice(&addr.to_le_bytes()[..width]);
         }
         let entry = match self.entry_label {
+            Some(l) if matches!(self.labels[l.0], LabelTarget::Data(_)) => {
+                return Err(BuildError::EntryNotCode(self.label_names[l.0].clone()))
+            }
             Some(l) => self.label_address(l)?,
             None => TEXT_BASE,
         };
@@ -811,6 +835,13 @@ mod tests {
         b.halt();
         b.entry(main);
         assert_eq!(b.build().unwrap().entry(), TEXT_BASE + 8);
+
+        let mut b = ProgramBuilder::new();
+        let arr = b.data_label("arr");
+        b.dword(1);
+        b.halt();
+        b.entry(arr);
+        assert_eq!(b.build(), Err(BuildError::EntryNotCode("arr".into())));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! RISC-V RV32I (+M) frontend: decode, encode, disassembly, and a
-//! two-pass assembler.
+//! RISC-V RV32I (+M) frontend: decode, encode, disassembly, and the
+//! RV32I instruction emitter for the shared text assembler.
 //!
 //! Instructions are 4-byte little-endian words in the standard RISC-V
 //! base encoding. Decoding maps each word onto the shared [`Instr`]
@@ -14,11 +14,10 @@
 //! so the shared compare/branch logic works for both signed and
 //! unsigned 32-bit comparisons.
 
-use crate::asm::{col_in, is_ident, parse_int, parse_mem_operand, strip_comment, unescape};
+use crate::asm::Asm;
 use crate::{
     AsmError, DecodeError, EncodeError, Instr, IsaId, Opcode, Program, Reg, DATA_BASE, TEXT_BASE,
 };
-use std::collections::BTreeMap;
 
 /// Size of one encoded RV32I instruction in bytes.
 pub const INST_SIZE: u64 = 4;
@@ -356,93 +355,11 @@ pub fn disassemble_text(text: &[Instr], base: u64) -> String {
 
 // -- assembler ----------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Segment {
-    Text,
-    Data,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Pos {
-    /// Instruction-word index in the text segment.
-    Text(usize),
-    /// Byte offset in the data segment.
-    Data(usize),
-}
-
-fn pos_addr(p: Pos) -> u64 {
-    match p {
-        Pos::Text(i) => TEXT_BASE + i as u64 * INST_SIZE,
-        Pos::Data(off) => DATA_BASE + off as u64,
-    }
-}
-
-struct Stmt<'a> {
-    raw: &'a str,
-    code: &'a str,
-    line: usize,
-    /// Word index of this statement's first instruction.
-    index: usize,
-}
-
-#[derive(Default)]
-struct AsmState<'a> {
-    labels: BTreeMap<&'a str, Pos>,
-    data: Vec<u8>,
-    /// (byte offset, label, width, line, col) — `.word`/`.dword` slots
-    /// holding a label's address, patched after all labels are bound.
-    data_fixups: Vec<(usize, &'a str, usize, usize, usize)>,
-    stmts: Vec<Stmt<'a>>,
-    entry: Option<(&'a str, usize, usize)>,
-    words: usize,
-}
-
-fn split_mnemonic(code: &str) -> (&str, &str) {
-    match code.find(char::is_whitespace) {
-        Some(pos) => (&code[..pos], code[pos..].trim()),
-        None => (code, ""),
-    }
-}
-
-fn split_ops(rest: &str) -> Vec<&str> {
-    if rest.is_empty() {
-        Vec::new()
-    } else {
-        rest.split(',').map(str::trim).collect()
-    }
-}
-
-/// Sign-corrected low 12 bits: `lui(v - lo) + addi(lo)` reconstructs
-/// `v` under 32-bit wrap-around.
-fn lo12(v: i64) -> i64 {
-    ((v & 0xFFF) ^ 0x800) - 0x800
-}
-
-/// Number of instruction words a `li` expands to.
-fn li_words(v: i64) -> usize {
-    if (-2048..=2047).contains(&v) || lo12(v) == 0 {
-        1
-    } else {
-        2
-    }
-}
-
-/// Number of instruction words one text statement occupies. Must agree
-/// with what `emit_stmt` produces, since pass 1 uses it to lay out
-/// label addresses.
-fn stmt_words(code: &str) -> usize {
-    let (mnemonic, rest) = split_mnemonic(code);
-    match mnemonic {
-        // `la` is always lui+addi so label layout never depends on the
-        // (not-yet-resolved) address value.
-        "la" => 2,
-        "li" => match split_ops(rest).get(1).and_then(|s| parse_int(s)) {
-            Some(v) => li_words(v),
-            // Unparsable immediate: the error surfaces in pass 2.
-            None => 1,
-        },
-        _ => 1,
-    }
+/// Splits `v` into the `lui` upper part and the sign-corrected low 12
+/// bits: `lui(hi) + addi(lo)` reconstructs `v` under 32-bit wrap-around.
+pub(crate) fn hi_lo(v: i64) -> (i64, i64) {
+    let lo = ((v & 0xFFF) ^ 0x800) - 0x800;
+    (i64::from((v as i32).wrapping_sub(lo as i32)), lo)
 }
 
 fn li_expand(rd: Reg, v: i64) -> Result<Vec<Instr>, String> {
@@ -452,8 +369,7 @@ fn li_expand(rd: Reg, v: i64) -> Result<Vec<Instr>, String> {
     if (-2048..=2047).contains(&v) {
         return Ok(vec![Instr::rri(Opcode::Addi, rd, Reg::ZERO, v)]);
     }
-    let lo = lo12(v);
-    let hi = i64::from((v as i32).wrapping_sub(lo as i32));
+    let (hi, lo) = hi_lo(v);
     let lui = Instr::rri(Opcode::Li, rd, Reg::ZERO, hi);
     if lo == 0 {
         Ok(vec![lui])
@@ -469,9 +385,9 @@ fn li_expand(rd: Reg, v: i64) -> Result<Vec<Instr>, String> {
 /// loads/stores, ALU ops, `mul div divu rem remu`, `fence ecall
 /// ebreak`) plus the usual pseudos (`nop li la mv not neg seqz snez
 /// beqz bnez bltz bgez bgtz blez ble bgt j jr call ret`), and the same
-/// directive set as the native assembler. There are no `halt`/`print`
-/// instructions: programs exit and print through `ecall` (a7 = 93
-/// exits with a0; a7 = 1 prints a0).
+/// directive set as the native assembler, through the same source
+/// layer. There are no `halt`/`print` instructions: programs exit and
+/// print through `ecall` (a7 = 93 exits with a0; a7 = 1 prints a0).
 ///
 /// Emitted words are decoded back through [`decode_word`], so the
 /// assembler and decoder agree by construction.
@@ -480,490 +396,113 @@ fn li_expand(rd: Reg, v: i64) -> Result<Vec<Instr>, String> {
 ///
 /// Returns an [`AsmError`] with the offending line and column.
 pub fn assemble(source: &str) -> Result<Program, AsmError> {
-    let mut a = AsmState::default();
-    let mut segment = Segment::Text;
-
-    // Pass 1: bind labels, collect data, count instruction words.
-    for (lineno, raw) in source.lines().enumerate() {
-        let line = lineno + 1;
-        let mut code = strip_comment(raw).trim();
-        while let Some(colon) = code.find(':') {
-            let (name, rest) = code.split_at(colon);
-            let name = name.trim();
-            if name.is_empty() || !is_ident(name) {
-                return Err(AsmError::at(
-                    line,
-                    col_in(raw, name),
-                    format!("bad label `{name}`"),
-                ));
-            }
-            if a.labels.contains_key(name) {
-                return Err(AsmError::at(
-                    line,
-                    col_in(raw, name),
-                    format!("label `{name}` defined twice"),
-                ));
-            }
-            let pos = match segment {
-                Segment::Text => Pos::Text(a.words),
-                Segment::Data => Pos::Data(a.data.len()),
-            };
-            a.labels.insert(name, pos);
-            code = rest[1..].trim();
-        }
-        if code.is_empty() {
-            continue;
-        }
-        if let Some(directive) = code.strip_prefix('.') {
-            parse_directive(&mut a, &mut segment, directive, raw, line)?;
-            continue;
-        }
-        if segment == Segment::Data {
-            return Err(AsmError::at(
-                line,
-                col_in(raw, code),
-                "instructions are not allowed in .data".to_string(),
-            ));
-        }
-        let index = a.words;
-        a.words += stmt_words(code);
-        a.stmts.push(Stmt {
-            raw,
-            code,
-            line,
-            index,
-        });
-    }
-
-    // Pass 2: emit instruction words with all labels resolved.
-    let mut words: Vec<u32> = Vec::with_capacity(a.words);
-    for s in &a.stmts {
-        debug_assert_eq!(words.len(), s.index);
-        emit_stmt(&mut words, &a.labels, s)?;
-    }
-
-    let fixups = std::mem::take(&mut a.data_fixups);
-    for (offset, name, width, line, col) in fixups {
-        let addr = match a.labels.get(name) {
-            Some(&p) => pos_addr(p),
-            None => {
-                return Err(AsmError::at(
-                    line,
-                    col,
-                    format!("label `{name}` was never bound"),
-                ))
-            }
-        };
-        a.data[offset..offset + width].copy_from_slice(&addr.to_le_bytes()[..width]);
-    }
-
-    let entry = match a.entry {
-        Some((name, line, col)) => match a.labels.get(name) {
-            Some(&Pos::Text(i)) => TEXT_BASE + i as u64 * INST_SIZE,
-            Some(&Pos::Data(_)) => {
-                return Err(AsmError::at(
-                    line,
-                    col,
-                    format!("entry label `{name}` is in .data"),
-                ))
-            }
-            None => {
-                return Err(AsmError::at(
-                    line,
-                    col,
-                    format!("label `{name}` was never bound"),
-                ))
-            }
-        },
-        None => TEXT_BASE,
-    };
-
-    let text = words
+    let (p, origin) = crate::asm::assemble_with(IsaId::Rv32i, source, emit)?;
+    let text = p
+        .text()
         .iter()
-        .enumerate()
-        .map(|(i, &w)| {
+        .zip(origin)
+        .map(|(i, (line, col, m))| {
+            let w = encode_word(i).map_err(|e| AsmError::at(line, col, format!("`{m}`: {e}")))?;
             decode_word(w).map_err(|e| {
-                AsmError::new(
-                    0,
-                    format!("internal: emitted word {i} does not decode: {e}"),
-                )
+                AsmError::at(line, col, format!("internal: `{m}` does not decode: {e}"))
             })
         })
         .collect::<Result<Vec<Instr>, AsmError>>()?;
-    let symbols = a
-        .labels
-        .iter()
-        .map(|(name, &p)| (name.to_string(), pos_addr(p)))
-        .collect();
-    Ok(Program::new(text, TEXT_BASE, a.data, DATA_BASE, entry, symbols).with_isa(IsaId::Rv32i))
+    let (data, symbols) = (p.data().to_vec(), p.symbols().clone());
+    Ok(Program::new(text, TEXT_BASE, data, DATA_BASE, p.entry(), symbols).with_isa(IsaId::Rv32i))
 }
 
-fn parse_directive<'a>(
-    a: &mut AsmState<'a>,
-    segment: &mut Segment,
-    directive: &'a str,
-    raw: &'a str,
-    line: usize,
-) -> Result<(), AsmError> {
-    let err = |tok: &str, message: String| AsmError::at(line, col_in(raw, tok), message);
-    let (name, args) = split_mnemonic(directive);
-    let ints = |args: &str| -> Result<Vec<i64>, AsmError> {
-        args.split(',')
-            .map(|t| {
-                parse_int(t).ok_or_else(|| err(t.trim(), format!("bad integer `{}`", t.trim())))
-            })
-            .collect()
-    };
-    match name {
-        "text" => *segment = Segment::Text,
-        "data" => *segment = Segment::Data,
-        "globl" | "global" => {}
-        "entry" => {
-            if !is_ident(args) {
-                return Err(err(args, format!("bad entry label `{args}`")));
-            }
-            a.entry = Some((args, line, col_in(raw, args)));
-        }
-        "byte" => {
-            for v in ints(args)? {
-                a.data.push(v as u8);
-            }
-        }
-        "half" => {
-            for v in ints(args)? {
-                a.data.extend_from_slice(&(v as u16).to_le_bytes());
-            }
-        }
-        "word" | "dword" => {
-            let width = if name == "word" { 4 } else { 8 };
-            for t in args.split(',') {
-                let t = t.trim();
-                if let Some(v) = parse_int(t) {
-                    a.data.extend_from_slice(&(v as u64).to_le_bytes()[..width]);
-                } else if is_ident(t) {
-                    a.data_fixups
-                        .push((a.data.len(), t, width, line, col_in(raw, t)));
-                    a.data.extend_from_slice(&[0; 8][..width]);
-                } else {
-                    return Err(err(t, format!("bad integer or label `{t}`")));
-                }
-            }
-        }
-        "space" => {
-            let n = parse_int(args).ok_or_else(|| err(args, format!("bad size `{args}`")))?;
-            if n < 0 {
-                return Err(err(args, "negative .space".to_string()));
-            }
-            a.data.resize(a.data.len() + n as usize, 0);
-        }
-        "align" => {
-            let n = parse_int(args).ok_or_else(|| err(args, format!("bad alignment `{args}`")))?;
-            if n <= 0 || !(n as u64).is_power_of_two() {
-                return Err(err(
-                    args,
-                    format!("alignment must be a positive power of two, got {n}"),
-                ));
-            }
-            while !a.data.len().is_multiple_of(n as usize) {
-                a.data.push(0);
-            }
-        }
-        "asciz" | "string" => {
-            let s = args
-                .strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .ok_or_else(|| err(args, "expected a quoted string".to_string()))?;
-            a.data.extend_from_slice(unescape(s).as_bytes());
-            a.data.push(0);
-        }
-        other => return Err(err(name, format!("unknown directive `.{other}`"))),
-    }
-    Ok(())
-}
-
-fn emit_stmt(
-    words: &mut Vec<u32>,
-    labels: &BTreeMap<&str, Pos>,
-    s: &Stmt<'_>,
-) -> Result<(), AsmError> {
+/// The RV32I instruction emitter. Control-flow targets are a label or
+/// a numeric offset; every base opcode with an RV32I encoding is
+/// assembled by the shared operand code.
+fn emit<'a>(a: &mut Asm<'a>, m: &'a str, ops: &[&'a str]) -> Result<(), AsmError> {
     use Opcode::*;
-    let (line, raw) = (s.line, s.raw);
-    let err = |tok: &str, message: String| AsmError::at(line, col_in(raw, tok), message);
-    let (mnemonic, rest) = split_mnemonic(s.code);
-    let ops = split_ops(rest);
-
-    let reg = |t: &str| -> Result<Reg, AsmError> {
-        match Reg::parse(t) {
-            Some(r) if r.is_int() => Ok(r),
-            Some(_) => Err(err(t, format!("`{t}`: rv32i has no fp registers"))),
-            None => Err(err(t, format!("bad register `{t}`"))),
-        }
-    };
-    let imm = |t: &str| parse_int(t).ok_or_else(|| err(t, format!("bad immediate `{t}`")));
-    let nops = |want: usize| -> Result<(), AsmError> {
-        if ops.len() == want {
-            Ok(())
-        } else {
-            Err(err(
-                mnemonic,
-                format!("`{mnemonic}` expects {want} operands, got {}", ops.len()),
-            ))
-        }
-    };
-    let mem = |t: &str| -> Result<(i64, Reg), AsmError> {
-        let (off, base) =
-            parse_mem_operand(t).ok_or_else(|| err(t, format!("bad memory operand `{t}`")))?;
-        if !base.is_int() {
-            return Err(err(t, format!("`{t}`: rv32i has no fp registers")));
-        }
-        Ok((off, base))
-    };
-    let pc = TEXT_BASE + s.index as u64 * INST_SIZE;
-    // A control-flow target: a numeric offset, or a label resolved
-    // pc-relative to this statement.
-    let target = |t: &str| -> Result<i64, AsmError> {
-        if let Some(v) = parse_int(t) {
-            return Ok(v);
-        }
-        if !is_ident(t) {
-            return Err(err(t, format!("bad label `{t}`")));
-        }
-        match labels.get(t) {
-            Some(&p) => Ok(pos_addr(p) as i64 - pc as i64),
-            None => Err(err(t, format!("label `{t}` was never bound"))),
-        }
-    };
-
-    let instrs: Vec<Instr> = match mnemonic {
+    match m {
         "nop" => {
-            nops(0)?;
-            vec![Instr::rri(Addi, Reg::ZERO, Reg::ZERO, 0)]
+            a.nops(m, ops, 0)?;
+            a.b.addi(Reg::ZERO, Reg::ZERO, 0);
         }
         "fence" => {
-            nops(0)?;
-            vec![Instr::nop()]
-        }
-        "ecall" | "ebreak" => {
-            nops(0)?;
-            let op = if mnemonic == "ecall" { Ecall } else { Ebreak };
-            vec![Instr { op, ..Instr::nop() }.canonical()]
+            a.nops(m, ops, 0)?;
+            a.b.nop();
         }
         "lui" | "auipc" => {
-            nops(2)?;
-            let rd = reg(ops[0])?;
-            let v = imm(ops[1])?;
+            a.nops(m, ops, 2)?;
+            let rd = a.reg(ops[0])?;
+            let v = a.imm(ops[1])?;
             if !(-0x8_0000..=0xF_FFFF).contains(&v) {
-                return Err(err(
-                    ops[1],
-                    format!("upper immediate {v} out of 20-bit range"),
-                ));
+                return Err(a.err(ops[1], format!("upper immediate {v} out of 20-bit range")));
             }
-            let op = if mnemonic == "lui" { Li } else { Auipc };
-            vec![Instr::rri(
+            let op = if m == "lui" { Li } else { Auipc };
+            a.b.emit(Instr::rri(
                 op,
                 rd,
                 Reg::ZERO,
                 i64::from(((v as u32) << 12) as i32),
-            )]
+            ));
         }
         "li" => {
-            nops(2)?;
-            let rd = reg(ops[0])?;
-            let v = imm(ops[1])?;
-            li_expand(rd, v).map_err(|m| err(ops[1], m))?
+            a.nops(m, ops, 2)?;
+            let rd = a.reg(ops[0])?;
+            let v = a.imm(ops[1])?;
+            for i in li_expand(rd, v).map_err(|e| a.err(ops[1], e))? {
+                a.b.emit(i);
+            }
         }
         "la" => {
-            nops(2)?;
-            let rd = reg(ops[0])?;
-            if !is_ident(ops[1]) {
-                return Err(err(ops[1], format!("bad label `{}`", ops[1])));
+            a.nops(m, ops, 2)?;
+            let rd = a.reg(ops[0])?;
+            let l = a.label(ops[1])?;
+            a.b.la_hi_lo(rd, l);
+        }
+        "j" | "call" => {
+            a.nops(m, ops, 1)?;
+            let rd = if m == "j" { Reg::ZERO } else { Reg::RA };
+            a.branch(Instr::rri(Jal, rd, Reg::ZERO, 0), ops[0])?;
+        }
+        // One-operand forms link `ra`; two-operand forms are the base
+        // instructions.
+        "jal" | "jalr" if ops.len() != 2 => {
+            if ops.len() != 1 {
+                let n = ops.len();
+                return Err(a.err(m, format!("`{m}` expects 1 or 2 operands, got {n}")));
             }
-            let addr = match labels.get(ops[1]) {
-                Some(&p) => pos_addr(p) as i64,
-                None => return Err(err(ops[1], format!("label `{}` was never bound", ops[1]))),
-            };
-            let lo = lo12(addr);
-            let hi = i64::from((addr as i32).wrapping_sub(lo as i32));
-            // Always two words so pass-1 layout holds even when lo == 0.
-            vec![
-                Instr::rri(Li, rd, Reg::ZERO, hi),
-                Instr::rri(Addi, rd, rd, lo),
-            ]
-        }
-        "mv" => {
-            nops(2)?;
-            vec![Instr::rri(Addi, reg(ops[0])?, reg(ops[1])?, 0)]
-        }
-        "not" => {
-            nops(2)?;
-            vec![Instr::rri(Xori, reg(ops[0])?, reg(ops[1])?, -1)]
-        }
-        "neg" => {
-            nops(2)?;
-            vec![Instr::rrr(Sub, reg(ops[0])?, Reg::ZERO, reg(ops[1])?)]
-        }
-        "seqz" => {
-            nops(2)?;
-            vec![Instr::rri(Sltiu, reg(ops[0])?, reg(ops[1])?, 1)]
-        }
-        "snez" => {
-            nops(2)?;
-            vec![Instr::rrr(Sltu, reg(ops[0])?, Reg::ZERO, reg(ops[1])?)]
-        }
-        "j" => {
-            nops(1)?;
-            vec![Instr::rri(Jal, Reg::ZERO, Reg::ZERO, target(ops[0])?)]
-        }
-        "call" => {
-            nops(1)?;
-            vec![Instr::rri(Jal, Reg::RA, Reg::ZERO, target(ops[0])?)]
-        }
-        "jr" => {
-            nops(1)?;
-            vec![Instr::rri(Jalr, Reg::ZERO, reg(ops[0])?, 0)]
-        }
-        "ret" => {
-            nops(0)?;
-            vec![Instr::rri(Jalr, Reg::ZERO, Reg::RA, 0)]
-        }
-        "jal" => match ops.len() {
-            1 => vec![Instr::rri(Jal, Reg::RA, Reg::ZERO, target(ops[0])?)],
-            2 => vec![Instr::rri(Jal, reg(ops[0])?, Reg::ZERO, target(ops[1])?)],
-            n => {
-                return Err(err(
-                    mnemonic,
-                    format!("`jal` expects 1 or 2 operands, got {n}"),
-                ))
+            if m == "jal" {
+                a.branch(Instr::rri(Jal, Reg::RA, Reg::ZERO, 0), ops[0])?;
+            } else {
+                let rs = a.reg(ops[0])?;
+                a.b.jalr(Reg::RA, rs, 0);
             }
-        },
-        "jalr" => match ops.len() {
-            1 => vec![Instr::rri(Jalr, Reg::RA, reg(ops[0])?, 0)],
-            2 => {
-                let rd = reg(ops[0])?;
-                let (off, base) = mem(ops[1])?;
-                vec![Instr::rri(Jalr, rd, base, off)]
-            }
-            n => {
-                return Err(err(
-                    mnemonic,
-                    format!("`jalr` expects 1 or 2 operands, got {n}"),
-                ))
-            }
-        },
-        "beq" | "bne" | "blt" | "bge" | "bltu" | "bgeu" => {
-            nops(3)?;
-            let op = match mnemonic {
-                "beq" => Beq,
-                "bne" => Bne,
-                "blt" => Blt,
-                "bge" => Bge,
-                "bltu" => Bltu,
-                _ => Bgeu,
-            };
-            vec![Instr::branch(
-                op,
-                reg(ops[0])?,
-                reg(ops[1])?,
-                target(ops[2])?,
-            )]
         }
         "beqz" | "bnez" | "bltz" | "bgez" | "bgtz" | "blez" => {
-            nops(2)?;
-            let rs = reg(ops[0])?;
-            let off = target(ops[1])?;
-            let i = match mnemonic {
-                "beqz" => Instr::branch(Beq, rs, Reg::ZERO, off),
-                "bnez" => Instr::branch(Bne, rs, Reg::ZERO, off),
-                "bltz" => Instr::branch(Blt, rs, Reg::ZERO, off),
-                "bgez" => Instr::branch(Bge, rs, Reg::ZERO, off),
-                "bgtz" => Instr::branch(Blt, Reg::ZERO, rs, off),
-                _ => Instr::branch(Bge, Reg::ZERO, rs, off),
+            a.nops(m, ops, 2)?;
+            let rs = a.reg(ops[0])?;
+            let (op, r1, r2) = match m {
+                "beqz" => (Beq, rs, Reg::ZERO),
+                "bnez" => (Bne, rs, Reg::ZERO),
+                "bltz" => (Blt, rs, Reg::ZERO),
+                "bgez" => (Bge, rs, Reg::ZERO),
+                "bgtz" => (Blt, Reg::ZERO, rs),
+                _ => (Bge, Reg::ZERO, rs),
             };
-            vec![i]
+            a.branch(Instr::branch(op, r1, r2, 0), ops[1])?;
         }
         "ble" | "bgt" => {
-            nops(3)?;
-            let (r1, r2) = (reg(ops[0])?, reg(ops[1])?);
-            let off = target(ops[2])?;
-            let i = if mnemonic == "ble" {
-                Instr::branch(Bge, r2, r1, off)
-            } else {
-                Instr::branch(Blt, r2, r1, off)
-            };
-            vec![i]
+            a.nops(m, ops, 3)?;
+            let (r1, r2) = (a.reg(ops[0])?, a.reg(ops[1])?);
+            let op = if m == "ble" { Bge } else { Blt };
+            a.branch(Instr::branch(op, r2, r1, 0), ops[2])?;
         }
-        "lb" | "lh" | "lw" | "lbu" | "lhu" => {
-            nops(2)?;
-            let op = match mnemonic {
-                "lb" => Lb,
-                "lh" => Lh,
-                "lw" => Lw,
-                "lbu" => Lbu,
-                _ => Lhu,
-            };
-            let rd = reg(ops[0])?;
-            let (off, base) = mem(ops[1])?;
-            vec![Instr::load(op, rd, base, off)]
+        _ => {
+            // `li32` is the native spelling of `lui`, and `auipc` takes
+            // a 20-bit operand here (above).
+            let op = Opcode::from_mnemonic(m)
+                .filter(|&op| {
+                    !matches!(op, Li | Auipc) && encode_word(&Instr { op, ..Instr::nop() }).is_ok()
+                })
+                .ok_or_else(|| a.err(m, format!("unknown mnemonic `{m}`")))?;
+            a.base(op, m, ops)?;
         }
-        "sb" | "sh" | "sw" => {
-            nops(2)?;
-            let op = match mnemonic {
-                "sb" => Sb,
-                "sh" => Sh,
-                _ => Sw,
-            };
-            let src = reg(ops[0])?;
-            let (off, base) = mem(ops[1])?;
-            vec![Instr::store(op, src, base, off)]
-        }
-        "addi" | "slti" | "sltiu" | "xori" | "ori" | "andi" | "slli" | "srli" | "srai" => {
-            nops(3)?;
-            let op = match mnemonic {
-                "addi" => Addi,
-                "slti" => Slti,
-                "sltiu" => Sltiu,
-                "xori" => Xori,
-                "ori" => Ori,
-                "andi" => Andi,
-                "slli" => Slli,
-                "srli" => Srli,
-                _ => Srai,
-            };
-            vec![Instr::rri(op, reg(ops[0])?, reg(ops[1])?, imm(ops[2])?)]
-        }
-        "add" | "sub" | "sll" | "slt" | "sltu" | "xor" | "srl" | "sra" | "or" | "and" | "mul"
-        | "div" | "divu" | "rem" | "remu" => {
-            nops(3)?;
-            let op = match mnemonic {
-                "add" => Add,
-                "sub" => Sub,
-                "sll" => Sll,
-                "slt" => Slt,
-                "sltu" => Sltu,
-                "xor" => Xor,
-                "srl" => Srl,
-                "sra" => Sra,
-                "or" => Or,
-                "and" => And,
-                "mul" => Mul,
-                "div" => Div,
-                "divu" => Divu,
-                "rem" => Rem,
-                _ => Remu,
-            };
-            vec![Instr::rrr(op, reg(ops[0])?, reg(ops[1])?, reg(ops[2])?)]
-        }
-        _ => return Err(err(mnemonic, format!("unknown mnemonic `{mnemonic}`"))),
-    };
-
-    debug_assert_eq!(
-        instrs.len(),
-        stmt_words(s.code),
-        "pass-1/pass-2 layout skew"
-    );
-    for ins in instrs {
-        let w = encode_word(&ins).map_err(|e| err(mnemonic, format!("`{mnemonic}`: {e}")))?;
-        words.push(w);
     }
     Ok(())
 }
@@ -1168,6 +707,14 @@ mod tests {
         );
         assert_eq!(p.text()[6], Instr::rri(Opcode::Addi, A0, A0, 0));
         assert_eq!(p.data(), b"hi\0");
+
+        // A sign-corrected low half: `lui` rounds up, `addi` subtracts.
+        let p = assemble("  la a0, far\n  ecall\n  .data\n  .space 0x800\nfar:\n").unwrap();
+        assert_eq!(
+            p.text()[0],
+            Instr::rri(Opcode::Li, A0, Reg::ZERO, 0x10_1000)
+        );
+        assert_eq!(p.text()[1], Instr::rri(Opcode::Addi, A0, A0, -0x800));
     }
 
     #[test]
@@ -1199,8 +746,32 @@ mod tests {
         let e = assemble("  add t0, t1, f2\n").unwrap_err();
         assert!(e.message.contains("no fp registers"));
 
-        let e = assemble("  j nowhere\n").unwrap_err();
+        let e = assemble("  nop\n  j nowhere\n  j nowhere\n").unwrap_err();
         assert!(e.message.contains("never bound"));
+        assert_eq!((e.line, e.col), (2, 5));
+        let e = assemble("  .entry main\n  ecall\n  .data\n  .word nowhere\n").unwrap_err();
+        assert_eq!(
+            (e.line, e.col, e.message.as_str()),
+            (4, 9, "label `nowhere` was never bound")
+        );
+
+        let e = assemble("  .entry msg\n  ecall\n  .data\nmsg: .asciz \"hi\"\n").unwrap_err();
+        assert_eq!(
+            (e.line, e.col, e.message.as_str()),
+            (1, 10, "entry label `msg` is in .data")
+        );
+
+        let e = assemble("  ecall\n  .data\n  .space 99999999999999\n").unwrap_err();
+        assert_eq!((e.line, e.col), (3, 10));
+        assert!(e.message.contains("past the stack"), "{e}");
+        let e = assemble("  ecall\n  .data\n  .byte 1\n  .align 1099511627776\n").unwrap_err();
+        assert_eq!((e.line, e.col), (4, 10));
+        assert!(e.message.contains("past the stack"), "{e}");
+
+        // Encoding errors surface after layout, at their statement.
+        let e = assemble("  nop\n  beq t0, t1, far\n  .data\n  .space 8192\nfar:\n").unwrap_err();
+        assert_eq!((e.line, e.col), (2, 3));
+        assert!(e.message.starts_with("`beq`: "), "{e}");
 
         let e = assemble("  addi t0, t1, 4096\n").unwrap_err();
         assert!(e.message.contains("not representable"));

@@ -546,6 +546,42 @@ mod tests {
         assert_eq!(r.output, vec![36]);
     }
 
+    /// FNV-1a over a program's text image, data, entry and symbols.
+    fn program_digest(p: &Program) -> u64 {
+        let mut bytes = p.text_image().expect("rv32i text encodes");
+        bytes.extend_from_slice(&(p.data().len() as u64).to_le_bytes());
+        bytes.extend_from_slice(p.data());
+        bytes.extend_from_slice(&p.entry().to_le_bytes());
+        for (name, addr) in p.symbols() {
+            bytes.extend_from_slice(name.as_bytes());
+            bytes.extend_from_slice(&addr.to_le_bytes());
+        }
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn assembled_ports_keep_their_layout() {
+        // Recorded before the RV32I assembler moved onto the shared
+        // source layer: the ports and the CI example must keep
+        // assembling to the same words, data, entry and symbols.
+        let pinned = [
+            (Rv32Kernel::Imaging, 1, 0x7cad_1fcf_53b7_5762),
+            (Rv32Kernel::Imaging, 1600, 0xe12f_7705_f6e6_dc06),
+            (Rv32Kernel::Lisp, 1, 0xa960_5d29_ce27_ef08),
+            (Rv32Kernel::Lisp, 1600, 0xe9bf_a6e7_b8ba_72cc),
+            (Rv32Kernel::Strings, 1, 0x35f2_a722_0535_ab94),
+            (Rv32Kernel::Strings, 1600, 0x1608_b907_6d1a_5d70),
+        ];
+        for (k, scale, digest) in pinned {
+            assert_eq!(program_digest(&k.build(scale)), digest, "{k} x{scale}");
+        }
+        let checksum = include_str!("../../../examples/rv32i/checksum.s");
+        let p = reese_isa::rv32i::assemble(checksum).unwrap();
+        assert_eq!(program_digest(&p), 0xc4a1_71c3_efbc_c97d, "checksum.s");
+    }
+
     #[test]
     fn reference_interpreter_rejects_native_programs() {
         let prog = reese_isa::assemble("  halt\n").unwrap();

@@ -171,7 +171,7 @@ fn main() -> ExitCode {
         Some("mix") => cmd_mix(&args[1..]),
         Some("disasm") => cmd_disasm(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
-        Some("kernels") => cmd_kernels(),
+        Some("kernels") => cmd_kernels(&args[1..]),
         _ => {
             eprintln!(
                 "usage: reese <run|campaign|schemes|explain|shard|asm|mix|disasm|trace|kernels> [options]  (see --help in source)"
@@ -272,6 +272,18 @@ fn load_program(
             Some(name) => build_kernel(isa, name, scale),
             None => Err("give an assembly file or --kernel NAME".into()),
         },
+    }
+}
+
+/// Takes a subcommand's one positional argument (its program),
+/// rejecting a second one instead of letting it replace the first.
+fn positional(slot: &mut Option<String>, arg: &str) -> Result<(), CliError> {
+    match slot {
+        Some(first) => Err(format!("more than one program given: `{first}` and `{arg}`").into()),
+        None => {
+            *slot = Some(arg.to_string());
+            Ok(())
+        }
     }
 }
 
@@ -528,7 +540,7 @@ fn parse_run(args: &[String]) -> Result<RunOpts, CliError> {
             "--trace-out" => opts.trace_out = Some(value()?.clone()),
             "--metrics-out" => opts.metrics_out = Some(value()?.clone()),
             "--metrics-interval" => opts.metrics_interval = positive(a, value()?)?,
-            other if !other.starts_with("--") => file = Some(other.to_string()),
+            other if !other.starts_with('-') => positional(&mut file, other)?,
             other => return Err(format!("unknown option `{other}`").into()),
         }
     }
@@ -740,7 +752,7 @@ fn parse_campaign(args: &[String]) -> Result<CampaignOpts, CliError> {
             "--metrics-interval" => opts.metrics_interval = positive(a, value()?)?,
             "--telemetry-out" => opts.telemetry_out = Some(value()?.clone()),
             "--kernel" => kernel = Some(value()?.clone()),
-            other if !other.starts_with('-') => file = Some(other.to_string()),
+            other if !other.starts_with('-') => positional(&mut file, other)?,
             other => return Err(format!("unknown option `{other}`").into()),
         }
     }
@@ -1027,7 +1039,7 @@ fn parse_explain(args: &[String]) -> Result<ExplainOpts, CliError> {
             "--kernel" => kernel = Some(value()?.clone()),
             "--out" => opts.out = Some(value()?.clone()),
             "--trace-out" => opts.trace_out = Some(value()?.clone()),
-            other if !other.starts_with('-') => file = Some(other.to_string()),
+            other if !other.starts_with('-') => positional(&mut file, other)?,
             other => return Err(format!("unknown option `{other}`").into()),
         }
     }
@@ -1127,7 +1139,7 @@ fn parse_shard(args: &[String]) -> Result<ShardCliOpts, CliError> {
             "--metrics-interval" => metrics_interval = positive(a, value()?)?,
             "--kernel" => kernel = Some(value()?.clone()),
             "--scale" => scale = positive(a, value()?)?,
-            other if !other.starts_with('-') => file = Some(other.to_string()),
+            other if !other.starts_with('-') => positional(&mut file, other)?,
             other => return Err(format!("unknown option `{other}`").into()),
         }
     }
@@ -1303,26 +1315,33 @@ fn print_pipeline_stats(s: &reese::pipeline::PipelineStats) {
     }
 }
 
-fn load_source(args: &[String]) -> Result<Program, CliError> {
+/// Parses the arguments `mix`, `disasm` and `trace` share: one program
+/// (an assembly file or a kernel name) and `--isa`, plus `--out` when
+/// `with_out` is set. Returns the program and the `--out` path.
+fn load_source(args: &[String], with_out: bool) -> Result<(Program, Option<String>), CliError> {
     let mut isa = IsaId::Native;
-    let mut source: Option<&String> = None;
+    let mut source: Option<String> = None;
+    let mut out = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--isa" {
-            isa = parse_isa(it.next().ok_or("`--isa` needs a value")?)?;
-        } else if a == "--out" {
-            it.next(); // value handled by the caller
-        } else if !a.starts_with("--") && source.is_none() {
-            source = Some(a);
+        let mut value = || -> Result<&String, CliError> {
+            it.next()
+                .ok_or_else(|| format!("`{a}` needs a value").into())
+        };
+        match a.as_str() {
+            "--isa" => isa = parse_isa(value()?)?,
+            "--out" if with_out => out = Some(value()?.clone()),
+            other if !other.starts_with('-') => positional(&mut source, other)?,
+            other => return Err(format!("unknown option `{other}`").into()),
         }
     }
     let Some(name) = source else {
         return Err("give an assembly file or kernel name".into());
     };
-    if let Ok(program) = build_kernel(isa, name, 1) {
-        return Ok(program);
+    if let Ok(program) = build_kernel(isa, &name, 1) {
+        return Ok((program, out));
     }
-    load_file(isa, name)
+    Ok((load_file(isa, &name)?, out))
 }
 
 /// `reese asm <file.s> --isa <isa> -o <file.bin>`: assembles source
@@ -1331,20 +1350,20 @@ fn load_source(args: &[String]) -> Result<Program, CliError> {
 /// accepts back.
 fn cmd_asm(args: &[String]) -> Result<(), CliError> {
     let mut isa = IsaId::Native;
-    let mut source: Option<&String> = None;
+    let mut source: Option<String> = None;
     let mut out: Option<&String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--isa" => isa = parse_isa(it.next().ok_or("`--isa` needs a value")?)?,
             "-o" | "--out" => out = Some(it.next().ok_or("`-o` needs a value")?),
-            other if !other.starts_with('-') && source.is_none() => source = Some(a),
+            other if !other.starts_with('-') => positional(&mut source, other)?,
             other => return Err(format!("unknown option `{other}`").into()),
         }
     }
     let path = source.ok_or("give an assembly file")?;
     let out = out.ok_or("give an output path with -o <file.bin>")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
     let program = isa.frontend().assemble(&text)?;
     if !program.data().is_empty() {
         return Err(format!(
@@ -1367,13 +1386,13 @@ fn cmd_asm(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_mix(args: &[String]) -> Result<(), CliError> {
-    let program = load_source(args)?;
+    let (program, _) = load_source(args, false)?;
     println!("{}", measure_mix(&program, 10_000_000));
     Ok(())
 }
 
 fn cmd_disasm(args: &[String]) -> Result<(), CliError> {
-    let program = load_source(args)?;
+    let (program, _) = load_source(args, false)?;
     print!(
         "{}",
         program
@@ -1385,11 +1404,7 @@ fn cmd_disasm(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), CliError> {
-    let program = load_source(args)?;
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1));
+    let (program, out) = load_source(args, true)?;
     let trace = reese::cpu::Trace::capture(&program, 10_000_000)?;
     let (branches, taken) = trace.branch_profile();
     println!(
@@ -1404,14 +1419,17 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
         println!("  {pc:#010x}: {count} executions");
     }
     if let Some(path) = out {
-        let file = std::fs::File::create(path)?;
+        let file = std::fs::File::create(&path)?;
         trace.write_to(std::io::BufWriter::new(file))?;
         println!("trace written to {path}");
     }
     Ok(())
 }
 
-fn cmd_kernels() -> Result<(), CliError> {
+fn cmd_kernels(args: &[String]) -> Result<(), CliError> {
+    if let Some(a) = args.first() {
+        return Err(format!("unknown option `{a}`").into());
+    }
     println!("built-in kernels (SPEC95 integer stand-ins):");
     for k in Kernel::ALL {
         println!(
@@ -2068,6 +2086,51 @@ mod tests {
 
     fn strings(parts: &[&str]) -> Vec<String> {
         parts.iter().map(ToString::to_string).collect()
+    }
+
+    fn rejected<T>(r: Result<T, CliError>) -> String {
+        r.err().expect("arguments must be rejected").to_string()
+    }
+
+    #[test]
+    fn surplus_and_unknown_arguments_are_rejected() {
+        // A second program is an error naming both, not a replacement.
+        let two = strings(&["a.s", "b.s"]);
+        let explain = strings(&["--outcomes", "log.jsonl", "a.s", "b.s"]);
+        for e in [
+            rejected(parse_run(&two)),
+            rejected(parse_campaign(&two)),
+            rejected(parse_explain(&explain)),
+            rejected(parse_shard(&two)),
+            rejected(load_source(&two, false)),
+            rejected(cmd_asm(&strings(&["a.s", "b.s", "-o", "a.bin"]))),
+        ] {
+            assert_eq!(e, "more than one program given: `a.s` and `b.s`");
+        }
+        // `run` treats a dash-led argument as a flag, like the others.
+        for args in [&["-j", "2", "a.s"][..], &["a.s", "-j", "2"]] {
+            assert_eq!(rejected(parse_run(&strings(args))), "unknown option `-j`");
+        }
+        // `mix`, `disasm` and `trace` take only `--isa` (and `trace`
+        // `--out`), each with a value; `kernels` takes nothing.
+        let e = rejected(load_source(&strings(&["lisp", "--bogus"]), false));
+        assert_eq!(e, "unknown option `--bogus`");
+        let e = rejected(load_source(&strings(&["lisp", "--out", "t.bin"]), false));
+        assert_eq!(e, "unknown option `--out`");
+        let e = rejected(load_source(&strings(&["lisp", "--out"]), true));
+        assert_eq!(e, "`--out` needs a value");
+        let (_, out) = load_source(&strings(&["--out", "t.bin", "lisp"]), true).unwrap();
+        assert_eq!(out.as_deref(), Some("t.bin"));
+        let e = rejected(load_source(&strings(&["lisp", "--isa"]), false));
+        assert_eq!(e, "`--isa` needs a value");
+        assert_eq!(
+            rejected(cmd_kernels(&strings(&["--isa"]))),
+            "unknown option `--isa`"
+        );
+        assert_eq!(
+            rejected(cmd_kernels(&strings(&["lisp"]))),
+            "unknown option `lisp`"
+        );
     }
 
     #[test]
