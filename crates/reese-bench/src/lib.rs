@@ -5,8 +5,7 @@
 //! processor and REESE with 0, +1 ALU, +2 ALU, and +2 ALU +1 Mul/Div
 //! spare elements. This crate encodes that grid once ([`Experiment`])
 //! and each `src/bin/fig*.rs` binary instantiates it with the figure's
-//! machine configuration. Criterion benches in `benches/` run reduced
-//! versions of the same code.
+//! machine configuration.
 
 use reese_core::{ReeseConfig, ReeseSim};
 use reese_pipeline::{PipelineConfig, PipelineSim};

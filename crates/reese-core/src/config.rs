@@ -45,7 +45,7 @@ pub struct ReeseConfig {
     /// The default is `false` (RUU entries are held until the comparison
     /// commits), which reproduces the paper's measured overheads; the
     /// `true` setting quantifies how much the proposed optimisation
-    /// would buy (see the `ablations` bench).
+    /// would buy (see the `ablation_report` binary).
     pub early_removal: bool,
 }
 

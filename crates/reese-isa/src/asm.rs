@@ -212,7 +212,8 @@ pub(crate) fn assemble_with<'a>(
         return Err(AsmError::at(line, col, e.to_string()));
     }
     let program = a.b.build().map_err(|e| match (&e, a.entry) {
-        (BuildError::EntryNotCode(_), Some((_, _, line, col))) => {
+        (BuildError::EntryNotCode(_), Some((_, _, line, col)))
+        | (BuildError::OutOfText(Some(_)), Some((_, _, line, col))) => {
             AsmError::at(line, col, e.to_string())
         }
         _ => AsmError::from(e),
@@ -756,6 +757,19 @@ mod tests {
         assert_eq!(
             (e.line, e.col, e.message.as_str()),
             (1, 10, "entry label `arr` is in .data")
+        );
+        // Nor can a label past the last instruction.
+        let e = assemble("  .entry end\n  nop\n  halt\nend:\n").unwrap_err();
+        assert_eq!(
+            (e.line, e.col, e.message.as_str()),
+            (1, 10, "entry label `end` is past the last instruction")
+        );
+
+        // The text segment must stay below the data segment.
+        let e = assemble(&("  nop\n".repeat(130_561) + "  .data\n  .byte 1\n")).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (0, "the text segment runs into the data segment at 0x100000")
         );
 
         // The data segment must stay below the stack.

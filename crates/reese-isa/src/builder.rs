@@ -27,6 +27,10 @@ pub enum BuildError {
     ImmOverflow { instr_index: usize, value: i64 },
     /// The entry label is bound in the data segment, not to code.
     EntryNotCode(String),
+    /// The program does not fit the text segment: the entry label
+    /// (`Some`) is bound past the last instruction, or (`None`) the
+    /// instructions run into the data segment at [`DATA_BASE`].
+    OutOfText(Option<String>),
 }
 
 impl fmt::Display for BuildError {
@@ -40,6 +44,13 @@ impl fmt::Display for BuildError {
                 )
             }
             BuildError::EntryNotCode(n) => write!(f, "entry label `{n}` is in .data"),
+            BuildError::OutOfText(Some(n)) => {
+                write!(f, "entry label `{n}` is past the last instruction")
+            }
+            BuildError::OutOfText(None) => write!(
+                f,
+                "the text segment runs into the data segment at {DATA_BASE:#x}"
+            ),
         }
     }
 }
@@ -681,8 +692,10 @@ impl ProgramBuilder {
     ///
     /// Returns [`BuildError::UnboundLabel`] if any referenced label was
     /// never bound, [`BuildError::ImmOverflow`] if a resolved address
-    /// or branch offset exceeds the 32-bit immediate field, or
-    /// [`BuildError::EntryNotCode`] if the entry label is a data label.
+    /// or branch offset exceeds the 32-bit immediate field,
+    /// [`BuildError::EntryNotCode`] if the entry label is a data label,
+    /// or [`BuildError::OutOfText`] if the entry label or the
+    /// instructions fall outside the text segment.
     pub fn build(mut self) -> Result<Program, BuildError> {
         for &(idx, fixup) in &self.fixups {
             let value = match fixup {
@@ -719,22 +732,32 @@ impl ProgramBuilder {
             self.data[offset..offset + width].copy_from_slice(&addr.to_le_bytes()[..width]);
         }
         let entry = match self.entry_label {
-            Some(l) if matches!(self.labels[l.0], LabelTarget::Data(_)) => {
-                return Err(BuildError::EntryNotCode(self.label_names[l.0].clone()))
+            Some(l) => {
+                let name = || self.label_names[l.0].clone();
+                match self.labels[l.0] {
+                    LabelTarget::Data(_) => return Err(BuildError::EntryNotCode(name())),
+                    // An empty text segment still takes its base as entry.
+                    LabelTarget::Code(i) if i >= self.text.len().max(1) => {
+                        return Err(BuildError::OutOfText(Some(name())))
+                    }
+                    _ => self.label_address(l)?,
+                }
             }
-            Some(l) => self.label_address(l)?,
             None => TEXT_BASE,
         };
+        let text_end = TEXT_BASE + self.text.len() as u64 * self.inst_size();
+        if text_end > DATA_BASE && !self.text.is_empty() && !self.data.is_empty() {
+            return Err(BuildError::OutOfText(None));
+        }
         let mut symbols = BTreeMap::new();
         for (name, &label) in &self.named {
             if let Ok(addr) = self.label_address(label) {
                 symbols.insert(name.clone(), addr);
             }
         }
-        Ok(
-            Program::new(self.text, TEXT_BASE, self.data, DATA_BASE, entry, symbols)
-                .with_isa(self.isa),
-        )
+        Ok(Program::for_isa(
+            self.isa, self.text, TEXT_BASE, self.data, DATA_BASE, entry, symbols,
+        ))
     }
 }
 
@@ -842,6 +865,34 @@ mod tests {
         b.halt();
         b.entry(arr);
         assert_eq!(b.build(), Err(BuildError::EntryNotCode("arr".into())));
+
+        // Nor can a label past the last instruction, in either ISA.
+        for isa in IsaId::ALL {
+            let mut b = ProgramBuilder::for_isa(isa);
+            b.nop();
+            b.halt();
+            let end = b.here("end");
+            b.entry(end);
+            let want = Err(BuildError::OutOfText(Some("end".into())));
+            assert_eq!(b.build(), want, "{isa}");
+        }
+
+        // Text may grow up to the data segment, in the ISA's instruction
+        // size: 130,561 8-byte words pass it, as many 4-byte ones do not.
+        for (isa, fits) in [(IsaId::Native, false), (IsaId::Rv32i, true)] {
+            let mut b = ProgramBuilder::for_isa(isa);
+            for _ in 0..130_561 {
+                b.nop();
+            }
+            b.byte(1);
+            let built = b.build().map(|p| p.text_end());
+            let want = if fits {
+                Ok(0x80804)
+            } else {
+                Err(BuildError::OutOfText(None))
+            };
+            assert_eq!(built, want, "{isa}");
+        }
     }
 
     #[test]

@@ -55,7 +55,23 @@ impl Program {
         entry: u64,
         symbols: BTreeMap<String, u64>,
     ) -> Program {
-        let text_end = text_base + text.len() as u64 * Instr::SIZE;
+        let native = IsaId::Native;
+        Program::for_isa(native, text, text_base, data, data_base, entry, symbols)
+    }
+
+    /// [`Program::new`] for `isa`: the segment bounds count `isa`'s
+    /// instruction size.
+    pub(crate) fn for_isa(
+        isa: IsaId,
+        text: Vec<Instr>,
+        text_base: u64,
+        data: Vec<u8>,
+        data_base: u64,
+        entry: u64,
+        symbols: BTreeMap<String, u64>,
+    ) -> Program {
+        let size = isa.inst_size();
+        let text_end = text_base + text.len() as u64 * size;
         let data_end = data_base + data.len() as u64;
         let disjoint = text_end <= data_base || data_end <= text_base;
         assert!(
@@ -63,7 +79,7 @@ impl Program {
             "text and data segments overlap"
         );
         assert!(
-            entry >= text_base && entry < text_end.max(text_base + Instr::SIZE),
+            entry >= text_base && entry < text_end.max(text_base + size),
             "entry point {entry:#x} outside text segment"
         );
         Program {
@@ -73,7 +89,7 @@ impl Program {
             data_base,
             entry,
             symbols,
-            isa: IsaId::Native,
+            isa,
         }
     }
 

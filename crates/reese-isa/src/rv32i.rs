@@ -409,7 +409,15 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
         })
         .collect::<Result<Vec<Instr>, AsmError>>()?;
     let (data, symbols) = (p.data().to_vec(), p.symbols().clone());
-    Ok(Program::new(text, TEXT_BASE, data, DATA_BASE, p.entry(), symbols).with_isa(IsaId::Rv32i))
+    Ok(Program::for_isa(
+        IsaId::Rv32i,
+        text,
+        TEXT_BASE,
+        data,
+        DATA_BASE,
+        p.entry(),
+        symbols,
+    ))
 }
 
 /// The RV32I instruction emitter. Control-flow targets are a label or
@@ -759,6 +767,21 @@ mod tests {
         assert_eq!(
             (e.line, e.col, e.message.as_str()),
             (1, 10, "entry label `msg` is in .data")
+        );
+        let e = assemble("  .entry end\n  ecall\nend:\n").unwrap_err();
+        assert_eq!(
+            (e.line, e.col, e.message.as_str()),
+            (1, 10, "entry label `end` is past the last instruction")
+        );
+
+        // Text counts 4-byte words, so it may grow twice as long as
+        // native text before it reaches the data segment.
+        let text = |n| "  nop\n".repeat(n) + "  .data\n  .byte 1\n";
+        assert_eq!(assemble(&text(261_120)).unwrap().text_end(), DATA_BASE);
+        let e = assemble(&text(261_121)).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (0, "the text segment runs into the data segment at 0x100000")
         );
 
         let e = assemble("  ecall\n  .data\n  .space 99999999999999\n").unwrap_err();

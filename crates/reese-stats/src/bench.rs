@@ -1,11 +1,11 @@
-//! A tiny, std-only micro-benchmark harness.
+//! A tiny, std-only paired micro-benchmark harness.
 //!
 //! The workspace must build and run with no network access and no
-//! external crates, so the `benches/` targets use this Criterion-shaped
-//! API instead of Criterion itself: a [`Criterion`] driver, benchmark
-//! groups, and a [`Bencher`] whose `iter` times a closure over a fixed
-//! number of samples and prints mean/min wall-clock per iteration (plus
-//! element throughput when configured).
+//! external crates, so the guarded `bench_pipeline` and `bench_campaign`
+//! binaries use this Criterion-shaped API instead of Criterion itself: a
+//! [`Criterion`] driver and benchmark groups whose
+//! [`BenchmarkGroup::bench_pair`] times two closures with interleaved
+//! samples and reports their paired speedup.
 //!
 //! # Example
 //!
@@ -13,10 +13,11 @@
 //! use reese_stats::bench::Criterion;
 //!
 //! let mut c = Criterion::default();
-//! let mut g = c.benchmark_group("math");
+//! let mut g = c.benchmark_group("sum");
 //! g.sample_size(10);
-//! g.bench_function("sum", |b| b.iter(|| (0..1000u64).sum::<u64>()));
+//! let p = g.bench_pair("loop", "formula", || (0..1000u64).sum::<u64>(), || 499_500u64);
 //! g.finish();
+//! assert_eq!(p.a.samples, 10);
 //! ```
 
 use std::hint::black_box;
@@ -50,13 +51,6 @@ pub struct PairMeasurement {
     pub speedup: f64,
 }
 
-/// Units for reporting throughput alongside timings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Throughput {
-    /// The benchmark processes this many elements per iteration.
-    Elements(u64),
-}
-
 /// The top-level benchmark driver.
 #[derive(Debug, Default)]
 pub struct Criterion {
@@ -72,7 +66,6 @@ impl Criterion {
             _criterion: self,
             name,
             sample_size: 20,
-            throughput: None,
         }
     }
 }
@@ -83,7 +76,6 @@ pub struct BenchmarkGroup<'c> {
     _criterion: &'c mut Criterion,
     name: String,
     sample_size: usize,
-    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -93,62 +85,12 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Declares per-iteration throughput for rate reporting.
-    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
-        self.throughput = Some(t);
-        self
-    }
-
-    /// Times one benchmark and prints its summary line.
-    pub fn bench_function<F>(&mut self, id: impl Into<String>, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        self.bench_measured(id, f);
-        self
-    }
-
-    /// Like [`BenchmarkGroup::bench_function`], but also returns the
-    /// [`Measurement`] so the caller can persist it.
-    pub fn bench_measured<F>(&mut self, id: impl Into<String>, mut f: F) -> Measurement
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let id = id.into();
-        let mut b = Bencher {
-            samples: Vec::with_capacity(self.sample_size),
-            n: self.sample_size,
-        };
-        f(&mut b);
-        let total: Duration = b.samples.iter().sum();
-        let mean = total
-            .checked_div(b.samples.len() as u32)
-            .unwrap_or_default();
-        let min = b.samples.iter().min().copied().unwrap_or_default();
-        let mut line = format!(
-            "  {}/{id}: mean {mean:?}, min {min:?} over {} samples",
-            self.name,
-            b.samples.len()
-        );
-        if let (Some(Throughput::Elements(n)), false) = (self.throughput, min.is_zero()) {
-            line.push_str(&format!(" ({:.0} elem/s)", n as f64 / min.as_secs_f64()));
-        }
-        println!("{line}");
-        Measurement {
-            mean,
-            min,
-            samples: b.samples.len(),
-        }
-    }
-
     /// Times two closures with their samples interleaved (`a, b, a, b,
     /// …`) and reports the median of the per-pair `a/b` ratios.
     ///
-    /// Use this instead of two [`BenchmarkGroup::bench_measured`] calls
-    /// when the quantity of interest is the *ratio*: taking all `a`
-    /// samples minutes before all `b` samples lets clock drift and
-    /// neighbour load masquerade as a speedup, while adjacent pairs see
-    /// the same machine conditions.
+    /// Timing all `a` samples minutes before all `b` samples would let
+    /// clock drift and neighbour load masquerade as a speedup, while
+    /// adjacent pairs see the same machine conditions.
     pub fn bench_pair<OA, OB>(
         &mut self,
         id_a: impl Into<String>,
@@ -207,65 +149,9 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
-/// Runs and times the benchmark body.
-#[derive(Debug)]
-pub struct Bencher {
-    samples: Vec<Duration>,
-    n: usize,
-}
-
-impl Bencher {
-    /// Calls `f` once per sample, timing each call.
-    pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        // One untimed warm-up run to populate caches and allocators.
-        black_box(f());
-        for _ in 0..self.n {
-            let start = Instant::now();
-            black_box(f());
-            self.samples.push(start.elapsed());
-        }
-    }
-}
-
-/// Declares the benchmark entry list, Criterion-style.
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        fn $group() {
-            let mut c = $crate::bench::Criterion::default();
-            $($target(&mut c);)+
-        }
-    };
-}
-
-/// Declares `main` for a bench target, Criterion-style.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bencher_records_requested_samples() {
-        let mut c = Criterion::default();
-        let mut g = c.benchmark_group("t");
-        g.sample_size(3);
-        g.throughput(Throughput::Elements(10));
-        let mut calls = 0u32;
-        g.bench_function("count", |b| {
-            b.iter(|| calls += 1);
-        });
-        g.finish();
-        // 3 timed samples + 1 warm-up.
-        assert_eq!(calls, 4);
-    }
 
     #[test]
     fn paired_samples_interleave_and_summarise() {
@@ -285,18 +171,5 @@ mod tests {
         assert!(p.speedup.is_finite() && p.speedup > 0.0);
         // Warm-up pair followed by strictly alternating timed pairs.
         assert_eq!(*order.borrow(), "abababababab");
-    }
-
-    #[test]
-    fn measurement_is_returned() {
-        let mut c = Criterion::default();
-        let mut g = c.benchmark_group("t");
-        g.sample_size(5);
-        let m = g.bench_measured("spin", |b| {
-            b.iter(|| std::hint::black_box((0..100u64).sum::<u64>()));
-        });
-        g.finish();
-        assert_eq!(m.samples, 5);
-        assert!(m.min <= m.mean);
     }
 }

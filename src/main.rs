@@ -15,54 +15,62 @@
 //!
 //! Every `--scheme` flag accepts any name from the detection-scheme
 //! registry (`baseline|reese|duplex|meek|swift`), or any unambiguous
-//! prefix of one. Likewise every `--isa` flag accepts any name from
-//! the ISA registry (`native|rv32i`) and selects which frontend loads
-//! the program: assembler source goes through that ISA's assembler,
-//! `.bin` files load as flat text-segment images, and `--kernel`
-//! names resolve against that ISA's kernel catalogue (the Table 2
-//! suite for `native`, the rv32i ports for `rv32i`). `mix`, `disasm`,
-//! and `trace` accept `--isa` too.
+//! prefix of one.
 //!
-//! Run options:
+//! Flag groups. Each subcommand below names the groups it takes, then
+//! its own options; any other flag is an `unknown option`.
+//!
+//! ```text
+//! program:
+//!   <file>             the program: assembler source, or a `.bin` flat
+//!                      text-segment image
+//!   --isa native|rv32i ISA frontend for the program (default native;
+//!                      unambiguous prefixes work)
+//!   --kernel NAME      a built-in kernel instead of a file
+//!   --scale N          kernel scale (default 1)
+//! machine:
+//!   --machine starting|ruu32|wide16|ports4   base configuration (default starting)
+//!   --ruu-size N       override the RUU window size (≥ 1)
+//!   --lsq-size N       override the LSQ size (≥ 1, ≤ RUU size)
+//!   --width N          override the fetch/issue width (≥ 1)
+//! spares:
+//!   --spare-alus N     extra integer ALUs for REESE
+//!   --spare-muls N     extra integer multiplier/dividers for REESE
+//! observability:
+//!   --trace-out FILE   write a pipetrace (.txt → SimpleScalar-style text,
+//!                      anything else → Chrome trace-event JSON for Perfetto)
+//!   --metrics-out FILE write per-interval metrics (.json → JSON, else CSV)
+//!   --metrics-interval N   sampling interval in cycles (default 10000)
+//! ```
+//!
+//! `--isa` also picks the catalogue `--kernel` names resolve against:
+//! the Table 2 suite for `native`, the rv32i ports for `rv32i`.
+//!
+//! `run` takes program (a file or `--kernel`; there is no default),
+//! machine, spares and observability, plus:
 //!
 //! ```text
 //! --scheme emulate|<scheme>   machine model (default baseline)
-//! --isa native|rv32i ISA frontend for the program (default native)
-//! --machine starting|ruu32|wide16|ports4   base configuration (default starting)
-//! --ruu-size N       override the RUU window size (≥ 1)
-//! --lsq-size N       override the LSQ size (≥ 1, ≤ RUU size)
-//! --width N          override the fetch/issue width (≥ 1)
-//! --spare-alus N     extra integer ALUs for REESE
-//! --spare-muls N     extra integer multiplier/dividers for REESE
-//! --rqueue N         R-stream Queue size (default 32)
+//! --rqueue N         R-stream Queue size (≥ 1, default 32)
 //! --early-removal    enable the §4.3 RUU-removal optimisation
-//! --dup-period K     re-execute 1 in K instructions (default 1)
+//! --dup-period K     re-execute 1 in K instructions (≥ 1, default 1)
 //! --inject SEQ:BIT:p|r   inject a transient fault (repeatable; reese and
 //!                    duplex only — a fault aimed before --skip never fires)
 //! --max-insns N      stop after N committed instructions
 //! --skip N           fast-forward N instructions functionally first
 //! --stats            print the full statistics block
-//! --kernel NAME      run a built-in kernel instead of a file
-//! --scale N          kernel scale (default 1)
-//! --trace-out FILE   write a pipetrace (.txt → SimpleScalar-style text,
-//!                    anything else → Chrome trace-event JSON for Perfetto)
-//! --metrics-out FILE write per-interval metrics (.json → JSON, else CSV)
-//! --metrics-interval N   sampling interval in cycles (default 10000)
 //! ```
 //!
-//! Campaign options:
+//! `campaign` takes program (default kernel `lisp`), machine, spares
+//! and observability: `--trace-out` traces the clean REESE reference
+//! run, `--metrics-out` pools metrics across simulated trials. Plus:
 //!
 //! ```text
-//! --kernel NAME | <file.s>   workload (default kernel `lisp`)
-//! --scale N          kernel scale (default 1)
-//! --isa native|rv32i ISA frontend for the workload (default native)
 //! --scheme <scheme>  detection scheme under test (default reese)
 //! --trials N         number of injection trials (default 200)
 //! --injections N     alias for --trials
 //! --seed S           campaign PRNG seed (default 0xFA017)
 //! --mix broad|result fault-class mix (default broad)
-//! --machine ...      base configuration, as for `run`
-//! --spare-alus N / --spare-muls N   REESE spare elements
 //! --max-insns N      per-trial committed-instruction budget
 //! -j N, --jobs N     worker threads (default: available parallelism;
 //!                    1 forces the serial path — same report either way)
@@ -74,90 +82,76 @@
 //! --trial-limit N    compute at most N new trials (for staged runs)
 //! --out FILE         write the per-trial report to FILE
 //!                    (.json → JSON, anything else → CSV)
-//! --trace-out FILE   pipetrace of the clean reference run
-//! --metrics-out FILE per-interval metrics pooled across simulated trials
-//! --metrics-interval N   sampling interval in cycles (default 10000)
 //! --telemetry-out FILE   stream a JSONL telemetry journal (phase
 //!                    timings, worker throughput, memo hit rate, ETA)
 //! ```
 //!
-//! Schemes options:
+//! `schemes` takes program without the file (`--kernel` repeats;
+//! default: the selected ISA's whole catalogue), machine and
+//! observability: the clean REESE run on every evaluated kernel,
+//! stitched with cycle offsets. Plus:
 //!
 //! ```text
-//! --kernel NAME      restrict to one kernel (repeatable; default: the
-//!                    selected ISA's whole catalogue)
-//! --scale N          kernel scale (default 1)
-//! --isa native|rv32i kernel catalogue to rank on (default native)
 //! --target N         calibrate each kernel to ≥ N dynamic instructions
 //!                    (native suite only; rv32i ports take --scale)
 //! --trials N         injection trials per (scheme, kernel) cell (default 100)
 //! --seed S           campaign PRNG seed (default 0xFA017)
 //! --mix broad|result fault-class mix (default result)
-//! --machine ...      base configuration, as for `run`
 //! --max-insns N      per-run committed-instruction budget
 //! -j N, --jobs N     worker threads (default 1)
 //! --engine full|replay   trial engine (default replay)
 //! --csv FILE         write the per-cell table as CSV
 //! --json FILE        write rows + ranking as JSON
-//! --trace-out FILE   stitched pipetrace of the clean REESE run on
-//!                    every evaluated kernel (cycle-offset merged)
-//! --metrics-out FILE stitched per-interval metrics of those runs
-//! --metrics-interval N   sampling interval in cycles (default 10000)
 //! --telemetry-out FILE   one JSONL telemetry journal across all
 //!                    (scheme, kernel) cells, bracketed by cell_start
 //! ```
 //!
-//! Explain options:
+//! `explain` takes program (default kernel `lisp`), machine, spares and
+//! `--trace-out` alone of observability: a Chrome trace-event JSON of
+//! the faulty window with inject/diverge/detect markers. Plus:
 //!
 //! ```text
 //! --outcomes FILE    campaign log (--outcomes-jsonl/--resume file) [required]
 //! --trial N          address the trial by index in the log
 //! --id N             address the trial by stable id (decimal or 0xHEX)
-//! --kernel NAME | <file.s>   the campaign's workload (default `lisp`)
-//! --scale N          kernel scale (default 1)
-//! --isa native|rv32i the campaign's ISA (default native)
 //! --scheme <scheme>  the campaign's detection scheme (default reese)
-//! --machine ...      base configuration, as for `run`
-//! --spare-alus N / --spare-muls N   REESE spare elements
 //! --out FILE         write the forensic timeline text to FILE
-//! --trace-out FILE   Chrome trace-event JSON of the faulty window with
-//!                    inject/diverge/detect markers (Perfetto-loadable)
 //! ```
 //!
-//! The workload, scheme, and machine flags must repeat whatever the
-//! campaign ran with; `explain` cross-checks them against the log
+//! The program, scheme, machine and spares flags must repeat whatever
+//! the campaign ran with; `explain` cross-checks them against the log
 //! header before simulating and refuses on mismatch.
 //!
-//! Shard options:
+//! `shard` takes program (default kernel `lisp`), machine and
+//! observability, stitched across the intervals. Plus:
 //!
 //! ```text
-//! --kernel NAME | <file.s>   workload (default kernel `lisp`)
-//! --scale N          kernel scale (default 1)
-//! --isa native|rv32i ISA frontend for the workload (default native)
 //! --intervals K      number of checkpoint intervals (default 4)
 //! -j N, --jobs N     worker threads (default: available parallelism)
 //! --scheme <scheme>  interval timing machine (default reese;
 //!                    must be shardable: baseline|reese|duplex)
-//! --machine ...      base configuration, as for `run`
 //! --no-verify        skip the monolithic run (no cycle-error oracle)
 //! --out FILE         write the shard report as JSON
 //! --snapshot FILE    write the first mid-run checkpoint to FILE
-//! --trace-out FILE   stitched pipetrace across the intervals
-//! --metrics-out FILE stitched per-interval metrics (.json → JSON, else CSV)
-//! --metrics-interval N   sampling interval in cycles (default 10000)
 //! ```
+//!
+//! `asm`, `mix`, `disasm` and `trace` take the program's file and
+//! `--isa`. `mix`, `disasm` and `trace` also take a kernel name as the
+//! file; `asm` needs `-o`/`--out FILE`, and `trace` takes `--out FILE`
+//! for the captured trace. `kernels` takes nothing.
 
 use reese::ckpt::{self, Scheme, ShardOptions};
 use reese::core::{DuplexSim, Faults, InjectedFault, ReeseConfig, ReeseResult, ReeseSim};
 use reese::cpu::Emulator;
 use reese::faults::schemes::EvalOptions;
-use reese::faults::SchemesReport;
+use reese::faults::{FaultMix, SchemesReport, TrialEngine, TrialRef};
 use reese::isa::{IsaId, Program};
 use reese::pipeline::{PipelineConfig, PipelineSim, RunSpec};
 use reese::trace::{MetricsSeries, NoopObserver, Observer, TraceRing, Tracer};
 use reese::workloads::rv32::Rv32Kernel;
 use reese::workloads::{measure_mix, Kernel};
 use std::process::ExitCode;
+use Group::*;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -253,28 +247,6 @@ fn load_file(isa: IsaId, path: &str) -> Result<Program, CliError> {
     Ok(isa.frontend().assemble(&source)?)
 }
 
-/// Resolves the program-selection flags shared by every subcommand
-/// (positional file, `--kernel`, `--scale`, `--isa`) into a program.
-/// Kernel names resolve *after* the argument loop so `--kernel` and
-/// `--isa` compose in either order.
-fn load_program(
-    isa: IsaId,
-    file: Option<String>,
-    kernel: Option<String>,
-    scale: u32,
-    default_kernel: Option<&str>,
-) -> Result<Program, CliError> {
-    match (file, kernel) {
-        (Some(_), Some(_)) => Err("give a file or --kernel, not both".into()),
-        (Some(path), None) => load_file(isa, &path),
-        (None, Some(name)) => build_kernel(isa, &name, scale),
-        (None, None) => match default_kernel {
-            Some(name) => build_kernel(isa, name, scale),
-            None => Err("give an assembly file or --kernel NAME".into()),
-        },
-    }
-}
-
 /// Takes a subcommand's one positional argument (its program),
 /// rejecting a second one instead of letting it replace the first.
 fn positional(slot: &mut Option<String>, arg: &str) -> Result<(), CliError> {
@@ -349,12 +321,211 @@ fn parse_fault(spec: &str) -> Result<InjectedFault, CliError> {
     })
 }
 
-struct RunOpts {
-    program: Program,
-    scheme: String,
+fn parse_mix(name: &str) -> Result<FaultMix, CliError> {
+    match name {
+        "broad" => Ok(FaultMix::broad()),
+        "result" => Ok(FaultMix::result_errors_only()),
+        other => Err(format!("unknown mix `{other}`, want broad|result").into()),
+    }
+}
+
+/// A flag group that several subcommands share. Each subcommand lists
+/// the groups it takes; [`Common::take`] parses them all. The module
+/// doc's program and observability groups split here because some
+/// subcommands take only part of them: `schemes` takes no file, `asm`,
+/// `mix`, `disasm` and `trace` take only the file and `--isa`, and
+/// `explain` only `--trace-out`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Group {
+    /// The one positional argument: the program file.
+    File,
+    /// `--isa`.
+    Isa,
+    /// `--kernel` and `--scale`.
+    Kernels,
+    /// `--machine`, `--ruu-size`, `--lsq-size` and `--width`.
+    Machine,
+    /// `--spare-alus` and `--spare-muls`.
+    Spares,
+    /// `--trace-out`.
+    Trace,
+    /// `--metrics-out` and `--metrics-interval`.
+    Metrics,
+}
+
+/// Reads the value of the flag being parsed.
+type Value<'v, 'a> = &'v mut dyn FnMut() -> Result<&'a str, CliError>;
+
+/// The one argument loop. Each argument goes to the shared group of
+/// `groups` that takes it, else to `own`, the subcommand's own flags,
+/// which returns `Ok(false)` for an argument it does not take.
+fn parse<'a>(
+    args: &'a [String],
+    groups: &[Group],
+    c: &mut Common,
+    mut own: impl FnMut(&'a str, Value<'_, 'a>) -> Result<bool, CliError>,
+) -> Result<(), CliError> {
+    let mut it = args.iter().map(String::as_str);
+    while let Some(a) = it.next() {
+        let mut value = || {
+            it.next()
+                .ok_or_else(|| CliError::from(format!("`{a}` needs a value")))
+        };
+        if !(c.take(groups, a, &mut value)? || own(a, &mut value)?) {
+            return Err(format!("unknown option `{a}`").into());
+        }
+    }
+    Ok(())
+}
+
+/// The shared flag groups' values, and the work every subcommand did
+/// around them.
+struct Common {
+    file: Option<String>,
+    isa: IsaId,
+    /// Every `--kernel` given: `schemes` ranks them all, the others
+    /// take the last.
+    kernels: Vec<String>,
+    scale: u32,
     base: PipelineConfig,
     spare_alus: u32,
     spare_muls: u32,
+    trace_out: Option<String>,
+    metrics_out: Option<String>,
+    metrics_interval: u64,
+}
+
+impl Default for Common {
+    fn default() -> Common {
+        Common {
+            file: None,
+            isa: IsaId::Native,
+            kernels: Vec::new(),
+            scale: 1,
+            base: PipelineConfig::starting(),
+            spare_alus: 0,
+            spare_muls: 0,
+            trace_out: None,
+            metrics_out: None,
+            metrics_interval: Tracer::DEFAULT_INTERVAL,
+        }
+    }
+}
+
+impl Common {
+    /// Takes `arg` if one of `groups` has it.
+    fn take<'a>(
+        &mut self,
+        groups: &[Group],
+        arg: &'a str,
+        value: Value<'_, 'a>,
+    ) -> Result<bool, CliError> {
+        let has = |g| groups.contains(&g);
+        match arg {
+            "--isa" if has(Isa) => self.isa = parse_isa(value()?)?,
+            "--kernel" if has(Kernels) => self.kernels.push(value()?.to_string()),
+            "--scale" if has(Kernels) => self.scale = positive(arg, value()?)?,
+            "--machine" if has(Machine) => self.base = machine(value()?)?,
+            "--ruu-size" if has(Machine) => self.base.ruu_size = positive(arg, value()?)?,
+            "--lsq-size" if has(Machine) => self.base.lsq_size = positive(arg, value()?)?,
+            "--width" if has(Machine) => self.base.width = positive(arg, value()?)?,
+            "--spare-alus" if has(Spares) => self.spare_alus = number(arg, value()?)?,
+            "--spare-muls" if has(Spares) => self.spare_muls = number(arg, value()?)?,
+            "--trace-out" if has(Trace) => self.trace_out = Some(value()?.to_string()),
+            "--metrics-out" if has(Metrics) => self.metrics_out = Some(value()?.to_string()),
+            "--metrics-interval" if has(Metrics) => {
+                self.metrics_interval = positive(arg, value()?)?
+            }
+            file if has(File) && !file.starts_with('-') => positional(&mut self.file, file)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Resolves the program: the file, or the last `--kernel` (resolved
+    /// here, after the loop, so `--kernel` and `--isa` compose in either
+    /// order), or else `default_kernel`.
+    fn program(&self, default_kernel: Option<&str>) -> Result<Program, CliError> {
+        match (&self.file, self.kernels.last()) {
+            (Some(_), Some(_)) => Err("give a file or --kernel, not both".into()),
+            (Some(path), None) => load_file(self.isa, path),
+            (None, kernel) => match kernel.map(String::as_str).or(default_kernel) {
+                Some(name) => build_kernel(self.isa, name, self.scale),
+                None => Err("give an assembly file or --kernel NAME".into()),
+            },
+        }
+    }
+
+    /// Rejects machine and spare flags the simulators would `assert!`
+    /// on, at parse time: an LSQ larger than the RUU window, or spares
+    /// whose sum with the machine's units overflows.
+    fn check_machine(&self) -> Result<(), CliError> {
+        let base = &self.base;
+        if base.lsq_size > base.ruu_size {
+            return Err(format!(
+                "`--lsq-size` ({}) must not exceed the RUU size ({}) — the LSQ tracks a subset of the RUU window",
+                base.lsq_size, base.ruu_size
+            )
+            .into());
+        }
+        for (flag, units, spares) in [
+            ("--spare-alus", base.fu.int_alu, self.spare_alus),
+            ("--spare-muls", base.fu.int_muldiv, self.spare_muls),
+        ] {
+            if units.checked_add(spares).is_none() {
+                return Err(format!("`{flag}` value `{spares}` is out of range").into());
+            }
+        }
+        Ok(())
+    }
+
+    /// REESE over the machine, with the spare elements added.
+    fn config(&self) -> ReeseConfig {
+        ReeseConfig::over(self.base.clone())
+            .with_spare_int_alus(self.spare_alus)
+            .with_spare_int_muldivs(self.spare_muls)
+    }
+
+    /// Whether `--trace-out` or `--metrics-out` was given.
+    fn observed(&self) -> bool {
+        self.trace_out.is_some() || self.metrics_out.is_some()
+    }
+
+    /// A collecting tracer when any observability output was requested;
+    /// `None` keeps the simulators on the statically-dispatched no-op
+    /// path.
+    fn tracer(&self) -> Option<Tracer> {
+        self.observed()
+            .then(|| Tracer::new().with_interval(self.metrics_interval))
+    }
+
+    /// Finishes a run's tracer and writes the requested outputs.
+    fn flush(&self, tracer: Option<Tracer>) -> Result<(), CliError> {
+        let Some(mut t) = tracer else {
+            return Ok(());
+        };
+        t.finish();
+        let (ring, metrics) = t.into_parts();
+        self.write(&ring, &metrics)
+    }
+
+    /// Writes a trace to `--trace-out` and metrics to `--metrics-out`,
+    /// each if requested.
+    fn write(&self, ring: &TraceRing, metrics: &MetricsSeries) -> Result<(), CliError> {
+        if let Some(path) = &self.trace_out {
+            write_trace(path, ring)?;
+        }
+        if let Some(path) = &self.metrics_out {
+            write_metrics(path, metrics)?;
+        }
+        Ok(())
+    }
+}
+
+struct RunOpts {
+    c: Common,
+    program: Program,
+    scheme: String,
     rqueue: usize,
     early_removal: bool,
     dup_period: u64,
@@ -362,9 +533,6 @@ struct RunOpts {
     max_insns: u64,
     skip: u64,
     verbose: bool,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    metrics_interval: u64,
 }
 
 impl RunOpts {
@@ -374,25 +542,17 @@ impl RunOpts {
     fn run_redundant<O: Observer>(&self, obs: &mut O) -> Result<ReeseResult, CliError> {
         let spec = RunSpec::skipping(&self.program, self.skip).limit(self.max_insns);
         let run = if self.scheme == "duplex" {
-            DuplexSim::new(self.base.clone()).simulate(spec.faults(&self.faults[..]), obs)
+            DuplexSim::new(self.c.base.clone()).simulate(spec.faults(&self.faults[..]), obs)
         } else {
-            let cfg = ReeseConfig::over(self.base.clone())
-                .with_spare_int_alus(self.spare_alus)
-                .with_spare_int_muldivs(self.spare_muls)
+            let cfg = self
+                .c
+                .config()
                 .with_rqueue_size(self.rqueue)
                 .with_early_removal(self.early_removal)
                 .with_duplication_period(self.dup_period);
             ReeseSim::new(cfg).simulate(spec.faults(Faults::Latch(&self.faults)), obs)
         };
         Ok(run?)
-    }
-
-    /// A collecting tracer when any observability output was requested;
-    /// `None` keeps the simulators on the statically-dispatched no-op
-    /// path.
-    fn tracer(&self) -> Option<Tracer> {
-        (self.trace_out.is_some() || self.metrics_out.is_some())
-            .then(|| Tracer::new().with_interval(self.metrics_interval))
     }
 }
 
@@ -429,26 +589,6 @@ fn write_metrics(path: &str, metrics: &MetricsSeries) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Flushes a finished run's tracer to the requested output files.
-fn write_observability(
-    tracer: Option<Tracer>,
-    trace_out: Option<&str>,
-    metrics_out: Option<&str>,
-) -> Result<(), CliError> {
-    let Some(mut t) = tracer else {
-        return Ok(());
-    };
-    t.finish();
-    let (ring, metrics) = t.into_parts();
-    if let Some(path) = trace_out {
-        write_trace(path, &ring)?;
-    }
-    if let Some(path) = metrics_out {
-        write_metrics(path, &metrics)?;
-    }
-    Ok(())
-}
-
 /// Parses a flag value that must be a strictly positive integer.
 ///
 /// Zero is rejected here, at parse time, because it would otherwise
@@ -477,27 +617,11 @@ fn number<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, CliError> {
     })
 }
 
-/// Rejects inconsistent machine-geometry overrides at parse time, so
-/// a bad `--ruu-size`/`--lsq-size` pair surfaces as a CLI error instead
-/// of an `assert!` deep inside `PipelineConfig::validate`.
-fn check_geometry(base: &PipelineConfig) -> Result<(), CliError> {
-    if base.lsq_size > base.ruu_size {
-        return Err(format!(
-            "`--lsq-size` ({}) must not exceed the RUU size ({}) — the LSQ tracks a subset of the RUU window",
-            base.lsq_size, base.ruu_size
-        )
-        .into());
-    }
-    Ok(())
-}
-
 fn parse_run(args: &[String]) -> Result<RunOpts, CliError> {
-    let mut opts = RunOpts {
+    let mut o = RunOpts {
+        c: Common::default(),
         program: Program::from_text(vec![]),
         scheme: "baseline".into(),
-        base: PipelineConfig::starting(),
-        spare_alus: 0,
-        spare_muls: 0,
         rqueue: 32,
         early_removal: false,
         dup_period: 1,
@@ -505,55 +629,32 @@ fn parse_run(args: &[String]) -> Result<RunOpts, CliError> {
         max_insns: u64::MAX,
         skip: 0,
         verbose: false,
-        trace_out: None,
-        metrics_out: None,
-        metrics_interval: Tracer::DEFAULT_INTERVAL,
     };
-    let mut file: Option<String> = None;
-    let mut kernel: Option<String> = None;
-    let mut scale: u32 = 1;
-    let mut isa = IsaId::Native;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = || -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| format!("`{a}` needs a value").into())
-        };
-        match a.as_str() {
-            "--scheme" => opts.scheme = resolve("scheme", value()?, &run_scheme_names())?.into(),
-            "--isa" => isa = parse_isa(value()?)?,
-            "--machine" => opts.base = machine(value()?)?,
-            "--ruu-size" => opts.base.ruu_size = positive(a, value()?)?,
-            "--lsq-size" => opts.base.lsq_size = positive(a, value()?)?,
-            "--width" => opts.base.width = positive(a, value()?)?,
-            "--spare-alus" => opts.spare_alus = number(a, value()?)?,
-            "--spare-muls" => opts.spare_muls = number(a, value()?)?,
-            "--rqueue" => opts.rqueue = number(a, value()?)?,
-            "--early-removal" => opts.early_removal = true,
-            "--dup-period" => opts.dup_period = number(a, value()?)?,
-            "--inject" => opts.faults.push(parse_fault(value()?)?),
-            "--max-insns" => opts.max_insns = number(a, value()?)?,
-            "--skip" => opts.skip = number(a, value()?)?,
-            "--stats" => opts.verbose = true,
-            "--kernel" => kernel = Some(value()?.clone()),
-            "--scale" => scale = positive(a, value()?)?,
-            "--trace-out" => opts.trace_out = Some(value()?.clone()),
-            "--metrics-out" => opts.metrics_out = Some(value()?.clone()),
-            "--metrics-interval" => opts.metrics_interval = positive(a, value()?)?,
-            other if !other.starts_with('-') => positional(&mut file, other)?,
-            other => return Err(format!("unknown option `{other}`").into()),
+    let groups = [File, Isa, Kernels, Machine, Spares, Trace, Metrics];
+    parse(args, &groups, &mut o.c, |flag, value| {
+        match flag {
+            "--scheme" => o.scheme = resolve("scheme", value()?, &run_scheme_names())?.into(),
+            "--rqueue" => o.rqueue = positive(flag, value()?)?,
+            "--early-removal" => o.early_removal = true,
+            "--dup-period" => o.dup_period = positive(flag, value()?)?,
+            "--inject" => o.faults.push(parse_fault(value()?)?),
+            "--max-insns" => o.max_insns = number(flag, value()?)?,
+            "--skip" => o.skip = number(flag, value()?)?,
+            "--stats" => o.verbose = true,
+            _ => return Ok(false),
         }
-    }
-    opts.program = load_program(isa, file, kernel, scale, None)?;
-    check_geometry(&opts.base)?;
-    Ok(opts)
+        Ok(true)
+    })?;
+    o.program = o.c.program(None)?;
+    o.c.check_machine()?;
+    Ok(o)
 }
 
 fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let o = parse_run(args)?;
     match o.scheme.as_str() {
         "emulate" => {
-            if o.trace_out.is_some() || o.metrics_out.is_some() {
+            if o.c.observed() {
                 return Err("--trace-out/--metrics-out need a timing scheme, not emulate".into());
             }
             if !o.faults.is_empty() || o.skip > 0 {
@@ -574,8 +675,8 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
                         .into(),
                 );
             }
-            let mut tracer = o.tracer();
-            let sim = PipelineSim::new(o.base);
+            let mut tracer = o.c.tracer();
+            let sim = PipelineSim::new(o.c.base.clone());
             let spec = RunSpec::skipping(&o.program, o.skip).limit(o.max_insns);
             let r = match &mut tracer {
                 Some(t) => sim.simulate(spec, t)?,
@@ -593,10 +694,10 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             } else {
                 print_pipeline_stats(&r.stats);
             }
-            write_observability(tracer, o.trace_out.as_deref(), o.metrics_out.as_deref())?;
+            o.c.flush(tracer)?;
         }
         "duplex" | "reese" => {
-            let mut tracer = o.tracer();
+            let mut tracer = o.c.tracer();
             let r = match &mut tracer {
                 Some(t) => o.run_redundant(t)?,
                 None => o.run_redundant(&mut NoopObserver)?,
@@ -623,11 +724,11 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
                     print_pipeline_stats(&r.stats.pipeline);
                 }
             }
-            write_observability(tracer, o.trace_out.as_deref(), o.metrics_out.as_deref())?;
+            o.c.flush(tracer)?;
         }
         name @ ("meek" | "swift") => {
             let scheme = Scheme::parse(name).expect("registry name");
-            if o.trace_out.is_some() || o.metrics_out.is_some() {
+            if o.c.observed() {
                 return Err(
                     format!("--trace-out/--metrics-out are not supported for `{name}`").into(),
                 );
@@ -638,7 +739,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
                 )
                 .into());
             }
-            let cfg = ReeseConfig::over(o.base);
+            let cfg = ReeseConfig::over(o.c.base);
             let backend = reese::faults::schemes::build(scheme, &cfg);
             let prepared = backend.prepare(&o.program)?;
             let r = backend.run_limit(&prepared, o.max_insns)?;
@@ -664,116 +765,77 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
 }
 
 struct CampaignOpts {
+    c: Common,
     program: Program,
-    scale: u32,
     scheme: Scheme,
-    mix: reese::faults::FaultMix,
+    mix: FaultMix,
     trials: usize,
     seed: u64,
-    base: PipelineConfig,
-    spare_alus: u32,
-    spare_muls: u32,
     max_insns: u64,
     jobs: usize,
-    engine: reese::faults::TrialEngine,
+    engine: TrialEngine,
     ckpt_every: u64,
     outcomes_jsonl: Option<String>,
     resume: Option<String>,
     trial_limit: Option<usize>,
     out: Option<String>,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    metrics_interval: u64,
     telemetry_out: Option<String>,
 }
 
 fn parse_campaign(args: &[String]) -> Result<CampaignOpts, CliError> {
-    let mut opts = CampaignOpts {
+    let mut o = CampaignOpts {
+        c: Common::default(),
         program: Program::from_text(vec![]),
-        scale: 1,
         scheme: Scheme::Reese,
-        mix: reese::faults::FaultMix::broad(),
+        mix: FaultMix::broad(),
         trials: 200,
         seed: 0xFA017,
-        base: PipelineConfig::starting(),
-        spare_alus: 0,
-        spare_muls: 0,
         max_insns: u64::MAX,
         jobs: reese::stats::available_jobs(),
-        engine: reese::faults::TrialEngine::Replay,
+        engine: TrialEngine::Replay,
         ckpt_every: reese::faults::DEFAULT_CKPT_EVERY,
         outcomes_jsonl: None,
         resume: None,
         trial_limit: None,
         out: None,
-        trace_out: None,
-        metrics_out: None,
-        metrics_interval: Tracer::DEFAULT_INTERVAL,
         telemetry_out: None,
     };
-    let mut file: Option<String> = None;
-    let mut kernel: Option<String> = None;
-    let mut isa = IsaId::Native;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = || -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| format!("`{a}` needs a value").into())
-        };
-        match a.as_str() {
-            "--trials" | "--injections" => opts.trials = number(a, value()?)?,
-            "--isa" => isa = parse_isa(value()?)?,
-            "--scale" => opts.scale = positive(a, value()?)?,
-            "--scheme" => opts.scheme = parse_scheme(value()?)?,
-            "--seed" => opts.seed = number(a, value()?)?,
-            "--mix" => {
-                opts.mix = match value()?.as_str() {
-                    "broad" => reese::faults::FaultMix::broad(),
-                    "result" => reese::faults::FaultMix::result_errors_only(),
-                    other => return Err(format!("unknown mix `{other}`, want broad|result").into()),
-                }
-            }
-            "--machine" => opts.base = machine(value()?)?,
-            "--ruu-size" => opts.base.ruu_size = positive(a, value()?)?,
-            "--lsq-size" => opts.base.lsq_size = positive(a, value()?)?,
-            "--width" => opts.base.width = positive(a, value()?)?,
-            "--spare-alus" => opts.spare_alus = number(a, value()?)?,
-            "--spare-muls" => opts.spare_muls = number(a, value()?)?,
-            "--max-insns" => opts.max_insns = number(a, value()?)?,
-            "-j" | "--jobs" => opts.jobs = positive(a, value()?)?,
-            "--engine" => opts.engine = value()?.parse::<reese::faults::TrialEngine>()?,
-            "--ckpt-every" => opts.ckpt_every = positive(a, value()?)?,
-            "--outcomes-jsonl" => opts.outcomes_jsonl = Some(value()?.clone()),
-            "--resume" => opts.resume = Some(value()?.clone()),
-            "--trial-limit" => opts.trial_limit = Some(positive(a, value()?)?),
-            "--out" => opts.out = Some(value()?.clone()),
-            "--trace-out" => opts.trace_out = Some(value()?.clone()),
-            "--metrics-out" => opts.metrics_out = Some(value()?.clone()),
-            "--metrics-interval" => opts.metrics_interval = positive(a, value()?)?,
-            "--telemetry-out" => opts.telemetry_out = Some(value()?.clone()),
-            "--kernel" => kernel = Some(value()?.clone()),
-            other if !other.starts_with('-') => positional(&mut file, other)?,
-            other => return Err(format!("unknown option `{other}`").into()),
+    let groups = [File, Isa, Kernels, Machine, Spares, Trace, Metrics];
+    parse(args, &groups, &mut o.c, |flag, value| {
+        match flag {
+            "--trials" | "--injections" => o.trials = number(flag, value()?)?,
+            "--scheme" => o.scheme = parse_scheme(value()?)?,
+            "--seed" => o.seed = number(flag, value()?)?,
+            "--mix" => o.mix = parse_mix(value()?)?,
+            "--max-insns" => o.max_insns = number(flag, value()?)?,
+            "-j" | "--jobs" => o.jobs = positive(flag, value()?)?,
+            "--engine" => o.engine = value()?.parse::<TrialEngine>()?,
+            "--ckpt-every" => o.ckpt_every = positive(flag, value()?)?,
+            "--outcomes-jsonl" => o.outcomes_jsonl = Some(value()?.into()),
+            "--resume" => o.resume = Some(value()?.into()),
+            "--trial-limit" => o.trial_limit = Some(positive(flag, value()?)?),
+            "--out" => o.out = Some(value()?.into()),
+            "--telemetry-out" => o.telemetry_out = Some(value()?.into()),
+            _ => return Ok(false),
         }
-    }
-    if opts.resume.is_some() && opts.outcomes_jsonl.is_some() {
+        Ok(true)
+    })?;
+    if o.resume.is_some() && o.outcomes_jsonl.is_some() {
         return Err("`--resume` already appends to its log; drop `--outcomes-jsonl`".into());
     }
-    opts.program = load_program(isa, file, kernel, opts.scale, Some("lisp"))?;
-    check_geometry(&opts.base)?;
-    Ok(opts)
+    o.program = o.c.program(Some("lisp"))?;
+    o.c.check_machine()?;
+    Ok(o)
 }
 
 fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
     let o = parse_campaign(args)?;
-    if o.trace_out.is_some() && o.scheme != Scheme::Reese {
+    if o.c.trace_out.is_some() && o.scheme != Scheme::Reese {
         return Err(
             "--trace-out traces the clean REESE reference run; it needs --scheme reese".into(),
         );
     }
-    let cfg = ReeseConfig::over(o.base)
-        .with_spare_int_alus(o.spare_alus)
-        .with_spare_int_muldivs(o.spare_muls);
+    let cfg = o.c.config();
     let mut campaign = reese::faults::Campaign::new(cfg.clone(), o.mix)
         .scheme(o.scheme)
         .trials(o.trials)
@@ -782,8 +844,8 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
         .jobs(o.jobs)
         .engine(o.engine)
         .ckpt_every(o.ckpt_every)
-        .metrics_interval(if o.metrics_out.is_some() {
-            o.metrics_interval
+        .metrics_interval(if o.c.metrics_out.is_some() {
+            o.c.metrics_interval
         } else {
             0
         });
@@ -810,17 +872,17 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
         std::fs::write(path, serialised)?;
         println!("report written to {path}");
     }
-    if let Some(path) = &o.metrics_out {
+    if let Some(path) = &o.c.metrics_out {
         let Some(metrics) = &report.metrics else {
             return Err("campaign produced no metrics (no simulated trials?)".into());
         };
         write_metrics(path, metrics)?;
     }
-    if let Some(path) = &o.trace_out {
+    if let Some(path) = &o.c.trace_out {
         // The campaign itself runs thousands of short trials; a pipetrace
         // of all of them would be meaningless. Trace the clean (fault-free)
         // reference run instead, which every trial is compared against.
-        let mut tracer = Tracer::new().with_interval(o.metrics_interval);
+        let mut tracer = Tracer::new().with_interval(o.c.metrics_interval);
         ReeseSim::new(cfg).simulate(RunSpec::new(&o.program).limit(o.max_insns), &mut tracer)?;
         tracer.finish();
         let (ring, _) = tracer.into_parts();
@@ -830,71 +892,44 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
 }
 
 struct SchemesOpts {
+    c: Common,
     programs: Vec<(String, Program)>,
-    mix: reese::faults::FaultMix,
-    base: PipelineConfig,
+    mix: FaultMix,
     eval: EvalOptions,
     csv: Option<String>,
     json: Option<String>,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    metrics_interval: u64,
 }
 
 fn parse_schemes(args: &[String]) -> Result<SchemesOpts, CliError> {
-    let mut opts = SchemesOpts {
+    let mut o = SchemesOpts {
+        c: Common::default(),
         programs: Vec::new(),
-        mix: reese::faults::FaultMix::result_errors_only(),
-        base: PipelineConfig::starting(),
+        mix: FaultMix::result_errors_only(),
         eval: EvalOptions::default(),
         csv: None,
         json: None,
-        trace_out: None,
-        metrics_out: None,
-        metrics_interval: Tracer::DEFAULT_INTERVAL,
     };
-    let mut kernels: Vec<String> = Vec::new();
-    let mut scale: u32 = 1;
     let mut target: Option<u64> = None;
-    let mut isa = IsaId::Native;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = || -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| format!("`{a}` needs a value").into())
-        };
-        match a.as_str() {
-            "--kernel" => kernels.push(value()?.clone()),
-            "--isa" => isa = parse_isa(value()?)?,
-            "--scale" => scale = positive(a, value()?)?,
-            "--target" => target = Some(positive(a, value()?)?),
-            "--trials" => opts.eval.trials = positive(a, value()?)?,
-            "--seed" => opts.eval.seed = number(a, value()?)?,
-            "--mix" => {
-                opts.mix = match value()?.as_str() {
-                    "broad" => reese::faults::FaultMix::broad(),
-                    "result" => reese::faults::FaultMix::result_errors_only(),
-                    other => return Err(format!("unknown mix `{other}`, want broad|result").into()),
-                }
-            }
-            "--machine" => opts.base = machine(value()?)?,
-            "--ruu-size" => opts.base.ruu_size = positive(a, value()?)?,
-            "--lsq-size" => opts.base.lsq_size = positive(a, value()?)?,
-            "--width" => opts.base.width = positive(a, value()?)?,
-            "--max-insns" => opts.eval.max_instructions = number(a, value()?)?,
-            "-j" | "--jobs" => opts.eval.jobs = positive(a, value()?)?,
-            "--engine" => opts.eval.engine = value()?.parse::<reese::faults::TrialEngine>()?,
-            "--csv" => opts.csv = Some(value()?.clone()),
-            "--json" => opts.json = Some(value()?.clone()),
-            "--trace-out" => opts.trace_out = Some(value()?.clone()),
-            "--metrics-out" => opts.metrics_out = Some(value()?.clone()),
-            "--metrics-interval" => opts.metrics_interval = positive(a, value()?)?,
-            "--telemetry-out" => opts.eval.telemetry_out = Some(value()?.clone().into()),
-            other => return Err(format!("unknown option `{other}`").into()),
+    let groups = [Isa, Kernels, Machine, Trace, Metrics];
+    parse(args, &groups, &mut o.c, |flag, value| {
+        match flag {
+            "--target" => target = Some(positive(flag, value()?)?),
+            "--trials" => o.eval.trials = positive(flag, value()?)?,
+            "--seed" => o.eval.seed = number(flag, value()?)?,
+            "--mix" => o.mix = parse_mix(value()?)?,
+            "--max-insns" => o.eval.max_instructions = number(flag, value()?)?,
+            "-j" | "--jobs" => o.eval.jobs = positive(flag, value()?)?,
+            "--engine" => o.eval.engine = value()?.parse::<TrialEngine>()?,
+            "--csv" => o.csv = Some(value()?.into()),
+            "--json" => o.json = Some(value()?.into()),
+            "--telemetry-out" => o.eval.telemetry_out = Some(value()?.into()),
+            _ => return Ok(false),
         }
-    }
-    check_geometry(&opts.base)?;
-    if scale != 1 && target.is_some() {
+        Ok(true)
+    })?;
+    o.c.check_machine()?;
+    let isa = o.c.isa;
+    if o.c.scale != 1 && target.is_some() {
         return Err("give --scale or --target, not both".into());
     }
     if target.is_some() && isa != IsaId::Native {
@@ -902,37 +937,38 @@ fn parse_schemes(args: &[String]) -> Result<SchemesOpts, CliError> {
             "--target calibrates the native Table 2 suite; rv32i ports take --scale".into(),
         );
     }
-    if kernels.is_empty() {
+    if o.c.kernels.is_empty() {
         // Default is the whole catalogue for the selected ISA: the
         // Table 2 suite in table order, or every rv32i port.
-        kernels = match isa {
+        o.c.kernels = match isa {
             IsaId::Native => Kernel::ALL.map(|k| k.name().to_string()).to_vec(),
             IsaId::Rv32i => Rv32Kernel::ALL.map(|k| k.name().to_string()).to_vec(),
         };
     }
-    opts.programs = kernels
-        .into_iter()
-        .map(|name| match isa {
-            IsaId::Native => {
-                let k = kernel_by_name(&name)?;
-                let program = match target {
-                    Some(t) => k.build_for(t),
-                    None => k.build(scale),
-                };
-                Ok((k.name().to_string(), program))
-            }
-            IsaId::Rv32i => {
-                let k = rv32_kernel_by_name(&name)?;
-                Ok((k.name().to_string(), k.build(scale)))
-            }
-        })
-        .collect::<Result<_, CliError>>()?;
-    Ok(opts)
+    o.programs =
+        o.c.kernels
+            .iter()
+            .map(|name| match isa {
+                IsaId::Native => {
+                    let k = kernel_by_name(name)?;
+                    let program = match target {
+                        Some(t) => k.build_for(t),
+                        None => k.build(o.c.scale),
+                    };
+                    Ok((k.name().to_string(), program))
+                }
+                IsaId::Rv32i => {
+                    let k = rv32_kernel_by_name(name)?;
+                    Ok((k.name().to_string(), k.build(o.c.scale)))
+                }
+            })
+            .collect::<Result<_, CliError>>()?;
+    Ok(o)
 }
 
 fn cmd_schemes(args: &[String]) -> Result<(), CliError> {
     let o = parse_schemes(args)?;
-    let cfg = ReeseConfig::over(o.base);
+    let cfg = o.c.config();
     let report = SchemesReport::evaluate(&cfg, &o.mix, &o.programs, &o.eval)?;
     print!("{report}");
     if let Some(path) = &o.csv {
@@ -943,7 +979,7 @@ fn cmd_schemes(args: &[String]) -> Result<(), CliError> {
         std::fs::write(path, report.to_json())?;
         println!("json written to {path}");
     }
-    if o.trace_out.is_some() || o.metrics_out.is_some() {
+    if o.c.observed() {
         // As for `campaign --trace-out`: per-trial traces would be
         // noise, so trace the clean REESE reference run — here once per
         // evaluated kernel, stitched end-to-end with cycle offsets.
@@ -951,7 +987,7 @@ fn cmd_schemes(args: &[String]) -> Result<(), CliError> {
         let mut metrics = MetricsSeries::default();
         let mut offset = 0u64;
         for (name, program) in &o.programs {
-            let mut tracer = Tracer::new().with_interval(o.metrics_interval);
+            let mut tracer = Tracer::new().with_interval(o.c.metrics_interval);
             let r = ReeseSim::new(cfg.clone()).simulate(
                 RunSpec::new(program).limit(o.eval.max_instructions),
                 &mut tracer,
@@ -966,97 +1002,64 @@ fn cmd_schemes(args: &[String]) -> Result<(), CliError> {
                 r.stats.pipeline.cycles
             );
         }
-        if let Some(path) = &o.trace_out {
-            write_trace(path, &ring)?;
-        }
-        if let Some(path) = &o.metrics_out {
-            write_metrics(path, &metrics)?;
-        }
+        o.c.write(&ring, &metrics)?;
     }
     Ok(())
 }
 
 struct ExplainOpts {
+    c: Common,
     program: Program,
     scheme: Scheme,
-    base: PipelineConfig,
-    spare_alus: u32,
-    spare_muls: u32,
     outcomes: String,
-    which: reese::faults::TrialRef,
+    which: TrialRef,
     out: Option<String>,
-    trace_out: Option<String>,
 }
 
 fn parse_explain(args: &[String]) -> Result<ExplainOpts, CliError> {
-    let mut opts = ExplainOpts {
-        program: Program::from_text(vec![]),
-        scheme: Scheme::Reese,
-        base: PipelineConfig::starting(),
-        spare_alus: 0,
-        spare_muls: 0,
-        outcomes: String::new(),
-        which: reese::faults::TrialRef::Index(0),
-        out: None,
-        trace_out: None,
-    };
-    let mut file: Option<String> = None;
-    let mut kernel: Option<String> = None;
-    let mut scale: u32 = 1;
-    let mut isa = IsaId::Native;
-    let mut which: Option<reese::faults::TrialRef> = None;
-    let mut outcomes: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = || -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| format!("`{a}` needs a value").into())
-        };
-        match a.as_str() {
-            "--outcomes" => outcomes = Some(value()?.clone()),
-            "--isa" => isa = parse_isa(value()?)?,
-            "--trial" => {
-                which = Some(reese::faults::TrialRef::Index(number(a, value()?)?));
-            }
+    let mut c = Common::default();
+    let (mut scheme, mut outcomes, mut which, mut out) = (Scheme::Reese, None, None, None);
+    let groups = [File, Isa, Kernels, Machine, Spares, Trace];
+    parse(args, &groups, &mut c, |flag, value| {
+        match flag {
+            "--outcomes" => outcomes = Some(value()?.to_string()),
+            "--trial" => which = Some(TrialRef::Index(number(flag, value()?)?)),
             "--id" => {
                 let raw = value()?;
                 let id = match raw.strip_prefix("0x") {
                     Some(hex) => u64::from_str_radix(hex, 16).map_err(|_| {
-                        format!("`{a}` expects a decimal or 0x-prefixed hex integer, got `{raw}`")
+                        format!(
+                            "`{flag}` expects a decimal or 0x-prefixed hex integer, got `{raw}`"
+                        )
                     })?,
-                    None => number(a, raw)?,
+                    None => number(flag, raw)?,
                 };
-                which = Some(reese::faults::TrialRef::Id(id));
+                which = Some(TrialRef::Id(id));
             }
-            "--scheme" => opts.scheme = parse_scheme(value()?)?,
-            "--machine" => opts.base = machine(value()?)?,
-            "--ruu-size" => opts.base.ruu_size = positive(a, value()?)?,
-            "--lsq-size" => opts.base.lsq_size = positive(a, value()?)?,
-            "--width" => opts.base.width = positive(a, value()?)?,
-            "--spare-alus" => opts.spare_alus = number(a, value()?)?,
-            "--spare-muls" => opts.spare_muls = number(a, value()?)?,
-            "--scale" => scale = positive(a, value()?)?,
-            "--kernel" => kernel = Some(value()?.clone()),
-            "--out" => opts.out = Some(value()?.clone()),
-            "--trace-out" => opts.trace_out = Some(value()?.clone()),
-            other if !other.starts_with('-') => positional(&mut file, other)?,
-            other => return Err(format!("unknown option `{other}`").into()),
+            "--scheme" => scheme = parse_scheme(value()?)?,
+            "--out" => out = Some(value()?.to_string()),
+            _ => return Ok(false),
         }
-    }
-    opts.outcomes = outcomes.ok_or("`explain` needs --outcomes <campaign log>")?;
-    opts.which = which.ok_or("address the trial with --trial <index> or --id <stable id>")?;
-    opts.program = load_program(isa, file, kernel, scale, Some("lisp"))?;
-    check_geometry(&opts.base)?;
-    Ok(opts)
+        Ok(true)
+    })?;
+    let outcomes = outcomes.ok_or("`explain` needs --outcomes <campaign log>")?;
+    let which = which.ok_or("address the trial with --trial <index> or --id <stable id>")?;
+    let program = c.program(Some("lisp"))?;
+    c.check_machine()?;
+    Ok(ExplainOpts {
+        c,
+        program,
+        scheme,
+        outcomes,
+        which,
+        out,
+    })
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let o = parse_explain(args)?;
-    let cfg = ReeseConfig::over(o.base)
-        .with_spare_int_alus(o.spare_alus)
-        .with_spare_int_muldivs(o.spare_muls);
     let ex = reese::faults::explain_trial(
-        &cfg,
+        &o.c.config(),
         o.scheme,
         &o.program,
         std::path::Path::new(&o.outcomes),
@@ -1067,7 +1070,7 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
         std::fs::write(path, &ex.text)?;
         println!("forensic timeline written to {path}");
     }
-    if let Some(path) = &o.trace_out {
+    if let Some(path) = &o.c.trace_out {
         std::fs::write(path, ex.to_chrome_json())?;
         println!("forensic trace written to {path}");
     }
@@ -1075,43 +1078,29 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
 }
 
 struct ShardCliOpts {
+    c: Common,
     program: Program,
     scheme: Scheme,
-    base: PipelineConfig,
     shard: ShardOptions,
     out: Option<String>,
     snapshot: Option<String>,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
 }
 
 fn parse_shard(args: &[String]) -> Result<ShardCliOpts, CliError> {
-    let mut opts = ShardCliOpts {
+    let mut o = ShardCliOpts {
+        c: Common::default(),
         program: Program::from_text(vec![]),
         scheme: Scheme::Reese,
-        base: PipelineConfig::starting(),
         shard: ShardOptions::default(),
         out: None,
         snapshot: None,
-        trace_out: None,
-        metrics_out: None,
     };
-    let mut file: Option<String> = None;
-    let mut kernel: Option<String> = None;
-    let mut scale: u32 = 1;
-    let mut isa = IsaId::Native;
-    let mut metrics_interval = Tracer::DEFAULT_INTERVAL;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = || -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| format!("`{a}` needs a value").into())
-        };
-        match a.as_str() {
-            "--intervals" => opts.shard.intervals = positive(a, value()?)?,
-            "--isa" => isa = parse_isa(value()?)?,
-            "-j" | "--jobs" => opts.shard.jobs = positive(a, value()?)?,
-            "--no-verify" => opts.shard.compare_monolithic = false,
+    let groups = [File, Isa, Kernels, Machine, Trace, Metrics];
+    parse(args, &groups, &mut o.c, |flag, value| {
+        match flag {
+            "--intervals" => o.shard.intervals = positive(flag, value()?)?,
+            "-j" | "--jobs" => o.shard.jobs = positive(flag, value()?)?,
+            "--no-verify" => o.shard.compare_monolithic = false,
             "--scheme" => {
                 let s = parse_scheme(value()?)?;
                 if !s.shardable() {
@@ -1126,34 +1115,25 @@ fn parse_shard(args: &[String]) -> Result<ShardCliOpts, CliError> {
                     )
                     .into());
                 }
-                opts.scheme = s;
+                o.scheme = s;
             }
-            "--machine" => opts.base = machine(value()?)?,
-            "--ruu-size" => opts.base.ruu_size = positive(a, value()?)?,
-            "--lsq-size" => opts.base.lsq_size = positive(a, value()?)?,
-            "--width" => opts.base.width = positive(a, value()?)?,
-            "--out" => opts.out = Some(value()?.clone()),
-            "--snapshot" => opts.snapshot = Some(value()?.clone()),
-            "--trace-out" => opts.trace_out = Some(value()?.clone()),
-            "--metrics-out" => opts.metrics_out = Some(value()?.clone()),
-            "--metrics-interval" => metrics_interval = positive(a, value()?)?,
-            "--kernel" => kernel = Some(value()?.clone()),
-            "--scale" => scale = positive(a, value()?)?,
-            other if !other.starts_with('-') => positional(&mut file, other)?,
-            other => return Err(format!("unknown option `{other}`").into()),
+            "--out" => o.out = Some(value()?.into()),
+            "--snapshot" => o.snapshot = Some(value()?.into()),
+            _ => return Ok(false),
         }
+        Ok(true)
+    })?;
+    if o.c.observed() {
+        o.shard.metrics_interval = o.c.metrics_interval;
     }
-    if opts.trace_out.is_some() || opts.metrics_out.is_some() {
-        opts.shard.metrics_interval = metrics_interval;
-    }
-    opts.program = load_program(isa, file, kernel, scale, Some("lisp"))?;
-    check_geometry(&opts.base)?;
-    Ok(opts)
+    o.program = o.c.program(Some("lisp"))?;
+    o.c.check_machine()?;
+    Ok(o)
 }
 
 fn cmd_shard(args: &[String]) -> Result<(), CliError> {
     let o = parse_shard(args)?;
-    let config = ReeseConfig::over(o.base);
+    let config = o.c.config();
     let report = ckpt::run_sharded(&o.program, &config, o.scheme, &o.shard)?;
 
     println!(
@@ -1210,13 +1190,13 @@ fn cmd_shard(args: &[String]) -> Result<(), CliError> {
             ck.instructions
         );
     }
-    if let Some(path) = &o.trace_out {
+    if let Some(path) = &o.c.trace_out {
         let Some(ring) = &report.trace else {
             return Err("sharded run produced no trace".into());
         };
         write_trace(path, ring)?;
     }
-    if let Some(path) = &o.metrics_out {
+    if let Some(path) = &o.c.metrics_out {
         let Some(metrics) = &report.metrics else {
             return Err("sharded run produced no metrics".into());
         };
@@ -1319,29 +1299,18 @@ fn print_pipeline_stats(s: &reese::pipeline::PipelineStats) {
 /// (an assembly file or a kernel name) and `--isa`, plus `--out` when
 /// `with_out` is set. Returns the program and the `--out` path.
 fn load_source(args: &[String], with_out: bool) -> Result<(Program, Option<String>), CliError> {
-    let mut isa = IsaId::Native;
-    let mut source: Option<String> = None;
+    let mut c = Common::default();
     let mut out = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = || -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| format!("`{a}` needs a value").into())
-        };
-        match a.as_str() {
-            "--isa" => isa = parse_isa(value()?)?,
-            "--out" if with_out => out = Some(value()?.clone()),
-            other if !other.starts_with('-') => positional(&mut source, other)?,
-            other => return Err(format!("unknown option `{other}`").into()),
+    parse(args, &[File, Isa], &mut c, |flag, value| {
+        if !(with_out && flag == "--out") {
+            return Ok(false);
         }
-    }
-    let Some(name) = source else {
-        return Err("give an assembly file or kernel name".into());
-    };
-    if let Ok(program) = build_kernel(isa, &name, 1) {
-        return Ok((program, out));
-    }
-    Ok((load_file(isa, &name)?, out))
+        out = Some(value()?.to_string());
+        Ok(true)
+    })?;
+    let name = c.file.ok_or("give an assembly file or kernel name")?;
+    let program = build_kernel(c.isa, &name, 1).or_else(|_| load_file(c.isa, &name))?;
+    Ok((program, out))
 }
 
 /// `reese asm <file.s> --isa <isa> -o <file.bin>`: assembles source
@@ -1349,19 +1318,16 @@ fn load_source(args: &[String], with_out: bool) -> Result<(Program, Option<Strin
 /// image, the format `load_flat` (and thus `reese run file.bin`)
 /// accepts back.
 fn cmd_asm(args: &[String]) -> Result<(), CliError> {
-    let mut isa = IsaId::Native;
-    let mut source: Option<String> = None;
-    let mut out: Option<&String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--isa" => isa = parse_isa(it.next().ok_or("`--isa` needs a value")?)?,
-            "-o" | "--out" => out = Some(it.next().ok_or("`-o` needs a value")?),
-            other if !other.starts_with('-') => positional(&mut source, other)?,
-            other => return Err(format!("unknown option `{other}`").into()),
+    let mut c = Common::default();
+    let mut out = None;
+    parse(args, &[File, Isa], &mut c, |flag, value| {
+        if !matches!(flag, "-o" | "--out") {
+            return Ok(false);
         }
-    }
-    let path = source.ok_or("give an assembly file")?;
+        out = Some(value()?);
+        Ok(true)
+    })?;
+    let (isa, path) = (c.isa, c.file.ok_or("give an assembly file")?);
     let out = out.ok_or("give an output path with -o <file.bin>")?;
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
     let program = isa.frontend().assemble(&text)?;
@@ -1427,9 +1393,7 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_kernels(args: &[String]) -> Result<(), CliError> {
-    if let Some(a) = args.first() {
-        return Err(format!("unknown option `{a}`").into());
-    }
+    parse(args, &[], &mut Common::default(), |_, _| Ok(false))?;
     println!("built-in kernels (SPEC95 integer stand-ins):");
     for k in Kernel::ALL {
         println!(
@@ -1518,7 +1482,7 @@ mod tests {
         .collect();
         let o = parse_run(&args).unwrap();
         assert_eq!(o.scheme, "reese");
-        assert_eq!(o.spare_alus, 2);
+        assert_eq!(o.c.spare_alus, 2);
         assert_eq!(o.rqueue, 64);
         assert!(o.early_removal);
         assert_eq!(o.dup_period, 2);
@@ -1527,10 +1491,10 @@ mod tests {
         assert_eq!(o.skip, 10);
         assert!(o.verbose);
         assert!(!o.program.is_empty());
-        assert_eq!(o.trace_out.as_deref(), Some("t.json"));
-        assert_eq!(o.metrics_out.as_deref(), Some("m.csv"));
-        assert_eq!(o.metrics_interval, 500);
-        assert!(o.tracer().is_some());
+        assert_eq!(o.c.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(o.c.metrics_out.as_deref(), Some("m.csv"));
+        assert_eq!(o.c.metrics_interval, 500);
+        assert!(o.c.tracer().is_some());
     }
 
     #[test]
@@ -1540,9 +1504,9 @@ mod tests {
             .map(ToString::to_string)
             .collect();
         let o = parse_run(&args).unwrap();
-        assert!(o.trace_out.is_none() && o.metrics_out.is_none());
-        assert_eq!(o.metrics_interval, Tracer::DEFAULT_INTERVAL);
-        assert!(o.tracer().is_none(), "no flags → no tracer → no-op path");
+        assert!(o.c.trace_out.is_none() && o.c.metrics_out.is_none());
+        assert_eq!(o.c.metrics_interval, Tracer::DEFAULT_INTERVAL);
+        assert!(o.c.tracer().is_none(), "no flags → no tracer → no-op path");
     }
 
     /// `reese run` on a short lisp window with extra flags, through the
@@ -1623,7 +1587,7 @@ mod tests {
         .collect();
         let o = parse_shard(&args).unwrap();
         assert_eq!(o.shard.metrics_interval, 250);
-        assert_eq!(o.metrics_out.as_deref(), Some("m.csv"));
+        assert_eq!(o.c.metrics_out.as_deref(), Some("m.csv"));
     }
 
     #[test]
@@ -1699,7 +1663,7 @@ mod tests {
     fn campaign_scale_grows_the_kernel() {
         let small = parse_campaign(&strings(&["--kernel", "strings"])).unwrap();
         let big = parse_campaign(&strings(&["--kernel", "strings", "--scale", "4"])).unwrap();
-        assert_eq!(big.scale, 4);
+        assert_eq!(big.c.scale, 4);
         assert!(big.program.len() >= small.program.len());
         let err = parse_campaign(&strings(&["--scale", "0"]))
             .err()
@@ -1886,9 +1850,9 @@ mod tests {
             o.eval.telemetry_out.as_deref(),
             Some(std::path::Path::new("tele.jsonl"))
         );
-        assert_eq!(o.trace_out.as_deref(), Some("trace.json"));
-        assert_eq!(o.metrics_out.as_deref(), Some("metrics.csv"));
-        assert_eq!(o.metrics_interval, 500);
+        assert_eq!(o.c.trace_out.as_deref(), Some("trace.json"));
+        assert_eq!(o.c.metrics_out.as_deref(), Some("metrics.csv"));
+        assert_eq!(o.c.metrics_interval, 500);
         assert!(parse_schemes(&strings(&["--metrics-interval", "0"])).is_err());
     }
 
@@ -1913,7 +1877,7 @@ mod tests {
         assert_eq!(o.which, reese::faults::TrialRef::Index(17));
         assert_eq!(o.scheme, Scheme::Duplex);
         assert_eq!(o.out.as_deref(), Some("story.txt"));
-        assert_eq!(o.trace_out.as_deref(), Some("story.json"));
+        assert_eq!(o.c.trace_out.as_deref(), Some("story.json"));
         assert!(!o.program.is_empty());
         // Stable ids parse in decimal and hex.
         let o = parse_explain(&strings(&["--outcomes", "c.jsonl", "--id", "0xFA017"])).unwrap();
@@ -2119,6 +2083,8 @@ mod tests {
         assert_eq!(e, "unknown option `--out`");
         let e = rejected(load_source(&strings(&["lisp", "--out"]), true));
         assert_eq!(e, "`--out` needs a value");
+        let e = rejected(cmd_asm(&strings(&["a.s", "--out"])));
+        assert_eq!(e, "`--out` needs a value");
         let (_, out) = load_source(&strings(&["--out", "t.bin", "lisp"]), true).unwrap();
         assert_eq!(out.as_deref(), Some("t.bin"));
         let e = rejected(load_source(&strings(&["lisp", "--isa"]), false));
@@ -2131,6 +2097,143 @@ mod tests {
             rejected(cmd_kernels(&strings(&["lisp"]))),
             "unknown option `lisp`"
         );
+    }
+
+    #[test]
+    fn each_subcommand_takes_exactly_its_flags() {
+        // Every flag the CLI knows, aliases included.
+        const FLAGS: [&str; 43] = [
+            "--scheme",
+            "--isa",
+            "--machine",
+            "--ruu-size",
+            "--lsq-size",
+            "--width",
+            "--spare-alus",
+            "--spare-muls",
+            "--rqueue",
+            "--early-removal",
+            "--dup-period",
+            "--inject",
+            "--max-insns",
+            "--skip",
+            "--stats",
+            "--kernel",
+            "--scale",
+            "--trace-out",
+            "--metrics-out",
+            "--metrics-interval",
+            "--trials",
+            "--injections",
+            "--seed",
+            "--mix",
+            "-j",
+            "--jobs",
+            "--engine",
+            "--ckpt-every",
+            "--outcomes-jsonl",
+            "--resume",
+            "--trial-limit",
+            "--out",
+            "--telemetry-out",
+            "--target",
+            "--csv",
+            "--json",
+            "--outcomes",
+            "--trial",
+            "--id",
+            "--intervals",
+            "--no-verify",
+            "--snapshot",
+            "-o",
+        ];
+        type Entry = fn(&[String]) -> Result<(), CliError>;
+        // Each entry point with the flags it takes that need a value,
+        // the switches it takes, and whether it takes a program `a.s`.
+        let table: [(&str, Entry, &str, &str, bool); 9] = [
+            (
+                "run",
+                |a| parse_run(a).map(drop),
+                "--scheme --isa --machine --ruu-size --lsq-size --width --spare-alus \
+                 --spare-muls --rqueue --dup-period --inject --max-insns --skip --kernel \
+                 --scale --trace-out --metrics-out --metrics-interval",
+                "--early-removal --stats",
+                true,
+            ),
+            (
+                "campaign",
+                |a| parse_campaign(a).map(drop),
+                "--isa --kernel --scale --machine --ruu-size --lsq-size --width \
+                 --spare-alus --spare-muls --trace-out --metrics-out --metrics-interval \
+                 --scheme --trials --injections --seed --mix --max-insns -j --jobs \
+                 --engine --ckpt-every --outcomes-jsonl --resume --trial-limit --out \
+                 --telemetry-out",
+                "",
+                true,
+            ),
+            (
+                "schemes",
+                |a| parse_schemes(a).map(drop),
+                "--isa --kernel --scale --machine --ruu-size --lsq-size --width \
+                 --trace-out --metrics-out --metrics-interval --target --trials --seed \
+                 --mix --max-insns -j --jobs --engine --csv --json --telemetry-out",
+                "",
+                false,
+            ),
+            (
+                "explain",
+                |a| parse_explain(a).map(drop),
+                "--isa --kernel --scale --machine --ruu-size --lsq-size --width \
+                 --spare-alus --spare-muls --trace-out --outcomes --trial --id --scheme \
+                 --out",
+                "",
+                true,
+            ),
+            (
+                "shard",
+                |a| parse_shard(a).map(drop),
+                "--isa --kernel --scale --machine --ruu-size --lsq-size --width \
+                 --trace-out --metrics-out --metrics-interval --intervals -j --jobs \
+                 --scheme --out --snapshot",
+                "--no-verify",
+                true,
+            ),
+            (
+                "mix, disasm",
+                |a| load_source(a, false).map(drop),
+                "--isa",
+                "",
+                true,
+            ),
+            (
+                "trace",
+                |a| load_source(a, true).map(drop),
+                "--isa --out",
+                "",
+                true,
+            ),
+            ("asm", cmd_asm, "--isa -o --out", "", true),
+            ("kernels", cmd_kernels, "", "", false),
+        ];
+        for (name, entry, values, switches, takes_program) in table {
+            let takes = |list: &str, flag: &str| list.split_whitespace().any(|f| f == flag);
+            for arg in FLAGS.into_iter().chain(["a.s"]) {
+                let err = entry(&strings(&[arg]))
+                    .err()
+                    .map(|e| e.to_string())
+                    .unwrap_or_default();
+                let needs_value = err.starts_with('`') && err.ends_with("` needs a value");
+                let unknown = err == format!("unknown option `{arg}`");
+                let expect = if arg == "a.s" {
+                    (false, !takes_program)
+                } else if takes(values, arg) {
+                    (true, false)
+                } else {
+                    (false, !takes(switches, arg))
+                };
+                assert_eq!((needs_value, unknown), expect, "{name} `{arg}`: {err}");
+            }
+        }
     }
 
     #[test]
@@ -2192,9 +2295,16 @@ mod tests {
     #[test]
     fn zero_machine_geometry_is_rejected_at_parse_time() {
         // A zero here used to survive parsing and blow up as an
-        // `assert!` inside `Ruu::with_scheduler` / `Lsq::new`; all
-        // three front ends must reject it with the flag name instead.
-        for flag in ["--ruu-size", "--lsq-size", "--width"] {
+        // `assert!` inside `Ruu::with_scheduler` / `Lsq::new` /
+        // `ReeseConfig::validate`; every front end must reject it, `run`
+        // with the flag name.
+        for flag in [
+            "--ruu-size",
+            "--lsq-size",
+            "--width",
+            "--rqueue",
+            "--dup-period",
+        ] {
             let err = parse_run(&strings(&["--kernel", "strings", flag, "0"]))
                 .err()
                 .expect("zero geometry must be rejected")
@@ -2235,7 +2345,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(
-            (o.base.ruu_size, o.base.lsq_size, o.base.width),
+            (o.c.base.ruu_size, o.c.base.lsq_size, o.c.base.width),
             (64, 32, 4)
         );
     }
@@ -2247,7 +2357,7 @@ mod tests {
         let campaign: Parse = |a| parse_campaign(a).map(drop);
         let schemes: Parse = |a| parse_schemes(a).map(drop);
         let explain: Parse = |a| parse_explain(a).map(drop);
-        let cases: [(Parse, &str, &str); 12] = [
+        let cases: [(Parse, &str, &str); 14] = [
             (campaign, "--trials", "abc"),
             (campaign, "--injections", "1e6"),
             (campaign, "--seed", "-1"),
@@ -2260,6 +2370,10 @@ mod tests {
             (explain, "--trial", "first"),
             (explain, "--id", "0xZZ"),
             (explain, "--spare-alus", "5000000000"),
+            // Spares that overflow the machine's unit count (4 ALUs, 1
+            // multiplier/divider) once added to it.
+            (campaign, "--spare-alus", "4294967292"),
+            (campaign, "--spare-muls", "4294967295"),
         ];
         for (parse, flag, raw) in cases {
             let err = parse(&strings(&[flag, raw]))
@@ -2295,6 +2409,6 @@ mod tests {
         // Valid positive values still parse.
         let o = parse_campaign(&strings(&["--jobs", "3", "--metrics-interval", "1"])).unwrap();
         assert_eq!(o.jobs, 3);
-        assert_eq!(o.metrics_interval, 1);
+        assert_eq!(o.c.metrics_interval, 1);
     }
 }
