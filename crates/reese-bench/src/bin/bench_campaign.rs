@@ -18,14 +18,22 @@
 //! replay/full ratio carries a seed value like the kernels', so the
 //! guard fails if Replay stops forking.
 //!
+//! A critical-path row pairs a two-worker campaign with the clean
+//! whole-program run it overlaps, on the same kernel: their time ratio
+//! says how far the campaign ends after its clean run, so the guard
+//! fails if the clean run stops overlapping the fan-out.
+//!
 //! Results are printed and written to `BENCH_campaign.json` (override
 //! with `--out FILE`; `--samples N` adjusts the timed sample count;
 //! `--guard` fails the run if the median replay/full speedup across
-//! the kernels drops below the 5x acceptance floor, or any cell
-//! regresses against its recorded seed value).
+//! the kernels drops below the 5x acceptance floor, any cell regresses
+//! against its recorded seed value, or the critical-path ratio exceeds
+//! its ceiling).
 
+use reese_ckpt::Scheme;
 use reese_core::ReeseConfig;
-use reese_faults::{Campaign, CoverageReport, FaultMix, TrialEngine};
+use reese_faults::{schemes, Campaign, CoverageReport, FaultMix, TrialEngine};
+use reese_stats::available_jobs;
 use reese_stats::bench::{Criterion, PairMeasurement};
 use reese_workloads::Kernel;
 use std::hint::black_box;
@@ -71,6 +79,27 @@ const GUARD_TOLERANCE: f64 = 0.85;
 /// standard kernels must stay at or above this factor at default
 /// trial counts.
 const GUARD_FLOOR: f64 = 5.0;
+
+/// The critical-path row: a 200-trial broad-mix campaign on lisp at 2M
+/// instructions with two workers, timed against that kernel's clean
+/// `run_limit` alone. Their paired time ratio cancels the host's
+/// speed, though a busy neighbour core raises it (the campaign uses two
+/// cores, the clean run one). It read this seed while the campaign
+/// joined its clean run before deriving any anchor (median of six
+/// runs, 1.26–1.51); with the clean run as the fan-out's head item it
+/// reads about 1.06 (0.97–1.15), since everything else fits beside it.
+const CRITICAL_PATH_SEED: f64 = 1.38;
+
+/// `--guard` ceiling on the critical-path ratio: halfway between the
+/// seed and the ratio with the head item, above every run of the
+/// latter and below every run of the former (six alternating runs a
+/// side, seven samples each, on a 2-core host).
+const CRITICAL_PATH_CEILING: f64 = 1.22;
+
+/// Timed samples of the critical-path pair, whatever `--samples` says:
+/// one pair's ratio spreads about ±0.3 on a noisy 2-core host, and the
+/// median of this many stays under the ceiling.
+const CRITICAL_PATH_SAMPLES: usize = 9;
 
 /// `--guard` ceiling on the telemetry-on / telemetry-off time ratio.
 /// The journal writes sit around the simulation phases, never inside a
@@ -205,6 +234,31 @@ fn main() {
         pair
     };
 
+    // The clean run overlaps the fan-out only with a second core; on one
+    // the ratio measures nothing, so the row is skipped.
+    let critical_path = (available_jobs() >= 2).then(|| {
+        let program = Kernel::Lisp.build_for(TARGET_INSTRUCTIONS);
+        let clean = schemes::build(Scheme::Reese, &ReeseConfig::starting());
+        let mut g = c.benchmark_group("critical-path");
+        g.sample_size(CRITICAL_PATH_SAMPLES);
+        let pair = g.bench_pair(
+            "campaign/j2",
+            "clean/run_limit",
+            || {
+                black_box(
+                    Campaign::new(ReeseConfig::starting(), FaultMix::broad())
+                        .trials(TRIALS)
+                        .jobs(2)
+                        .run(&program)
+                        .expect("campaign runs"),
+                )
+            },
+            || black_box(clean.run_limit(&program, u64::MAX).expect("clean run")),
+        );
+        g.finish();
+        pair.speedup
+    });
+
     println!();
     println!(
         "{:<15} {:>8} {:>14} {:>16} {:>8} {:>8}",
@@ -237,7 +291,22 @@ fn main() {
         "telemetry journal cost: on/off time ratio {:.3} (ceiling {TELEMETRY_CEILING})",
         tele_pair.speedup
     );
+    match critical_path {
+        Some(ratio) => println!(
+            "critical path (lisp, -j 2): campaign/clean time ratio {ratio:.3} \
+             (seed {CRITICAL_PATH_SEED}, ceiling {CRITICAL_PATH_CEILING})"
+        ),
+        None => println!("critical path (lisp, -j 2): skipped (1 CPU)"),
+    }
     if guard {
+        if let Some(ratio) = critical_path {
+            assert!(
+                ratio <= CRITICAL_PATH_CEILING,
+                "guard: campaign/clean time ratio {ratio:.3} exceeds the \
+                 {CRITICAL_PATH_CEILING} ceiling — the clean run is back on the \
+                 campaign's critical path"
+            );
+        }
         assert!(
             tele_pair.speedup <= TELEMETRY_CEILING,
             "guard: telemetry-on/telemetry-off time ratio {:.3} exceeds the \
@@ -282,6 +351,16 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"telemetry_ceiling\": {TELEMETRY_CEILING:.2},\n"
+    ));
+    json.push_str(&format!(
+        "  \"critical_path_ratio\": {},\n",
+        critical_path.map_or_else(|| "null".to_string(), |r| format!("{r:.3}"))
+    ));
+    json.push_str(&format!(
+        "  \"critical_path_seed\": {CRITICAL_PATH_SEED:.2},\n"
+    ));
+    json.push_str(&format!(
+        "  \"critical_path_ceiling\": {CRITICAL_PATH_CEILING:.2},\n"
     ));
     json.push_str("  \"cells\": [\n");
     let rows: Vec<String> = cells

@@ -1,6 +1,6 @@
 //! Monte-Carlo fault-injection campaigns.
 
-use crate::engine::{boundary_count, clean_window, plan_window, TrialWindow, WindowBaseline};
+use crate::engine::{boundary_count, clean_window, plan_window, TrialWindow};
 use crate::schemes::{self, DetectionScheme, Trial};
 use crate::stream::{fnv1a64, outcome_line, read_log, LogHeader, LogWriter};
 use crate::telemetry::{json_str, Telemetry};
@@ -12,11 +12,14 @@ use reese_ckpt::{
 use reese_core::ReeseConfig;
 use reese_cpu::Emulator;
 use reese_isa::Program;
-use reese_stats::{par_map_indexed, par_map_weighted, ParallelStats, SplitMix64};
+use reese_stats::{par_map_weighted, SplitMix64};
 use reese_trace::{MetricsSeries, Tracer};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::Hash;
 use std::path::PathBuf;
+use std::thread::Scope;
+use std::time::{Duration, Instant};
 
 /// Error raised by a campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -252,6 +255,15 @@ impl Campaign {
 
     /// Runs the campaign.
     ///
+    /// Every arm runs one fan-out. Its head item is the clean
+    /// whole-program run, which only the report's clean cycles and the
+    /// log header's two clean fields depend on: with workers to spare it
+    /// starts on its own thread before the reference sweep, and the
+    /// worker that claims the head joins it, sleeping while the clean
+    /// thread uses its core; serially the head runs it inline. Each
+    /// Replay item then derives one anchor from the coarse sweep and
+    /// scores every window on it, so a worker holds at most one anchor.
+    ///
     /// # Errors
     ///
     /// Returns [`CampaignError::Workload`] if the program cannot run
@@ -286,33 +298,29 @@ impl Campaign {
         // sequence numbers — is in terms of the *prepared* program
         // (the identity for every hardware scheme).
         let prepared = scheme.prepare(program).map_err(CampaignError::Workload)?;
-        let program = &prepared;
+        std::thread::scope(|scope| {
+            self.run_prepared(scope, scheme.as_ref(), &prepared, tele.as_deref())
+        })
+    }
 
-        let phase_start = std::time::Instant::now();
-        // The reference sweep (dynamic length + checkpoints) and the
-        // clean detailed run are independent: overlap them when the
-        // campaign has workers to spare.
-        let (sweep, clean) = if self.jobs > 1 {
-            std::thread::scope(|scope| {
-                let clean = scope.spawn(|| scheme.run_limit(program, self.max_instructions));
-                let sweep = self.reference_sweep(program);
-                (sweep, clean.join().expect("clean reference pass panicked"))
-            })
-        } else {
-            (
-                self.reference_sweep(program),
-                scheme.run_limit(program, self.max_instructions),
-            )
-        };
-        let (coarse, stride, dynamic_len) = sweep?;
-        let clean = clean.map_err(CampaignError::Workload)?;
+    /// [`Campaign::run`] over the prepared program, inside the scope
+    /// that the clean run's thread lives in.
+    fn run_prepared<'scope, 'env>(
+        &'env self,
+        scope: &'scope Scope<'scope, 'env>,
+        scheme: &'env dyn DetectionScheme,
+        program: &'env Program,
+        tele: Option<&'env Telemetry>,
+    ) -> Result<CoverageReport, CampaignError> {
+        let clean = (self.jobs > 1)
+            .then(|| scope.spawn(|| scheme.run_limit(program, self.max_instructions)));
+        let phase_start = Instant::now();
+        let (coarse, stride, dynamic_len) = self.reference_sweep(program)?;
         if dynamic_len == 0 {
             return Err(CampaignError::Workload(
                 "program executes no instructions".into(),
             ));
         }
-        let clean_cycles = clean.cycles;
-        let clean_digest = clean.state_digest;
         if let Some(t) = &tele {
             t.emit(
                 "reference_done",
@@ -320,7 +328,6 @@ impl Campaign {
                     ("checkpoints", coarse.len().to_string()),
                     ("stride", stride.to_string()),
                     ("dynamic_len", dynamic_len.to_string()),
-                    ("clean_cycles", clean_cycles.to_string()),
                     (
                         "phase_ms",
                         (phase_start.elapsed().as_millis() as u64).to_string(),
@@ -356,17 +363,18 @@ impl Campaign {
             })
             .collect();
 
-        // Campaign-log plumbing: a resume log replays its recorded
-        // outcomes after header validation; a fresh log starts with the
-        // header line.
-        let header = self.log_header(dynamic_len, clean_cycles, clean_digest);
-        let (recorded, mut log) = match (&self.resume, &self.outcomes_jsonl) {
+        // Campaign-log plumbing, before any simulation so I/O errors
+        // surface early: a resume log is read and checked in every
+        // header field but the clean run's two, which wait for the
+        // fan-out; a fresh log is created, its header written then.
+        let mut header = self.log_header(dynamic_len);
+        let (logged, recorded, mut log) = match (&self.resume, &self.outcomes_jsonl) {
             (Some(path), _) => {
-                let recorded = read_log(path, &header)?;
-                (recorded, Some(LogWriter::append(path)?))
+                let (logged, recorded) = read_log(path, Some(&header))?;
+                (Some(logged), recorded, Some(LogWriter::append(path)?))
             }
-            (None, Some(path)) => (BTreeMap::new(), Some(LogWriter::create(path, &header)?)),
-            (None, None) => (BTreeMap::new(), None),
+            (None, Some(path)) => (None, BTreeMap::new(), Some(LogWriter::create(path)?)),
+            (None, None) => (None, BTreeMap::new(), None),
         };
 
         // A recorded trial must carry the fault key this campaign drew
@@ -427,143 +435,121 @@ impl Campaign {
             );
         }
 
-        // Recover exactly the anchor checkpoints the distinct keys use
-        // from the coarse sweep — the campaign pays a capture per
-        // *used* anchor, not per boundary of a long program.
-        let phase_start = std::time::Instant::now();
-        let anchors =
-            self.anchor_checkpoints(program, &coarse, stride, boundaries, dynamic_len, &keys)?;
-        drop(coarse);
-        if let Some(t) = &tele {
-            t.emit(
-                "anchors_derived",
-                &[
-                    ("anchors", anchors.len().to_string()),
-                    (
-                        "phase_ms",
-                        (phase_start.elapsed().as_millis() as u64).to_string(),
-                    ),
-                ],
-            );
-        }
-        let mut computed: BTreeMap<usize, TrialOutcome> = BTreeMap::new();
-        let mut metrics: Option<MetricsSeries> = None;
-        let throughput;
-        if self.metrics_interval == 0 {
-            let total = keys.len() as u64;
-            let stride = (total / 16).max(1);
-            let tick = || {
-                if let Some(t) = &tele {
-                    t.progress(total, stride);
-                }
-            };
-            let (results, stats) = match self.engine {
-                TrialEngine::Replay => self.window_trials(
-                    scheme.as_ref(),
-                    program,
-                    &anchors,
-                    boundaries,
-                    dynamic_len,
-                    &keys,
-                    tick,
-                )?,
-                TrialEngine::Full => par_map_indexed(self.jobs, &keys, |_, &(class, seq, bit)| {
-                    let r = self.trial_outcome(
-                        scheme.as_ref(),
-                        program,
-                        &anchors,
-                        &HashMap::new(),
-                        boundaries,
-                        dynamic_len,
-                        class,
-                        seq,
-                        bit,
-                        None,
-                    );
-                    tick();
-                    r
-                }),
-            };
-            throughput = stats;
-            for &t in &todo {
-                match &results[key_of[&params[t]]] {
-                    Ok(o) => {
-                        computed.insert(t, *o);
-                    }
-                    Err(m) => {
-                        return Err(CampaignError::Trial {
-                            trial: t,
-                            message: m.clone(),
-                        })
-                    }
-                }
-            }
+        // The fan-out scores each distinct key once; metrics sampling
+        // pools one series per simulated *trial*, and memoization
+        // would collapse duplicate keys and change the pooled totals,
+        // so there it scores every trial. Replay items are the
+        // anchors (keys scored by fiat form one more item); the oracle
+        // arm shares nothing, so there every member is an item.
+        let sampled = self.metrics_interval > 0;
+        let members: Vec<(FaultClass, u64, u8)> = if sampled {
+            todo.iter().map(|&t| params[t]).collect()
         } else {
-            // Metrics sampling pools one series per simulated *trial*;
-            // memoization would collapse duplicate keys and change the
-            // pooled totals, so every trial simulates individually, from
-            // scratch over its window, against a separately cached
-            // clean baseline.
-            let phase_start = std::time::Instant::now();
-            let baselines = self.window_baselines(
-                scheme.as_ref(),
-                program,
-                &anchors,
-                boundaries,
-                dynamic_len,
-                &keys,
-            )?;
-            if let (Some(t), TrialEngine::Replay) = (&tele, self.engine) {
+            keys
+        };
+        let items = group_by(&members, |m, &(class, seq, _)| match self.engine {
+            TrialEngine::Replay => class
+                .detectable_by_design()
+                .then(|| self.window(seq, boundaries, dynamic_len).anchor_idx),
+            TrialEngine::Full => Some(m),
+        });
+        let head = || {
+            let start = Instant::now();
+            let (run, wait) = match clean {
+                Some(thread) => (
+                    thread.join().expect("clean reference pass panicked"),
+                    start.elapsed(),
+                ),
+                None => (
+                    scheme.run_limit(program, self.max_instructions),
+                    Duration::ZERO,
+                ),
+            };
+            if let (Some(t), Ok(run)) = (&tele, &run) {
                 t.emit(
-                    "baselines_cached",
+                    "clean_done",
                     &[
-                        ("windows", baselines.len().to_string()),
-                        (
-                            "phase_ms",
-                            (phase_start.elapsed().as_millis() as u64).to_string(),
-                        ),
+                        ("clean_cycles", run.cycles.to_string()),
+                        ("wait_ms", (wait.as_millis() as u64).to_string()),
                     ],
                 );
             }
-            let total = todo.len() as u64;
-            let stride = (total / 16).max(1);
-            let (results, stats) = par_map_indexed(self.jobs, &todo, |_, &t| {
-                let (class, seq, bit) = params[t];
-                let mut tracer = class
-                    .detectable_by_design()
-                    .then(|| Tracer::new().with_interval(self.metrics_interval));
-                let outcome = self
-                    .trial_outcome(
-                        scheme.as_ref(),
-                        program,
-                        &anchors,
-                        &baselines,
-                        boundaries,
-                        dynamic_len,
-                        class,
-                        seq,
-                        bit,
-                        tracer.as_mut(),
-                    )
-                    .map_err(|message| CampaignError::Trial { trial: t, message })?;
-                let series = tracer.map(|mut t| {
-                    t.finish();
-                    t.into_parts().1
-                });
-                if let Some(tl) = &tele {
-                    tl.progress(total, stride);
+            run
+        };
+        let total = members.len() as u64;
+        let tick_every = (total / 16).max(1);
+        let (clean, results, throughput) = par_map_weighted(
+            self.jobs,
+            head,
+            &items,
+            |(_, group)| group.len() as u64,
+            |_, (_, group)| {
+                let keys: Vec<_> = group.iter().map(|&m| members[m]).collect();
+                let verdicts = self.score(
+                    scheme,
+                    program,
+                    (&coarse, stride),
+                    boundaries,
+                    dynamic_len,
+                    &keys,
+                );
+                if let Some(t) = &tele {
+                    group.iter().for_each(|_| t.progress(total, tick_every));
                 }
-                Ok((outcome, series))
+                verdicts
+            },
+        );
+
+        // The clean run's failure comes first, then its two header
+        // fields; the fresh log's header precedes any outcome line.
+        let clean = clean.map_err(CampaignError::Workload)?;
+        header.clean_cycles = clean.cycles;
+        header.clean_digest = clean.state_digest;
+        match (&logged, &mut log) {
+            (Some(logged), _) => logged
+                .expect_matches(&header)
+                .map_err(CampaignError::Resume)?,
+            (None, Some(log)) => log.line(&header.to_line())?,
+            (None, None) => {}
+        }
+
+        // Back to member order: the items partition the members.
+        let mut verdicts: Vec<(usize, Verdict)> = items
+            .iter()
+            .zip(results)
+            .flat_map(|((_, group), scored)| group.iter().copied().zip(scored))
+            .collect();
+        verdicts.sort_unstable_by_key(|&(m, _)| m);
+        let member = |i: usize, t: usize| if sampled { i } else { key_of[&params[t]] };
+        // A failed anchor or clean window fails every trial it serves,
+        // so those are reported first; then the first failing trial.
+        let failure = todo
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &t)| verdicts[member(i, t)].1.as_ref().err().map(|e| (t, e)))
+            .min_by_key(|(_, (stage, _))| *stage);
+        if let Some((trial, (stage, m))) = failure {
+            return Err(match stage {
+                Stage::Anchor => CampaignError::Workload(format!("anchor derivation failed: {m}")),
+                Stage::Window => CampaignError::Workload(format!("clean window failed: {m}")),
+                Stage::Trial => CampaignError::Trial {
+                    trial,
+                    message: m.clone(),
+                },
             });
-            throughput = stats;
-            for (result, &t) in results.into_iter().zip(&todo) {
-                let (outcome, series) = result?;
-                computed.insert(t, outcome);
-                if let Some(m) = series {
-                    match &mut metrics {
-                        None => metrics = Some(m),
-                        Some(acc) => acc.merge_pooled(&m),
-                    }
+        }
+        let mut computed: BTreeMap<usize, TrialOutcome> = BTreeMap::new();
+        let mut metrics: Option<MetricsSeries> = None;
+        for (i, &t) in todo.iter().enumerate() {
+            let Ok((outcome, series)) = &mut verdicts[member(i, t)].1 else {
+                unreachable!("failures returned above")
+            };
+            computed.insert(t, *outcome);
+            // Pooled in trial order, as each trial's own series.
+            if let Some(m) = series.take() {
+                match &mut metrics {
+                    None => metrics = Some(m),
+                    Some(acc) => acc.merge_pooled(&m),
                 }
             }
         }
@@ -582,7 +568,7 @@ impl Campaign {
 
         let mut all = recorded;
         all.extend(computed);
-        let mut report = CoverageReport::new(clean_cycles);
+        let mut report = CoverageReport::new(clean.cycles);
         for o in all.values() {
             report.record(*o);
         }
@@ -605,7 +591,7 @@ impl Campaign {
     /// *is* the reference pass — one emulator walk yields the dynamic
     /// length and a bounded set of coarse checkpoints (the sweep thins
     /// itself on long programs; the anchors trials actually use are
-    /// derived afterwards, so capture cost scales with the campaign,
+    /// derived in the fan-out, so capture cost scales with the campaign,
     /// not the program). Under `Full` no state is kept (trials
     /// re-derive their anchors from scratch), so only a plain emulator
     /// run measures the length.
@@ -632,49 +618,6 @@ impl Campaign {
         }
     }
 
-    /// Derives the anchor checkpoints the distinct simulated keys use
-    /// from the coarse sweep, on the worker pool. Each distinct anchor
-    /// costs at most one coarse-stride warm fast-forward plus one
-    /// capture; anchors that land on the coarse grid are reused as-is.
-    /// Replay-only: the `Full` arm re-derives anchors from instruction
-    /// 0 inside each trial.
-    fn anchor_checkpoints(
-        &self,
-        program: &Program,
-        coarse: &[Checkpoint],
-        stride: u64,
-        boundaries: usize,
-        dynamic_len: u64,
-        keys: &[(FaultClass, u64, u8)],
-    ) -> Result<HashMap<usize, Checkpoint>, CampaignError> {
-        if self.engine == TrialEngine::Full {
-            return Ok(HashMap::new());
-        }
-        let mut wanted: Vec<usize> = Vec::new();
-        let mut seen = HashSet::new();
-        for &(class, seq, _) in keys {
-            if class.detectable_by_design() {
-                let w = self.window(seq, boundaries, dynamic_len);
-                if seen.insert(w.anchor_idx) {
-                    wanted.push(w.anchor_idx);
-                }
-            }
-        }
-        let (results, _) = par_map_indexed(self.jobs, &wanted, |_, &idx| {
-            let boundary = idx as u64 * self.ckpt_every;
-            let base = &coarse[(boundary / stride) as usize];
-            derive_checkpoint(program, base, boundary, &self.config.pipeline)
-                .map_err(|e| e.to_string())
-        });
-        let mut map = HashMap::with_capacity(wanted.len());
-        for (idx, r) in wanted.into_iter().zip(results) {
-            let ck =
-                r.map_err(|m| CampaignError::Workload(format!("anchor derivation failed: {m}")))?;
-            map.insert(idx, ck);
-        }
-        Ok(map)
-    }
-
     /// The anchored window a fault at `seq` is scored over.
     fn window(&self, seq: u64, boundaries: usize, dynamic_len: u64) -> TrialWindow {
         plan_window(
@@ -688,8 +631,10 @@ impl Campaign {
 
     /// The campaign-log header: everything the outcome sequence is a
     /// pure function of (deliberately excluding the engine, the worker
-    /// count, and metrics sampling — none may change outcomes).
-    fn log_header(&self, dynamic_len: u64, clean_cycles: u64, clean_digest: u64) -> LogHeader {
+    /// count, and metrics sampling — none may change outcomes). The
+    /// clean run's cycles and digest are left 0 for the caller to fill
+    /// in once that run is done.
+    fn log_header(&self, dynamic_len: u64) -> LogHeader {
         let mut mix = [0u32; 5];
         for (slot, class) in mix.iter_mut().zip(FaultClass::ALL) {
             *slot = self.mix.weight(class);
@@ -709,165 +654,152 @@ impl Campaign {
             max_instructions: self.max_instructions,
             config_fnv,
             dynamic_len,
-            clean_cycles,
-            clean_digest,
+            clean_cycles: 0,
+            clean_digest: 0,
         }
     }
 
-    /// The default Replay path: scores every distinct key with one
-    /// detailed pass per anchored window. The simulated keys are grouped
-    /// by window and each window runs its clean machine once, forking
-    /// one faulted run per key from it
-    /// ([`DetectionScheme::run_window_trials`]); the clean pass is also
-    /// the window's baseline, so no separate baseline phase runs. Keys
-    /// of classes scored by fiat form one more group. The fan-out counts
-    /// each key as one item and `tick` fires once per key, so throughput
-    /// and progress read in keys whatever the grouping. Returns one
-    /// result per key, in `keys` order.
-    #[allow(clippy::too_many_arguments)]
-    fn window_trials(
+    /// Scores one fan-out item: the keys of one anchor (or of classes
+    /// scored by fiat), one verdict per key in `keys` order. The anchor
+    /// is derived here — from the coarse sweep `(checkpoints, stride)`
+    /// under Replay, from instruction 0 under Full — and dropped on
+    /// return. Then each window on it is scored. On the default Replay
+    /// path a window runs its clean machine once and forks one faulted
+    /// run per key off it ([`DetectionScheme::run_window_trials`]), the
+    /// clean pass doubling as the baseline. The oracle arm and metrics
+    /// sampling, which needs a tracer per trial, instead run the clean
+    /// window and then each key from the anchor
+    /// ([`DetectionScheme::run_trial`]); see [`crate::engine`] for the
+    /// window contract both share.
+    fn score(
         &self,
         scheme: &dyn DetectionScheme,
         program: &Program,
-        anchors: &HashMap<usize, Checkpoint>,
+        (coarse, stride): (&[Checkpoint], u64),
         boundaries: usize,
         dynamic_len: u64,
         keys: &[(FaultClass, u64, u8)],
-        tick: impl Fn() + Sync,
-    ) -> Result<(Vec<Result<TrialOutcome, String>>, ParallelStats), CampaignError> {
-        // Windows in first-occurrence order of their keys.
-        let mut groups: Vec<(Option<TrialWindow>, Vec<usize>)> = Vec::new();
-        let mut group_of: HashMap<Option<TrialWindow>, usize> = HashMap::new();
-        for (k, &(class, seq, _)) in keys.iter().enumerate() {
-            let window = class
-                .detectable_by_design()
-                .then(|| self.window(seq, boundaries, dynamic_len));
-            let g = *group_of.entry(window).or_insert_with(|| {
-                groups.push((window, Vec::new()));
-                groups.len() - 1
-            });
-            groups[g].1.push(k);
-        }
-        let (results, stats) = par_map_weighted(
-            self.jobs,
-            &groups,
-            |(_, members)| members.len() as u64,
-            |_, (window, members)| {
-                let group: Vec<(FaultClass, u64, u8)> = members.iter().map(|&k| keys[k]).collect();
-                let r = match window {
-                    Some(w) => scheme
-                        .run_window_trials(program, &anchors[&w.anchor_idx], w.budget, &group)
-                        .map(|(_, outcomes)| outcomes),
-                    None => Ok(group.into_iter().map(|key| Ok(by_fiat(key))).collect()),
-                };
-                members.iter().for_each(|_| tick());
-                r
-            },
-        );
-        let mut outcomes: Vec<Option<Result<TrialOutcome, String>>> = vec![None; keys.len()];
-        for ((_, members), r) in groups.iter().zip(results) {
-            let r = r.map_err(|m| CampaignError::Workload(format!("clean window failed: {m}")))?;
-            for (&k, o) in members.iter().zip(r) {
-                outcomes[k] = Some(o);
-            }
-        }
-        let outcomes = outcomes
-            .into_iter()
-            .map(|o| o.expect("every key belongs to one group"))
-            .collect();
-        Ok((outcomes, stats))
-    }
-
-    /// Clean-window baselines for every distinct window the simulated
-    /// keys touch, computed on the worker pool before a per-trial
-    /// fan-out (the metrics-sampling path). Replay-only: the `Full` arm
-    /// recomputes its baseline inside each trial, sharing nothing.
-    fn window_baselines(
-        &self,
-        scheme: &dyn DetectionScheme,
-        program: &Program,
-        anchors: &HashMap<usize, Checkpoint>,
-        boundaries: usize,
-        dynamic_len: u64,
-        keys: &[(FaultClass, u64, u8)],
-    ) -> Result<HashMap<TrialWindow, WindowBaseline>, CampaignError> {
-        if self.engine == TrialEngine::Full {
-            return Ok(HashMap::new());
-        }
-        let mut windows: Vec<TrialWindow> = Vec::new();
-        let mut seen = HashSet::new();
-        for &(class, seq, _) in keys {
-            if class.detectable_by_design() {
-                let w = self.window(seq, boundaries, dynamic_len);
-                if seen.insert(w) {
-                    windows.push(w);
-                }
-            }
-        }
-        let (results, _) = par_map_indexed(self.jobs, &windows, |_, w| {
-            clean_window(scheme, program, &anchors[&w.anchor_idx], w.budget)
-        });
-        let mut map = HashMap::with_capacity(windows.len());
-        for (w, r) in windows.into_iter().zip(results) {
-            let baseline =
-                r.map_err(|m| CampaignError::Workload(format!("clean window failed: {m}")))?;
-            map.insert(w, baseline);
-        }
-        Ok(map)
-    }
-
-    /// Scores one fault key over its anchored window (see
-    /// [`crate::engine`] for the window contract shared by both
-    /// engines).
-    #[allow(clippy::too_many_arguments)]
-    fn trial_outcome(
-        &self,
-        scheme: &dyn DetectionScheme,
-        program: &Program,
-        anchors: &HashMap<usize, Checkpoint>,
-        baselines: &HashMap<TrialWindow, WindowBaseline>,
-        boundaries: usize,
-        dynamic_len: u64,
-        class: FaultClass,
-        seq: u64,
-        bit: u8,
-        tracer: Option<&mut Tracer>,
-    ) -> Result<TrialOutcome, String> {
+    ) -> Vec<Verdict> {
+        let (class, seq, _) = keys[0];
         if !class.detectable_by_design() {
-            return Ok(by_fiat((class, seq, bit)));
+            return keys.iter().map(|&key| Ok((by_fiat(key), None))).collect();
         }
-        let window = self.window(seq, boundaries, dynamic_len);
-        let owned;
-        let (ck, baseline): (&Checkpoint, WindowBaseline) = match self.engine {
-            TrialEngine::Replay => (&anchors[&window.anchor_idx], baselines[&window]),
-            TrialEngine::Full => {
-                // The oracle arm: re-derive the anchor state from
-                // instruction 0 and re-run the clean window, every
-                // trial, sharing nothing with any other trial.
-                owned = checkpoints_at(
-                    program,
-                    &[window.anchor(self.ckpt_every)],
-                    &self.config.pipeline,
-                )
-                .map_err(|e| e.to_string())?
-                .pop()
-                .expect("one boundary requested");
-                let baseline = clean_window(scheme, program, &owned, window.budget)?;
-                (&owned, baseline)
+        // The oracle arm derives its anchor and clean window per trial,
+        // so there their failures are that trial's.
+        let stage = |s| match self.engine {
+            TrialEngine::Replay => s,
+            TrialEngine::Full => Stage::Trial,
+        };
+        let boundary = self
+            .window(seq, boundaries, dynamic_len)
+            .anchor(self.ckpt_every);
+        let pipeline = &self.config.pipeline;
+        let ck = match self.engine {
+            TrialEngine::Replay => {
+                let base = &coarse[(boundary / stride) as usize];
+                derive_checkpoint(program, base, boundary, pipeline)
+            }
+            TrialEngine::Full => checkpoints_at(program, &[boundary], pipeline)
+                .map(|mut cks| cks.pop().expect("one boundary requested")),
+        };
+        let ck = match ck {
+            Ok(ck) => ck,
+            Err(e) => {
+                let m = e.to_string();
+                return keys
+                    .iter()
+                    .map(|_| Err((stage(Stage::Anchor), m.clone())))
+                    .collect();
             }
         };
-        scheme.run_trial(Trial {
-            program,
-            ck,
-            baseline: &baseline,
-            class,
-            seq,
-            bit,
-            budget: window.budget,
-            tracer,
-            probe: None,
-        })
+        let forked = self.engine == TrialEngine::Replay && self.metrics_interval == 0;
+        let mut verdicts: Vec<(usize, Verdict)> = Vec::with_capacity(keys.len());
+        let windows = group_by(keys, |_, &(_, seq, _)| {
+            self.window(seq, boundaries, dynamic_len)
+        });
+        for (w, members) in windows {
+            let group: Vec<_> = members.iter().map(|&k| keys[k]).collect();
+            let scored: Vec<Verdict> = if forked {
+                match scheme.run_window_trials(program, &ck, w.budget, &group) {
+                    Ok((_, outcomes)) => outcomes
+                        .into_iter()
+                        .map(|o| o.map(|o| (o, None)).map_err(|m| (Stage::Trial, m)))
+                        .collect(),
+                    Err(m) => group
+                        .iter()
+                        .map(|_| Err((Stage::Window, m.clone())))
+                        .collect(),
+                }
+            } else {
+                match clean_window(scheme, program, &ck, w.budget) {
+                    Ok(baseline) => group
+                        .iter()
+                        .map(|&(class, seq, bit)| {
+                            let mut tracer = (self.metrics_interval > 0)
+                                .then(|| Tracer::new().with_interval(self.metrics_interval));
+                            let outcome = scheme
+                                .run_trial(Trial {
+                                    program,
+                                    ck: &ck,
+                                    baseline: &baseline,
+                                    class,
+                                    seq,
+                                    bit,
+                                    budget: w.budget,
+                                    tracer: tracer.as_mut(),
+                                    probe: None,
+                                })
+                                .map_err(|m| (Stage::Trial, m))?;
+                            let series = tracer.map(|mut t| {
+                                t.finish();
+                                t.into_parts().1
+                            });
+                            Ok((outcome, series))
+                        })
+                        .collect(),
+                    Err(m) => group
+                        .iter()
+                        .map(|_| Err((stage(Stage::Window), m.clone())))
+                        .collect(),
+                }
+            };
+            verdicts.extend(members.into_iter().zip(scored));
+        }
+        verdicts.sort_unstable_by_key(|&(k, _)| k);
+        verdicts.into_iter().map(|(_, v)| v).collect()
     }
+}
+
+/// One member's verdict from the fan-out: its outcome, with its own
+/// metrics series when sampled, or where and why it failed.
+type Verdict = Result<(TrialOutcome, Option<MetricsSeries>), (Stage, String)>;
+
+/// Where a fan-out member failed, in reporting order: a Replay anchor
+/// or clean window fails every trial it serves, ahead of any one trial.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Stage {
+    Anchor,
+    Window,
+    Trial,
+}
+
+/// Indices of `items` grouped by `key`: each group in index order, the
+/// groups in first-occurrence order.
+fn group_by<T, K: Copy + Eq + Hash>(
+    items: &[T],
+    key: impl Fn(usize, &T) -> K,
+) -> Vec<(K, Vec<usize>)> {
+    let mut groups: Vec<(K, Vec<usize>)> = Vec::new();
+    let mut slot: HashMap<K, usize> = HashMap::new();
+    for (i, item) in items.iter().enumerate() {
+        let k = key(i, item);
+        let g = *slot.entry(k).or_insert_with(|| {
+            groups.push((k, Vec::new()));
+            groups.len() - 1
+        });
+        groups[g].1.push(i);
+    }
+    groups
 }
 
 /// The outcome of a key whose class lies outside every scheme's
@@ -1178,6 +1110,140 @@ mod tests {
             assemble("  li t0, 10\nloop: addi t0, t0, -1\n  bnez t0, loop\n  halt\n").unwrap();
         let err = base().resume(&log).run(&other).unwrap_err();
         assert!(matches!(err, CampaignError::Resume(_)), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_checks_the_clean_fields_after_the_fan_out() {
+        let dir = std::env::temp_dir().join(format!("reese-campaign-clean-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let log = dir.join("campaign.jsonl");
+        let base = |mix: FaultMix| {
+            Campaign::new(ReeseConfig::starting(), mix)
+                .trials(8)
+                .seed(4)
+                .jobs(2)
+        };
+        base(FaultMix::broad())
+            .outcomes_jsonl(&log)
+            .trial_limit(4)
+            .run(&loop_prog())
+            .unwrap();
+        let text = std::fs::read_to_string(&log).unwrap();
+        let (first, rest) = text.split_once('\n').unwrap();
+        let real = LogHeader::parse(first).unwrap();
+        // Rewrites the header, resumes, and returns the error; the log
+        // must come back byte for byte.
+        let resume = |edit: &dyn Fn(&mut LogHeader), mix: FaultMix| {
+            let mut h = real;
+            edit(&mut h);
+            let edited = format!("{}\n{rest}", h.to_line());
+            std::fs::write(&log, &edited).unwrap();
+            let err = base(mix).resume(&log).run(&loop_prog()).unwrap_err();
+            assert_eq!(std::fs::read_to_string(&log).unwrap(), edited);
+            err
+        };
+        let err = resume(&|h| h.clean_digest ^= 1, FaultMix::broad());
+        assert_eq!(
+            err,
+            CampaignError::Resume(format!(
+                "`clean_digest` is {} in the log but {} in this campaign",
+                real.clean_digest ^ 1,
+                real.clean_digest
+            ))
+        );
+        let err = resume(&|h| h.clean_cycles += 1, FaultMix::broad());
+        assert_eq!(
+            err,
+            CampaignError::Resume(format!(
+                "`clean_cycles` is {} in the log but {} in this campaign",
+                real.clean_cycles + 1,
+                real.clean_cycles
+            ))
+        );
+        // Wrong in both `mix` and `clean_cycles`: the mix is checked
+        // before the fan-out, the clean fields after it, so `mix` is
+        // named.
+        let err = resume(&|h| h.clean_cycles += 1, FaultMix::result_errors_only());
+        match err {
+            CampaignError::Resume(m) => assert!(m.starts_with("`mix` is "), "{m}"),
+            other => panic!("expected Resume error, got {other}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn outcome_logs_are_byte_identical_across_jobs() {
+        let dir = std::env::temp_dir().join(format!("reese-campaign-jobs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let log = |jobs: usize| {
+            let path = dir.join(format!("j{jobs}.jsonl"));
+            Campaign::new(ReeseConfig::starting(), FaultMix::broad())
+                .trials(24)
+                .seed(12)
+                .jobs(jobs)
+                .outcomes_jsonl(&path)
+                .run(&loop_prog())
+                .unwrap();
+            std::fs::read_to_string(&path).unwrap()
+        };
+        let serial = log(1);
+        assert!(
+            serial.starts_with("{\"reese_campaign_log\": 1, "),
+            "{serial}"
+        );
+        assert_eq!(serial.lines().count(), 25, "header plus one line per trial");
+        assert_eq!(log(4), serial);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn journal_events_follow_the_documented_order() {
+        let dir = std::env::temp_dir().join(format!("reese-campaign-tele-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.jsonl");
+        let events = |campaign: Campaign| {
+            campaign
+                .trials(12)
+                .seed(6)
+                .telemetry_out(&path)
+                .run(&loop_prog())
+                .unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            text.lines()
+                .map(|l| {
+                    let rest = &l[l.find("\"event\": \"").unwrap() + 10..];
+                    rest[..rest.find('"').unwrap()].to_string()
+                })
+                .filter(|e| e != "progress")
+                .collect::<Vec<_>>()
+        };
+        let want = [
+            "journal_start",
+            "campaign_start",
+            "reference_done",
+            "plan",
+            "clean_done",
+            "trials_done",
+            "campaign_done",
+        ];
+        for jobs in [1, 2] {
+            let base = || Campaign::new(ReeseConfig::starting(), FaultMix::broad()).jobs(jobs);
+            assert_eq!(events(base()), want, "default path, jobs={jobs}");
+            assert_eq!(
+                events(base().metrics_interval(200)),
+                want,
+                "metrics sampling, jobs={jobs}"
+            );
+            assert_eq!(
+                events(base().engine(TrialEngine::Full)),
+                want,
+                "full engine, jobs={jobs}"
+            );
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let clean = text.lines().find(|l| l.contains("\"clean_done\"")).unwrap();
+        assert!(clean.contains("\"clean_cycles\": ") && clean.contains("\"wait_ms\": "));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -27,7 +27,7 @@
 
 use crate::engine::{boundary_count, output_fnv, plan_window};
 use crate::schemes::{self, Trial};
-use crate::stream::{fnv1a64, read_log_raw, trial_id};
+use crate::stream::{fnv1a64, read_log, trial_id};
 use crate::{CampaignError, FaultClass, TrialOutcome, WindowBaseline};
 use reese_ckpt::{checkpoints_at, Scheme};
 use reese_core::ReeseConfig;
@@ -170,7 +170,7 @@ pub fn explain_trial(
     log_path: &Path,
     which: TrialRef,
 ) -> Result<Explanation, CampaignError> {
-    let (header, recorded) = read_log_raw(log_path)?;
+    let (header, recorded) = read_log(log_path, None)?;
 
     // The header's config fingerprint is salted exactly as the
     // campaign salts it (see `Campaign::log_header`).
@@ -555,7 +555,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let log = logged_campaign(&dir, FaultMix::broad());
         let config = ReeseConfig::starting();
-        let (header, recorded) = read_log_raw(&log).unwrap();
+        let (header, recorded) = read_log(&log, None).unwrap();
         let (&t, _) = recorded
             .iter()
             .find(|(_, o)| !o.class.detectable_by_design())

@@ -212,12 +212,17 @@ pub(crate) fn parse_outcome_line(line: &str) -> Result<(usize, Option<u64>, Tria
     ))
 }
 
-/// Reads a campaign log, validates its header against `expected`, and
-/// returns the recorded outcomes keyed by trial index.
+/// Reads a campaign log: its header and its recorded outcomes, keyed by
+/// trial index. With `expected` (a resume), the header must match it in
+/// every field but the clean run's cycles and digest, which the caller
+/// checks with [`LogHeader::expect_matches`] once its clean run is done.
+/// Without (the forensics path), the log is its own source of truth for
+/// seed, mix, and window geometry. Trial indices and ids are checked
+/// against the expected seed and trial count either way.
 pub(crate) fn read_log(
     path: &Path,
-    expected: &LogHeader,
-) -> Result<BTreeMap<usize, TrialOutcome>, CampaignError> {
+    expected: Option<&LogHeader>,
+) -> Result<(LogHeader, BTreeMap<usize, TrialOutcome>), CampaignError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CampaignError::Io(format!("reading {}: {e}", path.display())))?;
     let mut lines = text.lines();
@@ -225,8 +230,16 @@ pub(crate) fn read_log(
         .next()
         .ok_or_else(|| CampaignError::Resume(format!("{} is empty", path.display())))?;
     let header = LogHeader::parse(header_line).map_err(CampaignError::Resume)?;
+    let expected = match expected {
+        Some(e) => LogHeader {
+            clean_cycles: header.clean_cycles,
+            clean_digest: header.clean_digest,
+            ..*e
+        },
+        None => header,
+    };
     header
-        .expect_matches(expected)
+        .expect_matches(&expected)
         .map_err(CampaignError::Resume)?;
     let mut recorded = BTreeMap::new();
     for (i, line) in lines.enumerate() {
@@ -259,24 +272,6 @@ pub(crate) fn read_log(
             )));
         }
     }
-    Ok(recorded)
-}
-
-/// Reads a campaign log without an expectation to check against: the
-/// forensics path, which takes the log itself as the source of truth
-/// for seed, mix, and window geometry. Ids are still validated against
-/// the recorded seed.
-pub(crate) fn read_log_raw(
-    path: &Path,
-) -> Result<(LogHeader, BTreeMap<usize, TrialOutcome>), CampaignError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CampaignError::Io(format!("reading {}: {e}", path.display())))?;
-    let header_line = text
-        .lines()
-        .next()
-        .ok_or_else(|| CampaignError::Resume(format!("{} is empty", path.display())))?;
-    let header = LogHeader::parse(header_line).map_err(CampaignError::Resume)?;
-    let recorded = read_log(path, &header)?;
     Ok((header, recorded))
 }
 
@@ -287,16 +282,15 @@ pub(crate) struct LogWriter {
 }
 
 impl LogWriter {
-    /// Creates (truncating) a fresh log and writes the header.
-    pub fn create(path: &Path, header: &LogHeader) -> Result<LogWriter, CampaignError> {
+    /// Creates (truncating) a fresh log; the caller writes the header
+    /// line first.
+    pub fn create(path: &Path) -> Result<LogWriter, CampaignError> {
         let file = File::create(path)
             .map_err(|e| CampaignError::Io(format!("creating {}: {e}", path.display())))?;
-        let mut w = LogWriter {
+        Ok(LogWriter {
             out: BufWriter::new(file),
             path: path.display().to_string(),
-        };
-        w.line(&header.to_line())?;
-        Ok(w)
+        })
     }
 
     /// Opens an existing log for appending (after [`read_log`]
@@ -522,7 +516,7 @@ mod tests {
         // Line written under a different seed: same trial index, wrong id.
         let foreign = outcome_line(h.seed + 1, 0, &o);
         std::fs::write(&path, format!("{}\n{foreign}\n", h.to_line())).unwrap();
-        let err = read_log(&path, &h).unwrap_err().to_string();
+        let err = read_log(&path, Some(&h)).unwrap_err().to_string();
         assert!(err.contains("different campaign"), "{err}");
         // The same line under the right seed reads back fine.
         std::fs::write(
@@ -530,7 +524,7 @@ mod tests {
             format!("{}\n{}\n", h.to_line(), outcome_line(h.seed, 0, &o)),
         )
         .unwrap();
-        let recorded = read_log(&path, &h).unwrap();
+        let (_, recorded) = read_log(&path, Some(&h)).unwrap();
         assert_eq!(recorded.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -14,22 +14,22 @@
 //!
 //! 1. `campaign_start` — scheme, engine, jobs, trials, seed.
 //! 2. `reference_done` — checkpoint sweep cost: resident checkpoints,
-//!    sweep stride, dynamic length, clean cycles.
+//!    sweep stride, dynamic length, and the sweep's wall time.
 //! 3. `resume_loaded` — recorded trials reused from a resume log.
 //! 4. `plan` — todo count, distinct simulated keys, and the
 //!    memoization hit rate (`1 - keys/todo`).
-//! 5. `anchors_derived` — anchor checkpoints restored/derived, with
-//!    the phase's wall time: the checkpoint-restore cost.
-//! 6. `baselines_cached` — clean windows computed for the baseline
-//!    cache, with the phase's wall time. Only where a separate
-//!    baseline phase still exists (Replay with metrics sampling): on
-//!    the default path each window's clean pass runs inside the trial
-//!    fan-out and yields the baseline there.
-//! 7. `progress` (repeated) — trials done / total, trials per second,
+//! 5. `clean_done` — the clean whole-program run's cycles, and
+//!    `wait_ms`: how long the fan-out's head worker waited to join it
+//!    (0 when it finished first, and serially, where the head item runs
+//!    it). A nonzero wait means the clean run is still the critical
+//!    path. The head item emits it, so on several workers it can fall
+//!    among the `progress` events.
+//! 6. `progress` (repeated) — trials done / total, trials per second,
 //!    and an ETA, sampled from the worker fan-out.
-//! 8. `trials_done` — end-to-end fan-out stats: items, wall ms, items
-//!    per second, per-worker item/steal counts.
-//! 9. `campaign_done` — trials, detected, coverage, total wall ms.
+//! 7. `trials_done` — end-to-end fan-out stats: items, wall ms, items
+//!    per second, per-worker item/steal counts and busy time (the head
+//!    item's time is not busy).
+//! 8. `campaign_done` — trials, detected, coverage, total wall ms.
 
 use reese_stats::ParallelStats;
 use std::fs::File;

@@ -26,6 +26,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Returns the default worker count: the host's available parallelism.
@@ -145,27 +146,39 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_weighted(jobs, items, |_| 1, f)
+    let ((), results, stats) = par_map_weighted(jobs, || (), items, |_| 1, f);
+    (results, stats)
 }
 
 /// [`par_map_indexed`] over work items that stand for several units of
-/// work each: item `i` counts as `weight(&items[i])` units in the
-/// returned [`ParallelStats`], and up to `jobs` workers run as long as
-/// there are that many units, even when fewer items carry them. A
-/// caller that batches its units (a fault campaign scoring every key of
-/// one window in one pass) thereby reports the same worker count and
-/// throughput as a per-unit map would.
+/// work each, behind a head item: item `i` counts as
+/// `weight(&items[i])` units in the returned [`ParallelStats`], and up
+/// to `jobs` workers run as long as there are that many units, even
+/// when fewer items carry them. A caller that batches its units (a
+/// fault campaign scoring every key of one anchor in one pass) thereby
+/// reports the same worker count and throughput as a per-unit map
+/// would.
+///
+/// `head` runs exactly once, before any item of the worker that runs
+/// it: the first worker to start claims it alone, never inside a
+/// chunk, while the others start on the items. A caller can therefore
+/// put a blocking wait there (joining a thread it spawned earlier)
+/// without items queuing behind it. The head is not fan-out work: it
+/// counts no units and its time stays out of the worker's busy time.
+/// Serially it runs inline, before the first item.
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` after all workers stop.
-pub fn par_map_weighted<T, R, F, W>(
+/// Propagates a panic from `head` or `f` after all workers stop.
+pub fn par_map_weighted<H, T, R, F, W>(
     jobs: usize,
+    head: impl FnOnce() -> H + Send,
     items: &[T],
     weight: W,
     f: F,
-) -> (Vec<R>, ParallelStats)
+) -> (H, Vec<R>, ParallelStats)
 where
+    H: Send,
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
@@ -177,6 +190,7 @@ where
         .max(1)
         .min(usize::try_from(units.max(1)).unwrap_or(usize::MAX));
     if jobs == 1 {
+        let head = head();
         let t0 = Instant::now();
         let results: Vec<R> = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         let busy = t0.elapsed();
@@ -190,7 +204,7 @@ where
                 busy,
             }],
         };
-        return (results, stats);
+        return (head, results, stats);
     }
 
     // Chunked handout: the bulk of the indices is claimed a chunk at a
@@ -203,14 +217,19 @@ where
     let bulk = items.len() - (chunk * jobs).min(items.len());
     let bulk_cursor = AtomicUsize::new(0);
     let tail_cursor = AtomicUsize::new(bulk);
-    let per_worker: Vec<(Vec<(usize, R)>, WorkerStats)> = std::thread::scope(|s| {
+    let head = Mutex::new(Some(head));
+    type Worker<H, R> = (Option<H>, Vec<(usize, R)>, WorkerStats);
+    let per_worker: Vec<Worker<H, R>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..jobs)
             .map(|worker| {
                 let bulk_cursor = &bulk_cursor;
                 let tail_cursor = &tail_cursor;
+                let head = &head;
                 let f = &f;
                 let weight = &weight;
                 s.spawn(move || {
+                    let claimed = head.lock().expect("head claim").take();
+                    let head = claimed.map(|h| h());
                     let mut out: Vec<(usize, R)> = Vec::new();
                     let mut busy = Duration::ZERO;
                     let mut steals = 0u64;
@@ -245,7 +264,7 @@ where
                         steals,
                         busy,
                     };
-                    (out, stats)
+                    (head, out, stats)
                 })
             })
             .collect();
@@ -258,7 +277,9 @@ where
     // Merge the per-worker results back into input order.
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
     let mut workers = Vec::with_capacity(jobs);
-    for (pairs, stats) in per_worker {
+    let mut head = None;
+    for (claimed, pairs, stats) in per_worker {
+        head = head.or(claimed);
         for (i, r) in pairs {
             debug_assert!(slots[i].is_none(), "index {i} computed twice");
             slots[i] = Some(r);
@@ -271,6 +292,7 @@ where
         .map(|o| o.expect("every index computed exactly once"))
         .collect();
     (
+        head.expect("one worker ran the head"),
         results,
         ParallelStats {
             jobs,
@@ -290,8 +312,9 @@ mod tests {
         // (two find nothing to do), and the stats count units.
         let batches = [vec![1u64, 2, 3], vec![4, 5, 6, 7, 8]];
         for jobs in [1, 4] {
-            let (sums, stats) = par_map_weighted(
+            let ((), sums, stats) = par_map_weighted(
                 jobs,
+                || (),
                 &batches,
                 |b| b.len() as u64,
                 |_, b| b.iter().sum::<u64>(),
@@ -301,8 +324,60 @@ mod tests {
             assert_eq!(stats.jobs, jobs);
             assert_eq!(stats.workers.len(), jobs);
         }
-        let (_, stats) = par_map_weighted(16, &batches, |b| b.len() as u64, |_, _| ());
+        let (_, _, stats) = par_map_weighted(16, || (), &batches, |b| b.len() as u64, |_, _| ());
         assert_eq!(stats.jobs, 8, "never more workers than units");
+    }
+
+    #[test]
+    fn head_is_claimed_alone_and_stays_out_of_the_stats() {
+        // The head blocks until every item is done: that finishes only
+        // if no item waits behind it on the head's worker.
+        let items: Vec<u64> = (0..64).collect();
+        let done = AtomicUsize::new(0);
+        let head = || {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while done.load(Ordering::SeqCst) < items.len() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(50));
+            done.load(Ordering::SeqCst)
+        };
+        let (head, out, stats) = par_map_weighted(
+            2,
+            head,
+            &items,
+            |_| 1,
+            |_, &x| {
+                done.fetch_add(1, Ordering::SeqCst);
+                x * 2
+            },
+        );
+        assert_eq!(head, items.len(), "the other worker ran every item");
+        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+        assert_eq!(stats.items(), 64, "the head counts no units");
+        assert!(stats
+            .workers
+            .iter()
+            .all(|w| w.busy < Duration::from_millis(50)));
+
+        // Serially the head runs inline, first, and its time is not busy.
+        let (first, out, stats) = par_map_weighted(
+            1,
+            || {
+                std::thread::sleep(Duration::from_millis(50));
+                done.load(Ordering::SeqCst)
+            },
+            &items,
+            |_| 1,
+            |_, &x| {
+                done.fetch_add(1, Ordering::SeqCst);
+                x
+            },
+        );
+        assert_eq!(first, 64, "no item ran before the head");
+        assert_eq!(out, items);
+        assert!(stats.wall >= Duration::from_millis(50));
+        assert!(stats.workers[0].busy < Duration::from_millis(50));
     }
 
     #[test]
