@@ -1,10 +1,10 @@
 //! Monte-Carlo fault-injection campaigns.
 
-use crate::engine::{boundary_count, clean_window, plan_window, TrialWindow};
-use crate::schemes::{self, DetectionScheme, Trial};
+use crate::engine::{boundary_count, plan_window, TrialWindow};
+use crate::schemes::{self, DetectionScheme, Observers, Trial};
 use crate::stream::{fnv1a64, outcome_line, read_log, LogHeader, LogWriter};
 use crate::telemetry::{json_str, Telemetry};
-use crate::{CoverageReport, FaultClass, FaultMix, TrialEngine, TrialOutcome};
+use crate::{CoverageReport, FaultClass, FaultMix, TrialEngine, TrialOutcome, WindowBaseline};
 use reese_ckpt::{
     checkpoint_stream_thinned, checkpoints_at, derive_checkpoint, Checkpoint, Scheme,
     MAX_RESIDENT_CHECKPOINTS,
@@ -663,14 +663,15 @@ impl Campaign {
     /// scored by fiat), one verdict per key in `keys` order. The anchor
     /// is derived here — from the coarse sweep `(checkpoints, stride)`
     /// under Replay, from instruction 0 under Full — and dropped on
-    /// return. Then each window on it is scored. On the default Replay
-    /// path a window runs its clean machine once and forks one faulted
-    /// run per key off it ([`DetectionScheme::run_window_trials`]), the
-    /// clean pass doubling as the baseline. The oracle arm and metrics
-    /// sampling, which needs a tracer per trial, instead run the clean
-    /// window and then each key from the anchor
-    /// ([`DetectionScheme::run_trial`]); see [`crate::engine`] for the
-    /// window contract both share.
+    /// return. Then each window on it is scored. Under Replay a window
+    /// runs its clean machine once and forks one faulted run per key
+    /// off it ([`DetectionScheme::run_window_trials`]), the clean pass
+    /// doubling as the baseline; under metrics sampling the clean pass
+    /// runs under a tracer, and each trial's series is its fork's copy.
+    /// The oracle arm instead runs the clean window and then each key
+    /// from the anchor ([`DetectionScheme::run_trial`]) under its own
+    /// tracer; see [`crate::engine`] for the window contract both
+    /// share.
     fn score(
         &self,
         scheme: &dyn DetectionScheme,
@@ -712,31 +713,43 @@ impl Campaign {
                     .collect();
             }
         };
-        let forked = self.engine == TrialEngine::Replay && self.metrics_interval == 0;
+        let tracer = || {
+            (self.metrics_interval > 0).then(|| Tracer::new().with_interval(self.metrics_interval))
+        };
+        let series = |mut t: Tracer| {
+            t.finish();
+            t.into_parts().1
+        };
         let mut verdicts: Vec<(usize, Verdict)> = Vec::with_capacity(keys.len());
         let windows = group_by(keys, |_, &(_, seq, _)| {
             self.window(seq, boundaries, dynamic_len)
         });
         for (w, members) in windows {
             let group: Vec<_> = members.iter().map(|&k| keys[k]).collect();
-            let scored: Vec<Verdict> = if forked {
-                match scheme.run_window_trials(program, &ck, w.budget, &group) {
-                    Ok((_, outcomes)) => outcomes
-                        .into_iter()
-                        .map(|o| o.map(|o| (o, None)).map_err(|m| (Stage::Trial, m)))
-                        .collect(),
-                    Err(m) => group
-                        .iter()
-                        .map(|_| Err((Stage::Window, m.clone())))
-                        .collect(),
+            let scored = match self.engine {
+                TrialEngine::Replay => {
+                    let observers = Observers {
+                        tracer: tracer(),
+                        log: None,
+                    };
+                    scheme
+                        .run_window_trials(program, &ck, w.budget, &group, observers)
+                        .map(|w| {
+                            w.trials
+                                .into_iter()
+                                .map(|t| match t {
+                                    Ok((outcome, obs)) => Ok((outcome, obs.tracer.map(series))),
+                                    Err(m) => Err((Stage::Trial, m)),
+                                })
+                                .collect()
+                        })
                 }
-            } else {
-                match clean_window(scheme, program, &ck, w.budget) {
-                    Ok(baseline) => group
+                TrialEngine::Full => scheme.run_window(program, &ck, w.budget).map(|clean| {
+                    let baseline = WindowBaseline::from(&clean);
+                    group
                         .iter()
                         .map(|&(class, seq, bit)| {
-                            let mut tracer = (self.metrics_interval > 0)
-                                .then(|| Tracer::new().with_interval(self.metrics_interval));
+                            let mut tracer = tracer();
                             let outcome = scheme
                                 .run_trial(Trial {
                                     program,
@@ -750,19 +763,17 @@ impl Campaign {
                                     probe: None,
                                 })
                                 .map_err(|m| (Stage::Trial, m))?;
-                            let series = tracer.map(|mut t| {
-                                t.finish();
-                                t.into_parts().1
-                            });
-                            Ok((outcome, series))
+                            Ok((outcome, tracer.map(series)))
                         })
-                        .collect(),
-                    Err(m) => group
-                        .iter()
-                        .map(|_| Err((stage(Stage::Window), m.clone())))
-                        .collect(),
-                }
+                        .collect()
+                }),
             };
+            let scored: Vec<Verdict> = scored.unwrap_or_else(|m| {
+                group
+                    .iter()
+                    .map(|_| Err((stage(Stage::Window), m.clone())))
+                    .collect()
+            });
             verdicts.extend(members.into_iter().zip(scored));
         }
         verdicts.sort_unstable_by_key(|&(k, _)| k);

@@ -23,22 +23,24 @@
 //!
 //! [`TrialEngine::Full`] is the oracle arm: every trial re-derives its
 //! anchor state by functionally executing the program from instruction
-//! 0 (via [`reese_ckpt::checkpoints_at`]) and re-runs its own
-//! clean window — no sweep, no caches, no memoization, full
-//! per-trial cost. [`TrialEngine::Replay`] captures its anchors from
-//! one [`reese_ckpt::checkpoint_stream_thinned`] sweep (plus
+//! 0 (via [`reese_ckpt::checkpoints_at`]), re-runs its own clean window
+//! ([`crate::DetectionScheme::run_window`]) and runs its faulted window
+//! from the anchor ([`crate::DetectionScheme::run_trial`]) — no sweep,
+//! no caches, no memoization, no fork, full per-trial cost.
+//! [`TrialEngine::Replay`] captures its anchors from one
+//! [`reese_ckpt::checkpoint_stream_thinned`] sweep (plus
 //! [`reese_ckpt::derive_checkpoint`]), restores once per window, runs
 //! each window's clean machine once and forks every faulted trial of
 //! that window off it (see
-//! [`crate::DetectionScheme::run_window_trials`]), and memoizes
-//! outcomes by fault key. Outcome byte-identity between the two arms
-//! therefore certifies the entire reuse machinery — checkpoint
-//! capture/restore, the fork, memoization, parallel fan-out, and
+//! [`crate::DetectionScheme::run_window_trials`]) — under metrics
+//! sampling too, where each fork carries a clone of the clean pass's
+//! tracer — and memoizes outcomes by fault key when not sampling.
+//! Outcome and metrics byte-identity between the two arms therefore
+//! certifies the entire reuse machinery — checkpoint capture/restore,
+//! the fork and its observers, memoization, parallel fan-out, and
 //! resume — against the from-scratch computation.
 
-use crate::schemes::{DetectionScheme, SchemeRun};
-use reese_ckpt::Checkpoint;
-use reese_isa::Program;
+use crate::schemes::SchemeRun;
 use std::fmt;
 use std::str::FromStr;
 
@@ -182,18 +184,6 @@ impl From<&SchemeRun> for WindowBaseline {
 pub(crate) fn output_fnv(out: &[i64]) -> u64 {
     let bytes: Vec<u8> = out.iter().flat_map(|v| v.to_le_bytes()).collect();
     crate::stream::fnv1a64(&bytes)
-}
-
-/// Runs the clean window from a checkpoint through a detection scheme.
-pub(crate) fn clean_window(
-    scheme: &dyn DetectionScheme,
-    program: &Program,
-    ck: &Checkpoint,
-    budget: u64,
-) -> Result<WindowBaseline, String> {
-    Ok(WindowBaseline::from(
-        &scheme.run_window(program, ck, budget)?,
-    ))
 }
 
 #[cfg(test)]

@@ -3,11 +3,13 @@
 //!
 //! A campaign log records *that* a trial was detected (or escaped);
 //! this module answers *why*. [`explain_trial`] takes a campaign
-//! outcomes log, addresses one trial (by stable id or by index),
-//! replays exactly that trial's checkpoint-anchored window twice —
-//! clean and with the fault injected — each under a
-//! [`reese_trace::DeepLog`], and diffs the two runs to reconstruct the
-//! fault-propagation timeline:
+//! outcomes log, addresses one trial (by stable id or by index), and
+//! replays exactly that trial's checkpoint-anchored window the way a
+//! Replay campaign scores it: one clean pass under a
+//! [`reese_trace::DeepLog`], with the faulted run forked off it
+//! ([`crate::DetectionScheme::run_window_trials`]) and carrying a
+//! clone of the clean pass's log from its fork point. It then diffs
+//! the two logs to reconstruct the fault-propagation timeline:
 //!
 //! - the injection point (cycle, corrupted structure, bit),
 //! - the first divergent pipeline event and the first divergent
@@ -25,10 +27,10 @@
 //! outcome disagrees with the logged line, `explain` fails loudly
 //! rather than narrating a fiction.
 
-use crate::engine::{boundary_count, output_fnv, plan_window};
-use crate::schemes::{self, Trial};
+use crate::engine::{boundary_count, plan_window};
+use crate::schemes::{self, Observers};
 use crate::stream::{fnv1a64, read_log, trial_id};
-use crate::{CampaignError, FaultClass, TrialOutcome, WindowBaseline};
+use crate::{CampaignError, FaultClass, TrialOutcome};
 use reese_ckpt::{checkpoints_at, Scheme};
 use reese_core::ReeseConfig;
 use reese_cpu::Emulator;
@@ -150,11 +152,12 @@ fn matches_recorded(rerun: &TrialOutcome, rec: &TrialOutcome) -> bool {
         && lenient(rerun.detect_cycle, rec.detect_cycle)
 }
 
-/// Explains one trial of a recorded campaign: re-runs its anchored
-/// window clean and faulted under deep observers and reconstructs the
-/// propagation timeline. `config`, `scheme`, and `program` must be the
-/// ones the campaign ran with — the log's configuration fingerprint
-/// and dynamic length are checked before anything simulates.
+/// Explains one trial of a recorded campaign: runs its anchored window
+/// clean under a deep observer, forks the faulted run off it, and
+/// reconstructs the propagation timeline from the two logs. `config`,
+/// `scheme`, and `program` must be the ones the campaign ran with — the
+/// log's configuration fingerprint and dynamic length are checked
+/// before anything simulates.
 ///
 /// # Errors
 ///
@@ -272,31 +275,18 @@ pub fn explain_trial(
         .pop()
         .expect("one boundary requested");
 
-    let mut clean_log = DeepLog::new();
-    let clean_run = backend
-        .run_window_observed(program, &ck, window.budget, &mut clean_log)
-        .map_err(|m| CampaignError::Trial { trial, message: m })?;
-    let baseline = WindowBaseline {
-        cycles: clean_run.cycles,
-        digest: clean_run.state_digest,
-        output_fnv: output_fnv(&clean_run.output),
-        halted: clean_run.exit_code.is_some(),
+    let observers = Observers {
+        tracer: None,
+        log: Some(DeepLog::new()),
     };
-
-    let mut fault_log = DeepLog::new();
-    let rerun = backend
-        .run_trial(Trial {
-            program,
-            ck: &ck,
-            baseline: &baseline,
-            class: rec.class,
-            seq: rec.seq,
-            bit: rec.bit,
-            budget: window.budget,
-            tracer: None,
-            probe: Some(&mut fault_log),
-        })
-        .map_err(|m| CampaignError::Trial { trial, message: m })?;
+    let key = [(rec.class, rec.seq, rec.bit)];
+    let fail = |message| CampaignError::Trial { trial, message };
+    let mut w = backend
+        .run_window_trials(program, &ck, window.budget, &key, observers)
+        .map_err(fail)?;
+    let (rerun, fork) = w.trials.pop().expect("one key, one trial").map_err(fail)?;
+    let clean_log = w.observers.log.expect("the clean pass is logged");
+    let fault_log = fork.log.expect("the fork is logged");
     if !matches_recorded(&rerun, &rec) {
         return Err(CampaignError::Resume(format!(
             "re-run does not reproduce the logged outcome (logged \
@@ -314,8 +304,8 @@ pub fn explain_trial(
     let _ = writeln!(
         text,
         "window cycles: clean {} faulty {} (+{})",
-        baseline.cycles,
-        baseline.cycles + rerun.extra_cycles,
+        w.clean.cycles,
+        w.clean.cycles + rerun.extra_cycles,
         rerun.extra_cycles
     );
 
@@ -345,21 +335,12 @@ pub fn explain_trial(
     match ev_div {
         Some(i) => {
             let _ = writeln!(text, "first divergent event (index {i}):");
-            match clean_log.events.get(i) {
-                Some(e) => {
-                    let _ = writeln!(text, "  clean : {}", fmt_event(e));
-                }
-                None => {
-                    let _ = writeln!(text, "  clean : (stream ended)");
-                }
-            }
-            match fault_log.events.get(i) {
-                Some(e) => {
-                    let _ = writeln!(text, "  faulty: {}", fmt_event(e));
-                }
-                None => {
-                    let _ = writeln!(text, "  faulty: (stream ended)");
-                }
+            for (run, log) in [("clean ", &clean_log), ("faulty", &fault_log)] {
+                let event = log
+                    .events
+                    .get(i)
+                    .map_or_else(|| "(stream ended)".to_string(), fmt_event);
+                let _ = writeln!(text, "  {run}: {event}");
             }
         }
         None => {
@@ -372,31 +353,22 @@ pub fn explain_trial(
     }
 
     // First divergent machine state: which structure moved first.
-    if let Some(((cycle, faulty_state), clean_state)) = fault_log.first_state_divergence(&clean_log)
-    {
-        match clean_state {
-            Some((_, cs)) => {
-                let diffs = state_diff(faulty_state, cs);
-                let _ = writeln!(
-                    text,
-                    "first divergent machine state: cycle {cycle} ({})",
-                    diffs.join(", ")
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    text,
-                    "first divergent machine state: cycle {cycle} (faulty run \
-                     outlived the clean window)"
-                );
-            }
-        }
-    } else {
-        let _ = writeln!(
+    let _ = match fault_log.first_state_divergence(&clean_log) {
+        Some(((cycle, faulty), Some((_, clean)))) => writeln!(
+            text,
+            "first divergent machine state: cycle {cycle} ({})",
+            state_diff(faulty, clean).join(", ")
+        ),
+        Some(((cycle, _), None)) => writeln!(
+            text,
+            "first divergent machine state: cycle {cycle} (faulty run \
+             outlived the clean window)"
+        ),
+        None => writeln!(
             text,
             "per-cycle machine state identical to the clean window"
-        );
-    }
+        ),
+    };
 
     // The faulted instruction's lifecycle (including any post-flush
     // re-execution) — the propagation hops through the machine.
@@ -453,34 +425,30 @@ pub fn explain_trial(
     for e in &fault_log.events {
         trace.push(*e);
     }
-    if let Some(c) = rerun.inject_cycle {
-        trace.push(TraceEvent {
-            cycle: c,
+    let marker = |stage| {
+        move |cycle| TraceEvent {
+            cycle,
             seq: rec.seq,
             pc: pc_of_seq,
-            stage: Stage::Inject,
+            stage,
             stream: Stream::Primary,
-        });
-    }
-    if let Some(i) = ev_div {
-        if let Some(e) = fault_log.events.get(i).or_else(|| clean_log.events.get(i)) {
-            trace.push(TraceEvent {
-                cycle: e.cycle,
-                seq: e.seq,
-                pc: e.pc,
-                stage: Stage::Diverge,
-                stream: e.stream,
-            });
         }
-    }
-    if let Some(c) = rerun.detect_cycle {
-        trace.push(TraceEvent {
-            cycle: c,
-            seq: rec.seq,
-            pc: pc_of_seq,
-            stage: Stage::Detect,
-            stream: Stream::Primary,
+    };
+    let diverge = ev_div
+        .and_then(|i| fault_log.events.get(i).or_else(|| clean_log.events.get(i)))
+        .map(|e| TraceEvent {
+            stage: Stage::Diverge,
+            ..*e
         });
+    for event in [
+        rerun.inject_cycle.map(marker(Stage::Inject)),
+        diverge,
+        rerun.detect_cycle.map(marker(Stage::Detect)),
+    ]
+    .into_iter()
+    .flatten()
+    {
+        trace.push(event);
     }
 
     Ok(Explanation {
@@ -495,6 +463,7 @@ pub fn explain_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::{outcome_line, LogHeader};
     use crate::{Campaign, FaultMix};
     use reese_isa::assemble;
 
@@ -636,6 +605,38 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("instructions"), "{err}");
+        // A log no campaign writes is rejected before any window is
+        // planned: a zero checkpoint interval (which divided by zero),
+        // and a fault past the program's end (which overflowed).
+        let (header, recorded) = read_log(&log, None).unwrap();
+        let o = recorded[&0];
+        let zero = LogHeader {
+            ckpt_every: 0,
+            ..header
+        };
+        let past_end = TrialOutcome { seq: u64::MAX, ..o };
+        for (lines, want) in [
+            (
+                [zero.to_line(), outcome_line(header.seed, 0, &o)],
+                "`ckpt_every` is 0",
+            ),
+            (
+                [header.to_line(), outcome_line(header.seed, 0, &past_end)],
+                "line 2: seq 18446744073709551615 is out of range",
+            ),
+        ] {
+            std::fs::write(&log, lines.join("\n")).unwrap();
+            let err = explain_trial(
+                &ReeseConfig::starting(),
+                Scheme::Reese,
+                &loop_prog(),
+                &log,
+                TrialRef::Index(0),
+            )
+            .unwrap_err();
+            assert!(matches!(err, CampaignError::Resume(_)), "{err}");
+            assert!(err.to_string().contains(want), "{err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

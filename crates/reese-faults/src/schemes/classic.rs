@@ -15,14 +15,17 @@
 //! rate the protected schemes are measured against.
 
 use super::observe::CommitProbe;
-use super::{judged, DetectionScheme, Faulted, Pending, SchemeRun, Scored, Trial, WindowTrials};
+use super::{
+    judged, DetectionScheme, Faulted, Observers, Pending, SchemeRun, Scored, Trial, WindowObserver,
+    WindowTrials,
+};
 use crate::{FaultClass, TrialOutcome};
 use reese_ckpt::{Checkpoint, Scheme};
 use reese_core::{DuplexSim, Faults, InjectedFault, ReeseConfig, ReeseResult, ReeseSim};
 use reese_cpu::Emulator;
 use reese_isa::Program;
 use reese_pipeline::{PipelineSim, RunSpec, SimResult};
-use reese_trace::{DeepLog, NoopObserver, Observer, Pair};
+use reese_trace::{NoopObserver, Pair};
 
 /// The fault-free run of an anchored window: restore from `ck` and
 /// stop once `budget` instructions commit.
@@ -32,20 +35,6 @@ fn window_spec<'a, F: Default>(
     budget: u64,
 ) -> RunSpec<'a, F> {
     RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget)
-}
-
-/// A clean window on the plain pipeline. The single-stream schemes
-/// (baseline, MEEK, SWIFT) all measure their windows this way.
-pub(super) fn core_window<O: Observer>(
-    sim: &PipelineSim,
-    program: &Program,
-    ck: &Checkpoint,
-    budget: u64,
-    obs: &mut O,
-) -> Result<SchemeRun, String> {
-    sim.simulate(window_spec(program, ck, budget), obs)
-        .map(SchemeRun::from)
-        .map_err(|e| e.to_string())
 }
 
 /// A faulted window on the plain pipeline: `emu` already carries the
@@ -59,41 +48,49 @@ pub(super) fn probed_window(
     probe: &mut CommitProbe,
 ) -> Result<SimResult, String> {
     let spec = RunSpec::restored(emu, t.ck.warm.as_ref()).limit(t.budget);
-    with_trial_observers!(t, |obs| sim.simulate(spec, &mut Pair(probe, obs)))
-        .map_err(|e| e.to_string())
+    with_observers!(t.tracer.take(), t.probe.take(), |obs| {
+        sim.simulate(spec, &mut Pair(probe, obs))
+    })
+    .map_err(|e| e.to_string())
 }
 
-/// One detailed pass over a window on the plain pipeline: the clean run
-/// with a commit probe, plus one fork per `(seq, bit)` in `faults` with
-/// that architectural fault armed and the fork's probe watching `seq`.
-/// `score(i, run, probe)` reduces fork `i` as soon as it finishes.
-/// Returns the clean run, its probe, and the forks' pending verdicts.
-pub(super) fn forked_window(
+/// One detailed pass over a window on the plain pipeline — the way the
+/// single-stream schemes (baseline, MEEK, SWIFT) all run their windows:
+/// the clean run under `obs` with a commit probe, plus one fork per key
+/// with its architectural fault armed, each starting from copies of
+/// both at its fork point, its probe watching the key's seq.
+/// `score(key, run, probe)` reduces each fork as soon as it finishes.
+/// Returns the clean run, its probe and observer, and the forks'
+/// pending verdicts.
+pub(super) fn forked_window<O: WindowObserver>(
     sim: &PipelineSim,
     program: &Program,
     ck: &Checkpoint,
     budget: u64,
-    faults: &[(u64, u8)],
-    score: impl Fn(usize, &SchemeRun, &CommitProbe) -> Scored,
-) -> Result<(SchemeRun, CommitProbe, Pending), String> {
-    let mut scored: Pending = vec![None; faults.len()];
-    let mut probe = CommitProbe::new();
+    keys: &[(FaultClass, u64, u8)],
+    obs: O,
+    score: impl Fn((FaultClass, u64, u8), &SchemeRun, &CommitProbe) -> Scored,
+) -> Result<(SchemeRun, CommitProbe, O, Pending<O>), String> {
+    let faults: Vec<(u64, u8)> = keys.iter().map(|&(_, seq, bit)| (seq, bit)).collect();
+    let mut scored: Pending<O> = vec![None; keys.len()];
+    let mut obs = Pair(CommitProbe::new(), obs);
     let spec = window_spec(program, ck, budget);
     let clean = sim
         .simulate_forked(
             spec,
-            faults,
-            &mut probe,
-            CommitProbe::watch,
-            |i, r, fork_probe| {
+            &faults,
+            &mut obs,
+            |o, seq| o.0.watch(seq),
+            |i, r, Pair(probe, fork_obs)| {
                 scored[i] = Some(
-                    r.map(|r| score(i, &SchemeRun::from(r), &fork_probe))
+                    r.map(|r| (score(keys[i], &SchemeRun::from(r), &probe), fork_obs))
                         .map_err(|e| e.to_string()),
                 );
             },
         )
         .map_err(|e| e.to_string())?;
-    Ok((SchemeRun::from(clean), probe, scored))
+    let Pair(probe, obs) = obs;
+    Ok((SchemeRun::from(clean), probe, obs, scored))
 }
 
 /// Scores a single-stream machine's window where nothing checks the
@@ -148,28 +145,30 @@ fn score_redundant(key: (FaultClass, u64, u8), r: ReeseResult) -> Scored {
 }
 
 /// Scores every key of a window on a redundant machine: `run` is the
-/// machine's forked entry, handed one latch fault per key and a sink
-/// for each fork's result.
-fn redundant_window<E: std::fmt::Display>(
+/// machine's forked entry, handed one latch fault per key, the clean
+/// pass's observer, and a sink for each fork's result and observer.
+fn redundant_window<O: WindowObserver, E: std::fmt::Display>(
     keys: &[(FaultClass, u64, u8)],
+    mut obs: O,
     run: impl FnOnce(
         &[InjectedFault],
-        &mut dyn FnMut(usize, Result<ReeseResult, E>),
+        &mut O,
+        &mut dyn FnMut(usize, Result<ReeseResult, E>, O),
     ) -> Result<ReeseResult, E>,
 ) -> Result<WindowTrials, String> {
     let faults: Vec<InjectedFault> = keys
         .iter()
         .map(|&(class, seq, bit)| latch_fault(class, seq, bit))
         .collect();
-    let mut scored: Pending = vec![None; keys.len()];
-    let clean = run(&faults, &mut |i, r| {
+    let mut scored: Pending<O> = vec![None; keys.len()];
+    let clean = run(&faults, &mut obs, &mut |i, r, fork_obs| {
         scored[i] = Some(
-            r.map(|r| score_redundant(keys[i], r))
+            r.map(|r| (score_redundant(keys[i], r), fork_obs))
                 .map_err(|e| e.to_string()),
         );
     })
     .map_err(|e| e.to_string())?;
-    Ok(judged(&SchemeRun::from(clean), scored))
+    Ok(judged(SchemeRun::from(clean), obs, scored))
 }
 
 /// The fault a redundant machine latches for a trial key: primary or
@@ -211,25 +210,6 @@ impl DetectionScheme for BaselineScheme {
             .map_err(|e| e.to_string())
     }
 
-    fn run_window(
-        &self,
-        program: &Program,
-        ck: &Checkpoint,
-        budget: u64,
-    ) -> Result<SchemeRun, String> {
-        core_window(&self.sim, program, ck, budget, &mut NoopObserver)
-    }
-
-    fn run_window_observed(
-        &self,
-        program: &Program,
-        ck: &Checkpoint,
-        budget: u64,
-        probe: &mut DeepLog,
-    ) -> Result<SchemeRun, String> {
-        core_window(&self.sim, program, ck, budget, probe)
-    }
-
     fn run_trial(&self, mut t: Trial<'_>) -> Result<TrialOutcome, String> {
         // A single-stream machine has no redundant copy: both result
         // classes degenerate to one architectural result upset.
@@ -248,13 +228,13 @@ impl DetectionScheme for BaselineScheme {
         ck: &Checkpoint,
         budget: u64,
         keys: &[(FaultClass, u64, u8)],
+        observers: Observers,
     ) -> Result<WindowTrials, String> {
-        let faults: Vec<(u64, u8)> = keys.iter().map(|&(_, seq, bit)| (seq, bit)).collect();
-        let (clean, _, scored) =
-            forked_window(&self.sim, program, ck, budget, &faults, |i, r, probe| {
-                score_unchecked(keys[i], r, probe)
-            })?;
-        Ok(judged(&clean, scored))
+        with_observers!(observers.tracer, observers.log, |obs| {
+            let (clean, _, obs, scored) =
+                forked_window(&self.sim, program, ck, budget, keys, obs, score_unchecked)?;
+            Ok(judged(clean, obs, scored))
+        })
     }
 }
 
@@ -286,40 +266,15 @@ impl DetectionScheme for ReeseScheme {
             .map_err(|e| e.to_string())
     }
 
-    fn run_window(
-        &self,
-        program: &Program,
-        ck: &Checkpoint,
-        budget: u64,
-    ) -> Result<SchemeRun, String> {
-        let spec = window_spec(program, ck, budget);
-        self.sim
-            .simulate(spec, &mut NoopObserver)
-            .map(SchemeRun::from)
-            .map_err(|e| e.to_string())
-    }
-
-    fn run_window_observed(
-        &self,
-        program: &Program,
-        ck: &Checkpoint,
-        budget: u64,
-        probe: &mut DeepLog,
-    ) -> Result<SchemeRun, String> {
-        let spec = window_spec(program, ck, budget);
-        self.sim
-            .simulate(spec, probe)
-            .map(SchemeRun::from)
-            .map_err(|e| e.to_string())
-    }
-
-    fn run_trial(&self, mut t: Trial<'_>) -> Result<TrialOutcome, String> {
+    fn run_trial(&self, t: Trial<'_>) -> Result<TrialOutcome, String> {
         let faults = [latch_fault(t.class, t.seq, t.bit)];
         let spec = RunSpec::restored(t.ck.restore(t.program), t.ck.warm.as_ref())
             .limit(t.budget)
             .faults(Faults::Latch(&faults));
-        let r = with_trial_observers!(t, |obs| self.sim.simulate(spec, obs))
-            .map_err(|e| e.to_string())?;
+        let r = with_observers!(t.tracer, t.probe, |mut obs| {
+            self.sim.simulate(spec, &mut obs)
+        })
+        .map_err(|e| e.to_string())?;
         Ok(score_redundant((t.class, t.seq, t.bit), r).against(t.baseline))
     }
 
@@ -329,11 +284,13 @@ impl DetectionScheme for ReeseScheme {
         ck: &Checkpoint,
         budget: u64,
         keys: &[(FaultClass, u64, u8)],
+        observers: Observers,
     ) -> Result<WindowTrials, String> {
-        redundant_window(keys, |faults, each| {
-            let spec = window_spec(program, ck, budget);
-            self.sim
-                .simulate_forked(spec, faults, &mut NoopObserver, |i, r, _| each(i, r))
+        with_observers!(observers.tracer, observers.log, |obs| {
+            redundant_window(keys, obs, |faults, obs, each| {
+                let spec = window_spec(program, ck, budget);
+                self.sim.simulate_forked(spec, faults, obs, each)
+            })
         })
     }
 }
@@ -366,40 +323,15 @@ impl DetectionScheme for DuplexScheme {
             .map_err(|e| e.to_string())
     }
 
-    fn run_window(
-        &self,
-        program: &Program,
-        ck: &Checkpoint,
-        budget: u64,
-    ) -> Result<SchemeRun, String> {
-        let spec = window_spec(program, ck, budget);
-        self.sim
-            .simulate(spec, &mut NoopObserver)
-            .map(SchemeRun::from)
-            .map_err(|e| e.to_string())
-    }
-
-    fn run_window_observed(
-        &self,
-        program: &Program,
-        ck: &Checkpoint,
-        budget: u64,
-        probe: &mut DeepLog,
-    ) -> Result<SchemeRun, String> {
-        let spec = window_spec(program, ck, budget);
-        self.sim
-            .simulate(spec, probe)
-            .map(SchemeRun::from)
-            .map_err(|e| e.to_string())
-    }
-
-    fn run_trial(&self, mut t: Trial<'_>) -> Result<TrialOutcome, String> {
+    fn run_trial(&self, t: Trial<'_>) -> Result<TrialOutcome, String> {
         let faults = [latch_fault(t.class, t.seq, t.bit)];
         let spec = RunSpec::restored(t.ck.restore(t.program), t.ck.warm.as_ref())
             .limit(t.budget)
             .faults(&faults[..]);
-        let r = with_trial_observers!(t, |obs| self.sim.simulate(spec, obs))
-            .map_err(|e| e.to_string())?;
+        let r = with_observers!(t.tracer, t.probe, |mut obs| {
+            self.sim.simulate(spec, &mut obs)
+        })
+        .map_err(|e| e.to_string())?;
         Ok(score_redundant((t.class, t.seq, t.bit), r).against(t.baseline))
     }
 
@@ -409,11 +341,13 @@ impl DetectionScheme for DuplexScheme {
         ck: &Checkpoint,
         budget: u64,
         keys: &[(FaultClass, u64, u8)],
+        observers: Observers,
     ) -> Result<WindowTrials, String> {
-        redundant_window(keys, |faults, each| {
-            let spec = window_spec(program, ck, budget);
-            self.sim
-                .simulate_forked(spec, faults, &mut NoopObserver, |i, r, _| each(i, r))
+        with_observers!(observers.tracer, observers.log, |obs| {
+            redundant_window(keys, obs, |faults, obs, each| {
+                let spec = window_spec(program, ck, budget);
+                self.sim.simulate_forked(spec, faults, obs, each)
+            })
         })
     }
 }

@@ -26,15 +26,17 @@
 //! Clean-run time overhead is the verification tail: the run is done
 //! when the last instruction is *checked*, not when it commits.
 
-use super::classic::{core_window, forked_window, probed_window};
+use super::classic::{forked_window, probed_window};
 use super::observe::CommitProbe;
-use super::{judged, DetectionScheme, Faulted, SchemeRun, Scored, Trial, WindowTrials};
+use super::{
+    judged, DetectionScheme, Faulted, Observers, SchemeRun, Scored, Trial, WindowObserver,
+    WindowTrials,
+};
 use crate::{FaultClass, TrialOutcome};
 use reese_ckpt::{Checkpoint, Scheme};
 use reese_core::ReeseConfig;
 use reese_isa::{OpKind, Program};
 use reese_pipeline::{PipelineSim, RunSpec};
-use reese_trace::{DeepLog, NoopObserver};
 
 /// Number of small in-order checker cores.
 pub const CHECKERS: usize = 2;
@@ -166,6 +168,39 @@ impl MeekScheme {
             faulted: None,
         }
     }
+
+    /// [`DetectionScheme::run_window_trials`] under one observer. The
+    /// clean pass is the window baseline, in core cycles: trial
+    /// recovery cost is charged explicitly from the checker model, and
+    /// mixing the drain tail into the reference would double-count it.
+    fn window_trials<O: WindowObserver>(
+        &self,
+        program: &Program,
+        ck: &Checkpoint,
+        budget: u64,
+        keys: &[(FaultClass, u64, u8)],
+        obs: O,
+    ) -> Result<WindowTrials, String> {
+        let primary: Vec<_> = keys
+            .iter()
+            .copied()
+            .filter(|&(class, _, _)| class == FaultClass::PrimaryResult)
+            .collect();
+        let score = |key, r: &SchemeRun, probe: &CommitProbe| self.score(program, key, r, probe);
+        let (clean, probe, obs, forked) =
+            forked_window(&self.sim, program, ck, budget, &primary, obs, score)?;
+        // A checker-side upset never touches the main core, so its
+        // faulted run — observers included — is the clean run itself.
+        let mut forked = forked.into_iter();
+        let scored = keys
+            .iter()
+            .map(|&key| match key.0 {
+                FaultClass::PrimaryResult => forked.next().expect("one fork per primary key"),
+                _ => Some(Ok((score(key, &clean, &probe), obs.clone()))),
+            })
+            .collect();
+        Ok(judged(clean, obs, scored))
+    }
 }
 
 impl DetectionScheme for MeekScheme {
@@ -189,28 +224,6 @@ impl DetectionScheme for MeekScheme {
         Ok(run)
     }
 
-    fn run_window(
-        &self,
-        program: &Program,
-        ck: &Checkpoint,
-        budget: u64,
-    ) -> Result<SchemeRun, String> {
-        // Window baselines stay in core cycles: trial recovery cost is
-        // charged explicitly from the checker model, and mixing the
-        // drain tail into the reference would double-count it.
-        core_window(&self.sim, program, ck, budget, &mut NoopObserver)
-    }
-
-    fn run_window_observed(
-        &self,
-        program: &Program,
-        ck: &Checkpoint,
-        budget: u64,
-        probe: &mut DeepLog,
-    ) -> Result<SchemeRun, String> {
-        core_window(&self.sim, program, ck, budget, probe)
-    }
-
     fn run_trial(&self, mut t: Trial<'_>) -> Result<TrialOutcome, String> {
         // Primary-result faults corrupt the main core architecturally;
         // checker-side (redundant) upsets corrupt only the checker's
@@ -232,26 +245,11 @@ impl DetectionScheme for MeekScheme {
         ck: &Checkpoint,
         budget: u64,
         keys: &[(FaultClass, u64, u8)],
+        observers: Observers,
     ) -> Result<WindowTrials, String> {
-        let forks: Vec<usize> = (0..keys.len())
-            .filter(|&i| keys[i].0 == FaultClass::PrimaryResult)
-            .collect();
-        let faults: Vec<(u64, u8)> = forks.iter().map(|&i| (keys[i].1, keys[i].2)).collect();
-        let (clean, probe, forked) =
-            forked_window(&self.sim, program, ck, budget, &faults, |j, r, probe| {
-                self.score(program, keys[forks[j]], r, probe)
-            })?;
-        // A checker-side upset never touches the main core, so its
-        // faulted run is the clean run itself.
-        let mut forked = forked.into_iter();
-        let scored = keys
-            .iter()
-            .map(|&key| match key.0 {
-                FaultClass::PrimaryResult => forked.next().expect("one fork per primary key"),
-                _ => Some(Ok(self.score(program, key, &clean, &probe))),
-            })
-            .collect();
-        Ok(judged(&clean, scored))
+        with_observers!(observers.tracer, observers.log, |obs| {
+            self.window_trials(program, ck, budget, keys, obs)
+        })
     }
 }
 

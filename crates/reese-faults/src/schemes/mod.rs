@@ -29,21 +29,23 @@
 //!   the unprotected baseline core runs the hardened binary.
 //!
 //! The trait is deliberately small: a scheme is a way to run a program
-//! (clean, or over an anchored window) plus a way to score one fault —
-//! alone, or with every other fault of its window in one detailed pass
-//! that forks each faulted run off the clean one.
+//! clean, plus a way to score faults — one alone from its anchor (the
+//! from-scratch oracle), or every fault of one anchored window in one
+//! detailed pass that forks each faulted run off the clean one. The
+//! clean window alone is that pass with no faults.
 //! Window planning, anchor capture, baseline sharing, memoization, and
 //! report assembly all stay in the campaign, shared by every backend.
 
-/// Evaluates `$run` with `$obs` bound to the trial's observers: its
-/// metrics tracer and forensic log when present, [`NoopObserver`]
-/// otherwise, so an unobserved trial compiles to the unobserved
-/// simulator.
-macro_rules! with_trial_observers {
-    ($t:expr, |$obs:ident| $run:expr) => {
-        match ($t.tracer.take(), $t.probe.take()) {
+/// Evaluates `$run` with `$obs` bound to one observer made of an
+/// optional metrics tracer and an optional forensic log — owned by a
+/// window, or borrowed from a [`Trial`]: the pair, either alone, or
+/// [`NoopObserver`] when neither is present, so an unobserved run
+/// compiles to the unobserved simulator.
+macro_rules! with_observers {
+    ($tracer:expr, $log:expr, |$obs:pat_param| $run:expr) => {
+        match ($tracer, $log) {
             (Some(tracer), Some(log)) => {
-                let $obs = &mut reese_trace::Pair(tracer, log);
+                let $obs = reese_trace::Pair(tracer, log);
                 $run
             }
             (Some(tracer), None) => {
@@ -55,7 +57,7 @@ macro_rules! with_trial_observers {
                 $run
             }
             (None, None) => {
-                let $obs = &mut reese_trace::NoopObserver;
+                let $obs = reese_trace::NoopObserver;
                 $run
             }
         }
@@ -74,7 +76,7 @@ use reese_ckpt::{Checkpoint, Scheme};
 use reese_core::{ReeseConfig, ReeseResult};
 use reese_isa::Program;
 use reese_pipeline::SimResult;
-use reese_trace::{DeepLog, Tracer};
+use reese_trace::{DeepLog, NoopObserver, Observer, Pair, Tracer};
 
 pub use report::{EvalOptions, SchemeRow, SchemesReport};
 pub use swift::transform as swift_transform;
@@ -172,26 +174,94 @@ impl Scored {
     }
 }
 
-/// What [`DetectionScheme::run_window_trials`] returns: the window's
-/// clean baseline and one outcome (or fault-run failure) per key.
-pub type WindowTrials = (WindowBaseline, Vec<Result<TrialOutcome, String>>);
+/// A window's optional observers, owned: the metrics tracer and the
+/// forensic log that a [`Trial`] borrows. The clean pass of
+/// [`DetectionScheme::run_window_trials`] runs under them, and each
+/// fork starts from a clone of the clean pass's copy at its fork point,
+/// so a fork ends holding what a from-scratch run of its trial records.
+#[derive(Debug, Clone, Default)]
+pub struct Observers {
+    /// Metrics tracer, when a campaign samples per-interval metrics.
+    pub tracer: Option<Tracer>,
+    /// Deep forensic log, when a trial is being explained.
+    pub log: Option<DeepLog>,
+}
+
+/// An observer a window runs under: [`NoopObserver`], a tracer, a log,
+/// or both paired — one per combination of [`Observers`], clonable for
+/// the forks.
+pub(crate) trait WindowObserver: Observer + Clone {
+    /// Puts this observer's parts back into `observers`.
+    fn put(self, observers: &mut Observers);
+
+    /// The observers this one is made of.
+    fn into_observers(self) -> Observers {
+        let mut observers = Observers::default();
+        self.put(&mut observers);
+        observers
+    }
+}
+
+impl WindowObserver for NoopObserver {
+    fn put(self, _: &mut Observers) {}
+}
+
+impl WindowObserver for Tracer {
+    fn put(self, observers: &mut Observers) {
+        observers.tracer = Some(self);
+    }
+}
+
+impl WindowObserver for DeepLog {
+    fn put(self, observers: &mut Observers) {
+        observers.log = Some(self);
+    }
+}
+
+impl<A: WindowObserver, B: WindowObserver> WindowObserver for Pair<A, B> {
+    fn put(self, observers: &mut Observers) {
+        self.0.put(observers);
+        self.1.put(observers);
+    }
+}
+
+/// What [`DetectionScheme::run_window_trials`] returns.
+#[derive(Debug, Clone)]
+pub struct WindowTrials {
+    /// The window's clean pass, which is every key's baseline.
+    pub clean: SchemeRun,
+    /// The clean pass's observers at the window's end.
+    pub observers: Observers,
+    /// Per key, in key order: its outcome and its fork's observers, or
+    /// that faulted run's failure.
+    pub trials: Vec<Result<(TrialOutcome, Observers), String>>,
+}
 
 /// One slot per key of a window, filled with the key's [`Scored`]
-/// verdict (or its faulted run's failure) as its fork finishes.
-pub(crate) type Pending = Vec<Option<Result<Scored, String>>>;
+/// verdict and its fork's observer (or its faulted run's failure) as
+/// its fork finishes.
+pub(crate) type Pending<O> = Vec<Option<Result<(Scored, O), String>>>;
 
-/// Assembles [`WindowTrials`] from a window's clean run and the pending
-/// verdicts of its forks, one per key in key order.
-pub(crate) fn judged(clean: &SchemeRun, scored: Pending) -> WindowTrials {
-    let baseline = WindowBaseline::from(clean);
-    let outcomes = scored
+/// Assembles [`WindowTrials`] from a window's clean run, its observer,
+/// and the pending verdicts of its forks, one per key in key order.
+pub(crate) fn judged<O: WindowObserver>(
+    clean: SchemeRun,
+    obs: O,
+    scored: Pending<O>,
+) -> WindowTrials {
+    let baseline = WindowBaseline::from(&clean);
+    let trials = scored
         .into_iter()
         .map(|s| {
             s.expect("every key is scored")
-                .map(|s| s.against(&baseline))
+                .map(|(s, o)| (s.against(&baseline), o.into_observers()))
         })
         .collect();
-    (baseline, outcomes)
+    WindowTrials {
+        clean,
+        observers: obs.into_observers(),
+        trials,
+    }
 }
 
 /// One fault-injection trial, as handed to a scheme: the anchored
@@ -214,9 +284,11 @@ pub struct Trial<'a> {
     pub budget: u64,
     /// Metrics tracer, when the campaign samples per-interval metrics.
     pub tracer: Option<&'a mut Tracer>,
-    /// Deep forensic observer, when a single trial is being explained.
-    /// Captures every pipeline event and per-cycle state of the faulty
-    /// run for divergence diffing against the clean window.
+    /// Deep forensic observer: captures every pipeline event and
+    /// per-cycle state of the faulty run. The field stays for
+    /// `run_trial` callers such as the benchmark package and the fork
+    /// oracle tests; `reese explain` no longer uses it, since it reads
+    /// the fork's log from [`DetectionScheme::run_window_trials`].
     pub probe: Option<&'a mut DeepLog>,
 }
 
@@ -246,41 +318,42 @@ pub trait DetectionScheme: Send + Sync {
     fn run_limit(&self, program: &Program, max_instructions: u64) -> Result<SchemeRun, String>;
 
     /// Clean run over an anchored window: restore from `ck`, run until
-    /// `budget` instructions commit (or halt).
+    /// `budget` instructions commit (or halt). This is
+    /// [`DetectionScheme::run_window_trials`] with no keys and no
+    /// observers.
     fn run_window(
         &self,
         program: &Program,
         ck: &Checkpoint,
         budget: u64,
-    ) -> Result<SchemeRun, String>;
+    ) -> Result<SchemeRun, String> {
+        self.run_window_trials(program, ck, budget, &[], Observers::default())
+            .map(|w| w.clean)
+    }
 
-    /// [`DetectionScheme::run_window`] with a deep observer attached —
-    /// the forensics capture path. Must simulate the identical machine:
-    /// the returned [`SchemeRun`] must equal the unobserved one.
-    fn run_window_observed(
-        &self,
-        program: &Program,
-        ck: &Checkpoint,
-        budget: u64,
-        probe: &mut DeepLog,
-    ) -> Result<SchemeRun, String>;
-
-    /// Scores one injected fault over its anchored window. Only called
-    /// for classes with [`FaultClass::detectable_by_design`] — the
-    /// campaign scores the modeled-undetectable classes itself,
-    /// identically for every scheme.
+    /// Scores one injected fault over its anchored window, from the
+    /// anchor: the from-scratch oracle [`TrialEngine::Full`] uses.
+    /// Only called for classes with
+    /// [`FaultClass::detectable_by_design`] — the campaign scores the
+    /// modeled-undetectable classes itself, identically for every
+    /// scheme.
+    ///
+    /// [`TrialEngine::Full`]: crate::TrialEngine::Full
     fn run_trial(&self, trial: Trial<'_>) -> Result<TrialOutcome, String>;
 
     /// Scores every fault key `(class, seq, bit)` of one anchored window
     /// in one detailed pass: the clean window from `ck` under `budget`,
     /// plus one faulted run per key forked from it at the last cycle
     /// boundary before the key's target can execute (see
-    /// [`reese_pipeline::Core::run_forked`]). Returns the clean baseline
-    /// ([`DetectionScheme::run_window`]'s) and, in `keys` order, what
-    /// [`DetectionScheme::run_trial`] scores for each key against it —
-    /// or that faulted run's failure. Keys may repeat and come in any
-    /// order; all must be of classes with
-    /// [`FaultClass::detectable_by_design`].
+    /// [`reese_pipeline::Core::run_forked`]). The clean pass runs under
+    /// `observers`, and each fork starts from a clone of the clean
+    /// pass's observers at its fork point. Returns the clean run and
+    /// its observers and, in `keys` order, what
+    /// [`DetectionScheme::run_trial`] scores for each key against it
+    /// with the fork's observers — which hold what `run_trial` under
+    /// the same observers records — or that faulted run's failure.
+    /// Keys may repeat and come in any order; all must be of classes
+    /// with [`FaultClass::detectable_by_design`].
     ///
     /// # Errors
     ///
@@ -291,6 +364,7 @@ pub trait DetectionScheme: Send + Sync {
         ck: &Checkpoint,
         budget: u64,
         keys: &[(FaultClass, u64, u8)],
+        observers: Observers,
     ) -> Result<WindowTrials, String>;
 }
 

@@ -40,9 +40,9 @@
 //! rejected — the transform supports the kernel suite's direct
 //! control flow, not arbitrary call graphs.
 
-use super::classic::{core_window, forked_window, probed_window};
+use super::classic::{forked_window, probed_window};
 use super::observe::CommitProbe;
-use super::{judged, DetectionScheme, Faulted, SchemeRun, Scored, Trial, WindowTrials};
+use super::{judged, DetectionScheme, Faulted, Observers, SchemeRun, Scored, Trial, WindowTrials};
 use crate::{FaultClass, TrialOutcome};
 use reese_ckpt::{Checkpoint, Scheme};
 use reese_core::ReeseConfig;
@@ -51,7 +51,7 @@ use reese_isa::{
     TEXT_BASE,
 };
 use reese_pipeline::{PipelineSim, RunSpec};
-use reese_trace::{DeepLog, NoopObserver};
+use reese_trace::NoopObserver;
 
 /// Exit code of the software trap handler ("SWFT"). A detected fault
 /// halts the machine with this sentinel; the scheme reserves it.
@@ -446,25 +446,6 @@ impl DetectionScheme for SwiftScheme {
             .map_err(|e| e.to_string())
     }
 
-    fn run_window(
-        &self,
-        program: &Program,
-        ck: &Checkpoint,
-        budget: u64,
-    ) -> Result<SchemeRun, String> {
-        core_window(&self.sim, program, ck, budget, &mut NoopObserver)
-    }
-
-    fn run_window_observed(
-        &self,
-        program: &Program,
-        ck: &Checkpoint,
-        budget: u64,
-        probe: &mut DeepLog,
-    ) -> Result<SchemeRun, String> {
-        core_window(&self.sim, program, ck, budget, probe)
-    }
-
     fn run_trial(&self, mut t: Trial<'_>) -> Result<TrialOutcome, String> {
         // Single-stream scheme: both result classes are one
         // architectural upset in the (hardened) dynamic stream — the
@@ -483,13 +464,13 @@ impl DetectionScheme for SwiftScheme {
         ck: &Checkpoint,
         budget: u64,
         keys: &[(FaultClass, u64, u8)],
+        observers: Observers,
     ) -> Result<WindowTrials, String> {
-        let faults: Vec<(u64, u8)> = keys.iter().map(|&(_, seq, bit)| (seq, bit)).collect();
-        let (clean, _, scored) =
-            forked_window(&self.sim, program, ck, budget, &faults, |i, r, probe| {
-                score(keys[i], r, probe)
-            })?;
-        Ok(judged(&clean, scored))
+        with_observers!(observers.tracer, observers.log, |obs| {
+            let (clean, _, obs, scored) =
+                forked_window(&self.sim, program, ck, budget, keys, obs, score)?;
+            Ok(judged(clean, obs, scored))
+        })
     }
 }
 

@@ -91,11 +91,16 @@ impl LogHeader {
         for (slot, &w) in mix.iter_mut().zip(&mix_raw) {
             *slot = u32::try_from(w).map_err(|_| format!("mix weight {w} out of range"))?;
         }
+        // Windows are planned in steps of the checkpoint interval.
+        let ckpt_every = field("ckpt_every")?;
+        if ckpt_every == 0 {
+            return Err("header field `ckpt_every` is 0, expected at least 1".into());
+        }
         Ok(LogHeader {
             seed: field("seed")?,
             trials: field("trials")?,
             mix,
-            ckpt_every: field("ckpt_every")?,
+            ckpt_every,
             max_instructions: field("max_instructions")?,
             config_fnv: field("config_fnv")?,
             dynamic_len: field("dynamic_len")?,
@@ -255,6 +260,15 @@ pub(crate) fn read_log(
                 expected.trials
             )));
         }
+        // A fault targets an instruction the clean run executes.
+        if outcome.seq >= expected.dynamic_len {
+            return Err(CampaignError::Resume(format!(
+                "line {}: seq {} is out of range for dynamic length {}",
+                i + 2,
+                outcome.seq,
+                expected.dynamic_len
+            )));
+        }
         if let Some(id) = id {
             let want = trial_id(expected.seed, trial);
             if id != want {
@@ -412,6 +426,13 @@ mod tests {
     fn non_log_header_rejected() {
         let err = LogHeader::parse("{\"trials\": 3}").unwrap_err();
         assert!(err.contains("not a reese campaign log"), "{err}");
+        // No window can be planned on a zero checkpoint interval.
+        let zero = LogHeader {
+            ckpt_every: 0,
+            ..header()
+        };
+        let err = LogHeader::parse(&zero.to_line()).unwrap_err();
+        assert!(err.contains("`ckpt_every` is 0"), "{err}");
     }
 
     #[test]
@@ -526,6 +547,18 @@ mod tests {
         .unwrap();
         let (_, recorded) = read_log(&path, Some(&h)).unwrap();
         assert_eq!(recorded.len(), 1);
+        // A fault past the end of the program, with or without a
+        // header to check against.
+        for seq in [h.dynamic_len, u64::MAX] {
+            let line = outcome_line(h.seed, 0, &TrialOutcome { seq, ..o });
+            std::fs::write(&path, format!("{}\n{line}\n", h.to_line())).unwrap();
+            for expected in [Some(&h), None] {
+                let err = read_log(&path, expected).unwrap_err();
+                assert!(matches!(err, CampaignError::Resume(_)), "{err}");
+                let want = format!("line 2: seq {seq} is out of range for dynamic length 122");
+                assert!(err.to_string().contains(&want), "{err}");
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -182,3 +182,96 @@ fn replay_matches_full_with_many_keys_per_window() {
     assert_eq!(replay, full, "reese under Scan");
     assert_eq!(replay.to_json(), full.to_json(), "reese under Scan");
 }
+
+#[test]
+fn forks_observe_what_run_trial_observes() {
+    // Each fork of `run_window_trials` starts from a clone of the clean
+    // pass's observers at its fork point. Observers are passive, so a
+    // fork must end holding exactly what `run_trial` records running
+    // the same key from the same anchor under the same observer. The
+    // smallest database kernel runs 4,552 instructions (9,943 once
+    // SWIFT hardens it): one window from instruction 0 stops at its
+    // budget, one from 2,048 runs to halt. Each carries a repeated key,
+    // a redundant-class key (MEEK's checker-side upset), and for every
+    // scheme a key whose faulted run departs from the clean one.
+    use reese_ckpt::checkpoints_at;
+    use reese_cpu::Emulator;
+    use reese_faults::schemes::{self, Observers};
+    use reese_faults::{FaultClass, Trial, WindowBaseline};
+    use reese_trace::{DeepLog, Tracer};
+
+    let (p, r) = (FaultClass::PrimaryResult, FaultClass::RedundantResult);
+    let program = Kernel::Database.build(1);
+    let config = ReeseConfig::starting();
+    let tracer = || Tracer::new().with_interval(250);
+    let finished = |mut t: Tracer| {
+        t.finish();
+        t.into_parts()
+    };
+    for scheme in Scheme::ALL {
+        let backend = schemes::build(scheme, &config);
+        let prepared = backend.prepare(&program).unwrap();
+        let len = Emulator::new(&prepared).run(u64::MAX).unwrap().instructions;
+        let windows = [
+            (
+                0,
+                3_072,
+                vec![
+                    (p, 700, 3),
+                    (r, 1_200, 17),
+                    (p, 700, 3),
+                    (p, 900, 0),
+                    (p, 2_500, 40),
+                ],
+            ),
+            (
+                2_048,
+                len,
+                vec![
+                    (r, len - 400, 9),
+                    (p, len - 300, 0),
+                    (p, len - 150, 33),
+                    (p, len - 150, 33),
+                ],
+            ),
+        ];
+        for (anchor, budget, keys) in windows {
+            let ck = checkpoints_at(&prepared, &[anchor], &config.pipeline)
+                .unwrap()
+                .pop()
+                .unwrap();
+            for (traced, logged) in [(true, true), (true, false), (false, true)] {
+                let observers = Observers {
+                    tracer: traced.then(tracer),
+                    log: logged.then(DeepLog::new),
+                };
+                let window = backend
+                    .run_window_trials(&prepared, &ck, budget, &keys, observers)
+                    .unwrap();
+                let baseline = WindowBaseline::from(&window.clean);
+                for (&(class, seq, bit), forked) in keys.iter().zip(window.trials) {
+                    let (outcome, fork) = forked.unwrap();
+                    let mut t = traced.then(tracer);
+                    let mut log = logged.then(DeepLog::new);
+                    let alone = backend
+                        .run_trial(Trial {
+                            program: &prepared,
+                            ck: &ck,
+                            baseline: &baseline,
+                            class,
+                            seq,
+                            bit,
+                            budget,
+                            tracer: t.as_mut(),
+                            probe: log.as_mut(),
+                        })
+                        .unwrap();
+                    let key = format!("{scheme} {class} seq {seq} from {anchor}");
+                    assert_eq!(outcome, alone, "{key}: outcome");
+                    assert_eq!(fork.log, log, "{key}: deep log");
+                    assert_eq!(fork.tracer.map(finished), t.map(finished), "{key}: tracer");
+                }
+            }
+        }
+    }
+}

@@ -268,17 +268,39 @@ impl Observer for NoopObserver {
     fn idle_skip(&mut self, _from: u64, _to: u64, _state: &CycleState) {}
 }
 
+/// A borrowed observer observes for its owner, so a caller can lend one
+/// to a run (or to a [`Pair`]) and keep it.
+impl<O: Observer + ?Sized> Observer for &mut O {
+    const ENABLED: bool = O::ENABLED;
+
+    #[inline(always)]
+    fn event(&mut self, ev: TraceEvent) {
+        (**self).event(ev);
+    }
+
+    #[inline(always)]
+    fn cycle(&mut self, cycle: u64, state: &CycleState) {
+        (**self).cycle(cycle, state);
+    }
+
+    #[inline(always)]
+    fn idle_skip(&mut self, from: u64, to: u64, state: &CycleState) {
+        (**self).idle_skip(from, to, state);
+    }
+}
+
 /// Fans every hook out to two observers, in order. `ENABLED` is the OR
 /// of the parts, so pairing with [`NoopObserver`] costs nothing extra —
 /// each part still guards its own work behind its own flag at runtime.
 ///
-/// Observers borrow mutably for the duration of a run, so composing an
-/// analysis probe with a [`Tracer`] needs this combinator rather than
-/// two separate passes.
-#[derive(Debug)]
-pub struct Pair<'a, A, B>(pub &'a mut A, pub &'a mut B);
+/// A run takes one observer, so composing an analysis probe with a
+/// [`Tracer`] needs this combinator rather than two separate passes.
+/// The parts are owned — a pair of clonable observers is clonable, so
+/// a forked run can copy it — or borrowed, as `Pair(&mut a, &mut b)`.
+#[derive(Debug, Clone, Default)]
+pub struct Pair<A, B>(pub A, pub B);
 
-impl<A: Observer, B: Observer> Observer for Pair<'_, A, B> {
+impl<A: Observer, B: Observer> Observer for Pair<A, B> {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
 
     #[inline]

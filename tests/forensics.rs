@@ -9,7 +9,7 @@
 
 use reese::ckpt::Scheme;
 use reese::core::ReeseConfig;
-use reese::faults::{explain_trial, Campaign, FaultMix, TrialEngine, TrialRef};
+use reese::faults::{explain_trial, Campaign, FaultClass, FaultMix, TrialEngine, TrialRef};
 use reese::workloads::Kernel;
 use std::path::PathBuf;
 
@@ -21,34 +21,53 @@ fn scratch(tag: &str) -> PathBuf {
 
 #[test]
 fn explain_is_byte_identical_across_worker_counts_and_engines() {
+    // Every scheme, every trial of a result-mix campaign: a MEEK
+    // checker-side upset and a SWIFT detection among them.
     let program = Kernel::Database.build(1);
     let cfg = ReeseConfig::starting();
     let dir = scratch("matrix");
-    let mut texts: Vec<String> = Vec::new();
-    let mut traces: Vec<String> = Vec::new();
-    for (tag, jobs, engine) in [
-        ("replay-j1", 1, TrialEngine::Replay),
-        ("replay-j2", 2, TrialEngine::Replay),
-        ("full-j1", 1, TrialEngine::Full),
-    ] {
-        let log = dir.join(format!("{tag}.jsonl"));
-        Campaign::new(cfg.clone(), FaultMix::result_errors_only())
-            .trials(8)
-            .seed(3)
-            .jobs(jobs)
-            .engine(engine)
-            .outcomes_jsonl(&log)
-            .run(&program)
-            .unwrap();
-        let ex = explain_trial(&cfg, Scheme::Reese, &program, &log, TrialRef::Index(2)).unwrap();
-        assert!(ex.outcome.detected, "{tag}: result-mix trial must detect");
-        traces.push(ex.to_chrome_json());
-        texts.push(ex.text);
+    let (mut checker_side, mut swift_detected) = (false, false);
+    for scheme in Scheme::ALL {
+        let mut explained: Vec<Vec<(String, String)>> = Vec::new();
+        for (tag, jobs, engine) in [
+            ("replay-j1", 1, TrialEngine::Replay),
+            ("replay-j2", 2, TrialEngine::Replay),
+            ("full-j1", 1, TrialEngine::Full),
+        ] {
+            let log = dir.join(format!("{scheme}-{tag}.jsonl"));
+            Campaign::new(cfg.clone(), FaultMix::result_errors_only())
+                .scheme(scheme)
+                .trials(8)
+                .seed(3)
+                .jobs(jobs)
+                .engine(engine)
+                .outcomes_jsonl(&log)
+                .run(&program)
+                .unwrap();
+            let runs = (0..8).map(|t| {
+                let ex = explain_trial(&cfg, scheme, &program, &log, TrialRef::Index(t)).unwrap();
+                let o = ex.outcome;
+                if scheme == Scheme::Reese {
+                    assert!(o.detected, "{tag}: result-mix trial {t} must detect");
+                }
+                checker_side |= scheme == Scheme::Meek && o.class == FaultClass::RedundantResult;
+                swift_detected |= scheme == Scheme::Swift && o.detected;
+                let trace = ex.to_chrome_json();
+                (ex.text, trace)
+            });
+            explained.push(runs.collect());
+        }
+        assert_eq!(
+            explained[0], explained[1],
+            "{scheme}: worker count leaked into the explanation"
+        );
+        assert_eq!(
+            explained[0], explained[2],
+            "{scheme}: trial engine leaked into the explanation"
+        );
     }
-    assert_eq!(texts[0], texts[1], "worker count leaked into the text");
-    assert_eq!(texts[0], texts[2], "trial engine leaked into the text");
-    assert_eq!(traces[0], traces[1], "worker count leaked into the trace");
-    assert_eq!(traces[0], traces[2], "trial engine leaked into the trace");
+    assert!(checker_side, "no MEEK checker-side trial was explained");
+    assert!(swift_detected, "no SWIFT detection was explained");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

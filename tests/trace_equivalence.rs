@@ -167,7 +167,7 @@ fn sched_ops_counter_proves_per_cycle_op_reduction() {
 #[test]
 fn campaign_outcomes_identical_with_metrics_sampling_for_every_scheme() {
     use reese::ckpt::Scheme;
-    use reese::faults::{Campaign, FaultMix};
+    use reese::faults::{Campaign, FaultMix, TrialEngine};
     let program = Kernel::Lisp.build(1);
     let cfg = ReeseConfig::starting();
     for scheme in Scheme::ALL {
@@ -177,7 +177,7 @@ fn campaign_outcomes_identical_with_metrics_sampling_for_every_scheme() {
             .seed(11)
             .max_instructions(CAP);
         let plain = base.clone().run(&program).unwrap();
-        let sampled = base.metrics_interval(500).run(&program).unwrap();
+        let sampled = base.clone().metrics_interval(500).run(&program).unwrap();
         assert_eq!(
             plain, sampled,
             "{scheme:?}: metrics sampling changed outcomes"
@@ -190,6 +190,26 @@ fn campaign_outcomes_identical_with_metrics_sampling_for_every_scheme() {
             assert!(
                 sampled.metrics.is_some(),
                 "{scheme:?}: simulated trials produced no pooled metrics"
+            );
+        }
+        // Replay pools each trial's series from its fork's copy of the
+        // clean pass's tracer; the Full arm runs every trial from its
+        // anchor under a fresh one. The pooled CSV must not tell them
+        // apart, on any worker count.
+        let csv = sampled.metrics.as_ref().map(|m| m.to_csv());
+        for (engine, jobs) in [(TrialEngine::Replay, 2), (TrialEngine::Full, 1)] {
+            let other = base
+                .clone()
+                .metrics_interval(500)
+                .engine(engine)
+                .jobs(jobs)
+                .run(&program)
+                .unwrap();
+            assert_eq!(other, sampled, "{scheme:?}: {engine} -j {jobs} outcomes");
+            assert_eq!(
+                other.metrics.as_ref().map(|m| m.to_csv()),
+                csv,
+                "{scheme:?}: {engine} -j {jobs} pooled metrics"
             );
         }
     }
