@@ -699,6 +699,16 @@ impl Redundancy for RStream<'_> {
         self.rqueue.is_empty()
     }
 
+    /// Early removal frees an instruction's RUU entry at migrate, so
+    /// the queue holds it outside the RUU until it retires.
+    fn held(&self) -> usize {
+        if self.cfg.early_removal {
+            self.rqueue.capacity()
+        } else {
+            0
+        }
+    }
+
     fn observe(&self, state: &mut CycleState) {
         state.r_issued = self.stats.r_issued;
         state.r_missed = self.stats.r_missed;

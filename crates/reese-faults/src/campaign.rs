@@ -1,6 +1,6 @@
 //! Monte-Carlo fault-injection campaigns.
 
-use crate::engine::{boundary_count, plan_window, TrialWindow};
+use crate::engine::{boundary_count, plan_window, window_ceiling, TrialWindow};
 use crate::schemes::{self, DetectionScheme, Observers, Trial};
 use crate::stream::{fnv1a64, outcome_line, read_log, LogHeader, LogWriter};
 use crate::telemetry::{json_str, Telemetry};
@@ -38,6 +38,15 @@ pub enum CampaignError {
     Resume(String),
     /// Reading or writing a campaign log failed.
     Io(String),
+    /// The checkpoint interval is too large for the program: the
+    /// ceiling of a window over the whole run, its dynamic length plus
+    /// one interval, does not fit in a budget.
+    Interval {
+        /// The checkpoint interval.
+        every: u64,
+        /// The program's dynamic length.
+        dynamic_len: u64,
+    },
 }
 
 impl fmt::Display for CampaignError {
@@ -47,6 +56,11 @@ impl fmt::Display for CampaignError {
             CampaignError::Trial { trial, message } => write!(f, "trial {trial} failed: {message}"),
             CampaignError::Resume(m) => write!(f, "resume log mismatch: {m}"),
             CampaignError::Io(m) => write!(f, "campaign log I/O failed: {m}"),
+            CampaignError::Interval { every, dynamic_len } => write!(
+                f,
+                "checkpoint interval {every} is too large for dynamic length \
+                 {dynamic_len}: the final window's ceiling overflows"
+            ),
         }
     }
 }
@@ -271,7 +285,9 @@ impl Campaign {
     /// unexpected way (permanent faults are *expected* only for sticky
     /// injections, which this campaign does not produce),
     /// [`CampaignError::Resume`] if a resume log records a different
-    /// campaign, or [`CampaignError::Io`] on log file failures.
+    /// campaign, [`CampaignError::Io`] on log file failures, or
+    /// [`CampaignError::Interval`] if the checkpoint interval leaves the
+    /// final window no representable ceiling.
     pub fn run(&self, program: &Program) -> Result<CoverageReport, CampaignError> {
         let tele = match (&self.telemetry, &self.telemetry_out) {
             (Some(shared), _) => Some(std::sync::Arc::clone(shared)),
@@ -320,6 +336,12 @@ impl Campaign {
             return Err(CampaignError::Workload(
                 "program executes no instructions".into(),
             ));
+        }
+        if window_ceiling(dynamic_len, self.ckpt_every).is_none() {
+            return Err(CampaignError::Interval {
+                every: self.ckpt_every,
+                dynamic_len,
+            });
         }
         if let Some(t) = &tele {
             t.emit(
@@ -485,7 +507,7 @@ impl Campaign {
             |(_, group)| group.len() as u64,
             |_, (_, group)| {
                 let keys: Vec<_> = group.iter().map(|&m| members[m]).collect();
-                let verdicts = self.score(
+                let scored = self.score(
                     scheme,
                     program,
                     (&coarse, stride),
@@ -496,9 +518,10 @@ impl Campaign {
                 if let Some(t) = &tele {
                     group.iter().for_each(|_| t.progress(total, tick_every));
                 }
-                verdicts
+                scored
             },
         );
+        let screened: usize = results.iter().map(|&(_, n)| n).sum();
 
         // The clean run's failure comes first, then its two header
         // fields; the fresh log's header precedes any outcome line.
@@ -517,7 +540,7 @@ impl Campaign {
         let mut verdicts: Vec<(usize, Verdict)> = items
             .iter()
             .zip(results)
-            .flat_map(|((_, group), scored)| group.iter().copied().zip(scored))
+            .flat_map(|((_, group), (scored, _))| group.iter().copied().zip(scored))
             .collect();
         verdicts.sort_unstable_by_key(|&(m, _)| m);
         let member = |i: usize, t: usize| if sampled { i } else { key_of[&params[t]] };
@@ -555,7 +578,7 @@ impl Campaign {
         }
 
         if let Some(t) = &tele {
-            t.trials_done(&throughput);
+            t.trials_done(&throughput, screened);
         }
 
         // Stream the new outcomes (trial order) before assembling the
@@ -680,10 +703,11 @@ impl Campaign {
         boundaries: usize,
         dynamic_len: u64,
         keys: &[(FaultClass, u64, u8)],
-    ) -> Vec<Verdict> {
+    ) -> (Vec<Verdict>, usize) {
         let (class, seq, _) = keys[0];
         if !class.detectable_by_design() {
-            return keys.iter().map(|&key| Ok((by_fiat(key), None))).collect();
+            let verdicts = keys.iter().map(|&key| Ok((by_fiat(key), None)));
+            return (verdicts.collect(), 0);
         }
         // The oracle arm derives its anchor and clean window per trial,
         // so there their failures are that trial's.
@@ -707,10 +731,8 @@ impl Campaign {
             Ok(ck) => ck,
             Err(e) => {
                 let m = e.to_string();
-                return keys
-                    .iter()
-                    .map(|_| Err((stage(Stage::Anchor), m.clone())))
-                    .collect();
+                let verdicts = keys.iter().map(|_| Err((stage(Stage::Anchor), m.clone())));
+                return (verdicts.collect(), 0);
             }
         };
         let tracer = || {
@@ -721,6 +743,7 @@ impl Campaign {
             t.into_parts().1
         };
         let mut verdicts: Vec<(usize, Verdict)> = Vec::with_capacity(keys.len());
+        let mut screened = 0;
         let windows = group_by(keys, |_, &(_, seq, _)| {
             self.window(seq, boundaries, dynamic_len)
         });
@@ -735,6 +758,7 @@ impl Campaign {
                     scheme
                         .run_window_trials(program, &ck, w.budget, &group, observers)
                         .map(|w| {
+                            screened += w.screened;
                             w.trials
                                 .into_iter()
                                 .map(|t| match t {
@@ -777,7 +801,7 @@ impl Campaign {
             verdicts.extend(members.into_iter().zip(scored));
         }
         verdicts.sort_unstable_by_key(|&(k, _)| k);
-        verdicts.into_iter().map(|(_, v)| v).collect()
+        (verdicts.into_iter().map(|(_, v)| v).collect(), screened)
     }
 }
 
@@ -875,6 +899,31 @@ mod tests {
                 assert_eq!(det, 0, "{c} must be undetectable");
             }
         }
+    }
+
+    #[test]
+    fn an_interval_with_no_window_ceiling_is_rejected() {
+        // The loop's 122 instructions plus an interval this large leave
+        // no budget below u64::MAX, the "run to halt" value; both
+        // engines refuse before the fan-out.
+        for engine in [TrialEngine::Replay, TrialEngine::Full] {
+            let err = Campaign::new(ReeseConfig::starting(), FaultMix::broad())
+                .trials(5)
+                .engine(engine)
+                .ckpt_every(u64::MAX - 122)
+                .run(&loop_prog())
+                .unwrap_err();
+            let want = CampaignError::Interval {
+                every: u64::MAX - 122,
+                dynamic_len: 122,
+            };
+            assert_eq!(err, want, "{engine}");
+        }
+        let largest = Campaign::new(ReeseConfig::starting(), FaultMix::broad())
+            .trials(5)
+            .ckpt_every(u64::MAX - 123)
+            .run(&loop_prog());
+        assert!(largest.is_ok(), "{largest:?}");
     }
 
     #[test]

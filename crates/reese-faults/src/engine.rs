@@ -26,7 +26,7 @@
 //! 0 (via [`reese_ckpt::checkpoints_at`]), re-runs its own clean window
 //! ([`crate::DetectionScheme::run_window`]) and runs its faulted window
 //! from the anchor ([`crate::DetectionScheme::run_trial`]) — no sweep,
-//! no caches, no memoization, no fork, full per-trial cost.
+//! no caches, no memoization, no fork, no screen, full per-trial cost.
 //! [`TrialEngine::Replay`] captures its anchors from one
 //! [`reese_ckpt::checkpoint_stream_thinned`] sweep (plus
 //! [`reese_ckpt::derive_checkpoint`]), restores once per window, runs
@@ -34,11 +34,17 @@
 //! that window off it (see
 //! [`crate::DetectionScheme::run_window_trials`]) — under metrics
 //! sampling too, where each fork carries a clone of the clean pass's
-//! tracer — and memoizes outcomes by fault key when not sampling.
-//! Outcome and metrics byte-identity between the two arms therefore
-//! certifies the entire reuse machinery — checkpoint capture/restore,
-//! the fork and its observers, memoization, parallel fan-out, and
-//! resume — against the from-scratch computation.
+//! tracer — and memoizes outcomes by fault key when not sampling. On
+//! the single-stream schemes (baseline, SWIFT, MEEK's primary keys) a
+//! functional screen runs first: a key whose faulted stream never
+//! changes a field the timing core reads before the window's frontier
+//! ([`reese_pipeline::same_timing`]) would fork into a copy of the
+//! clean pass, so it is scored from the clean pass with no detailed
+//! fork. Outcome and metrics byte-identity between the two arms
+//! therefore certifies the entire reuse machinery — checkpoint
+//! capture/restore, the screen, the fork and its observers,
+//! memoization, parallel fan-out, and resume — against the
+//! from-scratch computation.
 
 use crate::schemes::SchemeRun;
 use std::fmt;
@@ -120,9 +126,21 @@ pub(crate) fn boundary_count(dynamic_len: u64, every: u64) -> usize {
     ((dynamic_len - 1) / every + 1) as usize
 }
 
+/// The ceiling of a final window over `tail` clean instructions at
+/// interval `every`: the clean tail plus one interval of headroom.
+/// `None` when that does not fit below `u64::MAX`, the budget that
+/// reads as "run to halt" (saturating would let a runaway faulted
+/// stream loop forever). A campaign or log is rejected when the window
+/// anchored at instruction 0 (`tail` = the dynamic length) has none,
+/// which bounds every other window's.
+pub(crate) fn window_ceiling(tail: u64, every: u64) -> Option<u64> {
+    tail.checked_add(every).filter(|&c| c < u64::MAX)
+}
+
 /// Plans the window for a fault at `seq`. `limit` is the campaign's
 /// committed-instruction cap (`u64::MAX` = none); `dynamic_len` is the
-/// clean run's committed-instruction count.
+/// clean run's committed-instruction count, with a representable
+/// [`window_ceiling`] at `every`.
 pub(crate) fn plan_window(
     seq: u64,
     every: u64,
@@ -143,7 +161,8 @@ pub(crate) fn plan_window(
         // interval of headroom past the clean halt separates a late
         // halt from a runaway; a run that exhausts it scores as
         // budget-limited and not clean.
-        let tail = dynamic_len - anchor + every;
+        let tail = window_ceiling(dynamic_len - anchor, every)
+            .expect("intervals whose ceiling overflows are rejected before planning");
         if limit == u64::MAX {
             tail
         } else {
@@ -242,6 +261,17 @@ mod tests {
         let w = plan_window(15_000, 2048, 8, 16_000, 16_000);
         assert_eq!(w.anchor_idx, 7);
         assert_eq!(w.budget, 16_000 - 7 * 2048);
+    }
+
+    #[test]
+    fn an_interval_whose_ceiling_overflows_has_none() {
+        // The largest final window is the one anchored at 0: the whole
+        // run plus one interval, which must fit below u64::MAX.
+        assert_eq!(window_ceiling(16_000, 2048), Some(18_048));
+        let largest = u64::MAX - 16_001;
+        assert_eq!(window_ceiling(16_000, largest), Some(u64::MAX - 1));
+        assert_eq!(window_ceiling(16_000, largest + 1), None);
+        assert_eq!(window_ceiling(16_000, u64::MAX), None);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! rate the protected schemes are measured against.
 
 use super::observe::CommitProbe;
+use super::screen::{screen, Screened};
 use super::{
     judged, DetectionScheme, Faulted, Observers, Pending, SchemeRun, Scored, Trial, WindowObserver,
     WindowTrials,
@@ -55,13 +56,17 @@ pub(super) fn probed_window(
 }
 
 /// One detailed pass over a window on the plain pipeline — the way the
-/// single-stream schemes (baseline, MEEK, SWIFT) all run their windows:
-/// the clean run under `obs` with a commit probe, plus one fork per key
-/// with its architectural fault armed, each starting from copies of
-/// both at its fork point, its probe watching the key's seq.
-/// `score(key, run, probe)` reduces each fork as soon as it finishes.
-/// Returns the clean run, its probe and observer, and the forks'
-/// pending verdicts.
+/// single-stream schemes (baseline, MEEK, SWIFT) all run their windows.
+/// The functional screen goes first ([`screen`]): the clean run under
+/// `obs` with a commit probe watching the screened keys' seqs, plus one
+/// fork per key the screen leaves, with its architectural fault armed,
+/// each starting from copies of both at its fork point, its probe
+/// watching the key's seq. `score(key, run, probe)` reduces each fork
+/// as soon as it finishes, and each screened key against the clean run
+/// and probe once the pass ends: its fork would have repeated the clean
+/// pass, probe and observers included, with the faulted register
+/// digest if it reached the halt. Returns the clean run, its probe and
+/// observer, the keys' pending verdicts, and how many were screened.
 pub(super) fn forked_window<O: WindowObserver>(
     sim: &PipelineSim,
     program: &Program,
@@ -70,18 +75,32 @@ pub(super) fn forked_window<O: WindowObserver>(
     keys: &[(FaultClass, u64, u8)],
     obs: O,
     score: impl Fn((FaultClass, u64, u8), &SchemeRun, &CommitProbe) -> Scored,
-) -> Result<(SchemeRun, CommitProbe, O, Pending<O>), String> {
-    let faults: Vec<(u64, u8)> = keys.iter().map(|&(_, seq, bit)| (seq, bit)).collect();
+) -> Result<(SchemeRun, CommitProbe, O, Pending<O>, usize), String> {
+    let start = ck.restore(program);
+    let targets: Vec<(u64, u8)> = keys.iter().map(|&(_, seq, bit)| (seq, bit)).collect();
+    let lookahead = sim.config().fetch_lookahead();
+    let screened = screen(&start, budget, lookahead, &targets);
+    let forks: Vec<usize> = (0..keys.len())
+        .filter(|&i| screened[i] == Screened::Fork)
+        .collect();
+    let faults: Vec<(u64, u8)> = forks.iter().map(|&i| targets[i]).collect();
+    let mut probe = CommitProbe::new();
+    for (&(seq, _), s) in targets.iter().zip(&screened) {
+        if *s != Screened::Fork {
+            probe.watch(seq);
+        }
+    }
     let mut scored: Pending<O> = vec![None; keys.len()];
-    let mut obs = Pair(CommitProbe::new(), obs);
-    let spec = window_spec(program, ck, budget);
+    let mut obs = Pair(probe, obs);
+    let spec = RunSpec::restored(start, ck.warm.as_ref()).limit(budget);
     let clean = sim
         .simulate_forked(
             spec,
             &faults,
             &mut obs,
             |o, seq| o.0.watch(seq),
-            |i, r, Pair(probe, fork_obs)| {
+            |j, r, Pair(probe, fork_obs)| {
+                let i = forks[j];
                 scored[i] = Some(
                     r.map(|r| (score(keys[i], &SchemeRun::from(r), &probe), fork_obs))
                         .map_err(|e| e.to_string()),
@@ -90,7 +109,19 @@ pub(super) fn forked_window<O: WindowObserver>(
         )
         .map_err(|e| e.to_string())?;
     let Pair(probe, obs) = obs;
-    Ok((SchemeRun::from(clean), probe, obs, scored))
+    let clean = SchemeRun::from(clean);
+    for (i, s) in screened.iter().enumerate() {
+        let Screened::Clean { halt_digest } = *s else {
+            continue;
+        };
+        let run = SchemeRun {
+            state_digest: halt_digest.unwrap_or(clean.state_digest),
+            ..clean.clone()
+        };
+        scored[i] = Some(Ok((score(keys[i], &run, &probe), obs.clone())));
+    }
+    let screened = keys.len() - forks.len();
+    Ok((clean, probe, obs, scored, screened))
 }
 
 /// Scores a single-stream machine's window where nothing checks the
@@ -109,7 +140,7 @@ fn score_unchecked(key: (FaultClass, u64, u8), r: &SchemeRun, probe: &CommitProb
             detection_latency: None,
             extra_cycles: 0,
             state_clean: false,
-            inject_cycle: probe.first_writeback.or(committed),
+            inject_cycle: probe.first_writeback(seq).or(committed),
             diverge_cycle: committed,
             detect_cycle: None,
         },
@@ -168,7 +199,7 @@ fn redundant_window<O: WindowObserver, E: std::fmt::Display>(
         );
     })
     .map_err(|e| e.to_string())?;
-    Ok(judged(SchemeRun::from(clean), obs, scored))
+    Ok(judged(SchemeRun::from(clean), obs, scored, 0))
 }
 
 /// The fault a redundant machine latches for a trial key: primary or
@@ -231,9 +262,9 @@ impl DetectionScheme for BaselineScheme {
         observers: Observers,
     ) -> Result<WindowTrials, String> {
         with_observers!(observers.tracer, observers.log, |obs| {
-            let (clean, _, obs, scored) =
+            let (clean, _, obs, scored, screened) =
                 forked_window(&self.sim, program, ck, budget, keys, obs, score_unchecked)?;
-            Ok(judged(clean, obs, scored))
+            Ok(judged(clean, obs, scored, screened))
         })
     }
 }

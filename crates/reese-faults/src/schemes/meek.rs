@@ -136,7 +136,7 @@ impl MeekScheme {
             extra_cycles: 0,
             state_clean: false,
             inject_cycle: if primary {
-                probe.first_writeback.or(commit)
+                probe.first_writeback(seq).or(commit)
             } else {
                 commit
             },
@@ -187,7 +187,7 @@ impl MeekScheme {
             .filter(|&(class, _, _)| class == FaultClass::PrimaryResult)
             .collect();
         let score = |key, r: &SchemeRun, probe: &CommitProbe| self.score(program, key, r, probe);
-        let (clean, probe, obs, forked) =
+        let (clean, probe, obs, forked, screened) =
             forked_window(&self.sim, program, ck, budget, &primary, obs, score)?;
         // A checker-side upset never touches the main core, so its
         // faulted run — observers included — is the clean run itself.
@@ -199,7 +199,7 @@ impl MeekScheme {
                 _ => Some(Ok((score(key, &clean, &probe), obs.clone()))),
             })
             .collect();
-        Ok(judged(clean, obs, scored))
+        Ok(judged(clean, obs, scored, screened))
     }
 }
 

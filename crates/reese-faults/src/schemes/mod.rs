@@ -68,6 +68,7 @@ pub(crate) mod classic;
 pub(crate) mod meek;
 mod observe;
 pub mod report;
+mod screen;
 pub(crate) mod swift;
 
 use crate::engine::{output_fnv, WindowBaseline};
@@ -235,6 +236,10 @@ pub struct WindowTrials {
     /// Per key, in key order: its outcome and its fork's observers, or
     /// that faulted run's failure.
     pub trials: Vec<Result<(TrialOutcome, Observers), String>>,
+    /// How many keys the functional screen scored from the clean pass
+    /// without a detailed fork (0 on REESE and duplex, whose faults
+    /// sit in compare latches).
+    pub screened: usize,
 }
 
 /// One slot per key of a window, filled with the key's [`Scored`]
@@ -243,11 +248,13 @@ pub struct WindowTrials {
 pub(crate) type Pending<O> = Vec<Option<Result<(Scored, O), String>>>;
 
 /// Assembles [`WindowTrials`] from a window's clean run, its observer,
-/// and the pending verdicts of its forks, one per key in key order.
+/// the pending verdicts of its keys in key order, and how many of those
+/// were screened.
 pub(crate) fn judged<O: WindowObserver>(
     clean: SchemeRun,
     obs: O,
     scored: Pending<O>,
+    screened: usize,
 ) -> WindowTrials {
     let baseline = WindowBaseline::from(&clean);
     let trials = scored
@@ -261,6 +268,7 @@ pub(crate) fn judged<O: WindowObserver>(
         clean,
         observers: obs.into_observers(),
         trials,
+        screened,
     }
 }
 
@@ -352,8 +360,12 @@ pub trait DetectionScheme: Send + Sync {
     /// [`DetectionScheme::run_trial`] scores for each key against it
     /// with the fork's observers — which hold what `run_trial` under
     /// the same observers records — or that faulted run's failure.
-    /// Keys may repeat and come in any order; all must be of classes
-    /// with [`FaultClass::detectable_by_design`].
+    /// A scheme may score a key from the clean pass without forking
+    /// when its fork provably repeats the clean pass (the single-stream
+    /// schemes' functional screen), and counts those keys in
+    /// [`WindowTrials::screened`]. Keys may repeat and come in any
+    /// order; all must be of classes with
+    /// [`FaultClass::detectable_by_design`].
     ///
     /// # Errors
     ///

@@ -8,14 +8,15 @@ use reese_trace::{CycleState, Observer, Stage, TraceEvent};
 /// uses it to anchor detection latency at the faulted instruction's
 /// commit.
 ///
-/// A probe built with [`CommitProbe::watching`] additionally latches
-/// the first writeback cycle of one dynamic instruction — the cycle an
+/// A probe also latches the first writeback cycle of each dynamic
+/// instruction it watches ([`CommitProbe::watch`]) — the cycle an
 /// architecturally injected fault's corrupt value enters the machine.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CommitProbe {
     pub commits: Vec<(u64, u64, u64)>,
-    watch_seq: Option<u64>,
-    pub first_writeback: Option<u64>,
+    /// Watched seqs in ascending order, each with its first writeback
+    /// cycle once seen.
+    watched: Vec<(u64, Option<u64>)>,
 }
 
 impl CommitProbe {
@@ -32,7 +33,18 @@ impl CommitProbe {
 
     /// Latches the first writeback of `seq` from here on.
     pub fn watch(&mut self, seq: u64) {
-        self.watch_seq = Some(seq);
+        if let Err(at) = self.watched.binary_search_by_key(&seq, |&(s, _)| s) {
+            self.watched.insert(at, (seq, None));
+        }
+    }
+
+    /// The first writeback cycle of a watched dynamic instruction, if
+    /// it wrote back in the observed window.
+    pub fn first_writeback(&self, seq: u64) -> Option<u64> {
+        self.watched
+            .binary_search_by_key(&seq, |&(s, _)| s)
+            .ok()
+            .and_then(|at| self.watched[at].1)
     }
 
     /// The commit cycle of a dynamic instruction, if it committed in
@@ -59,11 +71,10 @@ impl Observer for CommitProbe {
     fn event(&mut self, ev: TraceEvent) {
         if ev.stage == Stage::Commit {
             self.commits.push((ev.seq, ev.cycle, ev.pc));
-        } else if ev.stage == Stage::Writeback
-            && self.watch_seq == Some(ev.seq)
-            && self.first_writeback.is_none()
-        {
-            self.first_writeback = Some(ev.cycle);
+        } else if ev.stage == Stage::Writeback {
+            if let Ok(at) = self.watched.binary_search_by_key(&ev.seq, |&(s, _)| s) {
+                self.watched[at].1.get_or_insert(ev.cycle);
+            }
         }
     }
 

@@ -467,9 +467,9 @@ impl DetectionScheme for SwiftScheme {
         observers: Observers,
     ) -> Result<WindowTrials, String> {
         with_observers!(observers.tracer, observers.log, |obs| {
-            let (clean, _, obs, scored) =
+            let (clean, _, obs, scored, screened) =
                 forked_window(&self.sim, program, ck, budget, keys, obs, score)?;
-            Ok(judged(clean, obs, scored))
+            Ok(judged(clean, obs, scored, screened))
         })
     }
 }
@@ -503,7 +503,7 @@ fn score(key: (FaultClass, u64, u8), r: &SchemeRun, probe: &CommitProbe) -> Scor
             detection_latency,
             extra_cycles: 0,
             state_clean: false,
-            inject_cycle: probe.first_writeback.or(committed),
+            inject_cycle: probe.first_writeback(seq).or(committed),
             diverge_cycle: committed,
             detect_cycle,
         },

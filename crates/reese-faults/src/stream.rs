@@ -15,6 +15,7 @@
 //! oracle contract), so a log written by one arm resumes under the
 //! other.
 
+use crate::engine::window_ceiling;
 use crate::{CampaignError, FaultClass, TrialOutcome};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -96,6 +97,13 @@ impl LogHeader {
         if ckpt_every == 0 {
             return Err("header field `ckpt_every` is 0, expected at least 1".into());
         }
+        let dynamic_len = field("dynamic_len")?;
+        if window_ceiling(dynamic_len, ckpt_every).is_none() {
+            return Err(format!(
+                "header field `ckpt_every` is {ckpt_every}, too large for dynamic \
+                 length {dynamic_len}: the final window's ceiling overflows"
+            ));
+        }
         Ok(LogHeader {
             seed: field("seed")?,
             trials: field("trials")?,
@@ -103,7 +111,7 @@ impl LogHeader {
             ckpt_every,
             max_instructions: field("max_instructions")?,
             config_fnv: field("config_fnv")?,
-            dynamic_len: field("dynamic_len")?,
+            dynamic_len,
             clean_cycles: field("clean_cycles")?,
             clean_digest: field("clean_digest")?,
         })
@@ -433,6 +441,13 @@ mod tests {
         };
         let err = LogHeader::parse(&zero.to_line()).unwrap_err();
         assert!(err.contains("`ckpt_every` is 0"), "{err}");
+        // Nor on one whose final window's ceiling overflows.
+        let huge = LogHeader {
+            ckpt_every: u64::MAX,
+            ..header()
+        };
+        let err = LogHeader::parse(&huge.to_line()).unwrap_err();
+        assert!(err.contains("ceiling overflows"), "{err}");
     }
 
     #[test]

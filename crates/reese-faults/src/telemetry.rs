@@ -28,7 +28,10 @@
 //!    and an ETA, sampled from the worker fan-out.
 //! 7. `trials_done` — end-to-end fan-out stats: items, wall ms, items
 //!    per second, per-worker item/steal counts and busy time (the head
-//!    item's time is not busy).
+//!    item's time is not busy), and `screened_keys`: the simulated keys
+//!    (trials, under metrics sampling) the functional screen scored
+//!    from their window's clean pass without a detailed fork — 0 under
+//!    the Full engine and on REESE and duplex.
 //! 8. `campaign_done` — trials, detected, coverage, total wall ms.
 
 use reese_stats::ParallelStats;
@@ -131,8 +134,8 @@ impl Telemetry {
 
     /// Emits the end-of-fan-out `trials_done` event from the map's
     /// [`ParallelStats`]: total items, wall time, throughput, and the
-    /// per-worker item/steal split.
-    pub fn trials_done(&self, stats: &ParallelStats) {
+    /// per-worker item/steal split, plus the `screened` key count.
+    pub fn trials_done(&self, stats: &ParallelStats, screened: usize) {
         let workers: Vec<String> = stats
             .workers
             .iter()
@@ -155,6 +158,7 @@ impl Telemetry {
                 ("jobs", stats.jobs.to_string()),
                 ("steals", stats.steals().to_string()),
                 ("workers", format!("[{}]", workers.join(", "))),
+                ("screened_keys", screened.to_string()),
             ],
         );
     }

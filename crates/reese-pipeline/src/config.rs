@@ -185,6 +185,18 @@ impl PipelineConfig {
         self
     }
 
+    /// The most dynamic instructions the front end's emulator can have
+    /// executed past the last commit: each sits in the fetch queue or
+    /// the RUU, but for one an instruction-cache miss holds back from
+    /// delivery. So a baseline run that stops after `n` commits has
+    /// executed at most `n + fetch_lookahead()` instructions from its
+    /// start, and nothing past that frontier reaches its result. A
+    /// redundancy policy that holds instructions outside the RUU adds
+    /// its share ([`crate::Redundancy::held`]).
+    pub fn fetch_lookahead(&self) -> u64 {
+        (self.ruu_size + self.fetch_queue_size + 1) as u64
+    }
+
     /// Validates structural invariants.
     ///
     /// # Panics

@@ -143,6 +143,27 @@ pub fn emit<O: Observer>(obs: &mut O, cycle: u64, seq: Seq, pc: u64, stage: Stag
     }
 }
 
+/// Whether the timing core treats two functional records of one dynamic
+/// instruction alike. Of a [`StepInfo`] the core reads the pc (and with
+/// it the static instruction), the next pc and branch outcome, the
+/// memory access's address, width and kind, whether it halts, what it
+/// prints, and a halt's exit value; operand, result and data values
+/// never reach it otherwise. So two runs from one machine state whose
+/// front ends receive pairwise `same_timing` records up to their
+/// frontier ([`PipelineConfig::fetch_lookahead`]) go through the same
+/// cycles, events and commits, and end with the same result but for
+/// the state digest.
+pub fn same_timing(a: &StepInfo, b: &StepInfo) -> bool {
+    let mem = |i: &StepInfo| i.mem.map(|m| (m.addr, m.width, m.is_store));
+    a.pc == b.pc
+        && a.next_pc == b.next_pc
+        && a.taken == b.taken
+        && mem(a) == mem(b)
+        && a.halted == b.halted
+        && a.printed == b.printed
+        && (!a.halted || a.result == b.result)
+}
+
 /// A detection mechanism layered on the timing [`Core`]: the hooks the
 /// core calls at fixed points of every cycle. `()` is the unprotected
 /// baseline, which needs nothing beyond the required hooks.
@@ -204,6 +225,13 @@ pub trait Redundancy: Sized {
     /// Whether the policy's own structures hold no work.
     fn drained(&self) -> bool {
         true
+    }
+
+    /// The most instructions the policy holds after they leave the RUU
+    /// and before they retire: its share of the front end's lookahead
+    /// ([`PipelineConfig::fetch_lookahead`]).
+    fn held(&self) -> usize {
+        0
     }
 
     /// Adds the policy's counters and occupancies to a cycle snapshot.
@@ -416,6 +444,13 @@ impl<'c, R: Redundancy> Core<'c, R> {
     /// target the clean run never reaches (it halts or hits a limit
     /// first) forks from the final state and ends with the same stop.
     ///
+    /// The front end never runs more than
+    /// [`PipelineConfig::fetch_lookahead`] instructions (plus the
+    /// policy's [`Redundancy::held`]) past the last commit, which a
+    /// debug build checks on the clean pass. So a fork whose emulator
+    /// yields records [`same_timing`] with the clean run's up to that
+    /// frontier ends as the clean run does, but for the state digest.
+    ///
     /// # Errors
     ///
     /// An error on the clean run ends the pass (as [`Core::run`]); a
@@ -435,6 +470,8 @@ impl<'c, R: Redundancy> Core<'c, R> {
         order.sort_by_key(|&i| targets[i]);
         let mut pending = order.into_iter().peekable();
         let width = self.cfg.width as Seq;
+        let start = self.fetch.emulated() - self.stats.committed;
+        let lookahead = self.cfg.fetch_lookahead() + self.pol.held() as Seq;
         let stop = loop {
             while let Some(i) = pending.next_if(|&i| self.fetch.emulated() + width > targets[i]) {
                 let (mut fork, mut fork_obs) = (self.clone(), obs.clone());
@@ -445,6 +482,10 @@ impl<'c, R: Redundancy> Core<'c, R> {
             if let Some(stop) = self.step(max_instructions, obs)? {
                 break stop;
             }
+            debug_assert!(
+                self.fetch.emulated() <= start + self.stats.committed + lookahead,
+                "the front end ran past its lookahead"
+            );
         };
         for i in pending {
             let (mut fork, mut fork_obs) = (self.clone(), obs.clone());
@@ -911,5 +952,77 @@ mod tests {
             assert_eq!(r, want, "fault {:?}", faults[i]);
             assert_eq!(r.stop, SimStop::InstructionLimit);
         }
+    }
+    #[test]
+    fn a_fork_the_core_cannot_tell_apart_ends_as_the_clean_run() {
+        // The loop of `LOOP`, then `li a0, 9` for the halt's exit value:
+        // 165 dynamic instructions. Seq 159 is the last `mul`, whose
+        // flip changes only the printed value; seq 162 changes only the
+        // exit value; bit 40 of the loop counter runs away into the
+        // cycle cap.
+        let prog = assemble(
+            "  li t0, 40\n  li t1, 0\n\
+             loop: addi t1, t1, 3\n  mul t2, t1, t0\n  addi t0, t0, -1\n  bnez t0, loop\n\
+             \n  li a0, 9\n  print t2\n  halt\n",
+        )
+        .unwrap();
+        let mut cfg = PipelineConfig::starting();
+        cfg.max_cycles = 3_000;
+        let sim = PipelineSim::new(cfg.clone());
+        let faults: Vec<(Seq, u8)> = (0..165).flat_map(|s| [(s, 0), (s, 5), (s, 40)]).collect();
+        for limit in [100, u64::MAX] {
+            // Whether the fault's stream stays `same_timing` with the
+            // clean one up to the frontier a run to `limit` can reach.
+            let frontier = limit.saturating_add(cfg.fetch_lookahead());
+            let unseen = |&(seq, bit): &(Seq, u8)| {
+                let (mut clean, mut faulted) = (Emulator::new(&prog), Emulator::new(&prog));
+                faulted.inject_result_fault(seq, bit);
+                while clean.instructions() < frontier && clean.exit_code().is_none() {
+                    match (clean.step(), faulted.step()) {
+                        (Ok(c), Ok(f)) if same_timing(&c, &f) => {}
+                        _ => return false,
+                    }
+                }
+                true
+            };
+            let mut forks = vec![None; faults.len()];
+            let clean = sim
+                .simulate_forked(
+                    RunSpec::new(&prog).limit(limit),
+                    &faults,
+                    &mut reese_trace::NoopObserver,
+                    |_, _| {},
+                    |i, r, _| forks[i] = Some(r.unwrap()),
+                )
+                .unwrap();
+            let mut seen = 0;
+            for (fault, fork) in faults.iter().zip(forks) {
+                let fork = fork.expect("every fault forks once");
+                if unseen(fault) {
+                    let digest = clean.state_digest;
+                    let fork = SimResult {
+                        state_digest: digest,
+                        ..fork
+                    };
+                    assert_eq!(fork, clean, "limit {limit}: fault {fault:?}");
+                } else {
+                    seen += 1;
+                }
+            }
+            assert!(
+                seen > 0 && seen < faults.len(),
+                "limit {limit}: {seen} seen"
+            );
+        }
+        // Printed and exit values are part of what the core reads.
+        let full = |fault: (Seq, u8)| {
+            let mut emu = Emulator::new(&prog);
+            emu.inject_result_fault(fault.0, fault.1);
+            sim.simulate(RunSpec::restored(emu, None), &mut reese_trace::NoopObserver)
+                .unwrap()
+        };
+        let clean = sim.run(&prog).unwrap();
+        assert_ne!(full((159, 5)).output, clean.output);
+        assert_ne!(full((162, 0)).exit_code, clean.exit_code);
     }
 }
