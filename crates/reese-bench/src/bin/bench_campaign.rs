@@ -34,7 +34,7 @@ use reese_ckpt::Scheme;
 use reese_core::ReeseConfig;
 use reese_faults::{schemes, Campaign, CoverageReport, FaultMix, TrialEngine};
 use reese_stats::available_jobs;
-use reese_stats::bench::{Criterion, PairMeasurement};
+use reese_stats::bench::{bench_pair, PairMeasurement};
 use reese_workloads::Kernel;
 use std::hint::black_box;
 
@@ -152,35 +152,32 @@ fn main() {
         }
     }
 
-    let mut c = Criterion::default();
     // Times one cell's two arms after checking them against each other:
     // the arms must agree byte-for-byte before their relative speed
     // means anything.
-    let mut cell =
-        |label: &'static str, trials: usize, run: &dyn Fn(TrialEngine) -> CoverageReport| {
-            let full = run(TrialEngine::Full);
-            let replay = run(TrialEngine::Replay);
-            assert_eq!(replay, full, "{label}: replay diverged from full");
-            assert_eq!(
-                replay.to_json(),
-                full.to_json(),
-                "{label}: reports must serialise identically"
-            );
-            let mut g = c.benchmark_group(label);
-            g.sample_size(samples);
-            let pair = g.bench_pair(
-                "campaign/full",
-                "campaign/replay",
-                || black_box(run(TrialEngine::Full)),
-                || black_box(run(TrialEngine::Replay)),
-            );
-            g.finish();
-            Cell {
-                kernel: label,
-                trials,
-                pair,
-            }
-        };
+    let cell = |label: &'static str, trials: usize, run: &dyn Fn(TrialEngine) -> CoverageReport| {
+        let full = run(TrialEngine::Full);
+        let replay = run(TrialEngine::Replay);
+        assert_eq!(replay, full, "{label}: replay diverged from full");
+        assert_eq!(
+            replay.to_json(),
+            full.to_json(),
+            "{label}: reports must serialise identically"
+        );
+        let pair = bench_pair(
+            label,
+            samples,
+            "campaign/full",
+            "campaign/replay",
+            || black_box(run(TrialEngine::Full)),
+            || black_box(run(TrialEngine::Replay)),
+        );
+        Cell {
+            kernel: label,
+            trials,
+            pair,
+        }
+    };
     let mut cells = Vec::new();
     for kernel in Kernel::ALL {
         let program = kernel.build_for(TARGET_INSTRUCTIONS);
@@ -214,9 +211,9 @@ fn main() {
                 .trials(TRIALS)
                 .engine(TrialEngine::Replay)
         };
-        let mut g = c.benchmark_group("telemetry");
-        g.sample_size(samples);
-        let pair = g.bench_pair(
+        let pair = bench_pair(
+            "telemetry",
+            samples,
             "campaign/telemetry-on",
             "campaign/telemetry-off",
             || {
@@ -229,7 +226,6 @@ fn main() {
             },
             || black_box(campaign().run(&program).expect("campaign runs")),
         );
-        g.finish();
         let _ = std::fs::remove_file(&journal);
         pair
     };
@@ -239,9 +235,9 @@ fn main() {
     let critical_path = (available_jobs() >= 2).then(|| {
         let program = Kernel::Lisp.build_for(TARGET_INSTRUCTIONS);
         let clean = schemes::build(Scheme::Reese, &ReeseConfig::starting());
-        let mut g = c.benchmark_group("critical-path");
-        g.sample_size(CRITICAL_PATH_SAMPLES);
-        let pair = g.bench_pair(
+        let pair = bench_pair(
+            "critical-path",
+            CRITICAL_PATH_SAMPLES,
             "campaign/j2",
             "clean/run_limit",
             || {
@@ -255,7 +251,6 @@ fn main() {
             },
             || black_box(clean.run_limit(&program, u64::MAX).expect("clean run")),
         );
-        g.finish();
         pair.speedup
     });
 

@@ -33,7 +33,7 @@ use reese_ckpt::{run_sharded, Scheme, ShardOptions};
 use reese_core::{DuplexSim, ReeseConfig, ReeseSim, SchedulerMode};
 use reese_faults::schemes;
 use reese_pipeline::{PipelineConfig, PipelineSim, RunSpec};
-use reese_stats::bench::{Criterion, PairMeasurement};
+use reese_stats::bench::{bench_pair, PairMeasurement};
 use reese_trace::Tracer;
 use reese_workloads::Kernel;
 use std::hint::black_box;
@@ -208,12 +208,8 @@ fn main() {
     let kernel = Kernel::Lisp;
     let program = kernel.build_for(TARGET_INSTRUCTIONS);
     let mut cells = Vec::new();
-    let mut c = Criterion::default();
 
     for (machine, base) in machines() {
-        let mut g = c.benchmark_group(machine);
-        g.sample_size(samples);
-
         // Baseline out-of-order pipeline.
         let run_pipe = |mode| {
             PipelineSim::new(base.clone().with_scheduler(mode))
@@ -226,7 +222,9 @@ fn main() {
             run_pipe(SchedulerMode::EventDriven),
             "baseline modes diverged"
         );
-        let pair = g.bench_pair(
+        let pair = bench_pair(
+            machine,
+            samples,
             "baseline/scan",
             "baseline/event",
             || black_box(run_pipe(SchedulerMode::Scan)),
@@ -256,7 +254,9 @@ fn main() {
             run_reese(SchedulerMode::EventDriven),
             "REESE modes diverged"
         );
-        let pair = g.bench_pair(
+        let pair = bench_pair(
+            machine,
+            samples,
             "reese/scan",
             "reese/event",
             || black_box(run_reese(SchedulerMode::Scan)),
@@ -281,7 +281,9 @@ fn main() {
             run_duplex(SchedulerMode::EventDriven),
             "duplex modes diverged"
         );
-        let pair = g.bench_pair(
+        let pair = bench_pair(
+            machine,
+            samples,
             "duplex/scan",
             "duplex/event",
             || black_box(run_duplex(SchedulerMode::Scan)),
@@ -293,7 +295,6 @@ fn main() {
             cycles: reference.stats.pipeline.cycles,
             pair,
         });
-        g.finish();
     }
 
     // Sharded vs monolithic: one REESE run on the starting machine,
@@ -302,8 +303,6 @@ fn main() {
     // to the same architectural state; the recorded cycle error is the
     // pipeline-fill cost of restarting at each interior boundary.
     let shard_cell = {
-        let mut g = c.benchmark_group("sharded (starting, reese)");
-        g.sample_size(samples.min(5));
         let config = ReeseConfig::starting();
         let opts = ShardOptions {
             intervals: 4,
@@ -324,7 +323,9 @@ fn main() {
             report.total_instructions,
             monolithic.stats.pipeline.committed
         );
-        let pair = g.bench_pair(
+        let pair = bench_pair(
+            "sharded (starting, reese)",
+            samples.min(5),
             "monolithic",
             "sharded x4",
             || {
@@ -341,7 +342,6 @@ fn main() {
                 )
             },
         );
-        g.finish();
         ShardCell {
             intervals: opts.intervals,
             pair,
@@ -356,8 +356,6 @@ fn main() {
     // side guards the zero-cost-when-disabled claim — hooks ride the
     // generic no-op path; the traced side prices full collection.
     let trace_cell = {
-        let mut g = c.benchmark_group("traced (starting, reese)");
-        g.sample_size(samples);
         let config = ReeseConfig::starting();
         let untraced = ReeseSim::new(config.clone())
             .run(&program)
@@ -369,7 +367,9 @@ fn main() {
         assert_eq!(untraced, traced, "tracing changed the simulation");
         probe.finish();
         let (ring, metrics) = probe.into_parts();
-        let pair = g.bench_pair(
+        let pair = bench_pair(
+            "traced (starting, reese)",
+            samples,
             "untraced",
             "traced",
             || {
@@ -389,7 +389,6 @@ fn main() {
                 black_box(t);
             },
         );
-        g.finish();
         TraceCell {
             pair,
             events: ring.len(),
@@ -403,8 +402,6 @@ fn main() {
     // wall-clock pair is the only host-dependent number), which is what
     // makes them guardable against the seed table above.
     let scheme_cells = {
-        let mut g = c.benchmark_group("schemes (starting)");
-        g.sample_size(samples.min(5));
         let config = ReeseConfig::starting();
         let base_cycles = schemes::build(Scheme::Baseline, &config)
             .run_limit(&program, u64::MAX)
@@ -415,9 +412,11 @@ fn main() {
             let backend = schemes::build(scheme, &config);
             let prepared = backend.prepare(&program).expect("prepare succeeds");
             let clean = backend.run_limit(&prepared, u64::MAX).expect("kernel runs");
-            let pair = g.bench_pair(
-                format!("{scheme}/unprotected"),
-                format!("{scheme}/protected"),
+            let pair = bench_pair(
+                "schemes (starting)",
+                samples.min(5),
+                &format!("{scheme}/unprotected"),
+                &format!("{scheme}/protected"),
                 || {
                     black_box(
                         PipelineSim::new(config.pipeline.clone())
@@ -435,7 +434,6 @@ fn main() {
                 pair,
             });
         }
-        g.finish();
         v
     };
 

@@ -70,9 +70,9 @@ impl DuplexSim {
         self.simulate(RunSpec::new(program), &mut NoopObserver)
     }
 
-    /// Simulates `spec` — from program start, after a functional skip,
-    /// or from a checkpoint — injecting its latch faults, with `obs`
-    /// receiving per-cycle state and per-instruction lifecycle events.
+    /// Simulates `spec` — from program start or from a warm checkpoint
+    /// — injecting its latch faults, with `obs` receiving per-cycle
+    /// state and per-instruction lifecycle events.
     /// A fault targeting dynamic instruction `seq` corrupts one copy's
     /// latched result, so the pair comparison at commit fails: the
     /// machine records a [`crate::DetectionEvent`], flushes, and
@@ -94,7 +94,7 @@ impl DuplexSim {
             faults: fault_table(spec.faults),
             check: Checker::default(),
         };
-        Core::new(&self.config, spec.start, |_| pol).run(spec.max_instructions, obs)
+        Core::new(&self.config, spec.emulator, spec.warm, |_| pol).run(spec.max_instructions, obs)
     }
 
     /// Simulates the fault-free `spec` once and, in the same pass, one
@@ -121,7 +121,7 @@ impl DuplexSim {
             check: Checker::default(),
         };
         let targets: Vec<Seq> = faults.iter().map(|f| f.seq).collect();
-        Core::new(&self.config, spec.start, |_| pol).run_forked(
+        Core::new(&self.config, spec.emulator, spec.warm, |_| pol).run_forked(
             &targets,
             spec.max_instructions,
             obs,

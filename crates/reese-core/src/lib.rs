@@ -19,9 +19,9 @@
 //! comparison point [`DuplexSim`] — are [`reese_pipeline::Redundancy`]
 //! policies on the one timing core, [`reese_pipeline::Core`]. Each has
 //! `run(&program)` plus one `simulate(spec, observer)` entry point,
-//! where the [`reese_pipeline::RunSpec`] says where the run starts
-//! (cold, after a functional skip, or from a checkpoint), when it stops,
-//! and which faults it injects.
+//! where the [`reese_pipeline::RunSpec`] says where the run starts (an
+//! emulator, fresh or restored from a checkpoint, plus optional warm
+//! state), when it stops, and which faults it injects.
 //!
 //! # Example
 //!

@@ -251,18 +251,11 @@ impl RQueue {
         }
     }
 
-    /// The first `limit` seqs awaiting redundant issue, oldest first —
-    /// exactly the entries the FIFO-lookahead scan would consider
-    /// (event-driven mode only; empty under [`SchedulerMode::Scan`]).
-    pub fn pending_r_front(&mut self, limit: usize) -> Vec<Seq> {
-        let mut out = Vec::with_capacity(limit.min(self.pending_r.len()));
-        self.pending_r_front_into(limit, &mut out);
-        out
-    }
-
-    /// Like [`RQueue::pending_r_front`] but reusing a caller-owned
-    /// buffer (cleared first), so the per-cycle redundant-issue loop
-    /// allocates nothing.
+    /// Copies the first `limit` seqs awaiting redundant issue into
+    /// `out` (cleared first), oldest first — exactly the entries the
+    /// FIFO-lookahead scan would consider (event-driven mode only;
+    /// empty under [`SchedulerMode::Scan`]). The caller-owned buffer
+    /// keeps the per-cycle redundant-issue loop allocation-free.
     ///
     /// Served from the incrementally maintained front window: migration
     /// appends, issue removes, and only an issue that slides the window
@@ -301,16 +294,9 @@ impl RQueue {
     }
 
     /// Pops the seqs of every redundant completion due at or before
-    /// `now`, in `(cycle, seq)` order (event-driven mode only).
-    pub fn take_r_completions(&mut self, now: u64) -> Vec<Seq> {
-        let due = self.completions.take_due(now);
-        self.sched_ops += due.len() as u64;
-        due
-    }
-
-    /// Like [`RQueue::take_r_completions`] but reusing a caller-owned
-    /// buffer (cleared first), so the per-cycle writeback loop
-    /// allocates nothing.
+    /// `now` into `out` (cleared first), in `(cycle, seq)` order
+    /// (event-driven mode only). The caller-owned buffer keeps the
+    /// per-cycle writeback loop allocation-free.
     pub fn take_r_completions_into(&mut self, now: u64, out: &mut Vec<Seq>) {
         self.completions.take_due_into(now, out);
         self.sched_ops += out.len() as u64;
@@ -387,6 +373,21 @@ mod tests {
     use reese_cpu::{step, ArchState};
     use reese_isa::{abi::*, Instr, Opcode};
     use reese_mem::Memory;
+
+    /// The pending front window, through the issue loop's buffer.
+    fn front(q: &mut RQueue, limit: usize) -> Vec<Seq> {
+        let mut out = vec![99];
+        q.pending_r_front_into(limit, &mut out);
+        out
+    }
+
+    /// The redundant completions due by `now`, through the writeback
+    /// loop's buffer.
+    fn due(q: &mut RQueue, now: u64) -> Vec<Seq> {
+        let mut out = vec![99];
+        q.take_r_completions_into(now, &mut out);
+        out
+    }
 
     fn entry(seq: Seq) -> RQueueEntry {
         let mut s = ArchState::new(0x1000);
@@ -492,9 +493,9 @@ mod tests {
         q.push(entry(1));
         q.push(entry(2));
         assert!(q.has_pending_r());
-        assert_eq!(q.pending_r_front(2), vec![0, 1]);
+        assert_eq!(front(&mut q, 2), vec![0, 1]);
         q.mark_r_issued(1, 7);
-        assert_eq!(q.pending_r_front(8), vec![0, 2]);
+        assert_eq!(front(&mut q, 8), vec![0, 2]);
         assert_eq!(q.get_mut(1).unwrap().r_complete_cycle, 7);
         assert!(q.get_mut(1).unwrap().r_issued);
     }
@@ -507,7 +508,7 @@ mod tests {
         let mut q = RQueue::new(4);
         q.push(RQueueEntry::new(0, info, 0, true));
         assert!(!q.has_pending_r());
-        assert_eq!(q.pending_r_front(4), Vec::<Seq>::new());
+        assert_eq!(front(&mut q, 4), Vec::<Seq>::new());
     }
 
     #[test]
@@ -516,39 +517,39 @@ mod tests {
         for seq in 0..6 {
             q.push(entry(seq));
         }
-        assert_eq!(q.pending_r_front(3), vec![0, 1, 2]);
+        assert_eq!(front(&mut q, 3), vec![0, 1, 2]);
         q.mark_r_issued(1, 9);
         assert_eq!(
-            q.pending_r_front(3),
+            front(&mut q, 3),
             vec![0, 2, 3],
             "window must slide past the issued seq"
         );
         q.mark_r_issued(0, 9);
         q.mark_r_issued(2, 9);
-        assert_eq!(q.pending_r_front(3), vec![3, 4, 5]);
+        assert_eq!(front(&mut q, 3), vec![3, 4, 5]);
         q.mark_r_issued(3, 10);
         q.mark_r_issued(4, 10);
         assert_eq!(
-            q.pending_r_front(3),
+            front(&mut q, 3),
             vec![5],
             "window shrinks as pending dries up"
         );
         q.mark_r_issued(5, 10);
-        assert_eq!(q.pending_r_front(3), Vec::<Seq>::new());
+        assert_eq!(front(&mut q, 3), Vec::<Seq>::new());
     }
 
     #[test]
     fn front_window_refills_incrementally_after_flush() {
         let mut q = RQueue::new(8);
         q.push(entry(0));
-        assert_eq!(q.pending_r_front(4), vec![0]);
+        assert_eq!(front(&mut q, 4), vec![0]);
         q.flush_all();
-        assert_eq!(q.pending_r_front(4), Vec::<Seq>::new());
+        assert_eq!(front(&mut q, 4), Vec::<Seq>::new());
         // Fetch rewinds after a detection: the same seqs migrate again
         // and must re-enter the window.
         q.push(entry(0));
         q.push(entry(1));
-        assert_eq!(q.pending_r_front(4), vec![0, 1]);
+        assert_eq!(front(&mut q, 4), vec![0, 1]);
     }
 
     #[test]
@@ -557,9 +558,9 @@ mod tests {
         for seq in 0..5 {
             q.push(entry(seq));
         }
-        assert_eq!(q.pending_r_front(2), vec![0, 1]);
-        assert_eq!(q.pending_r_front(4), vec![0, 1, 2, 3]);
-        assert_eq!(q.pending_r_front(2), vec![0, 1]);
+        assert_eq!(front(&mut q, 2), vec![0, 1]);
+        assert_eq!(front(&mut q, 4), vec![0, 1, 2, 3]);
+        assert_eq!(front(&mut q, 2), vec![0, 1]);
     }
 
     #[test]
@@ -622,7 +623,7 @@ mod tests {
                 .take(limit)
                 .map(|e| e.seq)
                 .collect();
-            assert_eq!(q.pending_r_front(limit), expected, "round {round}");
+            assert_eq!(front(&mut q, limit), expected, "round {round}");
         }
     }
 
@@ -636,9 +637,9 @@ mod tests {
         q.mark_r_issued(0, 4);
         q.mark_r_issued(1, 6);
         assert_eq!(q.next_r_completion_cycle(), Some(4));
-        assert_eq!(q.take_r_completions(3), Vec::<Seq>::new());
-        assert_eq!(q.take_r_completions(4), vec![0, 2]);
-        assert_eq!(q.take_r_completions(9), vec![1]);
+        assert_eq!(due(&mut q, 3), Vec::<Seq>::new());
+        assert_eq!(due(&mut q, 4), vec![0, 2]);
+        assert_eq!(due(&mut q, 9), vec![1]);
         assert_eq!(q.next_r_completion_cycle(), None);
     }
 

@@ -67,12 +67,12 @@ impl ReeseSim {
         self.simulate(RunSpec::new(program), &mut NoopObserver)
     }
 
-    /// Simulates `spec` — from program start, after a functional skip,
-    /// or from a checkpoint — injecting its [`Faults`]. `obs` receives
-    /// per-instruction lifecycle events (P and R streams tagged
-    /// separately) and per-cycle machine state. Observers are passive:
-    /// results are bit-identical with any observer, and with
-    /// [`NoopObserver`] the hooks compile away.
+    /// Simulates `spec` — from program start or from a warm checkpoint
+    /// — injecting its [`Faults`]. `obs` receives per-instruction
+    /// lifecycle events (P and R streams tagged separately) and
+    /// per-cycle machine state. Observers are passive: results are
+    /// bit-identical with any observer, and with [`NoopObserver`] the
+    /// hooks compile away.
     ///
     /// Under a [`Faults::Duration`] disturbance (§2 of the paper) every
     /// instruction of the matching functional-unit class that completes
@@ -92,7 +92,7 @@ impl ReeseSim {
         obs: &mut O,
     ) -> Result<ReeseResult, ReeseError> {
         let cfg = &self.config;
-        Core::new(&cfg.pipeline, spec.start, |first| {
+        Core::new(&cfg.pipeline, spec.emulator, spec.warm, |first| {
             RStream::new(cfg, spec.faults, first)
         })
         .run(spec.max_instructions, obs)
@@ -118,7 +118,7 @@ impl ReeseSim {
     ) -> Result<ReeseResult, ReeseError> {
         let cfg = &self.config;
         let targets: Vec<Seq> = faults.iter().map(|f| f.seq).collect();
-        Core::new(&cfg.pipeline, spec.start, |first| {
+        Core::new(&cfg.pipeline, spec.emulator, spec.warm, |first| {
             RStream::new(cfg, Faults::None, first)
         })
         .run_forked(

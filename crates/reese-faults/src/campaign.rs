@@ -2,7 +2,7 @@
 
 use crate::engine::{boundary_count, plan_window, window_ceiling, TrialWindow};
 use crate::schemes::{self, DetectionScheme, Observers, Trial};
-use crate::stream::{fnv1a64, outcome_line, read_log, LogHeader, LogWriter};
+use crate::stream::{config_fnv, outcome_line, read_log, LogHeader, LogWriter};
 use crate::telemetry::{json_str, Telemetry};
 use crate::{CoverageReport, FaultClass, FaultMix, TrialEngine, TrialOutcome, WindowBaseline};
 use reese_ckpt::{
@@ -192,9 +192,11 @@ impl Campaign {
 
     /// Samples per-interval metrics every `n` cycles during each
     /// simulated trial and pools them row-by-row into
-    /// [`CoverageReport::metrics`]. 0 (the default) disables sampling —
-    /// trials run on the zero-cost unobserved path, and identical fault
-    /// keys are memoized. Trial outcomes are bit-identical either way.
+    /// [`CoverageReport::metrics`]. 0 (the default) disables sampling,
+    /// and trials run on the zero-cost unobserved path. Identical fault
+    /// keys are memoized either way: a key is simulated once, and each
+    /// trial that drew it pools its own copy of the key's series. Trial
+    /// outcomes are bit-identical either way.
     pub fn metrics_interval(mut self, n: u64) -> Campaign {
         self.metrics_interval = n;
         self
@@ -457,23 +459,16 @@ impl Campaign {
             );
         }
 
-        // The fan-out scores each distinct key once; metrics sampling
-        // pools one series per simulated *trial*, and memoization
-        // would collapse duplicate keys and change the pooled totals,
-        // so there it scores every trial. Replay items are the
+        // The fan-out scores each distinct key once, metrics sampling
+        // included: a key's series is a pure function of the key, so
+        // each trial pools its own copy below. Replay items are the
         // anchors (keys scored by fiat form one more item); the oracle
-        // arm shares nothing, so there every member is an item.
-        let sampled = self.metrics_interval > 0;
-        let members: Vec<(FaultClass, u64, u8)> = if sampled {
-            todo.iter().map(|&t| params[t]).collect()
-        } else {
-            keys
-        };
-        let items = group_by(&members, |m, &(class, seq, _)| match self.engine {
+        // arm shares nothing, so there every key is an item.
+        let items = group_by(&keys, |k, &(class, seq, _)| match self.engine {
             TrialEngine::Replay => class
                 .detectable_by_design()
                 .then(|| self.window(seq, boundaries, dynamic_len).anchor_idx),
-            TrialEngine::Full => Some(m),
+            TrialEngine::Full => Some(k),
         });
         let head = || {
             let start = Instant::now();
@@ -498,7 +493,7 @@ impl Campaign {
             }
             run
         };
-        let total = members.len() as u64;
+        let total = keys.len() as u64;
         let tick_every = (total / 16).max(1);
         let (clean, results, throughput) = par_map_weighted(
             self.jobs,
@@ -506,7 +501,7 @@ impl Campaign {
             &items,
             |(_, group)| group.len() as u64,
             |_, (_, group)| {
-                let keys: Vec<_> = group.iter().map(|&m| members[m]).collect();
+                let keys: Vec<_> = group.iter().map(|&k| keys[k]).collect();
                 let scored = self.score(
                     scheme,
                     program,
@@ -536,20 +531,19 @@ impl Campaign {
             (None, None) => {}
         }
 
-        // Back to member order: the items partition the members.
+        // Back to key order: the items partition the keys.
         let mut verdicts: Vec<(usize, Verdict)> = items
             .iter()
             .zip(results)
             .flat_map(|((_, group), (scored, _))| group.iter().copied().zip(scored))
             .collect();
-        verdicts.sort_unstable_by_key(|&(m, _)| m);
-        let member = |i: usize, t: usize| if sampled { i } else { key_of[&params[t]] };
+        verdicts.sort_unstable_by_key(|&(k, _)| k);
+        let verdict = |t: usize| &verdicts[key_of[&params[t]]].1;
         // A failed anchor or clean window fails every trial it serves,
         // so those are reported first; then the first failing trial.
         let failure = todo
             .iter()
-            .enumerate()
-            .filter_map(|(i, &t)| verdicts[member(i, t)].1.as_ref().err().map(|e| (t, e)))
+            .filter_map(|&t| verdict(t).as_ref().err().map(|e| (t, e)))
             .min_by_key(|(_, (stage, _))| *stage);
         if let Some((trial, (stage, m))) = failure {
             return Err(match stage {
@@ -563,16 +557,17 @@ impl Campaign {
         }
         let mut computed: BTreeMap<usize, TrialOutcome> = BTreeMap::new();
         let mut metrics: Option<MetricsSeries> = None;
-        for (i, &t) in todo.iter().enumerate() {
-            let Ok((outcome, series)) = &mut verdicts[member(i, t)].1 else {
+        for &t in &todo {
+            let Ok((outcome, series)) = verdict(t) else {
                 unreachable!("failures returned above")
             };
             computed.insert(t, *outcome);
-            // Pooled in trial order, as each trial's own series.
-            if let Some(m) = series.take() {
+            // Pooled in trial order, one copy of the key's series per
+            // trial.
+            if let Some(m) = series {
                 match &mut metrics {
-                    None => metrics = Some(m),
-                    Some(acc) => acc.merge_pooled(&m),
+                    None => metrics = Some(m.clone()),
+                    Some(acc) => acc.merge_pooled(m),
                 }
             }
         }
@@ -662,20 +657,13 @@ impl Campaign {
         for (slot, class) in mix.iter_mut().zip(FaultClass::ALL) {
             *slot = self.mix.weight(class);
         }
-        // The scheme participates in the config digest (a duplex log
-        // must not resume a REESE campaign). The REESE hash stays
-        // unsalted so logs from before schemes existed keep resuming.
-        let config_fnv = match self.scheme {
-            Scheme::Reese => fnv1a64(format!("{:?}", self.config).as_bytes()),
-            s => fnv1a64(format!("{}:{:?}", s.name(), self.config).as_bytes()),
-        };
         LogHeader {
             seed: self.seed,
             trials: self.trials as u64,
             mix,
             ckpt_every: self.ckpt_every,
             max_instructions: self.max_instructions,
-            config_fnv,
+            config_fnv: config_fnv(self.scheme, &self.config),
             dynamic_len,
             clean_cycles: 0,
             clean_digest: 0,
@@ -690,7 +678,7 @@ impl Campaign {
     /// runs its clean machine once and forks one faulted run per key
     /// off it ([`DetectionScheme::run_window_trials`]), the clean pass
     /// doubling as the baseline; under metrics sampling the clean pass
-    /// runs under a tracer, and each trial's series is its fork's copy.
+    /// runs under a tracer, and each key's series is its fork's copy.
     /// The oracle arm instead runs the clean window and then each key
     /// from the anchor ([`DetectionScheme::run_trial`]) under its own
     /// tracer; see [`crate::engine`] for the window contract both
@@ -1007,6 +995,27 @@ mod tests {
         // program to completion).
         assert_eq!(m.totals().committed % 6, 0);
         assert!(m.totals().committed > 0);
+    }
+
+    #[test]
+    fn sampled_campaigns_pool_a_repeated_keys_series_once_per_trial() {
+        // 300 draws over a 10-instruction program repeat keys; each
+        // trial still pools its own copy of its key's series.
+        let prog =
+            assemble("  li t0, 4\nloop: addi t0, t0, -1\n  bnez t0, loop\n  halt\n").unwrap();
+        let report = Campaign::new(ReeseConfig::starting(), FaultMix::result_errors_only())
+            .trials(300)
+            .seed(5)
+            .metrics_interval(50)
+            .run(&prog)
+            .unwrap();
+        let mut keys: Vec<(u64, u8)> = report.outcomes.iter().map(|o| (o.seq, o.bit)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert!(keys.len() < 300, "keys must repeat");
+        // Every trial recovers and commits the whole program once.
+        let m = report.metrics.expect("metrics pooled");
+        assert_eq!(m.totals().committed, 300 * 10);
     }
 
     #[test]

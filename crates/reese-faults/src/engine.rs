@@ -34,7 +34,7 @@
 //! that window off it (see
 //! [`crate::DetectionScheme::run_window_trials`]) — under metrics
 //! sampling too, where each fork carries a clone of the clean pass's
-//! tracer — and memoizes outcomes by fault key when not sampling. On
+//! tracer — and memoizes outcomes (and sampled series) by fault key. On
 //! the single-stream schemes (baseline, SWIFT, MEEK's primary keys) a
 //! functional screen runs first: a key whose faulted stream never
 //! changes a field the timing core reads before the window's frontier

@@ -29,7 +29,7 @@
 
 use crate::engine::{boundary_count, plan_window};
 use crate::schemes::{self, Observers};
-use crate::stream::{fnv1a64, read_log, trial_id};
+use crate::stream::{config_fnv, read_log, trial_id};
 use crate::{CampaignError, FaultClass, TrialOutcome};
 use reese_ckpt::{checkpoints_at, Scheme};
 use reese_core::ReeseConfig;
@@ -175,15 +175,10 @@ pub fn explain_trial(
 ) -> Result<Explanation, CampaignError> {
     let (header, recorded) = read_log(log_path, None)?;
 
-    // The header's config fingerprint is salted exactly as the
-    // campaign salts it (see `Campaign::log_header`).
-    let config_fnv = match scheme {
-        Scheme::Reese => fnv1a64(format!("{config:?}").as_bytes()),
-        s => fnv1a64(format!("{}:{config:?}", s.name()).as_bytes()),
-    };
-    if config_fnv != header.config_fnv {
+    let fnv = config_fnv(scheme, config);
+    if fnv != header.config_fnv {
         return Err(CampaignError::Resume(format!(
-            "config_fnv {config_fnv} for scheme `{scheme}` does not match the \
+            "config_fnv {fnv} for scheme `{scheme}` does not match the \
              log's {} — wrong --scheme or configuration",
             header.config_fnv
         )));

@@ -22,9 +22,7 @@ use crate::{Campaign, CampaignError, FaultMix, TrialEngine};
 use reese_ckpt::Scheme;
 use reese_core::ReeseConfig;
 use reese_isa::Program;
-use reese_pipeline::{PipelineSim, RunSpec};
 use reese_stats::Histogram;
-use reese_trace::NoopObserver;
 use std::fmt;
 
 /// One (scheme, kernel) measurement.
@@ -131,19 +129,10 @@ impl SchemesReport {
         };
         let mut rows = Vec::with_capacity(Scheme::ALL.len() * programs.len());
         for (kernel, program) in programs {
-            let baseline_cycles = PipelineSim::new(config.pipeline.clone())
-                .simulate(
-                    RunSpec::new(program).limit(opts.max_instructions),
-                    &mut NoopObserver,
-                )
-                .map_err(|e| CampaignError::Workload(e.to_string()))?
-                .stats
-                .cycles;
+            let mut cells = Vec::with_capacity(Scheme::ALL.len());
             for scheme in Scheme::ALL {
-                let backend = build(scheme, config);
-                let prepared = backend.prepare(program).map_err(CampaignError::Workload)?;
-                let clean = backend
-                    .run_limit(&prepared, opts.max_instructions)
+                let prepared = build(scheme, config)
+                    .prepare(program)
                     .map_err(CampaignError::Workload)?;
                 let mut campaign = Campaign::new(config.clone(), *mix)
                     .scheme(scheme)
@@ -162,22 +151,34 @@ impl SchemesReport {
                     );
                     campaign = campaign.telemetry(std::sync::Arc::clone(t));
                 }
-                let report = campaign.run(program)?;
-                rows.push(SchemeRow {
-                    scheme,
-                    kernel: kernel.clone(),
-                    trials: report.trials(),
-                    detected: report.detected,
-                    coverage: report.coverage(),
-                    mean_latency: report.mean_detection_latency(),
-                    p50_latency: report.latency_percentile(1, 2).unwrap_or(0),
-                    p90_latency: report.latency_percentile(9, 10).unwrap_or(0),
-                    p99_latency: report.latency_percentile(99, 100).unwrap_or(0),
-                    latency_histogram: report.latency_histogram(),
-                    time_overhead: clean.cycles as f64 / baseline_cycles.max(1) as f64,
-                    code_overhead: prepared.len() as f64 / program.len().max(1) as f64,
-                });
+                cells.push((scheme, campaign.run(program)?, prepared.len()));
             }
+            // Each campaign's head item is the scheme's clean run, so the
+            // baseline cell's clean cycles are the unprotected core's.
+            let baseline_cycles = cells
+                .iter()
+                .find(|(scheme, ..)| *scheme == Scheme::Baseline)
+                .expect("the registry includes the baseline")
+                .1
+                .clean_cycles;
+            rows.extend(
+                cells
+                    .into_iter()
+                    .map(|(scheme, report, prepared_len)| SchemeRow {
+                        scheme,
+                        kernel: kernel.clone(),
+                        trials: report.trials(),
+                        detected: report.detected,
+                        coverage: report.coverage(),
+                        mean_latency: report.mean_detection_latency(),
+                        p50_latency: report.latency_percentile(1, 2).unwrap_or(0),
+                        p90_latency: report.latency_percentile(9, 10).unwrap_or(0),
+                        p99_latency: report.latency_percentile(99, 100).unwrap_or(0),
+                        latency_histogram: report.latency_histogram(),
+                        time_overhead: report.clean_cycles as f64 / baseline_cycles.max(1) as f64,
+                        code_overhead: prepared_len as f64 / program.len().max(1) as f64,
+                    }),
+            );
         }
         Ok(SchemesReport { rows })
     }

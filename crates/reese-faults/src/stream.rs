@@ -17,6 +17,8 @@
 
 use crate::engine::window_ceiling;
 use crate::{CampaignError, FaultClass, TrialOutcome};
+use reese_ckpt::Scheme;
+use reese_core::ReeseConfig;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
@@ -31,6 +33,16 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0100_0000_01b3);
     }
     h
+}
+
+/// The header's configuration fingerprint, salted with the scheme so
+/// a duplex log must not resume a REESE campaign. The REESE hash stays
+/// unsalted so logs from before schemes existed keep resuming.
+pub(crate) fn config_fnv(scheme: Scheme, config: &ReeseConfig) -> u64 {
+    match scheme {
+        Scheme::Reese => fnv1a64(format!("{config:?}").as_bytes()),
+        s => fnv1a64(format!("{}:{config:?}", s.name()).as_bytes()),
+    }
 }
 
 /// The header line: every input the trial outcomes are a pure

@@ -29,9 +29,9 @@
 //! 7. `trials_done` — end-to-end fan-out stats: items, wall ms, items
 //!    per second, per-worker item/steal counts and busy time (the head
 //!    item's time is not busy), and `screened_keys`: the simulated keys
-//!    (trials, under metrics sampling) the functional screen scored
-//!    from their window's clean pass without a detailed fork — 0 under
-//!    the Full engine and on REESE and duplex.
+//!    the functional screen scored from their window's clean pass
+//!    without a detailed fork — 0 under the Full engine and on REESE
+//!    and duplex.
 //! 8. `campaign_done` — trials, detected, coverage, total wall ms.
 
 use reese_stats::ParallelStats;

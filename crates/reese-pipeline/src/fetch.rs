@@ -14,7 +14,7 @@
 use crate::{PredictionInfo, Seq};
 use reese_bpred::{BranchStats, BranchUnit, PredictorConfig};
 use reese_cpu::{EmuError, Emulator, StepInfo};
-use reese_isa::{Instr, OpKind, Opcode, Program, Reg};
+use reese_isa::{Instr, OpKind, Opcode, Reg};
 use reese_mem::MemHierarchy;
 use std::collections::VecDeque;
 
@@ -35,12 +35,13 @@ pub struct Fetched {
 ///
 /// ```
 /// use reese_bpred::PredictorConfig;
+/// use reese_cpu::Emulator;
 /// use reese_mem::{HierarchyConfig, MemHierarchy};
 /// use reese_pipeline::FetchUnit;
 ///
 /// let prog = reese_isa::assemble("  li t0, 1\n  halt\n")?;
 /// let mut hier = MemHierarchy::new(HierarchyConfig::paper());
-/// let mut fetch = FetchUnit::new(&prog, PredictorConfig::paper());
+/// let mut fetch = FetchUnit::new(Emulator::new(&prog), PredictorConfig::paper());
 /// let got = fetch.fetch_cycle(1, 8, 16, &mut hier);
 /// assert!(got.len() <= 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -71,31 +72,13 @@ pub struct FetchUnit {
 }
 
 impl FetchUnit {
-    /// Creates a front end over a freshly loaded program.
-    pub fn new(program: &Program, predictor: PredictorConfig) -> FetchUnit {
-        FetchUnit {
-            emulator: Emulator::new(program),
-            branch: BranchUnit::new(predictor),
-            buffer: VecDeque::new(),
-            base_seq: 0,
-            cursor: 0,
-            blocked_on: None,
-            resume_at: 0,
-            delivered_halt: false,
-            emu_done: false,
-            emu_error: None,
-            total_fetched: 0,
-            inst_size: program.inst_size(),
-        }
-    }
-
-    /// Creates a front end resuming mid-program from a restored
-    /// emulator (checkpoint restore). The emulator must sit exactly at
-    /// an instruction boundary; `emulator.instructions()` becomes the
-    /// next sequence number, so dynamic numbering continues exactly
-    /// where the monolithic run would be. Unlike
-    /// [`FetchUnit::fast_forward`], this needs no functional replay.
-    pub fn from_restored(emulator: Emulator, predictor: PredictorConfig) -> FetchUnit {
+    /// Creates a front end over `emulator`: a fresh one at program
+    /// start, or one restored from a checkpoint mid-program. The
+    /// emulator must sit exactly at an instruction boundary;
+    /// `emulator.instructions()` becomes the next sequence number, so
+    /// dynamic numbering continues exactly where a run from program
+    /// start would be.
+    pub fn new(emulator: Emulator, predictor: PredictorConfig) -> FetchUnit {
         let emu_done = emulator.exit_code().is_some();
         FetchUnit {
             base_seq: emulator.instructions(),
@@ -336,35 +319,6 @@ impl FetchUnit {
         self.cursor -= n;
     }
 
-    /// Fast-forwards the machine functionally by up to `n` instructions
-    /// (SimpleScalar's `-fastfwd`): architectural state advances, but no
-    /// timing structures see the skipped instructions. Returns how many
-    /// instructions were actually skipped (fewer if the program halts
-    /// first — the halt itself is left for the timed region).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any instruction has already been fetched.
-    pub fn fast_forward(&mut self, n: u64) -> u64 {
-        assert!(
-            self.base_seq == 0 && self.cursor == 0 && self.buffer.is_empty(),
-            "fast-forward must precede fetch"
-        );
-        let mut skipped = 0;
-        while skipped < n {
-            if !self.ensure_buffered() {
-                break;
-            }
-            if self.buffer[0].halted {
-                break; // leave the halt to be fetched, timed, committed
-            }
-            self.buffer.clear();
-            self.base_seq += 1;
-            skipped += 1;
-        }
-        skipped
-    }
-
     /// Rewinds fetch to `seq` (a REESE detection flush): every delivered
     /// instruction at or after `seq` will be delivered again. Fetch
     /// resumes at `resume_cycle`.
@@ -397,7 +351,10 @@ mod tests {
     }
 
     fn unit(src: &str) -> FetchUnit {
-        FetchUnit::new(&assemble(src).unwrap(), PredictorConfig::paper())
+        FetchUnit::new(
+            Emulator::new(&assemble(src).unwrap()),
+            PredictorConfig::paper(),
+        )
     }
 
     /// Drains the front end completely, resolving all control.

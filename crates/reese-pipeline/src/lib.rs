@@ -53,5 +53,5 @@ pub use readyring::ReadyRing;
 pub use ruu::Ruu;
 pub use sim::PipelineSim;
 pub use stats::{PipelineStats, SimError, SimResult, SimStop};
-pub use timing::{emit, same_timing, Core, Redundancy, RunSpec, Start, WarmState};
+pub use timing::{emit, same_timing, Core, Redundancy, RunSpec, WarmState};
 pub use wheel::EventWheel;

@@ -302,23 +302,15 @@ impl Ruu {
         }
     }
 
-    /// Like [`Ruu::take_completions`] but reusing a caller-owned buffer
-    /// (cleared first), so the per-cycle writeback loop allocates
-    /// nothing.
+    /// Pops the seqs of every scheduled completion due at or before
+    /// `now` into `out` (cleared first), in `(complete_cycle, seq)`
+    /// order — which, because every latency is at least one cycle, is
+    /// ascending seq order within a writeback. Event-driven mode only
+    /// (empty under [`SchedulerMode::Scan`]). The caller-owned buffer
+    /// keeps the per-cycle writeback loop allocation-free.
     pub fn take_completions_into(&mut self, now: u64, out: &mut Vec<Seq>) {
         self.completions.take_due_into(now, out);
         self.sched_ops += out.len() as u64;
-    }
-
-    /// Pops and returns the seqs of every scheduled completion due at or
-    /// before `now`, in `(complete_cycle, seq)` order — which, because
-    /// every latency is at least one cycle, is ascending seq order
-    /// within a writeback. Event-driven mode only (empty under
-    /// [`SchedulerMode::Scan`]).
-    pub fn take_completions(&mut self, now: u64) -> Vec<Seq> {
-        let due = self.completions.take_due(now);
-        self.sched_ops += due.len() as u64;
-        due
     }
 
     /// Cycle of the earliest scheduled completion, if any (event-driven
@@ -333,22 +325,12 @@ impl Ruu {
         !self.ready.is_empty()
     }
 
-    /// Snapshot of the ready set, oldest first (event-driven mode only).
-    /// A snapshot is required because issuing mutates the set.
-    pub fn ready_snapshot(&self) -> Vec<Seq> {
-        let mut out = Vec::with_capacity(self.ready.len());
-        self.ready_into_inner(&mut out);
-        out
-    }
-
-    /// Like [`Ruu::ready_snapshot`] but reusing a caller-owned buffer
-    /// (cleared first), so the per-cycle issue loop allocates nothing.
+    /// Copies the ready set into `out` (cleared first), oldest first
+    /// (event-driven mode only). A copy is required because issuing
+    /// mutates the set; the caller-owned buffer keeps the per-cycle
+    /// issue loop allocation-free.
     pub fn ready_into(&self, out: &mut Vec<Seq>) {
         out.clear();
-        self.ready_into_inner(out);
-    }
-
-    fn ready_into_inner(&self, out: &mut Vec<Seq>) {
         self.ready.collect_from(self.head_seq, usize::MAX, out);
     }
 
@@ -639,18 +621,23 @@ mod tests {
                 Instr::rrr(Opcode::Add, T1, T0, T0), // seq 1: waits on 0
             ],
         );
+        let ready = |ruu: &Ruu| {
+            let mut out = vec![99];
+            ruu.ready_into(&mut out);
+            out
+        };
         assert!(ruu.has_ready());
-        assert_eq!(ruu.ready_snapshot(), vec![0]);
+        assert_eq!(ready(&ruu), vec![0]);
         assert_eq!(
-            ruu.ready_snapshot(),
+            ready(&ruu),
             ruu.ready_seqs().collect::<Vec<_>>(),
             "set and scan must agree"
         );
         ruu.mark_issued(0, 1, 2);
         assert!(!ruu.has_ready(), "issued instructions leave the set");
         ruu.complete(0);
-        assert_eq!(ruu.ready_snapshot(), vec![1], "wake-up inserts consumers");
-        assert_eq!(ruu.ready_snapshot(), ruu.ready_seqs().collect::<Vec<_>>());
+        assert_eq!(ready(&ruu), vec![1], "wake-up inserts consumers");
+        assert_eq!(ready(&ruu), ruu.ready_seqs().collect::<Vec<_>>());
     }
 
     #[test]
@@ -667,11 +654,16 @@ mod tests {
         ruu.mark_issued(2, 1, 2);
         ruu.mark_issued(0, 1, 4);
         ruu.mark_issued(1, 1, 2);
+        let due = |ruu: &mut Ruu, now| {
+            let mut out = vec![99];
+            ruu.take_completions_into(now, &mut out);
+            out
+        };
         assert_eq!(ruu.next_completion_cycle(), Some(2));
-        assert_eq!(ruu.take_completions(1), Vec::<Seq>::new());
-        assert_eq!(ruu.take_completions(2), vec![1, 2]);
+        assert_eq!(due(&mut ruu, 1), Vec::<Seq>::new());
+        assert_eq!(due(&mut ruu, 2), vec![1, 2]);
         assert_eq!(ruu.next_completion_cycle(), Some(4));
-        assert_eq!(ruu.take_completions(10), vec![0]);
+        assert_eq!(due(&mut ruu, 10), vec![0]);
         assert_eq!(ruu.next_completion_cycle(), None);
     }
 

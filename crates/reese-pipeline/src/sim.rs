@@ -56,11 +56,10 @@ impl PipelineSim {
         self.simulate(RunSpec::new(program), &mut NoopObserver)
     }
 
-    /// Simulates `spec` — from program start, after a functional skip,
-    /// or from a checkpoint — reporting per-instruction lifecycle events
-    /// and per-cycle state to `obs`. Observers are passive: results are
-    /// bit-identical with any observer, and with [`NoopObserver`] the
-    /// hooks compile away.
+    /// Simulates `spec` — from program start or from a warm checkpoint
+    /// — reporting per-instruction lifecycle events and per-cycle state
+    /// to `obs`. Observers are passive: results are bit-identical with
+    /// any observer, and with [`NoopObserver`] the hooks compile away.
     ///
     /// # Errors
     ///
@@ -70,7 +69,7 @@ impl PipelineSim {
         spec: RunSpec<'_>,
         obs: &mut O,
     ) -> Result<SimResult, SimError> {
-        Core::new(&self.config, spec.start, |_| ()).run(spec.max_instructions, obs)
+        Core::new(&self.config, spec.emulator, spec.warm, |_| ()).run(spec.max_instructions, obs)
     }
 
     /// Simulates the fault-free `spec` once and, in the same pass, one
@@ -95,7 +94,7 @@ impl PipelineSim {
         each: impl FnMut(usize, Result<SimResult, SimError>, O),
     ) -> Result<SimResult, SimError> {
         let targets: Vec<Seq> = faults.iter().map(|&(seq, _)| seq).collect();
-        Core::new(&self.config, spec.start, |_| ()).run_forked(
+        Core::new(&self.config, spec.emulator, spec.warm, |_| ()).run_forked(
             &targets,
             spec.max_instructions,
             obs,

@@ -25,7 +25,7 @@ const DEADLOCK_HORIZON: u64 = 100_000;
 /// Warm microarchitectural state to seed an interval run with: the
 /// cache/TLB hierarchy and the branch unit as some earlier execution
 /// left them. Produced by a checkpointing fast-forward pass and
-/// consumed through [`Start::Restored`]; both sides must use the same
+/// consumed through [`RunSpec::restored`]; both sides must use the same
 /// hierarchy and predictor geometry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WarmState {
@@ -35,46 +35,24 @@ pub struct WarmState {
     pub branch: reese_bpred::BranchSnapshot,
 }
 
-/// Where a timed run begins.
-// One `Start` is built and consumed per run, so the inline emulator
-// costs a few moves where a box would cost an allocation per trial.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum Start<'a> {
-    /// At program start, after fast-forwarding `skip` instructions
-    /// functionally (SimpleScalar's `-fastfwd`). Architectural state is
-    /// warm at the start of measurement; caches, predictors, and queues
-    /// are cold, exactly as in SimpleScalar.
-    Program {
-        /// The program to run.
-        program: &'a Program,
-        /// Instructions to fast-forward before timing starts.
-        skip: u64,
-    },
-    /// Mid-program from a checkpoint-restored emulator (see
-    /// [`FetchUnit::from_restored`]). Caches and predictors start cold
-    /// unless `warm` state is supplied. Statistics cover this interval
-    /// only, so a sharded driver can stitch intervals with
-    /// [`PipelineStats::merge`].
-    Restored {
-        /// The restored functional state.
-        emulator: Emulator,
-        /// Cache and predictor state to import, if any.
-        warm: Option<&'a WarmState>,
-    },
-}
-
 /// What to simulate: where to start, when to stop, and the faults to
 /// inject. `F` is the machine's fault plan — `()` on the unprotected
 /// baseline, which has nothing to inject into.
 ///
-/// Dynamic sequence numbers are global: a run from a skip or a
-/// checkpoint keeps counting from program start, so a fault aimed
-/// before the start point never fires.
+/// A run starts from an emulator plus optional warm state: a fresh
+/// emulator at program start, or one restored from a checkpoint
+/// mid-program with the caches and predictors that checkpoint's
+/// continuous-warm fast-forward left. Dynamic sequence numbers are
+/// global: a run from a checkpoint keeps counting from program start,
+/// so a fault aimed before the start point never fires. Statistics
+/// cover the run only, so a sharded driver can stitch intervals with
+/// [`PipelineStats::merge`].
 #[derive(Debug)]
 pub struct RunSpec<'a, F = ()> {
-    /// Where the run begins.
-    pub start: Start<'a>,
+    /// The functional state the run starts from.
+    pub emulator: Emulator,
+    /// Cache and predictor state to import; `None` starts them cold.
+    pub warm: Option<&'a WarmState>,
     /// Stop once this many instructions commit (`u64::MAX`: run to
     /// `halt`).
     pub max_instructions: u64,
@@ -84,24 +62,15 @@ pub struct RunSpec<'a, F = ()> {
 
 impl<'a, F: Default> RunSpec<'a, F> {
     /// A fault-free run of `program` from its start to `halt`.
-    pub fn new(program: &'a Program) -> Self {
-        RunSpec::skipping(program, 0)
-    }
-
-    /// Like [`RunSpec::new`], fast-forwarding `skip` instructions
-    /// functionally before timing starts.
-    pub fn skipping(program: &'a Program, skip: u64) -> Self {
-        RunSpec {
-            start: Start::Program { program, skip },
-            max_instructions: u64::MAX,
-            faults: F::default(),
-        }
+    pub fn new(program: &Program) -> Self {
+        RunSpec::restored(Emulator::new(program), None)
     }
 
     /// A fault-free run resuming from a checkpoint-restored emulator.
     pub fn restored(emulator: Emulator, warm: Option<&'a WarmState>) -> Self {
         RunSpec {
-            start: Start::Restored { emulator, warm },
+            emulator,
+            warm,
             max_instructions: u64::MAX,
             faults: F::default(),
         }
@@ -121,7 +90,8 @@ impl<'a> RunSpec<'a, ()> {
     /// the spec.
     pub fn faults<G>(self, faults: G) -> RunSpec<'a, G> {
         RunSpec {
-            start: self.start,
+            emulator: self.emulator,
+            warm: self.warm,
             max_instructions: self.max_instructions,
             faults,
         }
@@ -283,25 +253,21 @@ pub struct Core<'c, R> {
 }
 
 impl<'c, R: Redundancy> Core<'c, R> {
-    /// Builds the machine at `start`. `policy` receives the sequence
-    /// number of the first instruction the run will fetch.
-    pub fn new(cfg: &'c PipelineConfig, start: Start<'_>, policy: impl FnOnce(Seq) -> R) -> Self {
+    /// Builds the machine over `emulator`, importing `warm` state if
+    /// given. `policy` receives the sequence number of the first
+    /// instruction the run will fetch.
+    pub fn new(
+        cfg: &'c PipelineConfig,
+        emulator: Emulator,
+        warm: Option<&WarmState>,
+        policy: impl FnOnce(Seq) -> R,
+    ) -> Self {
+        let mut fetch = FetchUnit::new(emulator, cfg.predictor.clone());
         let mut hierarchy = MemHierarchy::new(cfg.hierarchy.clone());
-        let fetch = match start {
-            Start::Program { program, skip } => {
-                let mut fetch = FetchUnit::new(program, cfg.predictor.clone());
-                fetch.fast_forward(skip);
-                fetch
-            }
-            Start::Restored { emulator, warm } => {
-                let mut fetch = FetchUnit::from_restored(emulator, cfg.predictor.clone());
-                if let Some(w) = warm {
-                    fetch.import_branch_state(&w.branch);
-                    hierarchy.import_state(&w.hierarchy);
-                }
-                fetch
-            }
-        };
+        if let Some(w) = warm {
+            fetch.import_branch_state(&w.branch);
+            hierarchy.import_state(&w.hierarchy);
+        }
         Core {
             cfg,
             cycle: 0,
@@ -890,12 +856,8 @@ mod tests {
             };
             let mut forks = vec![None; faults.len()];
             let mut log = Log::default();
-            let start = Start::Restored {
-                emulator: Emulator::new(&prog),
-                warm: None,
-            };
             let targets: Vec<Seq> = faults.iter().map(|f| f.0).collect();
-            let clean = Core::new(&cfg, start, |_| ())
+            let clean = Core::new(&cfg, Emulator::new(&prog), None, |_| ())
                 .run_forked(
                     &targets,
                     u64::MAX,

@@ -147,14 +147,6 @@ impl EventWheel {
         self.hint = self.hint.max(self.cursor);
     }
 
-    /// Every event due at or before `now`, in ascending `(cycle, seq)`
-    /// order.
-    pub fn take_due(&mut self, now: u64) -> Vec<Seq> {
-        let mut out = Vec::new();
-        self.take_due_into(now, &mut out);
-        out
-    }
-
     /// Cycle of the earliest pending event, if any.
     pub fn next_cycle(&mut self) -> Option<u64> {
         if self.len == 0 {
@@ -187,6 +179,13 @@ impl EventWheel {
 mod tests {
     use super::*;
 
+    /// The events due by `now`, through the drain's buffer.
+    fn due(w: &mut EventWheel, now: u64) -> Vec<Seq> {
+        let mut out = vec![99];
+        w.take_due_into(now, &mut out);
+        out
+    }
+
     #[test]
     fn fires_in_cycle_then_seq_order() {
         let mut w = EventWheel::new();
@@ -195,10 +194,10 @@ mod tests {
         w.push(4, 1);
         w.push(2, 3);
         assert_eq!(w.next_cycle(), Some(2));
-        assert_eq!(w.take_due(1), Vec::<Seq>::new());
-        assert_eq!(w.take_due(2), vec![3, 7]);
+        assert_eq!(due(&mut w, 1), Vec::<Seq>::new());
+        assert_eq!(due(&mut w, 2), vec![3, 7]);
         assert_eq!(w.next_cycle(), Some(4));
-        assert_eq!(w.take_due(10), vec![1, 9]);
+        assert_eq!(due(&mut w, 10), vec![1, 9]);
         assert_eq!(w.next_cycle(), None);
         assert!(w.is_empty());
     }
@@ -209,14 +208,14 @@ mod tests {
         for (cycle, seq) in [(5, 2), (3, 0), (9, 1), (3, 4)] {
             w.push(cycle, seq);
         }
-        assert_eq!(w.take_due(9), vec![0, 4, 2, 1]);
+        assert_eq!(due(&mut w, 9), vec![0, 4, 2, 1]);
     }
 
     #[test]
     #[should_panic(expected = "drained cycle")]
     fn past_push_panics() {
         let mut w = EventWheel::new();
-        w.take_due(10);
+        due(&mut w, 10);
         w.push(10, 0);
     }
 
@@ -228,9 +227,9 @@ mod tests {
         w.push(2, 2);
         assert_eq!(w.len(), 3);
         assert_eq!(w.next_cycle(), Some(1));
-        assert_eq!(w.take_due(2), vec![0, 2]);
+        assert_eq!(due(&mut w, 2), vec![0, 2]);
         assert_eq!(w.next_cycle(), Some(INITIAL_SLOTS as u64 * 3));
-        assert_eq!(w.take_due(u64::MAX - 1), vec![1]);
+        assert_eq!(due(&mut w, u64::MAX - 1), vec![1]);
     }
 
     #[test]
@@ -246,11 +245,11 @@ mod tests {
         w.push(3 + span, 11); // would alias slot 3 under the old mask
         w.push(3 + 2 * span, 12); // aliases the doubled ring too
         assert_eq!(w.len(), 3);
-        assert_eq!(w.take_due(3), vec![10], "only the near event is due");
+        assert_eq!(due(&mut w, 3), vec![10], "only the near event is due");
         assert_eq!(w.next_cycle(), Some(3 + span));
-        assert_eq!(w.take_due(3 + span), vec![11]);
+        assert_eq!(due(&mut w, 3 + span), vec![11]);
         assert_eq!(w.next_cycle(), Some(3 + 2 * span));
-        assert_eq!(w.take_due(3 + 2 * span), vec![12]);
+        assert_eq!(due(&mut w, 3 + 2 * span), vec![12]);
         assert!(w.is_empty());
 
         // Same shape with the far event pushed first, so growth has to
@@ -259,20 +258,20 @@ mod tests {
         w.push(7, 1);
         w.push(7 + span, 0); // grows; seq 0 younger than the near seq 1
         w.push(7 + span, 2);
-        assert_eq!(w.take_due(7 + span - 1), vec![1]);
-        assert_eq!(w.take_due(7 + span), vec![0, 2], "bucket drains sorted");
+        assert_eq!(due(&mut w, 7 + span - 1), vec![1]);
+        assert_eq!(due(&mut w, 7 + span), vec![0, 2], "bucket drains sorted");
     }
 
     #[test]
     fn clear_keeps_the_cursor() {
         let mut w = EventWheel::new();
         w.push(5, 0);
-        w.take_due(3);
+        due(&mut w, 3);
         w.clear();
         assert!(w.is_empty());
         assert_eq!(w.next_cycle(), None);
         w.push(4, 1); // at the cursor: legal
-        assert_eq!(w.take_due(4), vec![1]);
+        assert_eq!(due(&mut w, 4), vec![1]);
     }
 
     #[test]
@@ -314,7 +313,7 @@ mod tests {
                 heap.pop();
                 expected.push(s);
             }
-            assert_eq!(wheel.take_due(now), expected);
+            assert_eq!(due(&mut wheel, now), expected);
             assert_eq!(wheel.len(), heap.len());
         }
     }

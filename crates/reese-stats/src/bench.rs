@@ -2,21 +2,15 @@
 //!
 //! The workspace must build and run with no network access and no
 //! external crates, so the guarded `bench_pipeline` and `bench_campaign`
-//! binaries use this Criterion-shaped API instead of Criterion itself: a
-//! [`Criterion`] driver and benchmark groups whose
-//! [`BenchmarkGroup::bench_pair`] times two closures with interleaved
-//! samples and reports their paired speedup.
+//! binaries time their rows with [`bench_pair`]: two closures with
+//! interleaved samples and their paired speedup.
 //!
 //! # Example
 //!
 //! ```
-//! use reese_stats::bench::Criterion;
+//! use reese_stats::bench::bench_pair;
 //!
-//! let mut c = Criterion::default();
-//! let mut g = c.benchmark_group("sum");
-//! g.sample_size(10);
-//! let p = g.bench_pair("loop", "formula", || (0..1000u64).sum::<u64>(), || 499_500u64);
-//! g.finish();
+//! let p = bench_pair("sum", 10, "loop", "formula", || (0..1000u64).sum::<u64>(), || 499_500u64);
 //! assert_eq!(p.a.samples, 10);
 //! ```
 
@@ -36,8 +30,7 @@ pub struct Measurement {
     pub samples: usize,
 }
 
-/// The result of an interleaved A/B comparison (see
-/// [`BenchmarkGroup::bench_pair`]).
+/// The result of an interleaved A/B comparison (see [`bench_pair`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairMeasurement {
     /// Timing summary of the first closure.
@@ -51,102 +44,66 @@ pub struct PairMeasurement {
     pub speedup: f64,
 }
 
-/// The top-level benchmark driver.
-#[derive(Debug, Default)]
-pub struct Criterion {
-    _private: (),
-}
-
-impl Criterion {
-    /// Opens a named group of benchmarks.
-    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        let name = name.into();
-        println!("group {name}");
-        BenchmarkGroup {
-            _criterion: self,
-            name,
-            sample_size: 20,
-        }
-    }
-}
-
-/// A named group of related benchmarks sharing sampling settings.
-#[derive(Debug)]
-pub struct BenchmarkGroup<'c> {
-    _criterion: &'c mut Criterion,
-    name: String,
-    sample_size: usize,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Sets the number of timed samples per benchmark (default 20).
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Times two closures with their samples interleaved (`a, b, a, b,
-    /// …`) and reports the median of the per-pair `a/b` ratios.
-    ///
-    /// Timing all `a` samples minutes before all `b` samples would let
-    /// clock drift and neighbour load masquerade as a speedup, while
-    /// adjacent pairs see the same machine conditions.
-    pub fn bench_pair<OA, OB>(
-        &mut self,
-        id_a: impl Into<String>,
-        id_b: impl Into<String>,
-        mut fa: impl FnMut() -> OA,
-        mut fb: impl FnMut() -> OB,
-    ) -> PairMeasurement {
-        let (id_a, id_b) = (id_a.into(), id_b.into());
-        // Untimed warm-up of both sides.
+/// Times two closures of benchmark group `group` with `samples` timed
+/// samples each (at least one), interleaved (`a, b, a, b, …`), and
+/// reports the median of the per-pair `a/b` ratios.
+///
+/// Timing all `a` samples minutes before all `b` samples would let
+/// clock drift and neighbour load masquerade as a speedup, while
+/// adjacent pairs see the same machine conditions.
+pub fn bench_pair<OA, OB>(
+    group: &str,
+    samples: usize,
+    id_a: &str,
+    id_b: &str,
+    mut fa: impl FnMut() -> OA,
+    mut fb: impl FnMut() -> OB,
+) -> PairMeasurement {
+    let samples = samples.max(1);
+    // Untimed warm-up of both sides.
+    black_box(fa());
+    black_box(fb());
+    let mut times_a = Vec::with_capacity(samples);
+    let mut times_b = Vec::with_capacity(samples);
+    let mut ratios = Vec::with_capacity(samples);
+    for _ in 0..samples {
+        let start = Instant::now();
         black_box(fa());
+        let da = start.elapsed();
+        let start = Instant::now();
         black_box(fb());
-        let mut times_a = Vec::with_capacity(self.sample_size);
-        let mut times_b = Vec::with_capacity(self.sample_size);
-        let mut ratios = Vec::with_capacity(self.sample_size);
-        for _ in 0..self.sample_size {
-            let start = Instant::now();
-            black_box(fa());
-            let da = start.elapsed();
-            let start = Instant::now();
-            black_box(fb());
-            let db = start.elapsed();
-            times_a.push(da);
-            times_b.push(db);
-            ratios.push(da.as_secs_f64() / db.as_secs_f64());
-        }
-        ratios.sort_by(|x, y| x.partial_cmp(y).expect("finite timings"));
-        let mid = ratios.len() / 2;
-        let speedup = if ratios.len() % 2 == 1 {
-            ratios[mid]
-        } else {
-            (ratios[mid - 1] + ratios[mid]) / 2.0
-        };
-        let summarise = |times: &[Duration]| Measurement {
-            mean: times
-                .iter()
-                .sum::<Duration>()
-                .checked_div(times.len() as u32)
-                .unwrap_or_default(),
-            min: times.iter().min().copied().unwrap_or_default(),
-            samples: times.len(),
-        };
-        let a = summarise(&times_a);
-        let b = summarise(&times_b);
-        println!(
-            "  {}/{id_a}: mean {:?}, min {:?} over {} samples",
-            self.name, a.mean, a.min, a.samples
-        );
-        println!(
-            "  {}/{id_b}: mean {:?}, min {:?} over {} samples ({speedup:.2}x vs {id_a}, paired median)",
-            self.name, b.mean, b.min, b.samples
-        );
-        PairMeasurement { a, b, speedup }
+        let db = start.elapsed();
+        times_a.push(da);
+        times_b.push(db);
+        ratios.push(da.as_secs_f64() / db.as_secs_f64());
     }
-
-    /// Ends the group (marker for call-site symmetry with Criterion).
-    pub fn finish(self) {}
+    ratios.sort_by(|x, y| x.partial_cmp(y).expect("finite timings"));
+    let mid = ratios.len() / 2;
+    let speedup = if ratios.len() % 2 == 1 {
+        ratios[mid]
+    } else {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    };
+    let summarise = |times: &[Duration]| Measurement {
+        mean: times
+            .iter()
+            .sum::<Duration>()
+            .checked_div(times.len() as u32)
+            .unwrap_or_default(),
+        min: times.iter().min().copied().unwrap_or_default(),
+        samples: times.len(),
+    };
+    let a = summarise(&times_a);
+    let b = summarise(&times_b);
+    println!(
+        "{group}/{id_a}: mean {:?}, min {:?} over {} samples",
+        a.mean, a.min, a.samples
+    );
+    println!(
+        "{group}/{id_b}: mean {:?}, min {:?} over {} samples ({speedup:.2}x vs {id_a}, paired median)",
+        b.mean, b.min, b.samples
+    );
+    PairMeasurement { a, b, speedup }
 }
 
 #[cfg(test)]
@@ -155,17 +112,15 @@ mod tests {
 
     #[test]
     fn paired_samples_interleave_and_summarise() {
-        let mut c = Criterion::default();
-        let mut g = c.benchmark_group("t");
-        g.sample_size(5);
         let order = std::cell::RefCell::new(String::new());
-        let p = g.bench_pair(
+        let p = bench_pair(
+            "t",
+            5,
             "a",
             "b",
             || order.borrow_mut().push('a'),
             || order.borrow_mut().push('b'),
         );
-        g.finish();
         assert_eq!(p.a.samples, 5);
         assert_eq!(p.b.samples, 5);
         assert!(p.speedup.is_finite() && p.speedup > 0.0);

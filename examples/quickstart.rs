@@ -54,11 +54,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (reese.cycles() as f64 / base.cycles() as f64 - 1.0) * 100.0
     );
 
-    // One run spec drives every machine: a timed region after a
-    // functional fast-forward, with a transient fault past the skip
-    // point, on the dispatch-duplication machine.
+    // One run spec drives every machine: a timed region from a warm
+    // checkpoint 1000 instructions in, with a transient fault past the
+    // skip point, on the dispatch-duplication machine.
+    let ck = reese::ckpt::checkpoints_at(&program, &[1_000], &PipelineConfig::starting())?
+        .pop()
+        .expect("one boundary");
     let faults = [InjectedFault::primary(1_500, 4)];
-    let spec = RunSpec::skipping(&program, 1_000)
+    let spec = RunSpec::restored(ck.restore(&program), ck.warm.as_ref())
         .limit(1_000)
         .faults(&faults[..]);
     let region = DuplexSim::new(PipelineConfig::starting()).simulate(spec, &mut NoopObserver)?;

@@ -57,7 +57,7 @@
 //! --inject SEQ:BIT:p|r   inject a transient fault (repeatable; reese and
 //!                    duplex only — a fault aimed before --skip never fires)
 //! --max-insns N      stop after N committed instructions
-//! --skip N           fast-forward N instructions functionally first
+//! --skip N           start timing at instruction N, from a warm checkpoint
 //! --stats            print the full statistics block
 //! ```
 //!
@@ -140,7 +140,7 @@
 //! file; `asm` needs `-o`/`--out FILE`, and `trace` takes `--out FILE`
 //! for the captured trace. `kernels` takes nothing.
 
-use reese::ckpt::{self, Scheme, ShardOptions};
+use reese::ckpt::{self, Checkpoint, Scheme, ShardOptions};
 use reese::core::{DuplexSim, Faults, InjectedFault, ReeseConfig, ReeseResult, ReeseSim};
 use reese::cpu::Emulator;
 use reese::faults::schemes::EvalOptions;
@@ -536,11 +536,43 @@ struct RunOpts {
 }
 
 impl RunOpts {
+    /// The checkpoint a `--skip` run starts from: the continuous-warm
+    /// one `checkpoints_at` captures, as for sharded intervals and
+    /// campaign anchors; `None` without `--skip`.
+    fn skip_point(&self) -> Result<Option<Checkpoint>, CliError> {
+        if self.skip == 0 {
+            return Ok(None);
+        }
+        let prefix = Emulator::new(&self.program).run(self.skip)?;
+        if prefix.halted() {
+            return Err(format!(
+                "`--skip {}` is at or past the end of the program: it runs {} instructions",
+                self.skip, prefix.instructions
+            )
+            .into());
+        }
+        Ok(ckpt::checkpoints_at(&self.program, &[self.skip], &self.c.base)?.pop())
+    }
+
+    /// The timed run from `start` (the `--skip` checkpoint, else program
+    /// start) to `--max-insns`.
+    fn spec<'a>(&'a self, start: Option<&'a Checkpoint>) -> RunSpec<'a> {
+        match start {
+            Some(ck) => RunSpec::restored(ck.restore(&self.program), ck.warm.as_ref()),
+            None => RunSpec::new(&self.program),
+        }
+        .limit(self.max_insns)
+    }
+
     /// The timed run of a redundant scheme (`reese` or `duplex`): the
-    /// fast-forward, instruction limit, and injected faults all go into
+    /// start point, instruction limit, and injected faults all go into
     /// one run spec, so any combination of them is honoured.
-    fn run_redundant<O: Observer>(&self, obs: &mut O) -> Result<ReeseResult, CliError> {
-        let spec = RunSpec::skipping(&self.program, self.skip).limit(self.max_insns);
+    fn run_redundant<O: Observer>(
+        &self,
+        start: Option<&Checkpoint>,
+        obs: &mut O,
+    ) -> Result<ReeseResult, CliError> {
+        let spec = self.spec(start);
         let run = if self.scheme == "duplex" {
             DuplexSim::new(self.c.base.clone()).simulate(spec.faults(&self.faults[..]), obs)
         } else {
@@ -675,9 +707,10 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
                         .into(),
                 );
             }
+            let start = o.skip_point()?;
             let mut tracer = o.c.tracer();
             let sim = PipelineSim::new(o.c.base.clone());
-            let spec = RunSpec::skipping(&o.program, o.skip).limit(o.max_insns);
+            let spec = o.spec(start.as_ref());
             let r = match &mut tracer {
                 Some(t) => sim.simulate(spec, t)?,
                 None => sim.simulate(spec, &mut NoopObserver)?,
@@ -697,10 +730,11 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             o.c.flush(tracer)?;
         }
         "duplex" | "reese" => {
+            let start = o.skip_point()?;
             let mut tracer = o.c.tracer();
             let r = match &mut tracer {
-                Some(t) => o.run_redundant(t)?,
-                None => o.run_redundant(&mut NoopObserver)?,
+                Some(t) => o.run_redundant(start.as_ref(), t)?,
+                None => o.run_redundant(start.as_ref(), &mut NoopObserver)?,
             };
             let label = if o.scheme == "duplex" {
                 "dispatch duplication"
@@ -1514,10 +1548,9 @@ mod tests {
     fn run_redundant(extra: &[&str]) -> reese::core::ReeseResult {
         let mut args = strings(&["--kernel", "lisp", "--max-insns", "8000"]);
         args.extend(strings(extra));
-        parse_run(&args)
-            .unwrap()
-            .run_redundant(&mut NoopObserver)
-            .unwrap()
+        let o = parse_run(&args).unwrap();
+        let start = o.skip_point().unwrap();
+        o.run_redundant(start.as_ref(), &mut NoopObserver).unwrap()
     }
 
     #[test]
@@ -1545,6 +1578,24 @@ mod tests {
             let earlier = ["--scheme", scheme, "--skip", "2000", "--inject", "1000:3:p"];
             assert!(run_redundant(&earlier).detections.is_empty(), "{scheme}");
         }
+    }
+
+    #[test]
+    fn skip_at_or_past_the_end_is_an_error_naming_the_length() {
+        // Database at scale 1 runs 4,552 instructions, the last its halt.
+        for scheme in ["baseline", "reese", "duplex"] {
+            for skip in ["4552", "100000"] {
+                let args = strings(&["--kernel", "database", "--scheme", scheme, "--skip", skip]);
+                let err = cmd_run(&args).unwrap_err().to_string();
+                assert!(
+                    err.contains(&format!("`--skip {skip}` is at or past the end"))
+                        && err.contains("runs 4552 instructions"),
+                    "{scheme}: {err}"
+                );
+            }
+        }
+        let args = strings(&["--kernel", "database", "--skip", "4551"]);
+        cmd_run(&args).expect("the halt alone is still a run");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! modes) — the timing models may disagree about *when*, never about
 //! *what*.
 
+use reese::ckpt::checkpoints_at;
 use reese::core::{ReeseConfig, ReeseSim};
 use reese::cpu::Emulator;
 use reese::pipeline::{PipelineConfig, PipelineSim, RunSpec};
@@ -160,15 +161,24 @@ fn fp_workload_agrees_across_machines() {
 }
 
 #[test]
-fn fast_forward_preserves_architectural_results() {
+fn warm_skip_preserves_architectural_results() {
     let program = reese::workloads::Kernel::Compiler.build(1);
     let full = PipelineSim::new(PipelineConfig::starting())
         .run(&program)
         .expect("runs");
     let total = full.committed_instructions();
     let skip = total / 2;
+    // Timing starts at the continuous-warm checkpoint `reese run --skip`
+    // starts from.
+    let ck = checkpoints_at(&program, &[skip], &PipelineConfig::starting())
+        .expect("reaches the skip point")
+        .pop()
+        .expect("one boundary");
     let region = PipelineSim::new(PipelineConfig::starting())
-        .simulate(RunSpec::skipping(&program, skip), &mut NoopObserver)
+        .simulate(
+            RunSpec::restored(ck.restore(&program), ck.warm.as_ref()),
+            &mut NoopObserver,
+        )
         .expect("runs");
     // The timed region commits exactly the remaining instructions and
     // lands on the same final architectural state.
@@ -180,7 +190,10 @@ fn fast_forward_preserves_architectural_results() {
     );
 
     let reese_region = ReeseSim::new(ReeseConfig::starting())
-        .simulate(RunSpec::skipping(&program, skip), &mut NoopObserver)
+        .simulate(
+            RunSpec::restored(ck.restore(&program), ck.warm.as_ref()),
+            &mut NoopObserver,
+        )
         .expect("runs");
     assert_eq!(reese_region.committed_instructions(), total - skip);
     assert_eq!(reese_region.state_digest, full.state_digest);

@@ -1,6 +1,7 @@
 //! End-to-end fault-tolerance properties: the coverage REESE promises
 //! in §4.2, measured rather than argued.
 
+use reese::ckpt::checkpoints_at;
 use reese::core::{DuplexSim, Faults, InjectedFault, ReeseConfig, ReeseError, ReeseSim};
 use reese::cpu::Emulator;
 use reese::faults::{Campaign, FaultClass, FaultMix};
@@ -54,10 +55,10 @@ fn every_result_error_is_detected_and_recovered() {
 
 #[test]
 fn skipped_runs_match_the_emulator_and_catch_later_faults() {
-    // From a functional fast-forward, both redundant machines commit
-    // exactly the remaining instructions with the emulator's output and
-    // final state. A fault aimed past the skip point is caught; one
-    // aimed inside the skipped prefix never fires.
+    // From a warm checkpoint at the skip point, both redundant machines
+    // commit exactly the remaining instructions with the emulator's
+    // output and final state. A fault aimed past the skip point is
+    // caught; one aimed inside the skipped prefix never fires.
     let program = Kernel::Database.build(1);
     let skip = 2_000;
     let mut emu = Emulator::new(&program);
@@ -68,7 +69,11 @@ fn skipped_runs_match_the_emulator_and_catch_later_faults() {
         InjectedFault::primary(skip / 2, 3),
         InjectedFault::primary(target, 7),
     ];
-    let spec = || RunSpec::skipping(&program, skip);
+    let ck = checkpoints_at(&program, &[skip], &PipelineConfig::starting())
+        .expect("reaches the skip point")
+        .pop()
+        .expect("one boundary");
+    let spec = || RunSpec::restored(ck.restore(&program), ck.warm.as_ref());
     let reese = ReeseSim::new(ReeseConfig::starting())
         .simulate(spec().faults(Faults::Latch(&faults)), &mut NoopObserver)
         .expect("reese runs");

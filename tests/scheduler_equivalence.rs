@@ -6,7 +6,7 @@
 //! per-cycle statistic — bit-identical to the per-cycle scan it
 //! replaced.
 
-use reese::ckpt::Scheme;
+use reese::ckpt::{checkpoints_at, Scheme};
 use reese::core::{DuplexSim, Faults, InjectedFault, ReeseConfig, ReeseSim, SchedulerMode};
 use reese::faults::{schemes, Campaign, FaultMix};
 use reese::pipeline::{PipelineConfig, PipelineSim, RunSpec};
@@ -114,16 +114,20 @@ fn duplex_modes_agree_on_all_kernels() {
 
 #[test]
 fn skipped_runs_agree_across_modes() {
-    // A functional fast-forward starts the timing core mid-program;
-    // both redundant machines run from there with faults on both sides
-    // of the skip point (the earlier one never fires).
+    // A warm checkpoint starts the timing core mid-program; both
+    // redundant machines run from there with faults on both sides of
+    // the skip point (the earlier one never fires).
     let program = Kernel::Lisp.build(1);
     let faults = [
         InjectedFault::primary(3_000, 3),
         InjectedFault::primary(6_000, 3),
         InjectedFault::redundant(9_000, 60),
     ];
-    let spec = || RunSpec::skipping(&program, 5_000).limit(20_000);
+    let ck = checkpoints_at(&program, &[5_000], &PipelineConfig::starting())
+        .unwrap()
+        .pop()
+        .unwrap();
+    let spec = || RunSpec::restored(ck.restore(&program), ck.warm.as_ref()).limit(20_000);
     let duplex = |mode| {
         DuplexSim::new(PipelineConfig::starting().with_scheduler(mode))
             .simulate(spec().faults(&faults[..]), &mut NoopObserver)
