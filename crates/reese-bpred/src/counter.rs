@@ -2,8 +2,8 @@
 
 /// A two-bit saturating counter.
 ///
-/// States 0–1 predict not-taken, 2–3 predict taken. The classic FSM used
-/// by bimodal, gshare, two-level, and chooser tables alike.
+/// States 0–1 predict not-taken, 2–3 predict taken: the classic FSM of
+/// every gshare table entry.
 ///
 /// # Example
 ///

@@ -1,31 +1,32 @@
 //! Branch prediction for the REESE simulators.
 //!
-//! Implements the predictors SimpleScalar offers, most importantly the
-//! **gshare** predictor the REESE paper configures in Table 1
-//! (McFarling, "Combining Branch Predictors", DEC WRL TN-36), plus
-//! bimodal, two-level, the McFarling combining predictor, a branch
-//! target buffer, and a return-address stack, all wired together in
-//! [`BranchUnit`].
+//! The paper's Table 1 machine predicts branch directions with
+//! **gshare** (McFarling, "Combining Branch Predictors", DEC WRL
+//! TN-36), and its experiments never vary the predictor, so [`Gshare`]
+//! is the only direction predictor here. [`BranchUnit`] wires it
+//! together with a branch target buffer and a return-address stack.
 //!
 //! # Example
 //!
 //! ```
-//! use reese_bpred::{BranchUnit, PredictorConfig, PredictorKind};
+//! use reese_bpred::{BranchUnit, PredictorConfig};
 //!
-//! let mut bu = BranchUnit::new(PredictorConfig::paper().with_kind(PredictorKind::Bimodal));
-//! for _ in 0..4 {
+//! let mut bu = BranchUnit::new(PredictorConfig::paper());
+//! // Once the 12-bit global history has filled with taken outcomes,
+//! // the branch indexes one counter, and it learns the bias.
+//! for _ in 0..16 {
 //!     let p = bu.predict_branch(0x1000);
 //!     bu.resolve_branch(0x1000, p, true);
 //! }
-//! assert!(bu.predict_branch(0x1000)); // learned the bias
+//! assert!(bu.predict_branch(0x1000));
 //! ```
 
 mod btb;
 mod counter;
-mod direction;
+mod gshare;
 mod unit;
 
 pub use btb::{Btb, Ras, RasSnapshot};
 pub use counter::TwoBit;
-pub use direction::{Bimodal, Combined, DirectionPredictor, Gshare, StaticPredictor, TwoLevel};
-pub use unit::{BranchSnapshot, BranchStats, BranchUnit, PredictorConfig, PredictorKind};
+pub use gshare::Gshare;
+pub use unit::{BranchSnapshot, BranchStats, BranchUnit, PredictorConfig};

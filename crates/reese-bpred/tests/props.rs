@@ -1,24 +1,10 @@
 //! Predictor properties: totality, learning guarantees, and stats
 //! accounting over seeded random branch streams.
 
-use reese_bpred::{
-    Bimodal, BranchUnit, Combined, DirectionPredictor, Gshare, PredictorConfig, PredictorKind,
-    TwoLevel,
-};
+use reese_bpred::{BranchUnit, Gshare, PredictorConfig};
 use reese_stats::SplitMix64;
 
-fn all_kinds() -> Vec<PredictorKind> {
-    vec![
-        PredictorKind::AlwaysTaken,
-        PredictorKind::AlwaysNotTaken,
-        PredictorKind::Bimodal,
-        PredictorKind::Gshare,
-        PredictorKind::TwoLevel,
-        PredictorKind::Combined,
-    ]
-}
-
-/// Every predictor accepts any (pc, outcome) stream without panicking
+/// The branch unit accepts any (pc, outcome) stream without panicking
 /// and accounts lookups and mispredicts consistently.
 #[test]
 fn predictors_are_total() {
@@ -28,44 +14,34 @@ fn predictors_are_total() {
         let stream: Vec<(u64, bool)> = (0..len)
             .map(|_| (rng.range_u64(0, 1_000_000), rng.chance(0.5)))
             .collect();
-        for kind in all_kinds() {
-            let mut bu = BranchUnit::new(PredictorConfig::paper().with_kind(kind));
-            for &(pc, outcome) in &stream {
-                let pc = pc & !7; // instruction aligned
-                let p = bu.predict_branch(pc);
-                bu.resolve_branch(pc, p, outcome);
-            }
-            let s = bu.stats();
-            assert_eq!(s.branch_lookups, stream.len() as u64);
-            assert!(s.branch_mispredicts <= s.branch_lookups);
-            assert!((0.0..=1.0).contains(&s.mispredict_rate()));
+        let mut bu = BranchUnit::new(PredictorConfig::paper());
+        for &(pc, outcome) in &stream {
+            let pc = pc & !7; // instruction aligned
+            let p = bu.predict_branch(pc);
+            bu.resolve_branch(pc, p, outcome);
         }
+        let s = bu.stats();
+        assert_eq!(s.branch_lookups, stream.len() as u64);
+        assert!(s.branch_mispredicts <= s.branch_lookups);
+        assert!((0.0..=1.0).contains(&s.mispredict_rate()));
     }
 }
 
-/// Any dynamic predictor eventually learns a constant-direction
-/// branch perfectly.
+/// Gshare eventually learns a constant-direction branch perfectly.
 #[test]
 fn constant_branches_are_learned() {
     let mut rng = SplitMix64::new(11);
     for _ in 0..64 {
         let pc = rng.range_u64(0, 1_000_000) & !7;
         let taken = rng.chance(0.5);
-        let dynamic: Vec<Box<dyn DirectionPredictor>> = vec![
-            Box::new(Bimodal::new(10)),
-            Box::new(Gshare::new(10, 8)),
-            Box::new(TwoLevel::new(8, 8)),
-            Box::new(Combined::new(10, 8)),
-        ];
-        for mut p in dynamic {
-            // Enough updates for global-history predictors to saturate
-            // their history register and then train the steady-state
-            // entry (history length 8 + counter hysteresis).
-            for _ in 0..24 {
-                p.update(pc, taken);
-            }
-            assert_eq!(p.predict(pc), taken, "{} failed to learn", p.name());
+        let mut p = Gshare::new(10, 8);
+        // Enough updates to saturate the history register and then
+        // train the steady-state entry (history length 8 + counter
+        // hysteresis).
+        for _ in 0..24 {
+            p.update(pc, taken);
         }
+        assert_eq!(p.predict(pc), taken, "failed to learn pc {pc:#x}");
     }
 }
 
@@ -103,31 +79,22 @@ fn balanced_calls_return_correctly() {
     }
 }
 
-/// Gshare must strictly beat bimodal on history-correlated patterns
-/// (the reason the paper configures it).
+/// Gshare masters a history-correlated pattern that a per-PC two-bit
+/// counter gets at most two thirds right (the reason the paper
+/// configures it).
 #[test]
-fn gshare_beats_bimodal_on_correlated_patterns() {
-    // Period-3 pattern T T N: invisible to a 2-bit counter, trivial for
-    // 8 bits of history.
+fn gshare_learns_history_correlated_patterns() {
+    // Period-3 pattern T T N: trivial for 8 bits of history.
     let pattern = [true, true, false];
     let mut g = Gshare::new(12, 8);
-    let mut bi = Bimodal::new(12);
     let pc = 0x2000;
-    let (mut g_ok, mut b_ok) = (0, 0);
+    let mut ok = 0;
     for i in 0..3000 {
         let outcome = pattern[i % 3];
         if g.predict(pc) == outcome {
-            g_ok += 1;
-        }
-        if bi.predict(pc) == outcome {
-            b_ok += 1;
+            ok += 1;
         }
         g.update(pc, outcome);
-        bi.update(pc, outcome);
     }
-    assert!(g_ok > 2800, "gshare should master the pattern: {g_ok}");
-    assert!(
-        g_ok > b_ok + 200,
-        "gshare {g_ok} must clearly beat bimodal {b_ok}"
-    );
+    assert!(ok > 2800, "gshare should master the pattern: {ok}");
 }

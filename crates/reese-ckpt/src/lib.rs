@@ -17,7 +17,7 @@
 //! - [`run_sharded`]: the sharded driver. One run is split into K
 //!   intervals at checkpoint boundaries; each interval's detailed
 //!   timing (baseline, REESE, or duplex) runs on a worker pool; the
-//!   per-interval statistics are stitched into one [`ShardReport`]
+//!   per-interval counts are stitched into one [`ShardReport`]
 //!   whose [`ShardOracle`] certifies bit-exact functional results and
 //!   measures the cycle-count error against a monolithic run.
 //!

@@ -1,7 +1,8 @@
 //! The sharded single-run driver: split one long simulation into K
 //! intervals at checkpoint boundaries, simulate each interval's
 //! detailed timing on a worker pool, and stitch the per-interval
-//! statistics into one report.
+//! instruction and cycle counts, output, and observations into one
+//! report.
 //!
 //! Functional results (instruction counts, committed architectural
 //! state, program output) are *exact* — the emulator continues
@@ -19,7 +20,7 @@
 //! end-to-end.
 
 use crate::{boundaries, checkpoints_at, Checkpoint, CkptError, Scheme, MAX_RESIDENT_CHECKPOINTS};
-use reese_core::{DuplexSim, ReeseConfig, ReeseError, ReeseSim, ReeseStats};
+use reese_core::{DuplexSim, ReeseConfig, ReeseError, ReeseSim};
 use reese_cpu::{EmuError, Emulator, StopReason};
 use reese_isa::Program;
 use reese_pipeline::{PipelineSim, RunSpec, SimResult};
@@ -152,8 +153,6 @@ pub struct ShardReport {
     pub intervals: Vec<IntervalResult>,
     /// Sum of per-interval cycle counts.
     pub sharded_cycles: u64,
-    /// Stitched statistics (cycle counts summed, histograms merged).
-    pub stats: ReeseStats,
     /// Concatenated program output.
     pub output: Vec<i64>,
     /// Exit code from the final interval.
@@ -187,7 +186,8 @@ impl ShardReport {
 /// What one worker sends back: the scheme-independent slice of a
 /// detailed run.
 struct Outcome {
-    stats: ReeseStats,
+    instructions: u64,
+    cycles: u64,
     output: Vec<i64>,
     exit_code: Option<u64>,
     state_digest: u64,
@@ -197,10 +197,9 @@ struct Outcome {
 
 impl Outcome {
     fn from_baseline(r: SimResult) -> Outcome {
-        let mut stats = ReeseStats::new(1);
-        stats.pipeline = r.stats;
         Outcome {
-            stats,
+            instructions: r.committed_instructions(),
+            cycles: r.cycles(),
             output: r.output,
             exit_code: r.exit_code,
             state_digest: r.state_digest,
@@ -211,7 +210,8 @@ impl Outcome {
 
     fn from_reese(r: reese_core::ReeseResult) -> Outcome {
         Outcome {
-            stats: r.stats,
+            instructions: r.committed_instructions(),
+            cycles: r.cycles(),
             output: r.output,
             exit_code: r.exit_code,
             state_digest: r.state_digest,
@@ -287,7 +287,6 @@ pub fn run_sharded(
     // clock starting at zero, so its rows and events are shifted by the
     // cycles of every interval before it.
     let mut intervals = Vec::with_capacity(results.len());
-    let mut stats: Option<ReeseStats> = None;
     let mut output = Vec::new();
     let mut exit_code = None;
     let mut state_digest = 0;
@@ -299,10 +298,10 @@ pub fn run_sharded(
         let outcome = result?;
         intervals.push(IntervalResult {
             start: bounds[i],
-            instructions: outcome.stats.pipeline.committed,
-            cycles: outcome.stats.pipeline.cycles,
+            instructions: outcome.instructions,
+            cycles: outcome.cycles,
         });
-        committed_total += outcome.stats.pipeline.committed;
+        committed_total += outcome.instructions;
         output.extend_from_slice(&outcome.output);
         exit_code = outcome.exit_code;
         state_digest = outcome.state_digest;
@@ -316,14 +315,9 @@ pub fn run_sharded(
                 .get_or_insert_with(|| TraceRing::new(t.capacity()))
                 .merge_concat(t, cycle_offset);
         }
-        cycle_offset += outcome.stats.pipeline.cycles;
-        match &mut stats {
-            None => stats = Some(outcome.stats),
-            Some(s) => s.merge(&outcome.stats),
-        }
+        cycle_offset += outcome.cycles;
     }
-    let stats = stats.expect("at least one interval");
-    let sharded_cycles = stats.pipeline.cycles;
+    let sharded_cycles = cycle_offset;
 
     // The oracle: functional exactness always; cycle accuracy when the
     // monolithic detailed run is requested.
@@ -346,7 +340,6 @@ pub fn run_sharded(
         total_instructions: total,
         intervals,
         sharded_cycles,
-        stats,
         output,
         exit_code,
         state_digest,
@@ -485,7 +478,10 @@ mod tests {
                 report.intervals.iter().map(|i| i.instructions).sum::<u64>(),
                 report.total_instructions
             );
-            assert_eq!(report.stats.pipeline.cycles, report.sharded_cycles);
+            assert_eq!(
+                report.intervals.iter().map(|i| i.cycles).sum::<u64>(),
+                report.sharded_cycles
+            );
             assert!(report.checkpoint_bytes > 0);
         }
     }

@@ -74,25 +74,6 @@ impl ReeseStats {
     pub fn ipc(&self) -> f64 {
         self.pipeline.ipc()
     }
-
-    /// Accumulates another interval's statistics into this one (see
-    /// [`PipelineStats::merge`]): counters add, histograms pool, and
-    /// the queue peak takes the maximum across intervals.
-    pub fn merge(&mut self, other: &ReeseStats) {
-        self.pipeline.merge(&other.pipeline);
-        self.r_issued += other.r_issued;
-        self.r_tried += other.r_tried;
-        self.r_missed += other.r_missed;
-        self.comparisons += other.comparisons;
-        self.r_skipped += other.r_skipped;
-        self.detections += other.detections;
-        self.flushes += other.flushes;
-        self.rqueue_full_stalls += other.rqueue_full_stalls;
-        self.rqueue_occupancy.merge(&other.rqueue_occupancy);
-        self.rqueue_peak = self.rqueue_peak.max(other.rqueue_peak);
-        self.r_priority_cycles += other.r_priority_cycles;
-        self.pr_separation.merge(&other.pr_separation);
-    }
 }
 
 impl fmt::Display for ReeseStats {

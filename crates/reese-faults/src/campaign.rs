@@ -80,7 +80,7 @@ impl std::error::Error for CampaignError {}
 /// coverage boundary the paper states in §4.2.
 ///
 /// Simulated trials are scored over a **checkpoint-anchored window**
-/// around the fault (see [`crate::engine`]): under the default
+/// around the fault (DESIGN.md §10): under the default
 /// [`TrialEngine::Replay`] a fault deep in a long workload costs its
 /// share of one restore and one detailed pass over its window (every
 /// faulted run forks off the window's clean run) instead of a
@@ -1161,6 +1161,67 @@ mod tests {
         // reader rejects it outright.
         let err = edit(format!("\"bit\": {bit},"), "\"bit\": 200,".to_string());
         assert!(err.contains("line 3: bit 200 out of range"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_rejects_damaged_outcome_lines() {
+        let dir =
+            std::env::temp_dir().join(format!("reese-campaign-damaged-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let log = dir.join("campaign.jsonl");
+        let base = || {
+            Campaign::new(ReeseConfig::starting(), FaultMix::broad())
+                .trials(16)
+                .seed(3)
+        };
+        base()
+            .outcomes_jsonl(&log)
+            .trial_limit(12)
+            .run(&loop_prog())
+            .unwrap();
+        let text = std::fs::read_to_string(&log).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        // Rewrites one line (0-based index into the file), resumes, and
+        // returns the error; the log must come back byte for byte.
+        let resume = |index: usize, edited: &str| {
+            let mut damaged = lines.clone();
+            damaged[index] = edited;
+            let damaged = damaged.join("\n") + "\n";
+            std::fs::write(&log, &damaged).unwrap();
+            let err = base().resume(&log).run(&loop_prog()).unwrap_err();
+            assert_eq!(std::fs::read_to_string(&log).unwrap(), damaged);
+            err
+        };
+
+        // A detected trial whose latency is no longer a number.
+        let key = "\"detection_latency\": ";
+        let (index, line) = lines
+            .iter()
+            .enumerate()
+            .find(|(_, l)| !l.contains(&format!("{key}null")) && l.contains(key))
+            .expect("some trial is detected");
+        let at = line.find(key).unwrap() + key.len();
+        let end = at + line[at..].find(',').unwrap();
+        let edited = format!("{}x{}", &line[..at], &line[end..]);
+        assert_eq!(
+            resume(index, &edited),
+            CampaignError::Resume(format!(
+                "line {}: `detection_latency` is `x`, not null or an unsigned integer",
+                index + 1
+            ))
+        );
+
+        // Another trial without its id.
+        let other = if index == 1 { 2 } else { 1 };
+        let line = lines[other];
+        let at = line.find("\"id\": ").unwrap();
+        let end = at + line[at..].find(", ").unwrap() + 2;
+        let edited = format!("{}{}", &line[..at], &line[end..]);
+        assert_eq!(
+            resume(other, &edited),
+            CampaignError::Resume(format!("line {}: outcome is missing `id`", other + 1))
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

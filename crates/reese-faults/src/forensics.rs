@@ -135,23 +135,6 @@ fn fmt_event(e: &TraceEvent) -> String {
     )
 }
 
-/// Re-run equality against a possibly older log line: the core fields
-/// must match exactly; cycle fields recorded as absent (pre-forensics
-/// logs) are not held against the re-run.
-fn matches_recorded(rerun: &TrialOutcome, rec: &TrialOutcome) -> bool {
-    let lenient = |a: Option<u64>, b: Option<u64>| b.is_none() || a == b;
-    rerun.class == rec.class
-        && rerun.seq == rec.seq
-        && rerun.bit == rec.bit
-        && rerun.detected == rec.detected
-        && rerun.detection_latency == rec.detection_latency
-        && rerun.extra_cycles == rec.extra_cycles
-        && rerun.state_clean == rec.state_clean
-        && lenient(rerun.inject_cycle, rec.inject_cycle)
-        && lenient(rerun.diverge_cycle, rec.diverge_cycle)
-        && lenient(rerun.detect_cycle, rec.detect_cycle)
-}
-
 /// Explains one trial of a recorded campaign: runs its anchored window
 /// clean under a deep observer, forks the faulted run off it, and
 /// reconstructs the propagation timeline from the two logs. `config`,
@@ -282,7 +265,7 @@ pub fn explain_trial(
     let (rerun, fork) = w.trials.pop().expect("one key, one trial").map_err(fail)?;
     let clean_log = w.observers.log.expect("the clean pass is logged");
     let fault_log = fork.log.expect("the fork is logged");
-    if !matches_recorded(&rerun, &rec) {
+    if rerun != rec {
         return Err(CampaignError::Resume(format!(
             "re-run does not reproduce the logged outcome (logged \
              detected={} latency={:?}, re-run detected={} latency={:?}) — \

@@ -118,25 +118,6 @@ impl CoverageReport {
         self.outcomes.push(outcome);
     }
 
-    /// Appends every trial from another report over the same reference
-    /// run, preserving `other`'s trial order after this report's. Used
-    /// to stitch shard-local campaign reports into one. Throughput
-    /// observability is not pooled (the merged report keeps this
-    /// side's), matching the equality contract above.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reports disagree on the fault-free reference cycle
-    /// count — they would describe different campaigns.
-    pub fn merge(&mut self, other: &CoverageReport) {
-        assert_eq!(
-            self.clean_cycles, other.clean_cycles,
-            "merging reports from different reference runs"
-        );
-        self.outcomes.extend_from_slice(&other.outcomes);
-        self.detected += other.detected;
-    }
-
     /// Number of trials recorded.
     pub fn trials(&self) -> usize {
         self.outcomes.len()
@@ -474,41 +455,6 @@ mod tests {
         assert_eq!(r.coverage(), 0.0);
         assert_eq!(r.mean_detection_latency(), 0.0);
         assert!(r.all_states_clean());
-    }
-
-    #[test]
-    fn merge_equals_recording_everything_in_one() {
-        let mut whole = CoverageReport::new(100);
-        whole.record(outcome(FaultClass::PrimaryResult, true));
-        whole.record(outcome(FaultClass::CacheCell, false));
-        whole.record(outcome(FaultClass::RedundantResult, true));
-
-        let mut a = CoverageReport::new(100);
-        a.record(outcome(FaultClass::PrimaryResult, true));
-        let mut b = CoverageReport::new(100);
-        b.record(outcome(FaultClass::CacheCell, false));
-        b.record(outcome(FaultClass::RedundantResult, true));
-        a.merge(&b);
-
-        assert_eq!(a, whole);
-        assert_eq!(a.trials(), 3);
-        assert!((a.coverage() - whole.coverage()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut r = CoverageReport::new(100);
-        r.record(outcome(FaultClass::PrimaryResult, true));
-        let before = r.clone();
-        r.merge(&CoverageReport::new(100));
-        assert_eq!(r, before);
-    }
-
-    #[test]
-    #[should_panic(expected = "different reference runs")]
-    fn merge_rejects_mismatched_reference_runs() {
-        let mut a = CoverageReport::new(100);
-        a.merge(&CoverageReport::new(200));
     }
 
     #[test]

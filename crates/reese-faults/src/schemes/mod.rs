@@ -10,20 +10,20 @@
 //!
 //! Five backends are registered, one per [`Scheme`]:
 //!
-//! - **baseline** ([`classic::BaselineScheme`]): the unprotected
+//! - **baseline** (`classic::BaselineScheme`): the unprotected
 //!   out-of-order core. Faults are injected *architecturally* and
 //!   nothing looks for them — the silent-data-corruption floor every
 //!   other scheme is judged against.
-//! - **reese** ([`classic::ReeseScheme`]): the paper's P/R time
+//! - **reese** (`classic::ReeseScheme`): the paper's P/R time
 //!   redundancy, delegating to [`reese_core::ReeseSim`] exactly as the
 //!   campaign historically did. Outcomes are bit-identical to the
 //!   pre-trait campaign.
-//! - **duplex** ([`classic::DuplexScheme`]): full spatial duplication
+//! - **duplex** (`classic::DuplexScheme`): full spatial duplication
 //!   with compare-before-commit, via [`reese_core::DuplexSim`].
-//! - **meek** ([`meek::MeekScheme`]): MEEK-style heterogeneous checker
+//! - **meek** (`meek::MeekScheme`): MEEK-style heterogeneous checker
 //!   cores — committed instructions stream through a few small
 //!   in-order checker pipelines behind a bounded fan-out queue.
-//! - **swift** ([`swift::SwiftScheme`]): Azambuja-style software-only
+//! - **swift** (`swift::SwiftScheme`): Azambuja-style software-only
 //!   detection — the *program* is rewritten with duplicated
 //!   instructions, shadow registers, and basic-block signature checks;
 //!   the unprotected baseline core runs the hardened binary.

@@ -199,14 +199,20 @@ pub(crate) fn outcome_line(seed: u64, trial: usize, o: &TrialOutcome) -> String 
 }
 
 /// Parses one outcome line back, losslessly. The middle element is the
-/// recorded stable id, `None` on logs written before ids existed (the
-/// optional-field scanners also treat the cycle fields as absent on
-/// such logs).
-pub(crate) fn parse_outcome_line(line: &str) -> Result<(usize, Option<u64>, TrialOutcome), String> {
-    let field =
-        |key: &str| json_u64(line, key).ok_or_else(|| format!("outcome is missing `{key}`"));
-    let flag =
-        |key: &str| json_bool(line, key).ok_or_else(|| format!("outcome is missing `{key}`"));
+/// recorded stable id. Every field [`outcome_line`] writes must be
+/// there, each number an unsigned integer or, where the writer may
+/// write one, `null`: a damaged line is an error that names the field,
+/// never a value silently read as absent.
+pub(crate) fn parse_outcome_line(line: &str) -> Result<(usize, u64, TrialOutcome), String> {
+    let opt = |key: &str| opt_u64_value(line, key);
+    let field = |key: &str| -> Result<u64, String> {
+        opt(key)?.ok_or_else(|| format!("`{key}` is null, not an unsigned integer"))
+    };
+    let flag = |key: &str| match value_token(line, key)? {
+        "true" => Ok(true),
+        "false" => Ok(false),
+        token => Err(format!("`{key}` is `{token}`, not true or false")),
+    };
     let trial = usize::try_from(field("trial")?).map_err(|_| "trial out of range".to_string())?;
     let class_name =
         json_str(line, "class").ok_or_else(|| "outcome is missing `class`".to_string())?;
@@ -221,18 +227,18 @@ pub(crate) fn parse_outcome_line(line: &str) -> Result<(usize, Option<u64>, Tria
         .ok_or_else(|| format!("bit {bit} out of range 0..64"))?;
     Ok((
         trial,
-        json_u64(line, "id"),
+        field("id")?,
         TrialOutcome {
             class,
             seq: field("seq")?,
             bit,
             detected: flag("detected")?,
-            detection_latency: json_u64(line, "detection_latency"),
+            detection_latency: opt("detection_latency")?,
             extra_cycles: field("extra_cycles")?,
             state_clean: flag("state_clean")?,
-            inject_cycle: json_u64(line, "inject_cycle"),
-            diverge_cycle: json_u64(line, "diverge_cycle"),
-            detect_cycle: json_u64(line, "detect_cycle"),
+            inject_cycle: opt("inject_cycle")?,
+            diverge_cycle: opt("diverge_cycle")?,
+            detect_cycle: opt("detect_cycle")?,
         },
     ))
 }
@@ -289,15 +295,13 @@ pub(crate) fn read_log(
                 expected.dynamic_len
             )));
         }
-        if let Some(id) = id {
-            let want = trial_id(expected.seed, trial);
-            if id != want {
-                return Err(CampaignError::Resume(format!(
-                    "line {}: trial {trial} carries id {id} but this campaign's \
-                     seed assigns {want} — the line belongs to a different campaign",
-                    i + 2
-                )));
-            }
+        let want = trial_id(expected.seed, trial);
+        if id != want {
+            return Err(CampaignError::Resume(format!(
+                "line {}: trial {trial} carries id {id} but this campaign's \
+                 seed assigns {want} — the line belongs to a different campaign",
+                i + 2
+            )));
         }
         if recorded.insert(trial, outcome).is_some() {
             return Err(CampaignError::Resume(format!(
@@ -371,15 +375,24 @@ fn json_u64(line: &str, key: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-fn json_bool(line: &str, key: &str) -> Option<bool> {
-    let at = find_value(line, key)?;
+/// The raw value of an outcome line's `key`: everything up to the next
+/// `,` or `}`.
+fn value_token<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
+    let at = find_value(line, key).ok_or_else(|| format!("outcome is missing `{key}`"))?;
     let rest = &line[at..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
+    Ok(rest[..rest.find([',', '}']).unwrap_or(rest.len())].trim_end())
+}
+
+/// An outcome field the writer writes as `null` or an unsigned integer.
+fn opt_u64_value(line: &str, key: &str) -> Result<Option<u64>, String> {
+    let token = value_token(line, key)?;
+    let bad = || format!("`{key}` is `{token}`, not null or an unsigned integer");
+    match token {
+        "null" => Ok(None),
+        digits if digits.bytes().all(|b| b.is_ascii_digit()) => {
+            digits.parse().map(Some).map_err(|_| bad())
+        }
+        _ => Err(bad()),
     }
 }
 
@@ -492,7 +505,7 @@ mod tests {
         ] {
             let (trial, id, back) = parse_outcome_line(&outcome_line(7, 3, &o)).unwrap();
             assert_eq!(trial, 3);
-            assert_eq!(id, Some(trial_id(7, 3)));
+            assert_eq!(id, trial_id(7, 3));
             assert_eq!(back, o);
         }
     }
@@ -525,16 +538,58 @@ mod tests {
     }
 
     #[test]
-    fn pre_id_log_lines_still_parse() {
-        // A line written before ids and cycle fields existed.
-        let line = "{\"trial\": 2, \"class\": \"p-result\", \"seq\": 9, \"bit\": 1, \
-                    \"detected\": true, \"detection_latency\": 4, \
-                    \"extra_cycles\": 8, \"state_clean\": true}";
-        let (trial, id, o) = parse_outcome_line(line).unwrap();
-        assert_eq!(trial, 2);
-        assert_eq!(id, None);
-        assert_eq!(o.detection_latency, Some(4));
-        assert_eq!(o.inject_cycle, None);
+    fn damaged_outcome_fields_are_named() {
+        let o = TrialOutcome {
+            class: FaultClass::PrimaryResult,
+            seq: 9,
+            bit: 1,
+            detected: true,
+            detection_latency: Some(4),
+            extra_cycles: 8,
+            state_clean: true,
+            inject_cycle: Some(20),
+            diverge_cycle: None,
+            detect_cycle: Some(24),
+        };
+        let line = outcome_line(7, 2, &o);
+        let keys = [
+            "trial",
+            "id",
+            "seq",
+            "bit",
+            "detected",
+            "detection_latency",
+            "extra_cycles",
+            "state_clean",
+            "inject_cycle",
+            "diverge_cycle",
+            "detect_cycle",
+        ];
+        for key in keys {
+            // Where the `"key": value` pair starts, and where its value
+            // starts and ends.
+            let at = line.find(&format!("\"{key}\": ")).unwrap();
+            let value_at = at + key.len() + 4;
+            let end = value_at + line[value_at..].find([',', '}']).unwrap();
+
+            let garbled = format!("{}x{}", &line[..value_at], &line[end..]);
+            let err = parse_outcome_line(&garbled).unwrap_err();
+            assert!(
+                err.starts_with(&format!("`{key}` is `x`, not ")),
+                "{key}: {err}"
+            );
+
+            let gap = if line[end..].starts_with(", ") { 2 } else { 0 };
+            let dropped = format!("{}{}", &line[..at], &line[end + gap..]);
+            let err = parse_outcome_line(&dropped).unwrap_err();
+            assert_eq!(err, format!("outcome is missing `{key}`"), "{dropped}");
+        }
+        // Trailing junk after a number is not a number.
+        let err = parse_outcome_line(&line.replace("\"seq\": 9,", "\"seq\": 9x,")).unwrap_err();
+        assert_eq!(err, "`seq` is `9x`, not null or an unsigned integer");
+        // Fields the writer never leaves null must not be null.
+        let err = parse_outcome_line(&line.replace("\"seq\": 9,", "\"seq\": null,")).unwrap_err();
+        assert_eq!(err, "`seq` is null, not an unsigned integer");
     }
 
     #[test]

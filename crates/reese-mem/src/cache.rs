@@ -131,14 +131,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Accumulates another interval's counters into this one.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.accesses += other.accesses;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.writebacks += other.writebacks;
-    }
-
     /// Miss rate in `[0, 1]`; 0 when no accesses were made.
     pub fn miss_rate(&self) -> f64 {
         if self.accesses == 0 {

@@ -64,17 +64,6 @@ pub struct HierarchyStats {
     pub dtlb_misses: u64,
 }
 
-impl HierarchyStats {
-    /// Accumulates another interval's counters into this one.
-    pub fn merge(&mut self, other: &HierarchyStats) {
-        self.l1i.merge(&other.l1i);
-        self.l1d.merge(&other.l1d);
-        self.l2.merge(&other.l2);
-        self.itlb_misses += other.itlb_misses;
-        self.dtlb_misses += other.dtlb_misses;
-    }
-}
-
 /// A complete snapshot of the hierarchy's dynamic (timing) state:
 /// every cache's lines and counters plus both TLBs. Used for warm-start
 /// checkpointing; the configuration is not captured — a snapshot may

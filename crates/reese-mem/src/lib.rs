@@ -1,10 +1,11 @@
 //! Memory system for the REESE simulators.
 //!
 //! This crate is the counterpart of SimpleScalar's memory and cache
-//! modules: a sparse flat [`Memory`] that holds architectural state, a
-//! set-associative [`Cache`] timing model composed into a two-level
-//! [`MemHierarchy`] with TLBs, and a [`MemPorts`] arbiter that models
-//! the per-cycle port contention central to the paper's Figure 5.
+//! modules: a sparse flat [`Memory`] that holds architectural state,
+//! and a set-associative [`Cache`] timing model composed into a
+//! two-level [`MemHierarchy`] with TLBs. Per-cycle memory-port
+//! contention, central to the paper's Figure 5, is modelled by the
+//! pipeline's functional-unit pool, where the ports are one unit class.
 //!
 //! Functional data and timing are deliberately separated: the emulator
 //! reads and writes [`Memory`] directly, while the pipeline charges
@@ -28,7 +29,6 @@
 mod cache;
 mod hierarchy;
 mod memory;
-mod ports;
 mod tlb;
 
 pub use cache::{
@@ -36,5 +36,4 @@ pub use cache::{
 };
 pub use hierarchy::{HierarchyConfig, HierarchySnapshot, HierarchyStats, MemHierarchy};
 pub use memory::{Memory, PAGE_SIZE};
-pub use ports::MemPorts;
 pub use tlb::{Tlb, TlbConfig, TlbSnapshot};

@@ -42,7 +42,6 @@ struct ClassPool {
 pub struct FuPool {
     classes: [ClassPool; 5],
     counts: FuCounts,
-    mem_port_occupancy: u64,
     /// Per-class minimum of `next_free` — the earliest cycle at which
     /// *some* unit of the class can accept an operation. Maintained on
     /// every issue/flush so availability is one compare instead of a
@@ -84,55 +83,32 @@ impl FuPool {
         FuPool {
             classes,
             counts,
-            mem_port_occupancy: 1,
             earliest_free,
         }
-    }
-
-    /// Sets how many cycles a memory port stays busy per access.
-    ///
-    /// Cache ports are not pipelined: an access holds its port for the
-    /// L1 hit time (2 cycles in the paper's Table 1), so two ports
-    /// sustain only one access per cycle. This is the resource the
-    /// paper's Figure 5 doubles.
-    pub fn with_mem_port_occupancy(mut self, cycles: u32) -> FuPool {
-        self.mem_port_occupancy = u64::from(cycles.max(1));
-        self
     }
 
     /// Tries to issue `op` in cycle `now`; returns whether a unit
     /// accepted it and books the unit if so.
     pub fn try_issue(&mut self, op: Opcode, now: u64) -> bool {
-        self.try_issue_occupying(op, now, None)
-    }
-
-    /// Like [`FuPool::try_issue`] but overriding how long the unit is
-    /// held. The REESE redundant stream uses this for its memory
-    /// verification accesses, which are tag-check-only guaranteed hits
-    /// and release the port after one cycle.
-    pub fn try_issue_occupying(&mut self, op: Opcode, now: u64, occupancy: Option<u64>) -> bool {
         // Deliberately the original per-unit probe, with no early bail
         // on `earliest_free`: `Scan` mode is the measurement baseline
         // and equivalence oracle, so it must keep the original
         // algorithm's cost profile. The event-driven schedulers get the
         // O(1) bail by gating on [`FuPool::class_free`] at their call
         // sites instead.
-        let class = op.fu_class();
-        let idx = class_index(class);
+        let idx = class_index(op.fu_class());
         let pool = &mut self.classes[idx];
         let Some(unit) = pool.next_free.iter_mut().find(|f| **f <= now) else {
             return false;
         };
-        // A pipelined unit is occupied for one cycle (it can start a new
-        // op next cycle); a non-pipelined one for the full latency.
-        // Memory ports are occupied for the configured cache-access time.
-        let occupancy = occupancy.unwrap_or(if class == FuClass::MemPort {
-            self.mem_port_occupancy
-        } else if op.pipelined() {
+        // A pipelined unit, memory ports included, is occupied for one
+        // cycle (it can start a new op next cycle); a non-pipelined one
+        // for the full latency.
+        let occupancy = if op.pipelined() {
             1
         } else {
             u64::from(op.latency())
-        });
+        };
         *unit = now + occupancy;
         pool.issued += 1;
         pool.busy_cycles += occupancy;
@@ -151,7 +127,7 @@ impl FuPool {
     pub fn try_issue_mem(&mut self, op: Opcode, now: u64) -> bool {
         debug_assert_eq!(op.fu_class(), FuClass::MemPort, "{op} is not a memory op");
         // Original per-unit availability scan, as with
-        // [`FuPool::try_issue_occupying`] — event-driven callers gate on
+        // [`FuPool::try_issue`] — event-driven callers gate on
         // `class_free(IntAlu) && class_free(MemPort)` before probing.
         if self.free_units(FuClass::IntAlu, now) == 0 || self.free_units(FuClass::MemPort, now) == 0
         {

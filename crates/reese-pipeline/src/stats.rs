@@ -84,42 +84,6 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// Accumulates another interval's statistics into this one, as if
-    /// the two runs had been one. Counters add; the per-class
-    /// functional-unit utilisations are averaged weighted by each
-    /// side's cycle count. Used to stitch a sharded run's per-interval
-    /// results into one whole-program report.
-    pub fn merge(&mut self, other: &PipelineStats) {
-        let (self_cycles, other_cycles) = (self.cycles, other.cycles);
-        self.cycles += other.cycles;
-        self.committed += other.committed;
-        self.fetched += other.fetched;
-        self.issued += other.issued;
-        self.loads_forwarded += other.loads_forwarded;
-        self.dispatch_stall_ruu_full += other.dispatch_stall_ruu_full;
-        self.dispatch_stall_lsq_full += other.dispatch_stall_lsq_full;
-        self.fetch_queue_empty_cycles += other.fetch_queue_empty_cycles;
-        self.branch.merge(&other.branch);
-        match (&mut self.hierarchy, &other.hierarchy) {
-            (Some(h), Some(o)) => h.merge(o),
-            (None, Some(o)) => self.hierarchy = Some(*o),
-            _ => {}
-        }
-        if self.fu_utilisation.is_empty() {
-            self.fu_utilisation = other.fu_utilisation.clone();
-        } else if !other.fu_utilisation.is_empty() && self_cycles + other_cycles > 0 {
-            let total = (self_cycles + other_cycles) as f64;
-            for (class, util) in &mut self.fu_utilisation {
-                let theirs = other
-                    .fu_utilisation
-                    .iter()
-                    .find(|(c, _)| c == class)
-                    .map_or(0.0, |&(_, u)| u);
-                *util = (*util * self_cycles as f64 + theirs * other_cycles as f64) / total;
-            }
-        }
-    }
-
     /// Committed instructions per cycle — the paper's headline metric.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {

@@ -45,8 +45,7 @@ pub struct WarmState {
 /// continuous-warm fast-forward left. Dynamic sequence numbers are
 /// global: a run from a checkpoint keeps counting from program start,
 /// so a fault aimed before the start point never fires. Statistics
-/// cover the run only, so a sharded driver can stitch intervals with
-/// [`PipelineStats::merge`].
+/// cover the run only, so a sharded driver sums its intervals' cycles.
 #[derive(Debug)]
 pub struct RunSpec<'a, F = ()> {
     /// The functional state the run starts from.

@@ -116,34 +116,6 @@ impl Histogram {
         self.name
     }
 
-    /// Folds another histogram of identical shape into this one, as if
-    /// every sample recorded there had been recorded here. Used to
-    /// stitch per-interval distributions from a sharded run into one
-    /// whole-program distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histograms differ in name or bucket count — those
-    /// describe different quantities and must never be pooled.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.name, other.name,
-            "merging differently named histograms"
-        );
-        assert_eq!(
-            self.buckets.len(),
-            other.buckets.len(),
-            "merging histograms of different shapes"
-        );
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.overflow += other.overflow;
-        self.total += other.total;
-        self.sum += other.sum;
-        self.max_seen = self.max_seen.max(other.max_seen);
-    }
-
     /// Fraction of samples equal to zero (e.g. "cycles with no R issue").
     pub fn fraction_zero(&self) -> f64 {
         if self.total == 0 {
@@ -236,46 +208,6 @@ mod tests {
     #[should_panic(expected = "at least one bucket")]
     fn zero_cap_panics() {
         Histogram::new("h", 0);
-    }
-
-    #[test]
-    fn merge_equals_recording_everything_in_one() {
-        let mut a = Histogram::new("h", 4);
-        let mut b = Histogram::new("h", 4);
-        let mut whole = Histogram::new("h", 4);
-        for v in [0, 2, 9] {
-            a.record(v);
-            whole.record(v);
-        }
-        for v in [1, 2, 40] {
-            b.record(v);
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Histogram::new("h", 4);
-        a.record(3);
-        let before = a.clone();
-        a.merge(&Histogram::new("h", 4));
-        assert_eq!(a, before);
-    }
-
-    #[test]
-    #[should_panic(expected = "different shapes")]
-    fn merge_rejects_shape_mismatch() {
-        let mut a = Histogram::new("h", 4);
-        a.merge(&Histogram::new("h", 8));
-    }
-
-    #[test]
-    #[should_panic(expected = "differently named")]
-    fn merge_rejects_name_mismatch() {
-        let mut a = Histogram::new("a", 4);
-        a.merge(&Histogram::new("b", 4));
     }
 
     #[test]

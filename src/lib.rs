@@ -10,8 +10,8 @@
 //!
 //! * [`isa`] — the mini RISC instruction set, assembler, and program builder
 //! * [`cpu`] — the functional (golden) emulator
-//! * [`mem`] — caches, memory, and memory ports
-//! * [`bpred`] — branch predictors
+//! * [`mem`] — flat memory, caches, and TLBs
+//! * [`bpred`] — the gshare branch predictor, BTB, and return-address stack
 //! * [`pipeline`] — the baseline out-of-order superscalar timing simulator
 //! * [`core`] — the REESE time-redundant simulator (the paper's contribution)
 //! * [`faults`] — soft-error injection and detection-coverage campaigns

@@ -767,9 +767,16 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
                     format!("--trace-out/--metrics-out are not supported for `{name}`").into(),
                 );
             }
-            if !o.faults.is_empty() || o.skip > 0 {
+            if !o.faults.is_empty() {
                 return Err(format!(
                     "`{name}` runs clean here; inject faults with `reese campaign --scheme {name}`"
+                )
+                .into());
+            }
+            if o.skip > 0 {
+                return Err(format!(
+                    "--skip is not supported for `{name}`, which times whole programs; \
+                     baseline, reese and duplex take --skip"
                 )
                 .into());
             }
@@ -1614,6 +1621,28 @@ mod tests {
             args.extend(strings(&extra));
             let err = cmd_run(&args).unwrap_err().to_string();
             assert!(err.contains("need a timing scheme"), "{err}");
+        }
+    }
+
+    #[test]
+    fn meek_and_swift_reject_inject_and_skip_by_name() {
+        for scheme in ["meek", "swift"] {
+            let run = |extra: [&str; 2]| {
+                let mut args = strings(&["--kernel", "lisp", "--scheme", scheme]);
+                args.extend(strings(&extra));
+                cmd_run(&args).unwrap_err().to_string()
+            };
+            let err = run(["--inject", "100:3:p"]);
+            assert!(
+                err.contains(&format!(
+                    "inject faults with `reese campaign --scheme {scheme}`"
+                )),
+                "{err}"
+            );
+            let err = run(["--skip", "5"]);
+            assert!(err.contains("--skip is not supported"), "{err}");
+            assert!(err.contains(&format!("`{scheme}`")), "{err}");
+            assert!(!err.contains("inject"), "{err}");
         }
     }
 
