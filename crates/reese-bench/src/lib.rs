@@ -302,7 +302,7 @@ pub fn paper_machines() -> Vec<(&'static str, PipelineConfig)> {
                 .with_width(16),
         ),
         (
-            "Mem ports 2X (4 memory ports)",
+            "MemPorts (4 memory ports)",
             PipelineConfig::starting()
                 .with_ruu(32)
                 .with_lsq(16)

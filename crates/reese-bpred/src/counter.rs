@@ -29,11 +29,6 @@ impl TwoBit {
         TwoBit(1)
     }
 
-    /// Weakly taken (state 2).
-    pub const fn weakly_taken() -> TwoBit {
-        TwoBit(2)
-    }
-
     /// Strongly taken (state 3).
     pub const fn strongly_taken() -> TwoBit {
         TwoBit(3)

@@ -23,7 +23,7 @@ use crate::{boundaries, checkpoints_at, Checkpoint, CkptError, Scheme, MAX_RESID
 use reese_core::{DuplexSim, ReeseConfig, ReeseError, ReeseSim};
 use reese_cpu::{EmuError, Emulator, StopReason};
 use reese_isa::Program;
-use reese_pipeline::{PipelineSim, RunSpec, SimResult};
+use reese_pipeline::{PipelineSim, PipelineStats, RunSpec};
 use reese_stats::{par_map_indexed, ParallelStats};
 use reese_trace::{MetricsSeries, NoopObserver, TraceRing, Tracer};
 use std::fmt;
@@ -196,25 +196,20 @@ struct Outcome {
 }
 
 impl Outcome {
-    fn from_baseline(r: SimResult) -> Outcome {
+    /// The run's committed instruction and cycle counts come from its
+    /// timing statistics; observations are attached afterwards.
+    fn new(
+        stats: &PipelineStats,
+        output: Vec<i64>,
+        exit_code: Option<u64>,
+        state_digest: u64,
+    ) -> Outcome {
         Outcome {
-            instructions: r.committed_instructions(),
-            cycles: r.cycles(),
-            output: r.output,
-            exit_code: r.exit_code,
-            state_digest: r.state_digest,
-            metrics: None,
-            trace: None,
-        }
-    }
-
-    fn from_reese(r: reese_core::ReeseResult) -> Outcome {
-        Outcome {
-            instructions: r.committed_instructions(),
-            cycles: r.cycles(),
-            output: r.output,
-            exit_code: r.exit_code,
-            state_digest: r.state_digest,
+            instructions: stats.committed,
+            cycles: stats.cycles,
+            output,
+            exit_code,
+            state_digest,
             metrics: None,
             trace: None,
         }
@@ -376,7 +371,7 @@ fn run_one_interval(
                 Some(t) => sim.simulate(spec, t),
                 None => sim.simulate(spec, &mut NoopObserver),
             }
-            .map(Outcome::from_baseline)
+            .map(|r| Outcome::new(&r.stats, r.output, r.exit_code, r.state_digest))
             .map_err(|e| IntervalError::Sim(ReeseError::Sim(e)))?
         }
         Scheme::Reese => {
@@ -386,7 +381,7 @@ fn run_one_interval(
                 Some(t) => sim.simulate(spec, t),
                 None => sim.simulate(spec, &mut NoopObserver),
             }
-            .map(Outcome::from_reese)
+            .map(|r| Outcome::new(&r.stats.pipeline, r.output, r.exit_code, r.state_digest))
             .map_err(IntervalError::Sim)?
         }
         Scheme::Duplex => {
@@ -396,7 +391,7 @@ fn run_one_interval(
                 Some(t) => sim.simulate(spec, t),
                 None => sim.simulate(spec, &mut NoopObserver),
             }
-            .map(Outcome::from_reese)
+            .map(|r| Outcome::new(&r.stats.pipeline, r.output, r.exit_code, r.state_digest))
             .map_err(IntervalError::Sim)?
         }
         // `run_sharded` rejects non-shardable schemes before dispatch.

@@ -1165,7 +1165,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_rejects_damaged_outcome_lines() {
+    fn resume_rejects_damaged_log_lines() {
         let dir =
             std::env::temp_dir().join(format!("reese-campaign-damaged-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1221,6 +1221,14 @@ mod tests {
         assert_eq!(
             resume(other, &edited),
             CampaignError::Resume(format!("line {}: outcome is missing `id`", other + 1))
+        );
+
+        // A header whose trial count has trailing junk.
+        let edited = lines[0].replace("\"trials\": 16,", "\"trials\": 16x,");
+        assert_ne!(edited, lines[0]);
+        assert_eq!(
+            resume(0, &edited),
+            CampaignError::Resume("`trials` is `16x`, not an unsigned integer".into())
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -84,16 +84,15 @@ impl LogHeader {
     }
 
     pub fn parse(line: &str) -> Result<LogHeader, String> {
-        let version = json_u64(line, "reese_campaign_log")
-            .ok_or_else(|| "not a reese campaign log (missing header)".to_string())?;
+        if find_value(line, "reese_campaign_log").is_none() {
+            return Err("not a reese campaign log (missing header)".to_string());
+        }
+        let field = |key: &str| json_u64(line, "header", key);
+        let version = field("reese_campaign_log")?;
         if version != 1 {
             return Err(format!("unsupported campaign log version {version}"));
         }
-        let field = |key: &str| {
-            json_u64(line, key).ok_or_else(|| format!("header is missing field `{key}`"))
-        };
-        let mix_raw = json_array_u64(line, "mix")
-            .ok_or_else(|| "header is missing field `mix`".to_string())?;
+        let mix_raw = json_array_u64(line, "mix")?;
         if mix_raw.len() != 5 {
             return Err(format!(
                 "header mix has {} weights, expected 5",
@@ -204,20 +203,20 @@ pub(crate) fn outcome_line(seed: u64, trial: usize, o: &TrialOutcome) -> String 
 /// write one, `null`: a damaged line is an error that names the field,
 /// never a value silently read as absent.
 pub(crate) fn parse_outcome_line(line: &str) -> Result<(usize, u64, TrialOutcome), String> {
-    let opt = |key: &str| opt_u64_value(line, key);
-    let field = |key: &str| -> Result<u64, String> {
-        opt(key)?.ok_or_else(|| format!("`{key}` is null, not an unsigned integer"))
-    };
-    let flag = |key: &str| match value_token(line, key)? {
+    let opt = |key: &str| json_opt_u64(line, "outcome", key);
+    let field = |key: &str| json_u64(line, "outcome", key);
+    let flag = |key: &str| match value_token(line, "outcome", key)? {
         "true" => Ok(true),
         "false" => Ok(false),
         token => Err(format!("`{key}` is `{token}`, not true or false")),
     };
     let trial = usize::try_from(field("trial")?).map_err(|_| "trial out of range".to_string())?;
-    let class_name =
-        json_str(line, "class").ok_or_else(|| "outcome is missing `class`".to_string())?;
-    let class = FaultClass::from_name(&class_name)
-        .ok_or_else(|| format!("unknown fault class `{class_name}`"))?;
+    let class_name = value_token(line, "outcome", "class")?;
+    let class = class_name
+        .strip_prefix('"')
+        .and_then(|name| name.strip_suffix('"'))
+        .and_then(FaultClass::from_name)
+        .ok_or_else(|| format!("`class` is `{class_name}`, not a fault class name"))?;
     // Injection flips one of a 64-bit value's bits; a larger bit would
     // be masked to a different fault than the line names.
     let bit = field("bit")?;
@@ -356,8 +355,11 @@ impl LogWriter {
 // ---- Minimal JSON field scanners -----------------------------------
 //
 // The log is machine-written with a fixed shape (the project is
-// std-only), so these scan for `"key":` and read one scalar; they are
-// not a general JSON parser.
+// std-only), so these scan for `"key":` and read one value; they are
+// not a general JSON parser. They are strict: a missing key, or a
+// value the writer would not have written, is an error naming the
+// key. `kind` ("header" or "outcome") names the line a key is missing
+// from.
 
 fn find_value(line: &str, key: &str) -> Option<usize> {
     let mut pat = String::with_capacity(key.len() + 3);
@@ -366,49 +368,47 @@ fn find_value(line: &str, key: &str) -> Option<usize> {
     Some(at + line[at..].len() - line[at..].trim_start().len())
 }
 
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let at = find_value(line, key)?;
-    let digits: String = line[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// The raw value of an outcome line's `key`: everything up to the next
-/// `,` or `}`.
-fn value_token<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    let at = find_value(line, key).ok_or_else(|| format!("outcome is missing `{key}`"))?;
+/// The raw value of `key`: everything up to the next `,` or `}`.
+fn value_token<'a>(line: &'a str, kind: &str, key: &str) -> Result<&'a str, String> {
+    let at = find_value(line, key).ok_or_else(|| format!("{kind} is missing `{key}`"))?;
     let rest = &line[at..];
     Ok(rest[..rest.find([',', '}']).unwrap_or(rest.len())].trim_end())
 }
 
-/// An outcome field the writer writes as `null` or an unsigned integer.
-fn opt_u64_value(line: &str, key: &str) -> Result<Option<u64>, String> {
-    let token = value_token(line, key)?;
-    let bad = || format!("`{key}` is `{token}`, not null or an unsigned integer");
-    match token {
-        "null" => Ok(None),
-        digits if digits.bytes().all(|b| b.is_ascii_digit()) => {
-            digits.parse().map(Some).map_err(|_| bad())
-        }
-        _ => Err(bad()),
+/// `token` as an unsigned integer: digits only, no sign or suffix.
+fn parse_u64(token: &str) -> Option<u64> {
+    if token.bytes().all(|b| b.is_ascii_digit()) {
+        token.parse().ok()
+    } else {
+        None
     }
 }
 
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let at = find_value(line, key)?;
-    let rest = line[at..].strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
+/// A value the writer always writes as an unsigned integer.
+fn json_u64(line: &str, kind: &str, key: &str) -> Result<u64, String> {
+    let token = value_token(line, kind, key)?;
+    parse_u64(token).ok_or_else(|| format!("`{key}` is `{token}`, not an unsigned integer"))
 }
 
-fn json_array_u64(line: &str, key: &str) -> Option<Vec<u64>> {
-    let at = find_value(line, key)?;
-    let rest = line[at..].strip_prefix('[')?;
-    let body = &rest[..rest.find(']')?];
+/// A value the writer writes as `null` or an unsigned integer.
+fn json_opt_u64(line: &str, kind: &str, key: &str) -> Result<Option<u64>, String> {
+    match value_token(line, kind, key)? {
+        "null" => Ok(None),
+        token => parse_u64(token)
+            .map(Some)
+            .ok_or_else(|| format!("`{key}` is `{token}`, not null or an unsigned integer")),
+    }
+}
+
+/// The header's `[w, w, …]` array of unsigned integers.
+fn json_array_u64(line: &str, key: &str) -> Result<Vec<u64>, String> {
+    let at = find_value(line, key).ok_or_else(|| format!("header is missing `{key}`"))?;
+    let bad = || format!("`{key}` is not an array of unsigned integers");
+    let rest = line[at..].strip_prefix('[').ok_or_else(bad)?;
+    let body = &rest[..rest.find(']').ok_or_else(bad)?];
     body.split(',')
-        .map(|s| s.trim().parse().ok())
-        .collect::<Option<Vec<u64>>>()
+        .map(|s| parse_u64(s.trim()).ok_or_else(bad))
+        .collect()
 }
 
 #[cfg(test)]
@@ -555,6 +555,7 @@ mod tests {
         let keys = [
             "trial",
             "id",
+            "class",
             "seq",
             "bit",
             "detected",
@@ -586,10 +587,58 @@ mod tests {
         }
         // Trailing junk after a number is not a number.
         let err = parse_outcome_line(&line.replace("\"seq\": 9,", "\"seq\": 9x,")).unwrap_err();
-        assert_eq!(err, "`seq` is `9x`, not null or an unsigned integer");
+        assert_eq!(err, "`seq` is `9x`, not an unsigned integer");
         // Fields the writer never leaves null must not be null.
         let err = parse_outcome_line(&line.replace("\"seq\": 9,", "\"seq\": null,")).unwrap_err();
-        assert_eq!(err, "`seq` is null, not an unsigned integer");
+        assert_eq!(err, "`seq` is `null`, not an unsigned integer");
+    }
+
+    #[test]
+    fn damaged_header_fields_are_named() {
+        let line = header().to_line();
+        let keys = [
+            "reese_campaign_log",
+            "seed",
+            "trials",
+            "ckpt_every",
+            "max_instructions",
+            "config_fnv",
+            "dynamic_len",
+            "clean_cycles",
+            "clean_digest",
+        ];
+        for key in keys {
+            let at = line.find(&format!("\"{key}\": ")).unwrap();
+            let value_at = at + key.len() + 4;
+            let end = value_at + line[value_at..].find([',', '}']).unwrap();
+            let value = &line[value_at..end];
+
+            // Trailing junk after a number is not a number.
+            let garbled = format!("{}x{}", &line[..end], &line[end..]);
+            assert_eq!(
+                LogHeader::parse(&garbled).unwrap_err(),
+                format!("`{key}` is `{value}x`, not an unsigned integer")
+            );
+            let nulled = format!("{}null{}", &line[..value_at], &line[end..]);
+            assert_eq!(
+                LogHeader::parse(&nulled).unwrap_err(),
+                format!("`{key}` is `null`, not an unsigned integer")
+            );
+            if key != "reese_campaign_log" {
+                let gap = if line[end..].starts_with(", ") { 2 } else { 0 };
+                let dropped = format!("{}{}", &line[..at], &line[end + gap..]);
+                assert_eq!(
+                    LogHeader::parse(&dropped).unwrap_err(),
+                    format!("header is missing `{key}`"),
+                    "{dropped}"
+                );
+            }
+        }
+        let garbled = line.replace("[4, 4, 1, 2, 1]", "[4, 4x, 1, 2, 1]");
+        assert_eq!(
+            LogHeader::parse(&garbled).unwrap_err(),
+            "`mix` is not an array of unsigned integers"
+        );
     }
 
     #[test]
