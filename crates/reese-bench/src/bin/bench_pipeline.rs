@@ -18,7 +18,7 @@
 //! The two modes must also produce bit-identical results; this binary
 //! asserts that on every cell, so a perf run doubles as an
 //! equivalence check. The sharded row likewise asserts the
-//! `reese-ckpt` oracle: stitched instruction counts and architectural
+//! sharded driver's oracle: stitched instruction counts and architectural
 //! state must match the monolithic run exactly.
 //!
 //! A final section prices every registered detection scheme through
@@ -29,9 +29,9 @@
 //! overhead collapsing toward 1.0x means the scheme quietly stopped
 //! doing its redundant work.
 
-use reese_ckpt::{run_sharded, Scheme, ShardOptions};
+use reese_ckpt::Scheme;
 use reese_core::{DuplexSim, ReeseConfig, ReeseSim, SchedulerMode};
-use reese_faults::schemes;
+use reese_faults::{run_sharded, schemes, ShardOptions};
 use reese_pipeline::{PipelineConfig, PipelineSim, RunSpec};
 use reese_stats::bench::{bench_pair, PairMeasurement};
 use reese_trace::Tracer;

@@ -1,46 +1,45 @@
-//! Checkpoint/replay for the REESE simulator: full simulator state as a
-//! first-class serializable artifact, and a sharded driver that splits
-//! one long simulation across cores.
+//! Checkpoints for the REESE simulator: full simulator state as a
+//! first-class serializable artifact, and the warm functional
+//! fast-forward that captures it.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! - [`Checkpoint`]: a versioned binary snapshot (magic header, CRC-32
 //!   trailer, hand-rolled little-endian layout) of the full functional
 //!   machine state — architectural registers, PC, the touched memory
-//!   pages, printed output, instruction count — plus an optional warm
+//!   pages, printed output, instruction count — stamped with the
+//!   [`Scheme`] and ISA it was captured under, plus an optional warm
 //!   section carrying cache, TLB, and branch-predictor state.
 //! - [`checkpoints_at`]: the fast functional fast-forward executor that
 //!   emits checkpoints at instruction boundaries, each carrying the
 //!   full-history cache, TLB, and branch-predictor state of the prefix
 //!   before it — the same continuous-warm state the campaign sweep
 //!   ([`checkpoint_stream_thinned`], [`derive_checkpoint`]) captures.
-//! - [`run_sharded`]: the sharded driver. One run is split into K
-//!   intervals at checkpoint boundaries; each interval's detailed
-//!   timing (baseline, REESE, or duplex) runs on a worker pool; the
-//!   per-interval counts are stitched into one [`ShardReport`]
-//!   whose [`ShardOracle`] certifies bit-exact functional results and
-//!   measures the cycle-count error against a monolithic run.
+//!
+//! The machines that restore from these checkpoints live downstream:
+//! `reese-faults` times fault-campaign windows and the sharded
+//! single-run driver (`run_sharded`) from them.
 //!
 //! # Example
 //!
 //! ```
-//! use reese_ckpt::{run_sharded, Scheme, ShardOptions};
-//! use reese_core::ReeseConfig;
+//! use reese_ckpt::{checkpoints_at, Checkpoint, Scheme};
+//! use reese_pipeline::PipelineConfig;
 //!
 //! let prog = reese_isa::assemble(
 //!     "  li t0, 200\nloop: addi t0, t0, -1\n  bnez t0, loop\n  halt\n",
 //! )?;
-//! let opts = ShardOptions { intervals: 3, jobs: 2, ..ShardOptions::default() };
-//! let report = run_sharded(&prog, &ReeseConfig::starting(), Scheme::Reese, &opts)?;
-//! assert!(report.oracle.exact());
-//! assert_eq!(report.total_instructions, 402);
+//! let cks = checkpoints_at(&prog, &[0, 201], &PipelineConfig::starting())?;
+//! let bytes = cks[1].clone().with_scheme(Scheme::Reese).encode();
+//! let ck = Checkpoint::decode_for(&bytes, Scheme::Reese, prog.isa())?;
+//! assert_eq!(ck.instructions, 201);
+//! assert_eq!(ck.restore(&prog).run(u64::MAX)?.instructions, 402);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 mod checkpoint;
 mod fastforward;
 mod scheme;
-mod shard;
 mod wire;
 
 pub use checkpoint::{Checkpoint, CkptError, MAGIC, VERSION};
@@ -49,5 +48,4 @@ pub use fastforward::{
     MAX_RESIDENT_CHECKPOINTS,
 };
 pub use scheme::Scheme;
-pub use shard::{run_sharded, IntervalResult, ShardError, ShardOptions, ShardOracle, ShardReport};
 pub use wire::crc32;

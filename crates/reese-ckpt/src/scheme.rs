@@ -83,13 +83,6 @@ impl Scheme {
     pub fn from_id(id: u8) -> Option<Scheme> {
         Scheme::ALL.into_iter().find(|k| k.id() == id)
     }
-
-    /// Whether the sharded interval driver can simulate this scheme
-    /// directly. `meek` and `swift` are evaluated through the fault
-    /// campaign instead of per-interval timing shards.
-    pub fn shardable(self) -> bool {
-        matches!(self, Scheme::Baseline | Scheme::Reese | Scheme::Duplex)
-    }
 }
 
 impl std::fmt::Display for Scheme {
@@ -122,15 +115,5 @@ mod tests {
     #[test]
     fn expected_list_names_every_scheme() {
         assert_eq!(Scheme::expected(), "baseline|reese|duplex|meek|swift");
-    }
-
-    #[test]
-    fn only_hardware_interval_machines_are_shardable() {
-        let shardable: Vec<&str> = Scheme::ALL
-            .into_iter()
-            .filter(|s| s.shardable())
-            .map(Scheme::name)
-            .collect();
-        assert_eq!(shardable, ["baseline", "reese", "duplex"]);
     }
 }

@@ -7,8 +7,7 @@
 //! a fresh simulator, and the continuation is bit-identical to the
 //! uninterrupted run — for every kernel, at arbitrary boundaries.
 
-use reese_ckpt::{checkpoints_at, run_sharded, Checkpoint, CkptError, Scheme, ShardOptions};
-use reese_core::ReeseConfig;
+use reese_ckpt::{checkpoints_at, Checkpoint, CkptError};
 use reese_cpu::Emulator;
 use reese_pipeline::{PipelineConfig, SchedulerMode};
 use reese_stats::SplitMix64;
@@ -156,17 +155,4 @@ fn seeded_truncation_never_panics() {
         let cut = rng.index(good.len());
         assert!(Checkpoint::decode(&good[..cut]).is_err());
     }
-}
-
-#[test]
-fn sharded_reese_run_is_exact_on_a_kernel() {
-    let prog = Kernel::Compiler.build_for(KERNEL_INSTRUCTIONS);
-    let opts = ShardOptions {
-        intervals: 4,
-        jobs: 2,
-        ..ShardOptions::default()
-    };
-    let report = run_sharded(&prog, &ReeseConfig::starting(), Scheme::Reese, &opts).unwrap();
-    assert!(report.oracle.exact(), "{:?}", report.oracle);
-    assert!(report.oracle.cycle_error.unwrap().abs() < 0.01);
 }

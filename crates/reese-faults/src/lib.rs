@@ -8,6 +8,12 @@
 //! by the P/R comparison; post-compare, cache-cell, and pipeline-control
 //! upsets are outside REESE's observation window.
 //!
+//! Every registered detection scheme sits behind one dispatch,
+//! [`DetectionScheme`] ([`schemes::build`]). Campaigns score their
+//! anchored windows through it, and so does [`run_sharded`], which
+//! splits one long run into checkpoint intervals timed on a worker
+//! pool and certifies the stitched result against the monolithic run.
+//!
 //! # Example
 //!
 //! ```
@@ -30,6 +36,7 @@ pub mod forensics;
 mod model;
 mod report;
 pub mod schemes;
+mod shard;
 mod stream;
 pub mod telemetry;
 
@@ -39,4 +46,5 @@ pub use forensics::{explain_trial, Explanation, TrialRef};
 pub use model::{FaultClass, FaultMix};
 pub use report::{CoverageReport, TrialOutcome, LATENCY_HISTOGRAM_CAP};
 pub use schemes::{DetectionScheme, SchemeRun, SchemesReport, Trial};
+pub use shard::{run_sharded, IntervalResult, ShardError, ShardOptions, ShardOracle, ShardReport};
 pub use stream::trial_id;

@@ -115,15 +115,6 @@ impl Histogram {
     pub fn name(&self) -> &'static str {
         self.name
     }
-
-    /// Fraction of samples equal to zero (e.g. "cycles with no R issue").
-    pub fn fraction_zero(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.buckets[0] as f64 / self.total as f64
-        }
-    }
 }
 
 impl fmt::Display for Histogram {
@@ -183,7 +174,6 @@ mod tests {
     fn mean_of_empty_is_zero() {
         let h = Histogram::new("h", 2);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.fraction_zero(), 0.0);
     }
 
     #[test]
@@ -193,15 +183,6 @@ mod tests {
             h.record(v);
         }
         assert!((h.mean() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fraction_zero() {
-        let mut h = Histogram::new("h", 4);
-        h.record(0);
-        h.record(0);
-        h.record(2);
-        assert!((h.fraction_zero() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

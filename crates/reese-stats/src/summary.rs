@@ -15,31 +15,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Geometric mean of a slice; 0.0 when empty or when any element is
-/// non-positive (geomean is undefined there, and the harness treats that
-/// as "no data").
-///
-/// The paper averages IPC arithmetically ("AV." bars); the harness also
-/// reports geomeans because they are the standard way to aggregate
-/// benchmark speedups.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return 0.0;
-    }
-    let log_sum: f64 = xs.iter().map(|x| x.ln()).sum();
-    (log_sum / xs.len() as f64).exp()
-}
-
-/// Sample standard deviation; 0.0 for fewer than two samples.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
-}
-
 /// Percentage change from `baseline` to `value`, signed.
 ///
 /// Returns 0.0 when the baseline is zero. A negative result means
@@ -72,26 +47,6 @@ mod tests {
     #[test]
     fn mean_basic() {
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-    }
-
-    #[test]
-    fn geomean_basic() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geomean_rejects_nonpositive() {
-        assert_eq!(geomean(&[1.0, 0.0]), 0.0);
-        assert_eq!(geomean(&[1.0, -2.0]), 0.0);
-        assert_eq!(geomean(&[]), 0.0);
-    }
-
-    #[test]
-    fn stddev_basic() {
-        assert_eq!(stddev(&[5.0]), 0.0);
-        let s = stddev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((s - 2.13809).abs() < 1e-4);
     }
 
     #[test]

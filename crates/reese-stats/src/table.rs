@@ -87,17 +87,6 @@ impl Table {
         out
     }
 
-    /// Renders the table as GitHub-flavoured Markdown.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("| {} |\n", self.header.join(" | ")));
-        out.push_str(&format!("|{}\n", "---|".repeat(self.header.len())));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -187,15 +176,5 @@ mod tests {
         t.row(vec!["has,comma".into(), "say \"hi\"".into()]);
         let csv = t.to_csv();
         assert_eq!(csv, "name,v\nplain,1\n\"has,comma\",\"say \"\"hi\"\"\"\n");
-    }
-
-    #[test]
-    fn markdown_has_separator_row() {
-        let mut t = Table::new(vec!["a", "b"]);
-        t.row(vec!["1".into(), "2".into()]);
-        let md = t.to_markdown();
-        assert!(md.contains("| a | b |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| 1 | 2 |"));
     }
 }

@@ -872,12 +872,6 @@ impl Tracer {
         self
     }
 
-    /// Sets the event-ring capacity.
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Tracer {
-        self.ring = TraceRing::new(capacity);
-        self
-    }
-
     /// Closes the current partial metrics row, if any. Idempotent;
     /// call once after the simulation returns.
     pub fn finish(&mut self) {

@@ -14,11 +14,13 @@
 //! * [`bpred`] — the gshare branch predictor, BTB, and return-address stack
 //! * [`pipeline`] — the baseline out-of-order superscalar timing simulator
 //! * [`core`] — the REESE time-redundant simulator (the paper's contribution)
-//! * [`faults`] — soft-error injection and detection-coverage campaigns
+//! * [`faults`] — soft-error injection, detection-coverage campaigns, and
+//!   sharded single-run simulation, every scheme through one dispatch
 //! * [`workloads`] — SPEC95-integer-like synthetic kernels
-//! * [`stats`] — counters, histograms, tables, and the deterministic PRNG
+//! * [`stats`] — histograms, means, tables, the worker pool, and the
+//!   deterministic PRNG
 //! * [`trace`] — zero-cost-when-disabled pipetrace and sampled-metrics observability
-//! * [`ckpt`] — binary simulator checkpoints and sharded single-run simulation
+//! * [`ckpt`] — binary simulator checkpoints and the warm fast-forward
 //!
 //! # Quickstart
 //!
@@ -51,9 +53,10 @@ pub use reese_workloads as workloads;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use reese_ckpt::{run_sharded, Checkpoint, Scheme, ShardOptions};
+    pub use reese_ckpt::{Checkpoint, Scheme};
     pub use reese_core::{DuplexSim, Faults, InjectedFault, ReeseConfig, ReeseSim};
     pub use reese_cpu::Emulator;
+    pub use reese_faults::{run_sharded, ShardOptions};
     pub use reese_isa::{abi, assemble, Program, ProgramBuilder};
     pub use reese_pipeline::{PipelineConfig, PipelineSim, RunSpec};
     pub use reese_trace::NoopObserver;

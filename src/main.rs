@@ -128,11 +128,11 @@
 //! ```text
 //! --intervals K      number of checkpoint intervals (default 4)
 //! -j N, --jobs N     worker threads (default: available parallelism)
-//! --scheme <scheme>  interval timing machine (default reese;
-//!                    must be shardable: baseline|reese|duplex)
+//! --scheme <scheme>  detection scheme timing the intervals (default reese)
 //! --no-verify        skip the monolithic run (no cycle-error oracle)
 //! --out FILE         write the shard report as JSON
-//! --snapshot FILE    write the first mid-run checkpoint to FILE
+//! --snapshot FILE    write the first mid-run checkpoint (interval 1's
+//!                    frame) to FILE
 //! ```
 //!
 //! `asm`, `mix`, `disasm` and `trace` take the program's file and
@@ -140,11 +140,11 @@
 //! file; `asm` needs `-o`/`--out FILE`, and `trace` takes `--out FILE`
 //! for the captured trace. `kernels` takes nothing.
 
-use reese::ckpt::{self, Checkpoint, Scheme, ShardOptions};
+use reese::ckpt::{self, Checkpoint, Scheme};
 use reese::core::{DuplexSim, Faults, InjectedFault, ReeseConfig, ReeseResult, ReeseSim};
 use reese::cpu::Emulator;
 use reese::faults::schemes::EvalOptions;
-use reese::faults::{FaultMix, SchemesReport, TrialEngine, TrialRef};
+use reese::faults::{FaultMix, SchemesReport, ShardOptions, ShardReport, TrialEngine, TrialRef};
 use reese::isa::{IsaId, Program};
 use reese::pipeline::{PipelineConfig, PipelineSim, RunSpec};
 use reese::trace::{MetricsSeries, NoopObserver, Observer, TraceRing, Tracer};
@@ -1142,22 +1142,7 @@ fn parse_shard(args: &[String]) -> Result<ShardCliOpts, CliError> {
             "--intervals" => o.shard.intervals = positive(flag, value()?)?,
             "-j" | "--jobs" => o.shard.jobs = positive(flag, value()?)?,
             "--no-verify" => o.shard.compare_monolithic = false,
-            "--scheme" => {
-                let s = parse_scheme(value()?)?;
-                if !s.shardable() {
-                    let shardable: Vec<&str> = Scheme::ALL
-                        .into_iter()
-                        .filter(|s| s.shardable())
-                        .map(Scheme::name)
-                        .collect();
-                    return Err(format!(
-                        "scheme `{s}` has no interval timing machine; shardable schemes: {}",
-                        shardable.join("|")
-                    )
-                    .into());
-                }
-                o.scheme = s;
-            }
+            "--scheme" => o.scheme = parse_scheme(value()?)?,
             "--out" => o.out = Some(value()?.into()),
             "--snapshot" => o.snapshot = Some(value()?.into()),
             _ => return Ok(false),
@@ -1174,8 +1159,7 @@ fn parse_shard(args: &[String]) -> Result<ShardCliOpts, CliError> {
 
 fn cmd_shard(args: &[String]) -> Result<(), CliError> {
     let o = parse_shard(args)?;
-    let config = o.c.config();
-    let report = ckpt::run_sharded(&o.program, &config, o.scheme, &o.shard)?;
+    let report = reese::faults::run_sharded(&o.program, &o.c.config(), o.scheme, &o.shard)?;
 
     println!(
         "sharded {} run: {} instructions over {} intervals on {} jobs",
@@ -1213,23 +1197,9 @@ fn cmd_shard(args: &[String]) -> Result<(), CliError> {
     }
 
     if let Some(path) = &o.snapshot {
-        // The first mid-run checkpoint (interval 1's start), regenerated
-        // from the same deterministic fast-forward pass.
-        let bounds = ckpt::boundaries(report.total_instructions, o.shard.intervals);
-        let which = usize::from(bounds.len() > 1);
-        let cks = ckpt::checkpoints_at(&o.program, &bounds[which..=which], &config.pipeline)?;
-        // Stamp the scheme so a later restore under a different machine
-        // is rejected at decode time instead of silently mis-timed.
-        let ck = cks
-            .into_iter()
-            .next()
-            .expect("one boundary requested")
-            .with_scheme(o.scheme);
-        std::fs::write(path, ck.encode())?;
-        println!(
-            "checkpoint at instruction {} written to {path}",
-            ck.instructions
-        );
+        std::fs::write(path, &report.snapshot)?;
+        let start = report.intervals[usize::from(report.intervals.len() > 1)].start;
+        println!("checkpoint at instruction {start} written to {path}");
     }
     if let Some(path) = &o.c.trace_out {
         let Some(ring) = &report.trace else {
@@ -1261,7 +1231,7 @@ fn tick(ok: bool) -> &'static str {
     }
 }
 
-fn shard_report_json(r: &ckpt::ShardReport) -> String {
+fn shard_report_json(r: &ShardReport) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"scheme\": \"{}\",\n", r.scheme.name()));
     s.push_str(&format!(
@@ -1873,18 +1843,6 @@ mod tests {
             resolve("scheme", "reese", &["reese", "reese2"]).unwrap(),
             "reese"
         );
-    }
-
-    #[test]
-    fn shard_rejects_unshardable_schemes() {
-        for name in ["meek", "swift"] {
-            let err = parse_shard(&strings(&["--scheme", name]))
-                .err()
-                .expect("no interval machine")
-                .to_string();
-            assert!(err.contains(name), "got: {err}");
-            assert!(err.contains("baseline|reese|duplex"), "got: {err}");
-        }
     }
 
     #[test]

@@ -6,11 +6,14 @@
 //! per-cycle statistic — bit-identical to the per-cycle scan it
 //! replaced.
 
-use reese::ckpt::{checkpoints_at, Scheme};
+use reese::ckpt::{checkpoints_at, Checkpoint, Scheme};
 use reese::core::{DuplexSim, Faults, InjectedFault, ReeseConfig, ReeseSim, SchedulerMode};
-use reese::faults::{schemes, Campaign, FaultMix};
+use reese::cpu::Emulator;
+use reese::faults::schemes::{self, Observers};
+use reese::faults::{Campaign, FaultMix, SchemeRun};
+use reese::isa::Program;
 use reese::pipeline::{PipelineConfig, PipelineSim, RunSpec};
-use reese::trace::NoopObserver;
+use reese::trace::{MetricsSeries, NoopObserver, TraceRing, Tracer};
 use reese::workloads::Kernel;
 
 fn scan_pipeline() -> PipelineConfig {
@@ -216,8 +219,85 @@ fn trait_backends_match_direct_simulators_on_all_kernels() {
                 ),
                 "{kernel}/{mode:?}: duplex trait run diverged"
             );
+
+            // The window the sharded driver times: from a mid-run
+            // frame, under a budget and a tracer, each backend's clean
+            // window is the direct simulator's restored run, tracer
+            // included.
+            let n = Emulator::new(&program).run(u64::MAX).unwrap().instructions;
+            let budget = n / 4;
+            let ck = &checkpoints_at(&program, &[n / 2], &cfg.pipeline).unwrap()[0];
+            let window = |scheme| {
+                let observers = Observers {
+                    tracer: Some(tracer()),
+                    log: None,
+                };
+                let w = schemes::build(scheme, &cfg)
+                    .run_window_trials(&program, ck, budget, &[], observers)
+                    .unwrap();
+                (w.clean, parts(w.observers.tracer.unwrap()))
+            };
+            let mut t = tracer();
+            let direct = PipelineSim::new(cfg.pipeline.clone())
+                .simulate(window_spec(&program, ck, budget), &mut t)
+                .unwrap();
+            let (via, observed) = window(Scheme::Baseline);
+            assert_eq!(
+                via,
+                SchemeRun::from(direct),
+                "{kernel}/{mode:?}: baseline window diverged"
+            );
+            assert!(!observed.0.is_empty() && !observed.1.rows.is_empty());
+            assert_eq!(
+                observed,
+                parts(t),
+                "{kernel}/{mode:?}: baseline window trace"
+            );
+
+            let mut t = tracer();
+            let direct = ReeseSim::new(cfg.clone())
+                .simulate(window_spec(&program, ck, budget), &mut t)
+                .unwrap();
+            let (via, observed) = window(Scheme::Reese);
+            assert_eq!(
+                via,
+                SchemeRun::from(direct),
+                "{kernel}/{mode:?}: REESE window diverged"
+            );
+            assert_eq!(observed, parts(t), "{kernel}/{mode:?}: REESE window trace");
+
+            let mut t = tracer();
+            let direct = DuplexSim::new(cfg.pipeline.clone())
+                .simulate(window_spec(&program, ck, budget), &mut t)
+                .unwrap();
+            let (via, observed) = window(Scheme::Duplex);
+            assert_eq!(
+                via,
+                SchemeRun::from(direct),
+                "{kernel}/{mode:?}: duplex window diverged"
+            );
+            assert_eq!(observed, parts(t), "{kernel}/{mode:?}: duplex window trace");
         }
     }
+}
+
+/// The restored run of a window: `budget` commits from `ck`.
+fn window_spec<'a, F: Default>(
+    program: &Program,
+    ck: &'a Checkpoint,
+    budget: u64,
+) -> RunSpec<'a, F> {
+    RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget)
+}
+
+fn tracer() -> Tracer {
+    Tracer::new().with_interval(1_000)
+}
+
+/// A finished tracer's event ring and metrics series.
+fn parts(mut t: Tracer) -> (TraceRing, MetricsSeries) {
+    t.finish();
+    t.into_parts()
 }
 
 #[test]
