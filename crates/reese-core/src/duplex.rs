@@ -205,52 +205,53 @@ impl Redundancy for Twin {
     /// copy (odd RUU seq) retire together once both have completed —
     /// the comparison point of Franklin's scheme.
     fn commit_one<O: Observer>(m: &mut Core<'_, Self>, obs: &mut O) -> bool {
-        let Some(r_copy) = m.ruu.head() else {
+        let Some(r_seq) = m.ruu.completed_head() else {
             return false;
         };
-        if !r_copy.completed {
-            return false;
-        }
-        debug_assert_eq!(r_copy.seq % 2, 0, "head of a pair is the redundant copy");
-        let Some(p_copy) = m.ruu.get(r_copy.seq + 1) else {
-            return false;
-        };
-        if !p_copy.completed {
+        debug_assert_eq!(r_seq % 2, 0, "head of a pair is the redundant copy");
+        if !m.ruu.is_completed(r_seq + 1) {
             return false;
         }
         // The comparison point: a pending injected fault corrupted one
         // copy's latched result, so the pair mismatches here.
-        let pair_seq = r_copy.seq / 2;
+        let pair_seq = r_seq / 2;
+        let p_seq = r_seq + 1;
         if m.pol.faults.get(pair_seq).is_some_and(|l| !l.is_empty()) {
-            let (pc, r_done, p_done) =
-                (p_copy.info.pc, r_copy.complete_cycle, p_copy.complete_cycle);
+            let pc = m.ruu.info(p_seq).expect("completed").pc;
+            let r_done = m.ruu.complete_cycle(r_seq).expect("completed");
+            let p_done = m.ruu.complete_cycle(p_seq).expect("completed");
             Self::detect_and_flush(m, pair_seq, pc, r_done, p_done, obs);
             return false;
         }
-        let r_copy = m.ruu.pop_head();
-        let p_copy = m.ruu.pop_head();
-        debug_assert_eq!(r_copy.info.result, p_copy.info.result, "fault-free run");
+        let info = *m.ruu.info(p_seq).expect("completed");
+        debug_assert_eq!(
+            m.ruu.info(r_seq).map(|r| r.result),
+            Some(info.result),
+            "fault-free run"
+        );
+        m.ruu.pop_head();
+        m.ruu.pop_head();
         emit(
             obs,
             m.cycle,
-            r_copy.seq,
-            p_copy.info.pc,
+            r_seq,
+            info.pc,
             Stage::Compare,
             TStream::Redundant,
         );
         emit(
             obs,
             m.cycle,
-            p_copy.seq,
-            p_copy.info.pc,
+            p_seq,
+            info.pc,
             Stage::Commit,
             TStream::Primary,
         );
-        m.lsq.remove(r_copy.seq);
-        m.lsq.remove(p_copy.seq);
+        m.lsq.remove(r_seq);
+        m.lsq.remove(p_seq);
         m.pol.stats.comparisons += 1;
         m.pol.check.matched(pair_seq);
-        m.retire(&p_copy.info)
+        m.retire(&info)
     }
 
     fn fatal(&self) -> Option<ReeseError> {

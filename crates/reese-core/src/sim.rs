@@ -370,15 +370,13 @@ impl<'c> RStream<'c> {
         let take = run.min(space);
         for _ in 0..take {
             let seq = m.pol.next_migrate_seq;
-            let (info, p_done) = if m.pol.cfg.early_removal {
+            let info = *m.ruu.info(seq).expect("sized batch is resident");
+            let p_done = m.ruu.complete_cycle(seq).expect("resident");
+            if m.pol.cfg.early_removal {
                 debug_assert_eq!(m.ruu.head().map(|h| h.seq), Some(seq));
-                let e = m.ruu.pop_head();
-                m.lsq.remove(e.seq);
-                (e.info, e.complete_cycle)
-            } else {
-                let e = m.ruu.get(seq).expect("sized batch is resident");
-                (*e.info, e.complete_cycle)
-            };
+                m.ruu.pop_head();
+                m.lsq.remove(seq);
+            }
             emit(obs, m.cycle, seq, info.pc, Stage::Migrate, TStream::Primary);
             let pol = &mut m.pol;
             pol.next_migrate_seq = seq + 1;
@@ -535,7 +533,7 @@ impl Redundancy for RStream<'_> {
             // The RUU entry was held until this comparison: retire it now.
             debug_assert_eq!(m.ruu.head().map(|h| h.seq), Some(e.seq));
             let p = m.ruu.pop_head();
-            m.lsq.remove(p.seq);
+            m.lsq.remove(p);
         }
         let stats = &mut m.pol.stats;
         if e.skip_r {
@@ -647,7 +645,7 @@ impl Redundancy for RStream<'_> {
     fn wake(m: &mut Core<'_, Self>) -> Option<u64> {
         let pol = &mut m.pol;
         if pol.rqueue.head().is_some_and(|e| e.commit_ready())
-            || m.ruu.get(pol.next_migrate_seq).is_some_and(|e| e.completed)
+            || m.ruu.is_completed(pol.next_migrate_seq)
         {
             return Some(m.cycle);
         }

@@ -58,10 +58,11 @@ pub(super) fn probed_window(
 /// One detailed pass over a window on the plain pipeline — the way the
 /// single-stream schemes (baseline, MEEK, SWIFT) all run their windows.
 /// The functional screen goes first ([`screen`]): the clean run under
-/// `obs` with a commit probe watching the screened keys' seqs, plus one
-/// fork per key the screen leaves, with its architectural fault armed,
-/// each starting from copies of both at its fork point, its probe
-/// watching the key's seq. `score(key, run, probe)` reduces each fork
+/// `obs`, the scheme's commit probe paired with the window's observer,
+/// the probe also watching the screened keys' seqs; plus one fork per
+/// key the screen leaves, with its architectural fault armed, each
+/// starting from copies of both at its fork point, its probe watching
+/// the key's seq. `score(key, run, probe)` reduces each fork
 /// as soon as it finishes, and each screened key against the clean run
 /// and probe once the pass ends: its fork would have repeated the clean
 /// pass, probe and observers included, with the faulted register
@@ -73,7 +74,7 @@ pub(super) fn forked_window<O: WindowObserver>(
     ck: &Checkpoint,
     budget: u64,
     keys: &[(FaultClass, u64, u8)],
-    obs: O,
+    mut obs: Pair<CommitProbe, O>,
     score: impl Fn((FaultClass, u64, u8), &SchemeRun, &CommitProbe) -> Scored,
 ) -> Result<(SchemeRun, CommitProbe, O, Pending<O>, usize), String> {
     let start = ck.restore(program);
@@ -84,14 +85,12 @@ pub(super) fn forked_window<O: WindowObserver>(
         .filter(|&i| screened[i] == Screened::Fork)
         .collect();
     let faults: Vec<(u64, u8)> = forks.iter().map(|&i| targets[i]).collect();
-    let mut probe = CommitProbe::new();
     for (&(seq, _), s) in targets.iter().zip(&screened) {
         if *s != Screened::Fork {
-            probe.watch(seq);
+            obs.0.watch(seq);
         }
     }
     let mut scored: Pending<O> = vec![None; keys.len()];
-    let mut obs = Pair(probe, obs);
     let spec = RunSpec::restored(start, ck.warm.as_ref()).limit(budget);
     let clean = sim
         .simulate_forked(
@@ -262,6 +261,7 @@ impl DetectionScheme for BaselineScheme {
         observers: Observers,
     ) -> Result<WindowTrials, String> {
         with_observers!(observers.tracer, observers.log, |obs| {
+            let obs = Pair(CommitProbe::new(), obs);
             let (clean, _, obs, scored, screened) =
                 forked_window(&self.sim, program, ck, budget, keys, obs, score_unchecked)?;
             Ok(judged(clean, obs, scored, screened))

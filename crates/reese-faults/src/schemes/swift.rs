@@ -51,7 +51,7 @@ use reese_isa::{
     TEXT_BASE,
 };
 use reese_pipeline::{PipelineSim, RunSpec};
-use reese_trace::NoopObserver;
+use reese_trace::{NoopObserver, Pair};
 
 /// Exit code of the software trap handler ("SWFT"). A detected fault
 /// halts the machine with this sentinel; the scheme reserves it.
@@ -467,6 +467,7 @@ impl DetectionScheme for SwiftScheme {
         observers: Observers,
     ) -> Result<WindowTrials, String> {
         with_observers!(observers.tracer, observers.log, |obs| {
+            let obs = Pair(CommitProbe::new(), obs);
             let (clean, _, obs, scored, screened) =
                 forked_window(&self.sim, program, ck, budget, keys, obs, score)?;
             Ok(judged(clean, obs, scored, screened))
@@ -485,11 +486,7 @@ fn score(key: (FaultClass, u64, u8), r: &SchemeRun, probe: &CommitProbe) -> Scor
     let committed = probe.commit_cycle(seq);
     // Latency: from the faulted instruction's commit to the trap
     // handler's halt (the last commit of the window).
-    let detect_cycle = if detected {
-        probe.commits.last().map(|&(_, c, _)| c)
-    } else {
-        None
-    };
+    let detect_cycle = if detected { probe.last_commit() } else { None };
     let detection_latency = match (detect_cycle, committed) {
         (Some(end), Some(c)) => Some(end.saturating_sub(c)),
         _ => None,

@@ -244,6 +244,9 @@ mod tests {
     fn geometry() {
         assert_eq!(IsaId::Native.inst_size(), 8);
         assert_eq!(IsaId::Rv32i.inst_size(), 4);
+        for isa in IsaId::ALL {
+            assert!(isa.inst_size().is_power_of_two(), "Program::fetch shifts");
+        }
         assert_eq!(IsaId::Native.xlen(), 64);
         assert_eq!(IsaId::Rv32i.xlen(), 32);
         assert_eq!(IsaId::default(), IsaId::Native);

@@ -167,12 +167,15 @@ impl Program {
     ///
     /// Returns `None` if the address is outside the text segment or not
     /// instruction-aligned.
+    #[inline]
     pub fn fetch(&self, addr: u64) -> Option<&Instr> {
+        // Every ISA's instruction size is a power of two.
         let size = self.inst_size();
-        if addr < self.text_base || !(addr - self.text_base).is_multiple_of(size) {
+        let offset = addr.checked_sub(self.text_base)?;
+        if offset & (size - 1) != 0 {
             return None;
         }
-        self.text.get(((addr - self.text_base) / size) as usize)
+        self.text.get((offset >> size.trailing_zeros()) as usize)
     }
 
     /// Number of static instructions.

@@ -161,6 +161,15 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(line_bytes)`: an address's block number is
+    /// `addr >> line_shift`.
+    line_shift: u32,
+    /// `log2(num_sets)`: a block's tag is `block >> set_shift`.
+    set_shift: u32,
+    /// `num_sets - 1`: a block's set is `block & set_mask`.
+    set_mask: u64,
+    /// Ways per set.
+    ways: usize,
     /// Every way of every set in one allocation, sets-major: set `s`
     /// is `lines[s * assoc..(s + 1) * assoc]` — the same order as
     /// [`CacheSnapshot::lines`].
@@ -171,11 +180,32 @@ pub struct Cache {
 
 impl Cache {
     /// Creates an empty (all-invalid) cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the line size and the number of sets are powers of
+    /// two and the associativity is positive: the cache indexes with
+    /// shifts and masks. [`CacheConfig::new`] checks the same, but the
+    /// configuration's fields are public.
     pub fn new(config: CacheConfig) -> Cache {
-        let lines = vec![Line::default(); (config.num_sets() * config.assoc) as usize];
+        assert!(
+            config.line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
+        assert!(config.assoc > 0, "associativity must be positive");
+        let sets = config.num_sets();
+        assert!(
+            sets.is_power_of_two(),
+            "number of sets must be a power of two"
+        );
+        let ways = config.assoc as usize;
         Cache {
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets - 1,
+            ways,
+            lines: vec![Line::default(); sets as usize * ways],
             config,
-            lines,
             stats: CacheStats::default(),
             tick: 0,
         }
@@ -183,8 +213,7 @@ impl Cache {
 
     /// The ways of set `set_idx`.
     fn set(&self, set_idx: usize) -> &[Line] {
-        let ways = self.config.assoc as usize;
-        &self.lines[set_idx * ways..(set_idx + 1) * ways]
+        &self.lines[set_idx * self.ways..(set_idx + 1) * self.ways]
     }
 
     /// The cache's configuration.
@@ -197,11 +226,18 @@ impl Cache {
         self.stats
     }
 
+    /// The tag and set index of `addr`.
+    #[inline]
     fn split(&self, addr: u64) -> (u64, usize) {
-        let block = addr / self.config.line_bytes;
-        let set = (block % self.config.num_sets()) as usize;
-        let tag = block / self.config.num_sets();
-        (tag, set)
+        let block = addr >> self.line_shift;
+        (block >> self.set_shift, (block & self.set_mask) as usize)
+    }
+
+    /// The address of the block with `tag` in set `set_idx`: the
+    /// inverse of [`Cache::split`] up to the offset within the line.
+    #[inline]
+    fn block_addr(&self, tag: u64, set_idx: usize) -> u64 {
+        ((tag << self.set_shift) | set_idx as u64) << self.line_shift
     }
 
     /// Performs an access, updating contents, LRU state, and statistics.
@@ -213,9 +249,7 @@ impl Cache {
         self.tick += 1;
         self.stats.accesses += 1;
         let (tag, set_idx) = self.split(addr);
-        let num_sets = self.config.num_sets();
-        let line_bytes = self.config.line_bytes;
-        let ways = self.config.assoc as usize;
+        let ways = self.ways;
         let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
 
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
@@ -239,18 +273,17 @@ impl Cache {
             .map(|(i, _)| i)
             .expect("associativity is positive");
         let victim = set[victim_idx];
-        let writeback = if victim.valid && victim.dirty {
-            self.stats.writebacks += 1;
-            // Reconstruct the victim's block address.
-            Some((victim.tag * num_sets + set_idx as u64) * line_bytes)
-        } else {
-            None
-        };
         set[victim_idx] = Line {
             tag,
             valid: true,
             dirty: kind == AccessKind::Write,
             lru: self.tick,
+        };
+        let writeback = if victim.valid && victim.dirty {
+            self.stats.writebacks += 1;
+            Some(self.block_addr(victim.tag, set_idx))
+        } else {
+            None
         };
         AccessResult {
             hit: false,
@@ -438,5 +471,43 @@ mod tests {
     fn paper_l1d_geometry() {
         let cfg = CacheConfig::new("l1d", 32 * 1024, 32, 2, 2);
         assert_eq!(cfg.num_sets(), 512);
+    }
+
+    #[test]
+    fn shift_indexing_matches_division() {
+        let mut shapes: Vec<CacheConfig> = Vec::new();
+        for assoc in 1..=8 {
+            for line in [16, 32, 64, 128] {
+                for sets in [1, 2, 16, 512] {
+                    shapes.push(CacheConfig::new("t", sets * line * assoc, line, assoc, 1));
+                }
+            }
+        }
+        let paper = crate::HierarchyConfig::paper();
+        shapes.extend([paper.l1i, paper.l1d, paper.l2]);
+        let mut rng = reese_stats::SplitMix64::new(64206);
+        for cfg in shapes {
+            let c = Cache::new(cfg.clone());
+            let (line, sets) = (cfg.line_bytes, cfg.num_sets());
+            for _ in 0..512 {
+                // Addresses of every magnitude, up to the top of the
+                // address space.
+                let addr = rng.next_u64() >> rng.index(64);
+                let block = addr / line;
+                let (tag, set) = (block / sets, (block % sets) as usize);
+                assert_eq!(c.split(addr), (tag, set), "{cfg:?} at {addr:#x}");
+                assert_eq!(c.block_addr(tag, set), (tag * sets + set as u64) * line);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "number of sets must be a power of two")]
+    fn a_hand_built_config_is_checked_too() {
+        let cfg = CacheConfig {
+            size_bytes: 3 * 32 * 2,
+            ..CacheConfig::new("t", 128, 32, 2, 1)
+        };
+        Cache::new(cfg);
     }
 }

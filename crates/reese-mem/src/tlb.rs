@@ -73,6 +73,9 @@ pub struct TlbSnapshot {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
+    /// `log2(page_bytes)`: an address's page number is
+    /// `addr >> page_shift`.
+    page_shift: u32,
     entries: Vec<(u64, u64)>, // (virtual page number, lru stamp)
     tick: u64,
     hits: u64,
@@ -81,8 +84,19 @@ pub struct Tlb {
 
 impl Tlb {
     /// Creates an empty TLB.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the page size is a power of two: the TLB indexes
+    /// with a shift. [`TlbConfig::new`] checks the same, but the
+    /// configuration's fields are public.
     pub fn new(config: TlbConfig) -> Tlb {
+        assert!(
+            config.page_bytes.is_power_of_two(),
+            "page size must be a power of two"
+        );
         Tlb {
+            page_shift: config.page_bytes.trailing_zeros(),
             entries: Vec::with_capacity(config.entries),
             config,
             tick: 0,
@@ -95,7 +109,7 @@ impl Tlb {
     /// configured miss latency on a miss) and updating LRU state.
     pub fn access(&mut self, addr: u64) -> u32 {
         self.tick += 1;
-        let vpn = addr / self.config.page_bytes;
+        let vpn = self.vpn(addr);
         if let Some(e) = self.entries.iter_mut().find(|(p, _)| *p == vpn) {
             e.1 = self.tick;
             self.hits += 1;
@@ -114,6 +128,12 @@ impl Tlb {
         }
         self.entries.push((vpn, self.tick));
         self.config.miss_latency
+    }
+
+    /// The virtual page number of `addr`.
+    #[inline]
+    fn vpn(&self, addr: u64) -> u64 {
+        addr >> self.page_shift
     }
 
     /// Hit count so far.
@@ -192,5 +212,29 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn zero_entries_panics() {
         TlbConfig::new("t", 0, 4096, 30);
+    }
+
+    #[test]
+    fn shift_indexing_matches_division() {
+        let paper = crate::HierarchyConfig::paper();
+        let mut shapes = vec![paper.itlb, paper.dtlb];
+        shapes.extend((4..=16).map(|bits| TlbConfig::new("t", 8, 1 << bits, 30)));
+        let mut rng = reese_stats::SplitMix64::new(64206);
+        for cfg in shapes {
+            let tlb = Tlb::new(cfg.clone());
+            for _ in 0..512 {
+                let addr = rng.next_u64() >> rng.index(64);
+                assert_eq!(tlb.vpn(addr), addr / cfg.page_bytes, "{cfg:?} at {addr:#x}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "page size must be a power of two")]
+    fn a_hand_built_config_is_checked_too() {
+        Tlb::new(TlbConfig {
+            page_bytes: 3000,
+            ..TlbConfig::new("t", 8, 4096, 30)
+        });
     }
 }

@@ -2,9 +2,9 @@
 //! respecting LRU simulator written the slow, obvious way, driven by
 //! seeded random access streams.
 
-use reese_mem::{AccessKind, Cache, CacheConfig, Memory};
+use reese_mem::{AccessKind, Cache, CacheConfig, Memory, PAGE_SIZE};
 use reese_stats::SplitMix64;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 /// The obviously correct reference: per set, an LRU-ordered list of
 /// (tag, dirty) pairs.
@@ -115,5 +115,85 @@ fn wide_accesses_compose_from_bytes() {
             composed = (composed << 8) | u64::from(mem.read_u8(addr + i));
         }
         assert_eq!(composed, value);
+    }
+}
+
+/// Main memory the slow, obvious way: one page lookup per byte, page
+/// number and offset by division, wrapping past the top of the address
+/// space.
+#[derive(Default)]
+struct RefMemory {
+    pages: BTreeMap<u64, Vec<u8>>,
+}
+
+impl RefMemory {
+    fn read(&self, addr: u64, width: u64) -> u64 {
+        (0..width).rev().fold(0, |value, i| {
+            let a = addr.wrapping_add(i);
+            let byte = self
+                .pages
+                .get(&(a / PAGE_SIZE))
+                .map_or(0, |page| page[(a % PAGE_SIZE) as usize]);
+            (value << 8) | u64::from(byte)
+        })
+    }
+
+    fn write(&mut self, addr: u64, bytes: &[u8]) {
+        for (i, &byte) in bytes.iter().enumerate() {
+            let a = addr.wrapping_add(i as u64);
+            let page = self
+                .pages
+                .entry(a / PAGE_SIZE)
+                .or_insert_with(|| vec![0; PAGE_SIZE as usize]);
+            page[(a % PAGE_SIZE) as usize] = byte;
+        }
+    }
+}
+
+/// Reads and writes of every width agree with the byte-wise reference
+/// in value and in the pages they allocate, on page-straddling
+/// accesses, at the top of the address space, and for whole images.
+#[test]
+fn every_width_matches_a_byte_wise_reference() {
+    let mut rng = SplitMix64::new(64206);
+    for _ in 0..64 {
+        let mut mem = Memory::new();
+        let mut reference = RefMemory::default();
+        for _ in 0..256 {
+            let width = [1, 2, 4, 8][rng.index(4)];
+            let addr = match rng.index(3) {
+                // Within 8 bytes below a page boundary.
+                0 => rng.range_u64(1, 5) * PAGE_SIZE - rng.range_u64(1, 9),
+                // Within 8 bytes of `u64::MAX`: wide accesses wrap.
+                1 => u64::MAX - rng.range_u64(0, 8),
+                _ => rng.range_u64(0, 4 * PAGE_SIZE),
+            };
+            match rng.index(8) {
+                0..=3 => assert_eq!(
+                    mem.read_uint(addr, width),
+                    reference.read(addr, width),
+                    "read of {width} bytes at {addr:#x}"
+                ),
+                4..=6 => {
+                    let value = rng.next_u64();
+                    mem.write_uint(addr, width, value);
+                    reference.write(addr, &value.to_le_bytes()[..width as usize]);
+                }
+                _ => {
+                    let image: Vec<u8> = (0..rng.index(2 * PAGE_SIZE as usize))
+                        .map(|_| rng.next_u64() as u8)
+                        .collect();
+                    mem.load_image(addr, &image);
+                    reference.write(addr, &image);
+                }
+            }
+        }
+        let pages: Vec<(u64, Vec<u8>)> = mem
+            .pages_sorted()
+            .into_iter()
+            .map(|(n, page)| (n, page.to_vec()))
+            .collect();
+        let want: Vec<(u64, Vec<u8>)> = reference.pages.into_iter().collect();
+        assert_eq!(pages, want);
     }
 }

@@ -74,6 +74,7 @@ impl ConsumerPool {
         }
     }
 
+    #[inline]
     fn alloc(&mut self) -> u32 {
         if self.free_head != NONE {
             let idx = self.free_head;
@@ -88,6 +89,7 @@ impl ConsumerPool {
 
     /// Appends `value` to the list rooted at `head`/`tail` (both `NONE`
     /// for an empty list), in push order.
+    #[inline]
     fn push(&mut self, head: &mut u32, tail: &mut u32, value: Seq) {
         if *tail == NONE || self.chunks[*tail as usize].len as usize == CHUNK_CAP {
             let idx = self.alloc();
@@ -105,6 +107,7 @@ impl ConsumerPool {
 
     /// Appends the list's seqs to `out` in push order and returns every
     /// chunk to the free list; `head`/`tail` are reset to `NONE`.
+    #[inline]
     fn drain(&mut self, head: &mut u32, tail: &mut u32, out: &mut Vec<Seq>) {
         let mut at = *head;
         while at != NONE {
@@ -137,10 +140,11 @@ impl ConsumerPool {
 
 /// A read-only view of one in-flight instruction, assembled from the
 /// arena's parallel arrays (or borrowed from a [`DynInst`] in scan
-/// mode). Field names and helper methods mirror [`DynInst`] so
-/// scheduler call sites read identically against either layout; only
-/// `info` is behind a reference, because [`StepInfo`] is the one field
-/// too large to copy per probe.
+/// mode). Field names mirror [`DynInst`] so call sites read
+/// identically against either layout; only `info` is behind a
+/// reference, because [`StepInfo`] is the one field too large to copy.
+/// Gathering a view reads every array, so the per-cycle probes use
+/// [`crate::Ruu`]'s one-field accessors instead.
 #[derive(Debug, Clone, Copy)]
 pub struct InstView<'a> {
     /// Fetch sequence number (program order).
@@ -164,30 +168,10 @@ pub struct InstView<'a> {
 }
 
 impl<'a> InstView<'a> {
-    /// The functional-unit class this instruction needs.
-    pub fn fu_class(&self) -> reese_isa::FuClass {
-        self.info.instr.op.fu_class()
-    }
-
     /// Whether all operands are available and the instruction can be
     /// considered by the scheduler.
     pub fn ready(&self) -> bool {
         !self.issued && !self.completed && self.pending_deps == 0
-    }
-
-    /// Whether this is a load or store.
-    pub fn is_mem(&self) -> bool {
-        self.info.mem.is_some()
-    }
-
-    /// Whether this is a store.
-    pub fn is_store(&self) -> bool {
-        self.info.mem.is_some_and(|m| m.is_store)
-    }
-
-    /// Whether this is a control-transfer instruction.
-    pub fn is_control(&self) -> bool {
-        self.info.instr.op.is_control()
     }
 }
 
@@ -269,17 +253,20 @@ impl InstArena {
     }
 
     /// Number of occupied slots.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the window is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Sequence number of the oldest in-flight instruction (the next
     /// one to dispatch when empty).
+    #[inline]
     pub fn head_seq(&self) -> Seq {
         self.head_seq
     }
@@ -303,6 +290,7 @@ impl InstArena {
     ///
     /// Panics if `seq` is not the next sequence number in program order
     /// (the caller checks fullness against its configured capacity).
+    #[inline]
     pub fn dispatch(&mut self, seq: Seq, info: StepInfo, pred: PredictionInfo, cycle: u64) {
         if self.len == 0 {
             self.head_seq = seq;
@@ -331,6 +319,7 @@ impl InstArena {
     }
 
     /// Records a consumer edge: `consumer` waits on `producer`.
+    #[inline]
     pub fn add_consumer(&mut self, producer: Seq, consumer: Seq) {
         debug_assert!(self.contains(producer));
         let s = self.slot(producer);
@@ -341,6 +330,7 @@ impl InstArena {
     }
 
     /// Bumps the unresolved-producer count of `seq`.
+    #[inline]
     pub fn inc_pending(&mut self, seq: Seq) {
         let s = self.slot(seq);
         self.pending_deps[s] += 1;
@@ -348,6 +338,7 @@ impl InstArena {
 
     /// Drops one unresolved producer of `seq`, returning whether the
     /// instruction is now ready to issue.
+    #[inline]
     pub fn dec_pending(&mut self, seq: Seq) -> bool {
         let s = self.slot(seq);
         debug_assert!(self.pending_deps[s] > 0);
@@ -357,18 +348,40 @@ impl InstArena {
 
     /// Whether `seq` is ready to issue (unissued, incomplete, no
     /// unresolved producers).
+    #[inline]
     pub fn is_ready(&self, seq: Seq) -> bool {
         let s = self.slot(seq);
         self.flags[s] == 0 && self.pending_deps[s] == 0
     }
 
     /// Whether `seq` has finished executing.
+    #[inline]
     pub fn is_completed(&self, seq: Seq) -> bool {
         self.flags[self.slot(seq)] & F_COMPLETED != 0
     }
 
+    /// The functional record of `seq`, if resident.
+    #[inline]
+    pub fn info(&self, seq: Seq) -> Option<&StepInfo> {
+        self.contains(seq).then(|| &self.info[self.slot(seq)])
+    }
+
+    /// The prediction bookkeeping of `seq`, if resident.
+    #[inline]
+    pub fn pred(&self, seq: Seq) -> Option<PredictionInfo> {
+        self.contains(seq).then(|| self.pred[self.slot(seq)])
+    }
+
+    /// The cycle `seq` completes (0 until it issues), if resident.
+    #[inline]
+    pub fn complete_cycle(&self, seq: Seq) -> Option<u64> {
+        self.contains(seq)
+            .then(|| self.complete_cycle[self.slot(seq)])
+    }
+
     /// Marks `seq` complete and moves its consumer list into `out`
     /// (appended in dispatch order); the chunks return to the pool.
+    #[inline]
     pub fn complete_into(&mut self, seq: Seq, out: &mut Vec<Seq>) {
         let s = self.slot(seq);
         self.flags[s] |= F_COMPLETED;
@@ -379,6 +392,7 @@ impl InstArena {
     }
 
     /// Records that `seq` issued this cycle.
+    #[inline]
     pub fn mark_issued(&mut self, seq: Seq, issue_cycle: u64, complete_cycle: u64) {
         let s = self.slot(seq);
         debug_assert!(
@@ -418,34 +432,22 @@ impl InstArena {
         }
     }
 
-    /// Removes the head, returning an owned record (consumer list
-    /// already drained at completion, so `consumers` is empty).
+    /// Removes the head (its consumer list was already drained at
+    /// completion).
     ///
     /// # Panics
     ///
     /// Panics if the window is empty or the head has not completed.
-    pub fn pop_head(&mut self) -> DynInst {
+    #[inline]
+    pub fn pop_head(&mut self) {
         assert!(self.len > 0, "pop from empty RUU");
-        let seq = self.head_seq;
-        let s = self.slot(seq);
+        let s = self.slot(self.head_seq);
         assert!(
             self.flags[s] & F_COMPLETED != 0,
             "popping an incomplete head"
         );
-        self.head_seq = seq + 1;
+        self.head_seq += 1;
         self.len -= 1;
-        DynInst {
-            seq,
-            info: self.info[s],
-            pred: self.pred[s],
-            pending_deps: self.pending_deps[s],
-            consumers: Vec::new(),
-            issued: self.flags[s] & F_ISSUED != 0,
-            completed: true,
-            dispatch_cycle: self.dispatch_cycle[s],
-            issue_cycle: self.issue_cycle[s],
-            complete_cycle: self.complete_cycle[s],
-        }
     }
 
     /// Number of contiguous completed instructions starting at

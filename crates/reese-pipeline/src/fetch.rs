@@ -38,12 +38,14 @@ pub struct Fetched {
 /// use reese_cpu::Emulator;
 /// use reese_mem::{HierarchyConfig, MemHierarchy};
 /// use reese_pipeline::FetchUnit;
+/// use std::collections::VecDeque;
 ///
 /// let prog = reese_isa::assemble("  li t0, 1\n  halt\n")?;
 /// let mut hier = MemHierarchy::new(HierarchyConfig::paper());
 /// let mut fetch = FetchUnit::new(Emulator::new(&prog), PredictorConfig::paper());
-/// let got = fetch.fetch_cycle(1, 8, 16, &mut hier);
-/// assert!(got.len() <= 2);
+/// let mut queue = VecDeque::new();
+/// fetch.fetch_cycle(1, 8, 16, &mut hier, &mut queue);
+/// assert!(queue.len() <= 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -197,22 +199,22 @@ impl FetchUnit {
         }
     }
 
-    /// Runs one fetch cycle: delivers up to `min(width, queue_space)`
-    /// instructions, consulting the instruction cache and the branch
-    /// predictor.
+    /// Runs one fetch cycle: appends up to `min(width, queue_space)`
+    /// instructions to `queue`, consulting the instruction cache and the
+    /// branch predictor.
     pub fn fetch_cycle(
         &mut self,
         cycle: u64,
         width: usize,
         queue_space: usize,
         hierarchy: &mut MemHierarchy,
-    ) -> Vec<Fetched> {
-        let mut out = Vec::new();
+        queue: &mut VecDeque<Fetched>,
+    ) {
         if self.blocked_on.is_some() || self.delivered_halt || cycle < self.resume_at {
-            return out;
+            return;
         }
         let l1i_hit = 2; // accounted inside the fetch pipeline depth
-        while out.len() < width.min(queue_space) {
+        for _ in 0..width.min(queue_space) {
             if !self.ensure_buffered() {
                 break;
             }
@@ -230,7 +232,7 @@ impl FetchUnit {
             if info.halted {
                 self.delivered_halt = true;
             }
-            out.push(Fetched { seq, info, pred });
+            queue.push_back(Fetched { seq, info, pred });
             if pred.mispredicted {
                 self.blocked_on = Some(seq);
                 break;
@@ -239,7 +241,6 @@ impl FetchUnit {
                 break;
             }
         }
-        out
     }
 
     /// Consults the predictors for a control instruction; returns the
@@ -357,11 +358,24 @@ mod tests {
         )
     }
 
+    /// One fetch cycle of width 8 into an empty queue with
+    /// `queue_space` free slots.
+    fn fetch_one(
+        f: &mut FetchUnit,
+        cycle: u64,
+        queue_space: usize,
+        h: &mut MemHierarchy,
+    ) -> Vec<Fetched> {
+        let mut queue = VecDeque::new();
+        f.fetch_cycle(cycle, 8, queue_space, h, &mut queue);
+        queue.into()
+    }
+
     /// Drains the front end completely, resolving all control.
     fn drain(f: &mut FetchUnit, h: &mut MemHierarchy) -> Vec<Fetched> {
         let mut all = Vec::new();
         for cycle in 1..10_000 {
-            let batch = f.fetch_cycle(cycle, 8, 64, h);
+            let batch = fetch_one(f, cycle, 64, h);
             for fi in &batch {
                 if fi.info.instr.op.is_control() {
                     f.resolve_control(fi, cycle, 3);
@@ -409,16 +423,16 @@ mod tests {
         let mut cycle = 0;
         while !f.exhausted() && cycle < 1000 {
             cycle += 1;
-            let batch = f.fetch_cycle(cycle, 8, 64, &mut h);
+            let batch = fetch_one(&mut f, cycle, 64, &mut h);
             if let Some(last) = batch.last() {
                 if last.pred.mispredicted {
                     assert!(f.is_blocked());
-                    let before = f.fetch_cycle(cycle + 1, 8, 64, &mut h);
+                    let before = fetch_one(&mut f, cycle + 1, 64, &mut h);
                     assert!(before.is_empty(), "no fetch while blocked");
                     f.resolve_control(last, cycle + 1, 3);
                     assert!(!f.is_blocked());
                     // Redirect penalty: nothing until cycle + 1 + 1 + 3.
-                    assert!(f.fetch_cycle(cycle + 2, 8, 64, &mut h).is_empty());
+                    assert!(fetch_one(&mut f, cycle + 2, 64, &mut h).is_empty());
                 }
             }
             for fi in &batch {
@@ -488,7 +502,7 @@ mod tests {
     fn queue_space_respected() {
         let mut f = unit("  li t0, 1\n  li t1, 2\n  li t2, 3\n  halt\n");
         let mut h = hier();
-        let got = f.fetch_cycle(1, 8, 2, &mut h);
+        let got = fetch_one(&mut f, 1, 2, &mut h);
         assert!(got.len() <= 2);
     }
 
@@ -498,7 +512,7 @@ mod tests {
         let mut h = hier();
         let mut all = Vec::new();
         for cycle in 1..100 {
-            let batch = f.fetch_cycle(cycle, 8, 64, &mut h);
+            let batch = fetch_one(&mut f, cycle, 64, &mut h);
             for fi in &batch {
                 if fi.info.instr.op.is_control() {
                     f.resolve_control(fi, cycle, 3);

@@ -133,6 +133,7 @@ impl Ruu {
     }
 
     /// Number of occupied entries.
+    #[inline]
     pub fn len(&self) -> usize {
         match &self.window {
             Window::Scan(entries) => entries.len(),
@@ -141,16 +142,19 @@ impl Ruu {
     }
 
     /// Whether the RUU is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Whether the RUU is full (dispatch must stall).
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.len() == self.capacity
     }
 
     /// Configured capacity.
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -158,6 +162,7 @@ impl Ruu {
     /// Position of `seq` in a seq-contiguous window starting at
     /// `head_seq` with `len` live entries (free function so the scan
     /// arms can index while the window is mutably borrowed).
+    #[inline]
     fn index_in(head_seq: Seq, len: usize, seq: Seq) -> Option<usize> {
         if len == 0 || seq < head_seq {
             return None;
@@ -166,15 +171,68 @@ impl Ruu {
         (idx < len).then_some(idx)
     }
 
+    #[inline]
     fn index_of(&self, seq: Seq) -> Option<usize> {
         Ruu::index_in(self.head_seq, self.len(), seq)
     }
 
-    /// Looks up an in-flight instruction by sequence number.
+    /// Looks up an in-flight instruction by sequence number. The
+    /// per-cycle probes read single fields through the narrow
+    /// accessors below instead.
     pub fn get(&self, seq: Seq) -> Option<InstView<'_>> {
         match &self.window {
             Window::Scan(entries) => self.index_of(seq).map(|i| entries[i].view()),
             Window::Event(arena) => arena.view(seq),
+        }
+    }
+
+    /// The functional record of in-flight instruction `seq`.
+    #[inline]
+    pub fn info(&self, seq: Seq) -> Option<&StepInfo> {
+        match &self.window {
+            Window::Scan(entries) => self.index_of(seq).map(|i| &entries[i].info),
+            Window::Event(arena) => arena.info(seq),
+        }
+    }
+
+    /// The prediction bookkeeping of in-flight instruction `seq`.
+    #[inline]
+    pub fn pred(&self, seq: Seq) -> Option<PredictionInfo> {
+        match &self.window {
+            Window::Scan(entries) => self.index_of(seq).map(|i| entries[i].pred),
+            Window::Event(arena) => arena.pred(seq),
+        }
+    }
+
+    /// The cycle in-flight instruction `seq` completes (0 until it
+    /// issues).
+    #[inline]
+    pub fn complete_cycle(&self, seq: Seq) -> Option<u64> {
+        match &self.window {
+            Window::Scan(entries) => self.index_of(seq).map(|i| entries[i].complete_cycle),
+            Window::Event(arena) => arena.complete_cycle(seq),
+        }
+    }
+
+    /// Whether `seq` is in flight and has completed.
+    #[inline]
+    pub fn is_completed(&self, seq: Seq) -> bool {
+        match &self.window {
+            Window::Scan(entries) => self.index_of(seq).is_some_and(|i| entries[i].completed),
+            Window::Event(arena) => arena.contains(seq) && arena.is_completed(seq),
+        }
+    }
+
+    /// The sequence number of the oldest in-flight instruction, if it
+    /// has completed (the commit check).
+    #[inline]
+    pub fn completed_head(&self) -> Option<Seq> {
+        match &self.window {
+            Window::Scan(entries) => entries.front().filter(|e| e.completed).map(|e| e.seq),
+            Window::Event(arena) => {
+                let seq = arena.head_seq();
+                (!arena.is_empty() && arena.is_completed(seq)).then_some(seq)
+            }
         }
     }
 
@@ -185,6 +243,7 @@ impl Ruu {
     ///
     /// Panics if the RUU is full or `seq` is not the next sequence
     /// number in program order.
+    #[inline]
     pub fn dispatch(&mut self, seq: Seq, info: StepInfo, pred: PredictionInfo, cycle: u64) {
         assert!(!self.is_full(), "dispatch into a full RUU");
         if self.is_empty() {
@@ -242,6 +301,7 @@ impl Ruu {
     /// # Panics
     ///
     /// Panics if `seq` is not in flight.
+    #[inline]
     pub fn complete(&mut self, seq: Seq) {
         match &mut self.window {
             Window::Scan(entries) => {
@@ -281,6 +341,7 @@ impl Ruu {
     /// # Panics
     ///
     /// Panics if `seq` is not in flight.
+    #[inline]
     pub fn mark_issued(&mut self, seq: Seq, issue_cycle: u64, complete_cycle: u64) {
         match &mut self.window {
             Window::Scan(entries) => {
@@ -308,6 +369,7 @@ impl Ruu {
     /// ascending seq order within a writeback. Event-driven mode only
     /// (empty under [`SchedulerMode::Scan`]). The caller-owned buffer
     /// keeps the per-cycle writeback loop allocation-free.
+    #[inline]
     pub fn take_completions_into(&mut self, now: u64, out: &mut Vec<Seq>) {
         self.completions.take_due_into(now, out);
         self.sched_ops += out.len() as u64;
@@ -315,12 +377,14 @@ impl Ruu {
 
     /// Cycle of the earliest scheduled completion, if any (event-driven
     /// mode only).
+    #[inline]
     pub fn next_completion_cycle(&mut self) -> Option<u64> {
         self.completions.next_cycle()
     }
 
     /// Whether any instruction is ready to issue (event-driven mode
     /// only; always `false` under [`SchedulerMode::Scan`]).
+    #[inline]
     pub fn has_ready(&self) -> bool {
         !self.ready.is_empty()
     }
@@ -329,6 +393,7 @@ impl Ruu {
     /// (event-driven mode only). A copy is required because issuing
     /// mutates the set; the caller-owned buffer keeps the per-cycle
     /// issue loop allocation-free.
+    #[inline]
     pub fn ready_into(&self, out: &mut Vec<Seq>) {
         out.clear();
         self.ready.collect_from(self.head_seq, usize::MAX, out);
@@ -342,29 +407,34 @@ impl Ruu {
         }
     }
 
-    /// Removes the head (for commit or migration to the R-stream Queue).
+    /// Removes the head (for commit or migration to the R-stream Queue)
+    /// and returns its sequence number. A caller reads the fields it
+    /// needs through the accessors first.
     ///
     /// # Panics
     ///
-    /// Panics if the head has not completed — callers must check first.
-    pub fn pop_head(&mut self) -> DynInst {
-        let e = match &mut self.window {
+    /// Panics if the RUU is empty or the head has not completed —
+    /// callers must check first.
+    #[inline]
+    pub fn pop_head(&mut self) -> Seq {
+        let seq = self.head_seq;
+        let dest = self.info(seq).expect("pop from empty RUU").instr.dest();
+        match &mut self.window {
             Window::Scan(entries) => {
                 let e = entries.pop_front().expect("pop from empty RUU");
                 assert!(e.completed, "popping an incomplete head");
-                e
             }
             Window::Event(arena) => arena.pop_head(),
-        };
-        self.head_seq = e.seq + 1;
+        }
+        self.head_seq = seq + 1;
         // Retire the rename-map entry if this instruction is still the
         // architecturally last writer.
-        if let Some(rd) = e.info.instr.dest() {
-            if self.rename[rd.raw() as usize] == Some(e.seq) {
+        if let Some(rd) = dest {
+            if self.rename[rd.raw() as usize] == Some(seq) {
                 self.rename[rd.raw() as usize] = None;
             }
         }
-        e
+        seq
     }
 
     /// Number of contiguous completed instructions starting at
@@ -546,8 +616,7 @@ mod tests {
                 ],
             );
             ruu.complete(0);
-            let e = ruu.pop_head();
-            assert_eq!(e.seq, 0);
+            assert_eq!(ruu.pop_head(), 0);
             assert_eq!(ruu.head().unwrap().seq, 1);
             assert_eq!(ruu.len(), 1);
         });
@@ -763,12 +832,12 @@ mod tests {
                 }
                 3 => {
                     if scan.head().is_some_and(|e| e.completed) {
-                        let a = scan.pop_head();
-                        let b = event.pop_head();
-                        assert_eq!(
-                            (a.seq, a.info, a.complete_cycle),
-                            (b.seq, b.info, b.complete_cycle)
-                        );
+                        let record = |ruu: &Ruu| {
+                            let e = ruu.head().expect("non-empty");
+                            (e.seq, *e.info, e.complete_cycle)
+                        };
+                        assert_eq!(record(&scan), record(&event));
+                        assert_eq!(scan.pop_head(), event.pop_head());
                     }
                 }
                 _ => {
@@ -798,6 +867,19 @@ mod tests {
                 scan.completed_run_len(scan.head_seq, 8),
                 event.completed_run_len(scan.head_seq, 8)
             );
+            // The narrow accessors read what the whole-record view
+            // reads, resident or not, on both layouts.
+            for ruu in [&scan, &event] {
+                let head = ruu.head().filter(|v| v.completed).map(|v| v.seq);
+                assert_eq!(ruu.completed_head(), head);
+                for probe in scan.head_seq.saturating_sub(2)..seq + 2 {
+                    let view = ruu.get(probe);
+                    assert_eq!(ruu.info(probe), view.map(|v| v.info));
+                    assert_eq!(ruu.pred(probe), view.map(|v| v.pred));
+                    assert_eq!(ruu.complete_cycle(probe), view.map(|v| v.complete_cycle));
+                    assert_eq!(ruu.is_completed(probe), view.is_some_and(|v| v.completed));
+                }
+            }
         }
     }
 }

@@ -114,20 +114,14 @@ impl Redundancy for () {
     type Error = SimError;
 
     fn commit_one<O: Observer>(m: &mut Core<'_, ()>, obs: &mut O) -> bool {
-        if !m.ruu.head().is_some_and(|e| e.completed) {
+        let Some(seq) = m.ruu.completed_head() else {
             return false;
-        }
-        let e = m.ruu.pop_head();
-        m.lsq.remove(e.seq);
-        emit(
-            obs,
-            m.cycle,
-            e.seq,
-            e.info.pc,
-            Stage::Commit,
-            Stream::Primary,
-        );
-        m.retire(&e.info)
+        };
+        let info = *m.ruu.info(seq).expect("the head is resident");
+        m.ruu.pop_head();
+        m.lsq.remove(seq);
+        emit(obs, m.cycle, seq, info.pc, Stage::Commit, Stream::Primary);
+        m.retire(&info)
     }
 
     fn finish(m: Core<'_, ()>, stop: SimStop) -> SimResult {

@@ -184,7 +184,7 @@ pub trait Redundancy: Sized {
     /// the clock, `None` adds no wake source. By default the RUU head
     /// can commit as soon as it has completed.
     fn wake(m: &mut Core<'_, Self>) -> Option<u64> {
-        m.ruu.head().is_some_and(|e| e.completed).then_some(m.cycle)
+        m.ruu.completed_head().map(|_| m.cycle)
     }
 
     /// Applies the per-cycle bookkeeping of `skipped` idle cycles the
@@ -596,27 +596,24 @@ impl<'c, R: Redundancy> Core<'c, R> {
         }
         for seq in done.drain(..) {
             self.ruu.complete(seq);
-            // Copy out the Copy fields needed below rather than cloning
-            // the whole entry per completion.
-            let e = self.ruu.get(seq).expect("just completed");
-            let is_mem = e.is_mem();
-            let fetched = (e.is_control() && Self::is_primary(seq)).then(|| Fetched {
-                seq: seq / R::COPIES as Seq,
-                info: *e.info,
-                pred: e.pred,
-            });
+            let info = self.ruu.info(seq).expect("just completed");
             emit(
                 obs,
                 self.cycle,
                 seq,
-                e.info.pc,
+                info.pc,
                 Stage::Writeback,
                 Self::stream_of(seq),
             );
-            if is_mem {
+            if info.mem.is_some() {
                 self.lsq.mark_executed(seq);
             }
-            if let Some(fetched) = fetched {
+            if info.instr.op.is_control() && Self::is_primary(seq) {
+                let fetched = Fetched {
+                    seq: seq / R::COPIES as Seq,
+                    info: *info,
+                    pred: self.ruu.pred(seq).expect("just completed"),
+                };
                 self.fetch
                     .resolve_control(&fetched, self.cycle, self.cfg.mispredict_penalty);
             }
@@ -640,15 +637,15 @@ impl<'c, R: Redundancy> Core<'c, R> {
             if *budget == 0 {
                 break;
             }
-            let e = self.ruu.get(seq).expect("ready seq in window");
-            let op = e.info.instr.op;
+            let info = self.ruu.info(seq).expect("ready seq in window");
+            let op = info.instr.op;
             // O(1) per-class gate (event mode): `class_free` is exactly
             // `try_issue`'s success condition, so a blocked entry skips
             // on one compare instead of a per-unit probe. Stores need an
             // agen ALU and a port together; loads are never gated — a
             // forwarded load issues without any functional unit.
             if event_driven {
-                let blocked = match e.info.mem {
+                let blocked = match info.mem {
                     None => !self.fu.class_free(op.fu_class(), self.cycle),
                     Some(mem) if mem.is_store => {
                         !(self.fu.class_free(FuClass::IntAlu, self.cycle)
@@ -660,7 +657,7 @@ impl<'c, R: Redundancy> Core<'c, R> {
                     continue;
                 }
             }
-            let latency: u64 = if let Some(mem) = e.info.mem {
+            let latency: u64 = if let Some(mem) = info.mem {
                 if mem.is_store {
                     if !self.fu.try_issue_mem(op, self.cycle) {
                         continue; // no agen ALU + memory port this cycle
@@ -693,7 +690,7 @@ impl<'c, R: Redundancy> Core<'c, R> {
                 obs,
                 self.cycle,
                 seq,
-                e.info.pc,
+                info.pc,
                 Stage::Issue,
                 Self::stream_of(seq),
             );
@@ -725,11 +722,10 @@ impl<'c, R: Redundancy> Core<'c, R> {
                 self.stats.dispatch_stall_lsq_full += 1;
                 break;
             }
-            let f = self.fetchq.pop_front().expect("checked front");
             for k in 0..copies as Seq {
-                let seq = f.seq * copies as Seq + k;
+                let seq = front.seq * copies as Seq + k;
                 let pred = if Self::is_primary(seq) {
-                    f.pred
+                    front.pred
                 } else {
                     PredictionInfo::default()
                 };
@@ -737,30 +733,36 @@ impl<'c, R: Redundancy> Core<'c, R> {
                     obs,
                     self.cycle,
                     seq,
-                    f.info.pc,
+                    front.info.pc,
                     Stage::Dispatch,
                     Self::stream_of(seq),
                 );
-                self.ruu.dispatch(seq, f.info, pred, self.cycle);
-                if let Some(mem) = f.info.mem {
+                self.ruu.dispatch(seq, front.info, pred, self.cycle);
+                if let Some(mem) = front.info.mem {
                     self.lsq
                         .insert(seq, mem.addr, mem.width.bytes(), mem.is_store);
                 }
             }
+            self.fetchq.pop_front();
         }
     }
 
     /// Fetches new instructions into the fetch queue.
     fn do_fetch<O: Observer>(&mut self, obs: &mut O) {
-        let space = self.cfg.fetch_queue_size - self.fetchq.len();
+        let queued = self.fetchq.len();
+        let space = self.cfg.fetch_queue_size - queued;
         if space == 0 {
             return;
         }
-        let batch = self
-            .fetch
-            .fetch_cycle(self.cycle, self.cfg.width, space, &mut self.hierarchy);
+        self.fetch.fetch_cycle(
+            self.cycle,
+            self.cfg.width,
+            space,
+            &mut self.hierarchy,
+            &mut self.fetchq,
+        );
         if O::ENABLED {
-            for f in &batch {
+            for f in self.fetchq.range(queued..) {
                 emit(
                     obs,
                     self.cycle,
@@ -771,7 +773,6 @@ impl<'c, R: Redundancy> Core<'c, R> {
                 );
             }
         }
-        self.fetchq.extend(batch);
     }
 
     /// Final bookkeeping into the stats structure.
