@@ -216,42 +216,23 @@ impl Redundancy for Twin {
         // copy's latched result, so the pair mismatches here.
         let pair_seq = r_seq / 2;
         let p_seq = r_seq + 1;
+        // Both copies execute the one record in the front end's window.
+        let pc = m.fetch.record(pair_seq).pc;
         if m.pol.faults.get(pair_seq).is_some_and(|l| !l.is_empty()) {
-            let pc = m.ruu.info(p_seq).expect("completed").pc;
             let r_done = m.ruu.complete_cycle(r_seq).expect("completed");
             let p_done = m.ruu.complete_cycle(p_seq).expect("completed");
             Self::detect_and_flush(m, pair_seq, pc, r_done, p_done, obs);
             return false;
         }
-        let info = *m.ruu.info(p_seq).expect("completed");
-        debug_assert_eq!(
-            m.ruu.info(r_seq).map(|r| r.result),
-            Some(info.result),
-            "fault-free run"
-        );
         m.ruu.pop_head();
         m.ruu.pop_head();
-        emit(
-            obs,
-            m.cycle,
-            r_seq,
-            info.pc,
-            Stage::Compare,
-            TStream::Redundant,
-        );
-        emit(
-            obs,
-            m.cycle,
-            p_seq,
-            info.pc,
-            Stage::Commit,
-            TStream::Primary,
-        );
+        emit(obs, m.cycle, r_seq, pc, Stage::Compare, TStream::Redundant);
+        emit(obs, m.cycle, p_seq, pc, Stage::Commit, TStream::Primary);
         m.lsq.remove(r_seq);
         m.lsq.remove(p_seq);
         m.pol.stats.comparisons += 1;
         m.pol.check.matched(pair_seq);
-        m.retire(&info)
+        m.retire()
     }
 
     fn fatal(&self) -> Option<ReeseError> {

@@ -1,6 +1,5 @@
 //! The R-stream Queue: the heart of REESE.
 
-use reese_cpu::StepInfo;
 use reese_pipeline::{EventWheel, ReadyRing, SchedulerMode, Seq};
 use std::collections::VecDeque;
 
@@ -11,12 +10,18 @@ use std::collections::VecDeque;
 /// has no data or control dependences: operands come from the entry, the
 /// branch direction is already known, and the result comparison needs no
 /// register-file read.
+///
+/// The simulator splits that entry in two. The values the comparison
+/// checks, the primary and redundant results, are latched here, where
+/// fault injection can corrupt them. The rest of the record (operands,
+/// opcode, effective address, pc) is the front end's replay-window
+/// record of the same instruction ([`reese_pipeline::FetchUnit::record`]),
+/// which stays there until the instruction retires, so the R stream
+/// reads it by `seq` instead of carrying a copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RQueueEntry {
     /// Dynamic sequence number of the instruction.
     pub seq: Seq,
-    /// Full functional record from the primary execution.
-    pub info: StepInfo,
     /// The latched primary-stream result that will be compared
     /// (fault injection may corrupt this copy).
     pub p_value: u64,
@@ -39,13 +44,13 @@ pub struct RQueueEntry {
 }
 
 impl RQueueEntry {
-    /// Creates an entry from a completed primary-stream instruction.
-    pub fn new(seq: Seq, info: StepInfo, cycle: u64, skip_r: bool) -> RQueueEntry {
+    /// Creates an entry from a completed primary-stream instruction
+    /// whose record holds `result`: both latches start at it.
+    pub fn new(seq: Seq, result: u64, cycle: u64, skip_r: bool) -> RQueueEntry {
         RQueueEntry {
             seq,
-            info,
-            p_value: info.result,
-            r_value: info.result,
+            p_value: result,
+            r_value: result,
             r_issued: false,
             r_completed: false,
             r_complete_cycle: 0,
@@ -318,16 +323,6 @@ impl RQueue {
         self.entries.pop_front()
     }
 
-    /// Shared access to an entry by sequence number (see
-    /// [`RQueue::get_mut`] for why the lookup is O(1)).
-    pub fn get(&self, seq: Seq) -> Option<&RQueueEntry> {
-        let front = self.entries.front()?.seq;
-        let idx = usize::try_from(seq.checked_sub(front)?).ok()?;
-        let entry = self.entries.get(idx)?;
-        debug_assert_eq!(entry.seq, seq, "R-stream Queue seqs must be contiguous");
-        (entry.seq == seq).then_some(entry)
-    }
-
     /// Mutable access to an entry by sequence number.
     ///
     /// O(1): migration fills the queue with consecutive sequence
@@ -370,9 +365,7 @@ impl RQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reese_cpu::{step, ArchState};
-    use reese_isa::{abi::*, Instr, Opcode};
-    use reese_mem::Memory;
+    use reese_cpu::StepInfo;
 
     /// The pending front window, through the issue loop's buffer.
     fn front(q: &mut RQueue, limit: usize) -> Vec<Seq> {
@@ -390,10 +383,17 @@ mod tests {
     }
 
     fn entry(seq: Seq) -> RQueueEntry {
-        let mut s = ArchState::new(0x1000);
-        let mut m = Memory::new();
-        let info = step(&mut s, &Instr::rri(Opcode::Li, T0, ZERO, 7), &mut m);
-        RQueueEntry::new(seq, info, 0, false)
+        RQueueEntry::new(seq, 7, 0, false)
+    }
+
+    #[test]
+    fn an_entry_latches_values_and_holds_no_record() {
+        let e = RQueueEntry::new(3, 0xbeef, 9, false);
+        assert_eq!((e.p_value, e.r_value), (0xbeef, 0xbeef));
+        assert_eq!((e.p_complete_cycle, e.enqueue_cycle), (9, 9));
+        // The record lives once, in the front end's window; an entry
+        // that embedded it again would be larger than the record.
+        assert!(std::mem::size_of::<RQueueEntry>() < std::mem::size_of::<StepInfo>());
     }
 
     #[test]
@@ -448,10 +448,7 @@ mod tests {
 
     #[test]
     fn skipped_entries_commit_without_comparison() {
-        let mut s = ArchState::new(0x1000);
-        let mut m = Memory::new();
-        let info = step(&mut s, &Instr::rri(Opcode::Li, T0, ZERO, 7), &mut m);
-        let mut e = RQueueEntry::new(0, info, 0, true);
+        let mut e = RQueueEntry::new(0, 7, 0, true);
         assert!(e.commit_ready());
         e.p_value ^= 1; // even a corrupted latch goes unnoticed
         assert!(
@@ -502,11 +499,8 @@ mod tests {
 
     #[test]
     fn skipped_entries_never_pend() {
-        let mut s = ArchState::new(0x1000);
-        let mut m = Memory::new();
-        let info = step(&mut s, &Instr::rri(Opcode::Li, T0, ZERO, 7), &mut m);
         let mut q = RQueue::new(4);
-        q.push(RQueueEntry::new(0, info, 0, true));
+        q.push(RQueueEntry::new(0, 7, 0, true));
         assert!(!q.has_pending_r());
         assert_eq!(front(&mut q, 4), Vec::<Seq>::new());
     }
@@ -581,10 +575,7 @@ mod tests {
             match next() % 8 {
                 0..=2 => {
                     if !q.is_full() {
-                        let mut s = ArchState::new(0x1000);
-                        let mut m = Memory::new();
-                        let info = step(&mut s, &Instr::rri(Opcode::Li, T0, ZERO, 7), &mut m);
-                        q.push(RQueueEntry::new(next_seq, info, 0, next() % 4 == 0));
+                        q.push(RQueueEntry::new(next_seq, 7, 0, next() % 4 == 0));
                         next_seq += 1;
                     }
                 }

@@ -7,7 +7,7 @@ use crate::{
     ReeseConfig, ReeseError, ReeseResult, ReeseStats, Stream,
 };
 use reese_isa::{FuClass, Program};
-use reese_pipeline::{emit, Core, Redundancy, RunSpec, SchedulerMode, Seq, SimStop};
+use reese_pipeline::{emit, Core, FetchUnit, Redundancy, RunSpec, SchedulerMode, Seq, SimStop};
 use reese_trace::{CycleState, NoopObserver, Observer, Stage, Stream as TStream};
 
 /// The REESE machine: the baseline pipeline plus the R-stream Queue.
@@ -214,8 +214,9 @@ impl Latches {
     /// Corrupts `stream`'s latched result in `entry` with every fault
     /// that targets it: pending latch faults first, then the duration
     /// disturbance if that execution completed inside its window on the
-    /// affected functional-unit class.
-    fn corrupt(&mut self, cycle: u64, entry: &mut RQueueEntry, stream: Stream) {
+    /// affected functional-unit class (read from the entry's record in
+    /// `fetch`'s window).
+    fn corrupt(&mut self, cycle: u64, entry: &mut RQueueEntry, stream: Stream, fetch: &FetchUnit) {
         // Outside injection campaigns the table is empty: skip the
         // per-instruction probe entirely.
         if !self.faults.is_empty() {
@@ -241,7 +242,7 @@ impl Latches {
             }
         }
         let Some(fault) = self.duration else { return };
-        if entry.info.instr.op.fu_class() != fault.class {
+        if fetch.record(entry.seq).instr.op.fu_class() != fault.class {
             return;
         }
         match stream {
@@ -315,38 +316,25 @@ impl<'c> RStream<'c> {
     /// A comparison failed at the queue head: record the detection and
     /// flush the machine back to the faulting instruction.
     fn detect_and_flush<O: Observer>(m: &mut Core<'_, Self>, obs: &mut O) {
-        let head = *m.pol.rqueue.head().expect("mismatch needs a head");
+        let seq = m.pol.rqueue.head().expect("mismatch needs a head").seq;
+        let pc = m.fetch.record(seq).pc;
         // The mismatching comparison, then the squash it triggers.
-        emit(
-            obs,
-            m.cycle,
-            head.seq,
-            head.info.pc,
-            Stage::Compare,
-            TStream::Redundant,
-        );
-        emit(
-            obs,
-            m.cycle,
-            head.seq,
-            head.info.pc,
-            Stage::Flush,
-            TStream::Primary,
-        );
+        emit(obs, m.cycle, seq, pc, Stage::Compare, TStream::Redundant);
+        emit(obs, m.cycle, seq, pc, Stage::Flush, TStream::Primary);
         let pol = &mut m.pol;
-        let inject_cycle = pol.latches.inject_cycles.get(head.seq).copied();
+        let inject_cycle = pol.latches.inject_cycles.get(seq).copied();
         let retry = pol.check.mismatch(
             &mut pol.stats,
-            head.seq,
-            head.info.pc,
+            seq,
+            pc,
             m.cycle,
             inject_cycle.unwrap_or(m.cycle),
         );
         if retry {
-            pol.next_migrate_seq = head.seq;
+            pol.next_migrate_seq = seq;
             pol.rqueue.flush_all();
             let penalty = pol.cfg.flush_penalty;
-            m.flush_to(head.seq, penalty);
+            m.flush_to(seq, penalty);
         }
     }
 
@@ -357,8 +345,9 @@ impl<'c> RStream<'c> {
     ///
     /// With `early_removal` the RUU entry is popped as it migrates,
     /// freeing window space; otherwise the RUU entry is held until the
-    /// comparison commits (the conservative implementation), and only a
-    /// copy enters the queue.
+    /// comparison commits (the conservative implementation). Either way
+    /// the queue entry latches the record's result, and the record
+    /// itself stays in the front end's window until commit.
     fn migrate<O: Observer>(m: &mut Core<'_, Self>, obs: &mut O) {
         // Size the whole batch up front: one contiguous walk over the
         // completed run at the migration point.
@@ -370,19 +359,21 @@ impl<'c> RStream<'c> {
         let take = run.min(space);
         for _ in 0..take {
             let seq = m.pol.next_migrate_seq;
-            let info = *m.ruu.info(seq).expect("sized batch is resident");
-            let p_done = m.ruu.complete_cycle(seq).expect("resident");
+            let info = m.fetch.record(seq);
+            let (pc, halted, result) = (info.pc, info.halted, info.result);
+            let p_done = m.ruu.complete_cycle(seq).expect("sized batch is resident");
             if m.pol.cfg.early_removal {
                 debug_assert_eq!(m.ruu.head().map(|h| h.seq), Some(seq));
                 m.ruu.pop_head();
                 m.lsq.remove(seq);
             }
-            emit(obs, m.cycle, seq, info.pc, Stage::Migrate, TStream::Primary);
+            emit(obs, m.cycle, seq, pc, Stage::Migrate, TStream::Primary);
             let pol = &mut m.pol;
             pol.next_migrate_seq = seq + 1;
-            let skip_r = !seq.is_multiple_of(pol.cfg.duplication_period) && !info.halted;
-            let mut entry = RQueueEntry::new(seq, info, m.cycle, skip_r).with_p_complete(p_done);
-            pol.latches.corrupt(m.cycle, &mut entry, Stream::Primary);
+            let skip_r = !seq.is_multiple_of(pol.cfg.duplication_period) && !halted;
+            let mut entry = RQueueEntry::new(seq, result, m.cycle, skip_r).with_p_complete(p_done);
+            pol.latches
+                .corrupt(m.cycle, &mut entry, Stream::Primary, &m.fetch);
             pol.rqueue.push(entry);
         }
         if take < run {
@@ -394,16 +385,17 @@ impl<'c> RStream<'c> {
 
     /// Issue redundant executions from the front of the R-stream Queue.
     ///
-    /// R instructions carry their operands and results, so they are
-    /// always data-ready; the only constraints are functional units and
-    /// the FIFO lookahead. R loads are guaranteed L1 hits — the primary
-    /// access warmed the cache (§4.4) — so they charge the hit latency
-    /// and a memory port but never walk the hierarchy.
+    /// R instructions carry their operands and results (the record in
+    /// the front end's window), so they are always data-ready; the only
+    /// constraints are functional units and the FIFO lookahead. R loads
+    /// are guaranteed L1 hits — the primary access warmed the cache
+    /// (§4.4) — so they charge the hit latency and a memory port but
+    /// never walk the hierarchy.
     fn issue_redundant<O: Observer>(m: &mut Core<'_, Self>, budget: &mut usize, obs: &mut O) {
         let cycle = m.cycle;
         let l1d_hit = u64::from(m.hierarchy.l1d_hit_latency());
         let lookahead = m.pol.cfg.r_issue_lookahead;
-        let (fu, pol) = (&mut m.fu, &mut m.pol);
+        let (fu, pol, fetch) = (&mut m.fu, &mut m.pol, &m.fetch);
         let mut issued_now = 0u64;
         let mut tried = 0u64;
         match m.cfg.scheduler {
@@ -418,12 +410,13 @@ impl<'c> RStream<'c> {
                     }
                     considered += 1;
                     tried += 1;
-                    let op = entry.info.instr.op;
+                    let info = fetch.record(entry.seq);
+                    let op = info.instr.op;
                     // R memory verifications recompute the effective
                     // address on an integer ALU and re-access the cache
                     // (a guaranteed L1 hit, §4.4) through a port, just
                     // like the primary access.
-                    let is_mem = entry.info.mem.is_some();
+                    let is_mem = info.mem.is_some();
                     let issued = if is_mem {
                         fu.try_issue_mem(op, cycle)
                     } else {
@@ -446,7 +439,7 @@ impl<'c> RStream<'c> {
                         obs,
                         cycle,
                         entry.seq,
-                        entry.info.pc,
+                        info.pc,
                         Stage::Issue,
                         TStream::Redundant,
                     );
@@ -469,10 +462,8 @@ impl<'c> RStream<'c> {
                         break;
                     }
                     tried += 1;
-                    let entry = pol.rqueue.get(seq).expect("pending seq in queue");
-                    let op = entry.info.instr.op;
-                    let is_mem = entry.info.mem.is_some();
-                    let pc = entry.info.pc;
+                    let info = fetch.record(seq);
+                    let (op, is_mem, pc) = (info.instr.op, info.mem.is_some(), info.pc);
                     // O(1) per-class gate: `class_free` is exactly the
                     // success condition of `try_issue`, so a busy class
                     // skips the entry without probing per-unit state.
@@ -535,6 +526,7 @@ impl Redundancy for RStream<'_> {
             let p = m.ruu.pop_head();
             m.lsq.remove(p);
         }
+        let pc = m.fetch.record(e.seq).pc;
         let stats = &mut m.pol.stats;
         if e.skip_r {
             stats.r_skipped += 1;
@@ -543,25 +535,11 @@ impl Redundancy for RStream<'_> {
             stats
                 .pr_separation
                 .record(e.r_complete_cycle.saturating_sub(e.p_complete_cycle));
-            emit(
-                obs,
-                m.cycle,
-                e.seq,
-                e.info.pc,
-                Stage::Compare,
-                TStream::Redundant,
-            );
+            emit(obs, m.cycle, e.seq, pc, Stage::Compare, TStream::Redundant);
         }
-        emit(
-            obs,
-            m.cycle,
-            e.seq,
-            e.info.pc,
-            Stage::Commit,
-            TStream::Primary,
-        );
+        emit(obs, m.cycle, e.seq, pc, Stage::Commit, TStream::Primary);
         m.pol.check.matched(e.seq);
-        m.retire(&e.info)
+        m.retire()
     }
 
     fn fatal(&self) -> Option<ReeseError> {
@@ -582,6 +560,7 @@ impl Redundancy for RStream<'_> {
     fn r_writeback<O: Observer>(m: &mut Core<'_, Self>, obs: &mut O) {
         let cycle = m.cycle;
         let event_driven = m.cfg.scheduler == SchedulerMode::EventDriven;
+        let fetch = &m.fetch;
         let RStream {
             rqueue,
             latches,
@@ -590,12 +569,12 @@ impl Redundancy for RStream<'_> {
         } = &mut m.pol;
         let mut finish = |entry: &mut RQueueEntry| {
             entry.r_completed = true;
-            latches.corrupt(cycle, entry, Stream::Redundant);
+            latches.corrupt(cycle, entry, Stream::Redundant, fetch);
             emit(
                 obs,
                 cycle,
                 entry.seq,
-                entry.info.pc,
+                fetch.record(entry.seq).pc,
                 Stage::Writeback,
                 TStream::Redundant,
             );
@@ -658,16 +637,16 @@ impl Redundancy for RStream<'_> {
         pol.rqueue
             .pending_r_front_into(pol.cfg.r_issue_lookahead, &mut pending);
         pol.window_len = pending.len() as u64;
-        let fu = &m.fu;
+        let (fu, fetch) = (&m.fu, &m.fetch);
         let fu_wake = pending
             .iter()
             .map(|&seq| {
-                let entry = pol.rqueue.get(seq).expect("pending seq in queue");
-                if entry.info.mem.is_some() {
+                let info = fetch.record(seq);
+                if info.mem.is_some() {
                     fu.earliest_free(FuClass::IntAlu)
                         .max(fu.earliest_free(FuClass::MemPort))
                 } else {
-                    fu.earliest_free(entry.info.instr.op.fu_class())
+                    fu.earliest_free(info.instr.op.fu_class())
                 }
             })
             .min()

@@ -3,7 +3,9 @@
 use crate::{step_for, ArchState, StepInfo};
 use reese_isa::{Instr, IsaId, Program, STACK_TOP};
 use reese_mem::Memory;
+use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error conditions during emulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,6 +67,10 @@ impl RunResult {
 /// timing simulators use it as their oracle: every run must produce the
 /// same architectural results here and there.
 ///
+/// The program is shared, not owned: a clone (a forked trial, a
+/// screened fault key) copies the architectural state and memory but
+/// points at the same text, data and symbol table.
+///
 /// # Example
 ///
 /// ```
@@ -81,7 +87,7 @@ impl RunResult {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Emulator {
-    program: Program,
+    program: Arc<Program>,
     state: ArchState,
     memory: Memory,
     output: Vec<i64>,
@@ -104,7 +110,7 @@ impl Emulator {
         let mut state = ArchState::new(program.entry());
         state.write(reese_isa::Reg::SP, STACK_TOP);
         Emulator {
-            program: program.clone(),
+            program: Arc::new(program.clone()),
             state,
             memory,
             output: Vec::new(),
@@ -128,7 +134,7 @@ impl Emulator {
         halted: Option<u64>,
     ) -> Emulator {
         Emulator {
-            program: program.clone(),
+            program: Arc::new(program.clone()),
             state,
             memory,
             output,
@@ -161,6 +167,26 @@ impl Emulator {
     /// instruction. Stepping an already-halted machine re-executes the
     /// `halt` (a benign no-op).
     pub fn step(&mut self) -> Result<StepInfo, EmuError> {
+        self.execute()
+    }
+
+    /// Executes one instruction and appends its record to `window`: the
+    /// timing core's front end keeps every record it has not retired
+    /// there, so the record is written once, where every later stage
+    /// reads it. [`Emulator::exit_code`] tells whether it halted.
+    ///
+    /// # Errors
+    ///
+    /// As [`Emulator::step`]; `window` is left unchanged.
+    #[inline]
+    pub fn step_into(&mut self, window: &mut VecDeque<StepInfo>) -> Result<(), EmuError> {
+        window.push_back(self.execute()?);
+        Ok(())
+    }
+
+    /// The one body of [`Emulator::step`] and [`Emulator::step_into`].
+    #[inline(always)]
+    fn execute(&mut self) -> Result<StepInfo, EmuError> {
         let pc = self.state.pc;
         let instr: Instr = *self.program.fetch(pc).ok_or(EmuError::PcOutOfText { pc })?;
         let seq = self.instructions;

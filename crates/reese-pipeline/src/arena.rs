@@ -3,14 +3,16 @@
 //! The event-driven scheduler's remaining per-cycle cost is memory
 //! layout: a `VecDeque<DynInst>` interleaves the four fields the
 //! scheduler actually touches every cycle (`pending_deps`, `issued`,
-//! `completed`, `complete_cycle`) with ~120 bytes of functional record
-//! it touches once, and every dispatch heap-allocates a `Vec<Seq>`
-//! consumer list. [`InstArena`] splits that record into parallel
-//! arrays indexed directly by `seq & mask` — the same seq→slot mapping
-//! the [`crate::ReadyRing`] bitmap already uses — so the hot loops
+//! `completed`, `complete_cycle`) with the cold fields it touches once,
+//! and every dispatch heap-allocates a `Vec<Seq>` consumer list.
+//! [`InstArena`] splits that record into parallel arrays indexed
+//! directly by `seq & mask` — the same seq→slot mapping the
+//! [`crate::ReadyRing`] bitmap already uses — so the hot loops
 //! (head-completed probes, completed-run walks, wake-up) touch dense
 //! homogeneous arrays, and consumer edges live in a pooled chunked
-//! adjacency list that allocates nothing per dispatch once warm.
+//! adjacency list that allocates nothing per dispatch once warm. The
+//! functional record is not here at all: it stays in the front end's
+//! replay window ([`crate::FetchUnit::record`]).
 //!
 //! # Seq → slot mapping
 //!
@@ -26,8 +28,8 @@
 //! rescan keeps measuring the unoptimised implementation, exactly as
 //! it does for the ready set and the completion wheel.
 
-use crate::{DynInst, PredictionInfo, Seq};
-use reese_cpu::StepInfo;
+use crate::{DynInst, Seq};
+use reese_isa::Reg;
 
 /// Sentinel for "no chunk" in the consumer pool's u32 index space.
 const NONE: u32 = u32::MAX;
@@ -138,21 +140,18 @@ impl ConsumerPool {
     }
 }
 
-/// A read-only view of one in-flight instruction, assembled from the
-/// arena's parallel arrays (or borrowed from a [`DynInst`] in scan
-/// mode). Field names mirror [`DynInst`] so call sites read
-/// identically against either layout; only `info` is behind a
-/// reference, because [`StepInfo`] is the one field too large to copy.
-/// Gathering a view reads every array, so the per-cycle probes use
-/// [`crate::Ruu`]'s one-field accessors instead.
-#[derive(Debug, Clone, Copy)]
-pub struct InstView<'a> {
+/// A read-only view of one in-flight instruction's scheduling state,
+/// assembled from the arena's parallel arrays (or copied from a
+/// [`DynInst`] in scan mode). Field names mirror [`DynInst`] so call
+/// sites read identically against either layout. Gathering a view
+/// reads every array, so the per-cycle probes use [`crate::Ruu`]'s
+/// one-field accessors instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InstView {
     /// Fetch sequence number (program order).
     pub seq: Seq,
-    /// The functional record of the instruction.
-    pub info: &'a StepInfo,
-    /// Prediction bookkeeping from the front end.
-    pub pred: PredictionInfo,
+    /// The architectural register the instruction writes, if any.
+    pub dest: Option<Reg>,
     /// Unresolved register/LSQ producers this instruction waits on.
     pub pending_deps: u32,
     /// Whether the instruction has been issued to a functional unit.
@@ -167,7 +166,7 @@ pub struct InstView<'a> {
     pub complete_cycle: u64,
 }
 
-impl<'a> InstView<'a> {
+impl InstView {
     /// Whether all operands are available and the instruction can be
     /// considered by the scheduler.
     pub fn ready(&self) -> bool {
@@ -177,11 +176,10 @@ impl<'a> InstView<'a> {
 
 impl DynInst {
     /// A view of this record with the same shape the arena produces.
-    pub fn view(&self) -> InstView<'_> {
+    pub fn view(&self) -> InstView {
         InstView {
             seq: self.seq,
-            info: &self.info,
-            pred: self.pred,
+            dest: self.dest,
             pending_deps: self.pending_deps,
             issued: self.issued,
             completed: self.completed,
@@ -200,10 +198,10 @@ const F_COMPLETED: u8 = 1 << 1;
 /// Structure-of-arrays store for the in-flight instruction window.
 ///
 /// Hot scheduler fields (`pending_deps`, status flags,
-/// `complete_cycle`, consumer-list roots) and cold functional fields
-/// (`StepInfo`, `PredictionInfo`, dispatch/issue cycles) live in
-/// sibling parallel arrays indexed by `seq & mask`; see the module
-/// docs for the mapping argument.
+/// `complete_cycle`, consumer-list roots) and cold fields (destination
+/// register, dispatch/issue cycles) live in sibling parallel arrays
+/// indexed by `seq & mask`; see the module docs for the mapping
+/// argument.
 #[derive(Debug, Clone)]
 pub struct InstArena {
     mask: u64,
@@ -215,11 +213,8 @@ pub struct InstArena {
     complete_cycle: Vec<u64>,
     consumer_head: Vec<u32>,
     consumer_tail: Vec<u32>,
-    // Cold arrays: written at dispatch, read at writeback/commit.
-    // `info` is filled lazily (StepInfo has no Default): empty until
-    // the first dispatch, whose record seeds every slot.
-    info: Vec<StepInfo>,
-    pred: Vec<PredictionInfo>,
+    // Cold arrays: written at dispatch, read at retire and by views.
+    dest: Vec<Option<Reg>>,
     dispatch_cycle: Vec<u64>,
     issue_cycle: Vec<u64>,
     pool: ConsumerPool,
@@ -244,8 +239,7 @@ impl InstArena {
             complete_cycle: vec![0; slots],
             consumer_head: vec![NONE; slots],
             consumer_tail: vec![NONE; slots],
-            info: Vec::new(),
-            pred: vec![PredictionInfo::default(); slots],
+            dest: vec![None; slots],
             dispatch_cycle: vec![0; slots],
             issue_cycle: vec![0; slots],
             pool: ConsumerPool::new(),
@@ -291,7 +285,7 @@ impl InstArena {
     /// Panics if `seq` is not the next sequence number in program order
     /// (the caller checks fullness against its configured capacity).
     #[inline]
-    pub fn dispatch(&mut self, seq: Seq, info: StepInfo, pred: PredictionInfo, cycle: u64) {
+    pub fn dispatch(&mut self, seq: Seq, dest: Option<Reg>, cycle: u64) {
         if self.len == 0 {
             self.head_seq = seq;
         } else {
@@ -301,18 +295,12 @@ impl InstArena {
                 "dispatch must follow program order"
             );
         }
-        if self.info.is_empty() {
-            // First dispatch ever: seed the cold array. Non-live slots
-            // are never read, so the filler value is immaterial.
-            self.info = vec![info; self.mask as usize + 1];
-        }
         let s = self.slot(seq);
         self.pending_deps[s] = 0;
         self.flags[s] = 0;
         self.complete_cycle[s] = 0;
         debug_assert_eq!(self.consumer_head[s], NONE, "slot leaked consumer chunks");
-        self.info[s] = info;
-        self.pred[s] = pred;
+        self.dest[s] = dest;
         self.dispatch_cycle[s] = cycle;
         self.issue_cycle[s] = 0;
         self.len += 1;
@@ -360,16 +348,10 @@ impl InstArena {
         self.flags[self.slot(seq)] & F_COMPLETED != 0
     }
 
-    /// The functional record of `seq`, if resident.
+    /// The destination register of `seq`, if resident.
     #[inline]
-    pub fn info(&self, seq: Seq) -> Option<&StepInfo> {
-        self.contains(seq).then(|| &self.info[self.slot(seq)])
-    }
-
-    /// The prediction bookkeeping of `seq`, if resident.
-    #[inline]
-    pub fn pred(&self, seq: Seq) -> Option<PredictionInfo> {
-        self.contains(seq).then(|| self.pred[self.slot(seq)])
+    pub fn dest(&self, seq: Seq) -> Option<Option<Reg>> {
+        self.contains(seq).then(|| self.dest[self.slot(seq)])
     }
 
     /// The cycle `seq` completes (0 until it issues), if resident.
@@ -405,15 +387,14 @@ impl InstArena {
     }
 
     /// A view of the in-flight instruction `seq`, if resident.
-    pub fn view(&self, seq: Seq) -> Option<InstView<'_>> {
+    pub fn view(&self, seq: Seq) -> Option<InstView> {
         if !self.contains(seq) {
             return None;
         }
         let s = self.slot(seq);
         Some(InstView {
             seq,
-            info: &self.info[s],
-            pred: self.pred[s],
+            dest: self.dest[s],
             pending_deps: self.pending_deps[s],
             issued: self.flags[s] & F_ISSUED != 0,
             completed: self.flags[s] & F_COMPLETED != 0,
@@ -424,7 +405,7 @@ impl InstArena {
     }
 
     /// The oldest in-flight instruction.
-    pub fn head(&self) -> Option<InstView<'_>> {
+    pub fn head(&self) -> Option<InstView> {
         if self.len == 0 {
             None
         } else {
@@ -452,8 +433,7 @@ impl InstArena {
 
     /// Number of contiguous completed instructions starting at
     /// `start_seq`, capped at `max`. A forward walk over the dense flag
-    /// array — one byte per probe instead of a ~180-byte `DynInst`
-    /// stride.
+    /// array — one byte per probe instead of a `DynInst` stride.
     pub fn completed_run_len(&self, start_seq: Seq, max: usize) -> usize {
         if !self.contains(start_seq) {
             return 0;
@@ -470,7 +450,7 @@ impl InstArena {
     }
 
     /// Iterates over the live window, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = InstView<'_>> {
+    pub fn iter(&self) -> impl Iterator<Item = InstView> + '_ {
         (self.head_seq..self.head_seq + self.len as u64).map(|seq| {
             self.view(seq)
                 .expect("window seqs are resident by construction")
@@ -503,19 +483,7 @@ impl InstArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reese_cpu::{step, ArchState};
-    use reese_isa::{abi::*, Instr, Opcode};
-    use reese_mem::Memory;
-
-    fn info_for(instr: Instr) -> StepInfo {
-        let mut s = ArchState::new(0x1000);
-        let mut m = Memory::new();
-        step(&mut s, &instr, &mut m)
-    }
-
-    fn li(rd: reese_isa::Reg, imm: i64) -> StepInfo {
-        info_for(Instr::rri(Opcode::Li, rd, ZERO, imm))
-    }
+    use reese_isa::abi::*;
 
     #[test]
     fn slot_mapping_is_injective_over_a_full_window() {
@@ -525,7 +493,7 @@ mod tests {
         for base in [0u64, 5, 1021] {
             a.clear();
             for seq in base..base + 3 {
-                a.dispatch(seq, li(T0, 1), PredictionInfo::default(), 0);
+                a.dispatch(seq, Some(T0), 0);
             }
             for seq in base..base + 3 {
                 assert_eq!(a.view(seq).unwrap().seq, seq);
@@ -540,11 +508,11 @@ mod tests {
     #[test]
     fn consumer_pool_chains_and_recycles_chunks() {
         let mut a = InstArena::new(32);
-        a.dispatch(0, li(T0, 1), PredictionInfo::default(), 0);
+        a.dispatch(0, Some(T0), 0);
         // Fan-out past one chunk: 2×CHUNK_CAP + 1 consumers.
         let consumers: Vec<Seq> = (1..=2 * CHUNK_CAP as u64 + 1).collect();
         for &c in &consumers {
-            a.dispatch(c, li(T1, 2), PredictionInfo::default(), 0);
+            a.dispatch(c, Some(T1), 0);
             a.add_consumer(0, c);
             a.inc_pending(c);
         }
@@ -556,12 +524,7 @@ mod tests {
         assert!(a.consumers_of(0).is_empty());
         // Recycled: building a same-shaped list allocates no new chunk.
         a.pop_head();
-        a.dispatch(
-            2 * CHUNK_CAP as u64 + 2,
-            li(T0, 1),
-            PredictionInfo::default(),
-            0,
-        );
+        a.dispatch(2 * CHUNK_CAP as u64 + 2, Some(T0), 0);
         for c in &consumers {
             a.add_consumer(2 * CHUNK_CAP as u64 + 2, c + 100);
         }
@@ -571,14 +534,14 @@ mod tests {
     #[test]
     fn clear_resets_list_roots() {
         let mut a = InstArena::new(8);
-        a.dispatch(0, li(T0, 1), PredictionInfo::default(), 0);
-        a.dispatch(1, li(T1, 2), PredictionInfo::default(), 0);
+        a.dispatch(0, Some(T0), 0);
+        a.dispatch(1, Some(T1), 0);
         a.add_consumer(0, 1);
         a.clear();
         assert!(a.is_empty());
         // Re-dispatch into the same slots: stale pool roots would trip
         // the leak debug_assert or read freed chunks.
-        a.dispatch(0, li(T0, 1), PredictionInfo::default(), 0);
+        a.dispatch(0, Some(T0), 0);
         assert!(a.consumers_of(0).is_empty());
     }
 
@@ -586,7 +549,7 @@ mod tests {
     fn completed_run_walk() {
         let mut a = InstArena::new(8);
         for seq in 0..5 {
-            a.dispatch(seq, li(T0, seq as i64), PredictionInfo::default(), 0);
+            a.dispatch(seq, Some(T0), 0);
         }
         for seq in [0u64, 1, 3] {
             a.mark_issued(seq, 1, 2);

@@ -1,7 +1,6 @@
 //! In-flight dynamic instruction records.
 
-use reese_cpu::StepInfo;
-use reese_isa::FuClass;
+use reese_isa::Reg;
 
 /// Monotonically increasing id of a dynamic (fetched) instruction.
 pub type Seq = u64;
@@ -19,20 +18,22 @@ pub struct PredictionInfo {
     pub mispredicted: bool,
 }
 
-/// One instruction in flight in the RUU.
+/// One instruction in flight in the RUU, in the scan scheduler's
+/// array-of-structures layout.
 ///
-/// Carries the full functional record ([`StepInfo`]) — operands, result,
-/// effective address, next PC — which is what makes the downstream
-/// R-stream Queue entry free to build: REESE stores exactly this
-/// information (paper §4.3).
+/// It holds scheduling state only. The functional record ([`StepInfo`]:
+/// operands, result, effective address, next PC) stays in the front
+/// end's replay window ([`crate::FetchUnit::record`]) from the
+/// emulator's write to retirement; of it the entry keeps the
+/// destination register, which the rename map's retire step needs.
+///
+/// [`StepInfo`]: reese_cpu::StepInfo
 #[derive(Debug, Clone)]
 pub struct DynInst {
     /// Fetch sequence number (program order).
     pub seq: Seq,
-    /// The functional record of the instruction.
-    pub info: StepInfo,
-    /// Prediction bookkeeping from the front end.
-    pub pred: PredictionInfo,
+    /// The architectural register the instruction writes, if any.
+    pub dest: Option<Reg>,
     /// Unresolved register/LSQ producers this instruction waits on.
     pub pending_deps: u32,
     /// Instructions waiting for this one's result.
@@ -51,11 +52,10 @@ pub struct DynInst {
 
 impl DynInst {
     /// Creates a fresh record at dispatch time.
-    pub fn new(seq: Seq, info: StepInfo, pred: PredictionInfo, dispatch_cycle: u64) -> DynInst {
+    pub fn new(seq: Seq, dest: Option<Reg>, dispatch_cycle: u64) -> DynInst {
         DynInst {
             seq,
-            info,
-            pred,
+            dest,
             pending_deps: 0,
             consumers: Vec::new(),
             issued: false,
@@ -66,62 +66,21 @@ impl DynInst {
         }
     }
 
-    /// The functional-unit class this instruction needs.
-    pub fn fu_class(&self) -> FuClass {
-        self.info.instr.op.fu_class()
-    }
-
     /// Whether all operands are available and the instruction can be
     /// considered by the scheduler.
     pub fn ready(&self) -> bool {
         !self.issued && !self.completed && self.pending_deps == 0
-    }
-
-    /// Whether this is a load or store.
-    pub fn is_mem(&self) -> bool {
-        self.info.mem.is_some()
-    }
-
-    /// Whether this is a store.
-    pub fn is_store(&self) -> bool {
-        self.info.mem.is_some_and(|m| m.is_store)
-    }
-
-    /// Whether this is a control-transfer instruction.
-    pub fn is_control(&self) -> bool {
-        self.info.instr.op.is_control()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reese_cpu::{step, ArchState};
-    use reese_isa::{abi::*, Instr, Opcode};
-    use reese_mem::Memory;
-
-    fn make(instr: Instr) -> DynInst {
-        let mut s = ArchState::new(0x1000);
-        let mut m = Memory::new();
-        let info = step(&mut s, &instr, &mut m);
-        DynInst::new(0, info, PredictionInfo::default(), 0)
-    }
-
-    #[test]
-    fn classification() {
-        assert_eq!(
-            make(Instr::rrr(Opcode::Mul, T0, T1, T2)).fu_class(),
-            FuClass::IntMulDiv
-        );
-        assert!(make(Instr::load(Opcode::Ld, T0, SP, 0)).is_mem());
-        assert!(!make(Instr::load(Opcode::Ld, T0, SP, 0)).is_store());
-        assert!(make(Instr::store(Opcode::Sd, T0, SP, 0)).is_store());
-        assert!(make(Instr::branch(Opcode::Beq, T0, T1, 8)).is_control());
-    }
+    use reese_isa::abi::*;
 
     #[test]
     fn readiness() {
-        let mut d = make(Instr::rrr(Opcode::Add, T0, T1, T2));
+        let mut d = DynInst::new(0, Some(T0), 0);
         assert!(d.ready());
         d.pending_deps = 1;
         assert!(!d.ready());

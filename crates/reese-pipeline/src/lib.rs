@@ -46,7 +46,7 @@ mod wheel;
 pub use arena::{InstArena, InstView};
 pub use config::{FuCounts, PipelineConfig, SchedulerMode};
 pub use dyninst::{DynInst, PredictionInfo, Seq};
-pub use fetch::{FetchUnit, Fetched};
+pub use fetch::FetchUnit;
 pub use fu::FuPool;
 pub use lsq::{LoadPlan, Lsq};
 pub use readyring::ReadyRing;

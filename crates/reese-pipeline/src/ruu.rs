@@ -1,8 +1,6 @@
 //! The Register Update Unit.
 
-use crate::{
-    DynInst, EventWheel, InstArena, InstView, PredictionInfo, ReadyRing, SchedulerMode, Seq,
-};
+use crate::{DynInst, EventWheel, InstArena, InstView, ReadyRing, SchedulerMode, Seq};
 use reese_cpu::StepInfo;
 use reese_isa::NUM_REGS;
 use std::collections::VecDeque;
@@ -51,7 +49,9 @@ impl<T, L: Iterator<Item = T>, R: Iterator<Item = T>> Iterator for EitherIter<L,
 /// order when their operands resolve, and leave from the head in program
 /// order. Register renaming is a last-writer map over the 64-entry
 /// architectural register space; wake-up is push-based through per-entry
-/// consumer lists.
+/// consumer lists. An entry holds scheduling state only: its functional
+/// record stays in the front end's replay window
+/// ([`crate::FetchUnit::record`]), which the stages read by seq.
 ///
 /// The paper identifies the RUU as the central bottleneck ("an RUU-based
 /// microprocessor cannot attain 2 IPC on a regular basis… a high-latency
@@ -179,28 +179,10 @@ impl Ruu {
     /// Looks up an in-flight instruction by sequence number. The
     /// per-cycle probes read single fields through the narrow
     /// accessors below instead.
-    pub fn get(&self, seq: Seq) -> Option<InstView<'_>> {
+    pub fn get(&self, seq: Seq) -> Option<InstView> {
         match &self.window {
             Window::Scan(entries) => self.index_of(seq).map(|i| entries[i].view()),
             Window::Event(arena) => arena.view(seq),
-        }
-    }
-
-    /// The functional record of in-flight instruction `seq`.
-    #[inline]
-    pub fn info(&self, seq: Seq) -> Option<&StepInfo> {
-        match &self.window {
-            Window::Scan(entries) => self.index_of(seq).map(|i| &entries[i].info),
-            Window::Event(arena) => arena.info(seq),
-        }
-    }
-
-    /// The prediction bookkeeping of in-flight instruction `seq`.
-    #[inline]
-    pub fn pred(&self, seq: Seq) -> Option<PredictionInfo> {
-        match &self.window {
-            Window::Scan(entries) => self.index_of(seq).map(|i| entries[i].pred),
-            Window::Event(arena) => arena.pred(seq),
         }
     }
 
@@ -236,15 +218,17 @@ impl Ruu {
         }
     }
 
-    /// Dispatches an instruction into the tail, wiring its register
-    /// dependences through the rename map.
+    /// Dispatches the instruction whose functional record is `info`
+    /// into the tail, wiring its register dependences through the
+    /// rename map. The entry keeps the record's destination register,
+    /// not the record.
     ///
     /// # Panics
     ///
     /// Panics if the RUU is full or `seq` is not the next sequence
     /// number in program order.
     #[inline]
-    pub fn dispatch(&mut self, seq: Seq, info: StepInfo, pred: PredictionInfo, cycle: u64) {
+    pub fn dispatch(&mut self, seq: Seq, info: &StepInfo, cycle: u64) {
         assert!(!self.is_full(), "dispatch into a full RUU");
         if self.is_empty() {
             self.head_seq = seq;
@@ -258,12 +242,13 @@ impl Ruu {
         if producers[0].is_some() && producers[0] == producers[1] {
             producers[1] = None;
         }
+        let dest = info.instr.dest();
         match &mut self.window {
             Window::Scan(entries) => {
                 if let Some(last) = entries.back() {
                     assert_eq!(seq, last.seq + 1, "dispatch must follow program order");
                 }
-                let mut inst = DynInst::new(seq, info, pred, cycle);
+                let mut inst = DynInst::new(seq, dest, cycle);
                 for producer_seq in producers.into_iter().flatten() {
                     if let Some(idx) = Ruu::index_in(self.head_seq, entries.len(), producer_seq) {
                         if !entries[idx].completed {
@@ -275,7 +260,7 @@ impl Ruu {
                 entries.push_back(inst);
             }
             Window::Event(arena) => {
-                arena.dispatch(seq, info, pred, cycle);
+                arena.dispatch(seq, dest, cycle);
                 for producer_seq in producers.into_iter().flatten() {
                     if arena.contains(producer_seq) && !arena.is_completed(producer_seq) {
                         arena.add_consumer(producer_seq, seq);
@@ -288,7 +273,7 @@ impl Ruu {
                 }
             }
         }
-        if let Some(rd) = info.instr.dest() {
+        if let Some(rd) = dest {
             self.rename[rd.raw() as usize] = Some(seq);
         }
     }
@@ -400,7 +385,7 @@ impl Ruu {
     }
 
     /// The oldest in-flight instruction.
-    pub fn head(&self) -> Option<InstView<'_>> {
+    pub fn head(&self) -> Option<InstView> {
         match &self.window {
             Window::Scan(entries) => entries.front().map(DynInst::view),
             Window::Event(arena) => arena.head(),
@@ -418,14 +403,18 @@ impl Ruu {
     #[inline]
     pub fn pop_head(&mut self) -> Seq {
         let seq = self.head_seq;
-        let dest = self.info(seq).expect("pop from empty RUU").instr.dest();
-        match &mut self.window {
+        let dest = match &mut self.window {
             Window::Scan(entries) => {
                 let e = entries.pop_front().expect("pop from empty RUU");
                 assert!(e.completed, "popping an incomplete head");
+                e.dest
             }
-            Window::Event(arena) => arena.pop_head(),
-        }
+            Window::Event(arena) => {
+                let dest = arena.dest(seq).expect("pop from empty RUU");
+                arena.pop_head();
+                dest
+            }
+        };
         self.head_seq = seq + 1;
         // Retire the rename-map entry if this instruction is still the
         // architecturally last writer.
@@ -471,7 +460,7 @@ impl Ruu {
     }
 
     /// Iterates over all in-flight instructions, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = InstView<'_>> {
+    pub fn iter(&self) -> impl Iterator<Item = InstView> + '_ {
         match &self.window {
             Window::Scan(entries) => EitherIter::Scan(entries.iter().map(DynInst::view)),
             Window::Event(arena) => EitherIter::Event(arena.iter()),
@@ -522,7 +511,7 @@ mod tests {
         let mut infos = Vec::new();
         for (i, instr) in instrs.iter().enumerate() {
             let info = step(&mut s, instr, &mut m);
-            ruu.dispatch(i as Seq, info, PredictionInfo::default(), 0);
+            ruu.dispatch(i as Seq, &info, 0);
             infos.push(info);
         }
         infos
@@ -597,10 +586,10 @@ mod tests {
             let li = Instr::rri(Opcode::Li, T0, ZERO, 5);
             let add = Instr::rrr(Opcode::Add, T1, T0, T0);
             let i0 = step(&mut s, &li, &mut m);
-            ruu.dispatch(0, i0, PredictionInfo::default(), 0);
+            ruu.dispatch(0, &i0, 0);
             ruu.complete(0);
             let i1 = step(&mut s, &add, &mut m);
-            ruu.dispatch(1, i1, PredictionInfo::default(), 0);
+            ruu.dispatch(1, &i1, 0);
             assert_eq!(ruu.get(1).unwrap().pending_deps, 0);
         });
     }
@@ -675,7 +664,7 @@ mod tests {
             let mut s = ArchState::new(0x1000);
             let mut m = Memory::new();
             let info = step(&mut s, &Instr::rrr(Opcode::Add, T1, T0, T0), &mut m);
-            ruu.dispatch(1, info, PredictionInfo::default(), 0);
+            ruu.dispatch(1, &info, 0);
             assert_eq!(ruu.get(1).unwrap().pending_deps, 0);
         });
     }
@@ -784,6 +773,25 @@ mod tests {
     }
 
     #[test]
+    fn neither_layout_holds_a_functional_record() {
+        // The record and its prediction live once, in the front end's
+        // replay window. Both layouts derive `Debug`, so an entry or an
+        // arena array that embedded either type again would name it.
+        both_layouts(8, |ruu| {
+            dispatch_chain(
+                ruu,
+                &[
+                    Instr::rri(Opcode::Li, T0, ZERO, 1),
+                    Instr::rrr(Opcode::Add, T1, T0, T0),
+                ],
+            );
+            let text = format!("{ruu:?}");
+            assert!(text.contains("pending_deps"), "the entries are printed");
+            assert!(!text.contains("StepInfo") && !text.contains("PredictionInfo"));
+        });
+    }
+
+    #[test]
     fn layouts_agree_under_interleaved_traffic() {
         // Drive both layouts through a seeded interleaving of dispatch,
         // complete, issue, pop and flush, and demand identical views at
@@ -815,8 +823,8 @@ mod tests {
                             Instr::rrr(Opcode::Add, rd, rs, rs)
                         };
                         let info = step(&mut s, &instr, &mut m);
-                        scan.dispatch(seq, info, PredictionInfo::default(), round);
-                        event.dispatch(seq, info, PredictionInfo::default(), round);
+                        scan.dispatch(seq, &info, round);
+                        event.dispatch(seq, &info, round);
                         seq += 1;
                     }
                 }
@@ -832,11 +840,7 @@ mod tests {
                 }
                 3 => {
                     if scan.head().is_some_and(|e| e.completed) {
-                        let record = |ruu: &Ruu| {
-                            let e = ruu.head().expect("non-empty");
-                            (e.seq, *e.info, e.complete_cycle)
-                        };
-                        assert_eq!(record(&scan), record(&event));
+                        assert_eq!(scan.head(), event.head());
                         assert_eq!(scan.pop_head(), event.pop_head());
                     }
                 }
@@ -850,15 +854,13 @@ mod tests {
                 }
             }
             assert_eq!(scan.len(), event.len());
-            let a: Vec<(Seq, bool, bool, u32)> = scan
-                .iter()
-                .map(|v| (v.seq, v.issued, v.completed, v.pending_deps))
-                .collect();
-            let b: Vec<(Seq, bool, bool, u32)> = event
-                .iter()
-                .map(|v| (v.seq, v.issued, v.completed, v.pending_deps))
-                .collect();
-            assert_eq!(a, b);
+            // Every field of every resident entry: seq, the kept
+            // destination register, readiness, status and all three
+            // cycles.
+            assert_eq!(
+                scan.iter().collect::<Vec<_>>(),
+                event.iter().collect::<Vec<_>>()
+            );
             assert_eq!(
                 scan.ready_seqs().collect::<Vec<_>>(),
                 event.ready_seqs().collect::<Vec<_>>()
@@ -874,8 +876,7 @@ mod tests {
                 assert_eq!(ruu.completed_head(), head);
                 for probe in scan.head_seq.saturating_sub(2)..seq + 2 {
                     let view = ruu.get(probe);
-                    assert_eq!(ruu.info(probe), view.map(|v| v.info));
-                    assert_eq!(ruu.pred(probe), view.map(|v| v.pred));
+                    assert_eq!(view, scan.get(probe), "views agree across layouts");
                     assert_eq!(ruu.complete_cycle(probe), view.map(|v| v.complete_cycle));
                     assert_eq!(ruu.is_completed(probe), view.is_some_and(|v| v.completed));
                 }

@@ -117,11 +117,11 @@ impl Redundancy for () {
         let Some(seq) = m.ruu.completed_head() else {
             return false;
         };
-        let info = *m.ruu.info(seq).expect("the head is resident");
         m.ruu.pop_head();
         m.lsq.remove(seq);
-        emit(obs, m.cycle, seq, info.pc, Stage::Commit, Stream::Primary);
-        m.retire(&info)
+        let pc = m.fetch.record(seq).pc;
+        emit(obs, m.cycle, seq, pc, Stage::Commit, Stream::Primary);
+        m.retire()
     }
 
     fn finish(m: Core<'_, ()>, stop: SimStop) -> SimResult {

@@ -9,14 +9,13 @@
 //! (REESE) and the dispatch twin (Franklin-style duplication).
 
 use crate::{
-    FetchUnit, Fetched, FuPool, LoadPlan, Lsq, PipelineConfig, PipelineStats, PredictionInfo, Ruu,
-    SchedulerMode, Seq, SimError, SimResult, SimStop,
+    FetchUnit, FuPool, LoadPlan, Lsq, PipelineConfig, PipelineStats, Ruu, SchedulerMode, Seq,
+    SimError, SimResult, SimStop,
 };
 use reese_cpu::{Emulator, StepInfo};
 use reese_isa::{FuClass, Program};
 use reese_mem::MemHierarchy;
 use reese_trace::{CycleState, Observer, Stage, Stream, TraceEvent};
-use std::collections::VecDeque;
 
 /// Cycles without a commit after which the simulator declares a
 /// deadlock (an internal invariant violation, not a program property).
@@ -139,7 +138,10 @@ pub fn same_timing(a: &StepInfo, b: &StepInfo) -> bool {
 ///
 /// Hooks are associated functions over the whole core (`m.pol` is the
 /// policy's own state), so a policy drives the shared structures — RUU,
-/// functional units, front end — exactly as a pipeline stage would.
+/// functional units, front end — exactly as a pipeline stage would. A
+/// hook reads an instruction's functional record from the front end's
+/// window ([`FetchUnit::record`]) by its fetch seq, which is RUU entry
+/// seq `/ COPIES`.
 pub trait Redundancy: Sized {
     /// What a finished run returns.
     type Output;
@@ -223,10 +225,10 @@ pub struct Core<'c, R> {
     pub cfg: &'c PipelineConfig,
     /// Current cycle.
     pub cycle: u64,
-    /// The front end.
+    /// The front end. Its replay window holds every in-flight
+    /// instruction's functional record and prediction bookkeeping, and
+    /// its undispatched tail is the fetch queue.
     pub fetch: FetchUnit,
-    /// Fetched instructions awaiting dispatch.
-    pub fetchq: VecDeque<Fetched>,
     /// The instruction window.
     pub ruu: Ruu,
     /// The load/store queue.
@@ -272,7 +274,6 @@ impl<'c, R: Redundancy> Core<'c, R> {
             cycle: 0,
             pol: policy(fetch.next_seq()),
             fetch,
-            fetchq: VecDeque::with_capacity(cfg.fetch_queue_size),
             ruu: Ruu::with_scheduler(cfg.ruu_size, cfg.scheduler),
             lsq: Lsq::new(cfg.lsq_size),
             fu: FuPool::new(cfg.fu),
@@ -359,7 +360,7 @@ impl<'c, R: Redundancy> Core<'c, R> {
             return Ok(Some(SimStop::CycleLimit));
         }
         if self.fetch.exhausted()
-            && self.fetchq.is_empty()
+            && self.fetch.queued() == 0
             && self.ruu.is_empty()
             && self.pol.drained()
         {
@@ -474,20 +475,23 @@ impl<'c, R: Redundancy> Core<'c, R> {
         }
     }
 
-    /// Retires one instruction architecturally: frees its replay slot,
-    /// counts it, and collects its output or exit code. Returns `false`
-    /// once the program's `halt` retires.
-    pub fn retire(&mut self, info: &StepInfo) -> bool {
-        self.fetch.on_commit(1);
-        self.stats.committed += 1;
-        self.last_commit_cycle = self.cycle;
+    /// Retires the oldest uncommitted instruction architecturally:
+    /// collects its output or exit code from its record, frees its
+    /// replay slot, and counts it. Returns `false` once the program's
+    /// `halt` retires.
+    pub fn retire(&mut self) -> bool {
+        let info = self.fetch.record(self.fetch.oldest_seq());
         if let Some(v) = info.printed {
             self.output.push(v);
         }
-        if info.halted {
+        let halted = info.halted;
+        if halted {
             self.exit_code = Some(info.result);
         }
-        !info.halted
+        self.fetch.on_commit(1);
+        self.stats.committed += 1;
+        self.last_commit_cycle = self.cycle;
+        !halted
     }
 
     /// A detection flush: squashes every in-flight instruction and
@@ -495,7 +499,6 @@ impl<'c, R: Redundancy> Core<'c, R> {
     pub fn flush_to(&mut self, seq: Seq, penalty: u32) {
         self.ruu.flush_all();
         self.lsq.flush_all();
-        self.fetchq.clear();
         self.fu.flush();
         self.fetch
             .flush_to(seq, self.cycle + 1 + u64::from(penalty));
@@ -530,7 +533,7 @@ impl<'c, R: Redundancy> Core<'c, R> {
             ruu_occ: self.ruu.len(),
             lsq_occ: self.lsq.len(),
             rqueue_occ: 0,
-            fetchq_occ: self.fetchq.len(),
+            fetchq_occ: self.fetch.queued(),
         };
         self.pol.observe(&mut state);
         state
@@ -543,7 +546,7 @@ impl<'c, R: Redundancy> Core<'c, R> {
     /// landing cycle then runs through the normal loop body, so the
     /// cycle-limit and deadlock checks fire exactly as in `Scan` mode.
     fn skip_idle_cycles<O: Observer>(&mut self, obs: &mut O) {
-        if self.ruu.has_ready() || !self.fetchq.is_empty() {
+        if self.ruu.has_ready() || self.fetch.queued() > 0 {
             return;
         }
         let p_wake = self.ruu.next_completion_cycle();
@@ -596,7 +599,8 @@ impl<'c, R: Redundancy> Core<'c, R> {
         }
         for seq in done.drain(..) {
             self.ruu.complete(seq);
-            let info = self.ruu.info(seq).expect("just completed");
+            let fetch_seq = seq / R::COPIES as Seq;
+            let info = self.fetch.record(fetch_seq);
             emit(
                 obs,
                 self.cycle,
@@ -609,13 +613,8 @@ impl<'c, R: Redundancy> Core<'c, R> {
                 self.lsq.mark_executed(seq);
             }
             if info.instr.op.is_control() && Self::is_primary(seq) {
-                let fetched = Fetched {
-                    seq: seq / R::COPIES as Seq,
-                    info: *info,
-                    pred: self.ruu.pred(seq).expect("just completed"),
-                };
                 self.fetch
-                    .resolve_control(&fetched, self.cycle, self.cfg.mispredict_penalty);
+                    .resolve_control(fetch_seq, self.cycle, self.cfg.mispredict_penalty);
             }
         }
         self.scratch_done = done;
@@ -637,15 +636,15 @@ impl<'c, R: Redundancy> Core<'c, R> {
             if *budget == 0 {
                 break;
             }
-            let info = self.ruu.info(seq).expect("ready seq in window");
-            let op = info.instr.op;
+            let info = self.fetch.record(seq / R::COPIES as Seq);
+            let (op, mem, pc) = (info.instr.op, info.mem, info.pc);
             // O(1) per-class gate (event mode): `class_free` is exactly
             // `try_issue`'s success condition, so a blocked entry skips
             // on one compare instead of a per-unit probe. Stores need an
             // agen ALU and a port together; loads are never gated — a
             // forwarded load issues without any functional unit.
             if event_driven {
-                let blocked = match info.mem {
+                let blocked = match mem {
                     None => !self.fu.class_free(op.fu_class(), self.cycle),
                     Some(mem) if mem.is_store => {
                         !(self.fu.class_free(FuClass::IntAlu, self.cycle)
@@ -657,7 +656,7 @@ impl<'c, R: Redundancy> Core<'c, R> {
                     continue;
                 }
             }
-            let latency: u64 = if let Some(mem) = info.mem {
+            let latency: u64 = if let Some(mem) = mem {
                 if mem.is_store {
                     if !self.fu.try_issue_mem(op, self.cycle) {
                         continue; // no agen ALU + memory port this cycle
@@ -686,14 +685,7 @@ impl<'c, R: Redundancy> Core<'c, R> {
                 }
                 u64::from(op.latency())
             };
-            emit(
-                obs,
-                self.cycle,
-                seq,
-                info.pc,
-                Stage::Issue,
-                Self::stream_of(seq),
-            );
+            emit(obs, self.cycle, seq, pc, Stage::Issue, Self::stream_of(seq));
             self.ruu.mark_issued(seq, self.cycle, self.cycle + latency);
             *budget -= 1;
             self.stats.issued += 1;
@@ -702,75 +694,61 @@ impl<'c, R: Redundancy> Core<'c, R> {
         self.scratch_ready = ready;
     }
 
-    /// In-order dispatch from the fetch queue into the RUU/LSQ, each
-    /// instruction as [`Redundancy::COPIES`] entries.
+    /// In-order dispatch from the fetch queue (the front end's
+    /// undispatched tail) into the RUU/LSQ, each instruction as
+    /// [`Redundancy::COPIES`] entries.
     fn dispatch<O: Observer>(&mut self, obs: &mut O) {
-        if self.fetchq.is_empty() {
+        if self.fetch.queued() == 0 {
             self.stats.fetch_queue_empty_cycles += 1;
             return;
         }
         let copies = R::COPIES;
         for _ in 0..self.cfg.width / copies {
-            let Some(front) = self.fetchq.front() else {
+            let Some(fetch_seq) = self.fetch.queue_front() else {
                 break;
             };
+            let info = self.fetch.record(fetch_seq);
             if self.ruu.len() + copies > self.ruu.capacity() {
                 self.stats.dispatch_stall_ruu_full += 1;
                 break;
             }
-            if front.info.mem.is_some() && self.lsq.len() + copies > self.lsq.capacity() {
+            if info.mem.is_some() && self.lsq.len() + copies > self.lsq.capacity() {
                 self.stats.dispatch_stall_lsq_full += 1;
                 break;
             }
             for k in 0..copies as Seq {
-                let seq = front.seq * copies as Seq + k;
-                let pred = if Self::is_primary(seq) {
-                    front.pred
-                } else {
-                    PredictionInfo::default()
-                };
+                let seq = fetch_seq * copies as Seq + k;
                 emit(
                     obs,
                     self.cycle,
                     seq,
-                    front.info.pc,
+                    info.pc,
                     Stage::Dispatch,
                     Self::stream_of(seq),
                 );
-                self.ruu.dispatch(seq, front.info, pred, self.cycle);
-                if let Some(mem) = front.info.mem {
+                self.ruu.dispatch(seq, info, self.cycle);
+                if let Some(mem) = info.mem {
                     self.lsq
                         .insert(seq, mem.addr, mem.width.bytes(), mem.is_store);
                 }
             }
-            self.fetchq.pop_front();
+            self.fetch.dispatch_front();
         }
     }
 
-    /// Fetches new instructions into the fetch queue.
+    /// Fetches new instructions onto the fetch queue.
     fn do_fetch<O: Observer>(&mut self, obs: &mut O) {
-        let queued = self.fetchq.len();
-        let space = self.cfg.fetch_queue_size - queued;
+        let space = self.cfg.fetch_queue_size - self.fetch.queued();
         if space == 0 {
             return;
         }
-        self.fetch.fetch_cycle(
-            self.cycle,
-            self.cfg.width,
-            space,
-            &mut self.hierarchy,
-            &mut self.fetchq,
-        );
+        let first = self.fetch.next_seq();
+        self.fetch
+            .fetch_cycle(self.cycle, self.cfg.width, space, &mut self.hierarchy);
         if O::ENABLED {
-            for f in self.fetchq.range(queued..) {
-                emit(
-                    obs,
-                    self.cycle,
-                    f.seq,
-                    f.info.pc,
-                    Stage::Fetch,
-                    Stream::Primary,
-                );
+            for seq in first..self.fetch.next_seq() {
+                let pc = self.fetch.record(seq).pc;
+                emit(obs, self.cycle, seq, pc, Stage::Fetch, Stream::Primary);
             }
         }
     }
