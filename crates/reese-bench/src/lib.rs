@@ -1,17 +1,29 @@
 //! Experiment harness regenerating the REESE paper's tables and figures.
 //!
-//! Every figure in the paper is an IPC bar chart over the six benchmarks
-//! plus their average, with five machine variants: the baseline
-//! processor and REESE with 0, +1 ALU, +2 ALU, and +2 ALU +1 Mul/Div
-//! spare elements. This crate encodes that grid once ([`Experiment`])
-//! and each `src/bin/fig*.rs` binary instantiates it with the figure's
-//! machine configuration.
+//! Every IPC number the harness prints is one cell: a [`Machine`] — a
+//! registered detection scheme over a REESE configuration — run clean
+//! on one workload through [`DetectionScheme::run_limit`]. [`ipc_grid`]
+//! fans a report's cells out in one sweep. Every figure in the paper
+//! is an IPC bar chart over the six benchmarks plus their average, with
+//! five machine variants: the baseline processor and REESE with 0,
+//! +1 ALU, +2 ALU, and +2 ALU +1 Mul/Div spare elements; [`Experiment`]
+//! encodes that grid once. [`reports`] is the registry of every
+//! committed result, which the `results` binary renders.
 
-use reese_core::{ReeseConfig, ReeseSim};
-use reese_pipeline::{PipelineConfig, PipelineSim};
-use reese_stats::{mean, par_map_indexed, percent_delta, ParallelStats, Table};
-use reese_workloads::{Suite, Workload};
+pub mod reports;
+
+use reese_ckpt::Scheme;
+use reese_core::ReeseConfig;
+use reese_faults::{schemes, DetectionScheme};
+use reese_pipeline::PipelineConfig;
+use reese_stats::{mean, par_map_indexed, percent_delta, Table};
+use reese_workloads::Suite;
 use std::fmt;
+
+/// One IPC cell's machine: a registered detection scheme over a REESE
+/// configuration (the other schemes use its pipeline and flush
+/// penalty, as [`schemes::build`] says).
+pub type Machine = (Scheme, ReeseConfig);
 
 /// One machine variant in a figure's bar group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,6 +82,23 @@ impl Variant {
             }
         }
     }
+
+    /// This variant over the base machine `base`.
+    pub fn machine(&self, base: &PipelineConfig) -> Machine {
+        let config = ReeseConfig::over(base.clone());
+        match *self {
+            Variant::Baseline => (Scheme::Baseline, config),
+            Variant::Reese {
+                spare_alus,
+                spare_muls,
+            } => (
+                Scheme::Reese,
+                config
+                    .with_spare_int_alus(spare_alus)
+                    .with_spare_int_muldivs(spare_muls),
+            ),
+        }
+    }
 }
 
 /// Results of one experiment: IPC per (kernel, variant).
@@ -83,18 +112,12 @@ pub struct ExperimentResult {
     pub kernels: Vec<String>,
     /// `ipc[row][col]`.
     pub ipc: Vec<Vec<f64>>,
-    /// Wall-clock/throughput observability for the sweep (one item per
-    /// kernel×variant cell). The IPC grid is bit-identical for any
-    /// worker count; this records only how fast it was computed.
-    pub throughput: Option<ParallelStats>,
 }
 
 impl ExperimentResult {
     /// Column-wise average IPC (the paper's "AV." bars).
     pub fn averages(&self) -> Vec<f64> {
-        (0..self.variants.len())
-            .map(|c| mean(&self.ipc.iter().map(|row| row[c]).collect::<Vec<_>>()))
-            .collect()
+        column_means(&self.ipc)
     }
 
     /// Percentage gap of column `col` versus the baseline column 0,
@@ -116,11 +139,6 @@ impl ExperimentResult {
         t
     }
 
-    /// Renders the grid as CSV (kernel rows + the AV. row).
-    pub fn csv(&self) -> String {
-        self.table().to_csv()
-    }
-
     /// Renders the REESE-vs-baseline gap line printed under each figure.
     pub fn gap_summary(&self) -> String {
         let mut parts = Vec::new();
@@ -135,11 +153,7 @@ impl fmt::Display for ExperimentResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.title)?;
         write!(f, "{}", self.table())?;
-        writeln!(f, "gap vs baseline (on AV.): {}", self.gap_summary())?;
-        if let Some(t) = &self.throughput {
-            writeln!(f, "sweep throughput: {t}")?;
-        }
-        Ok(())
+        writeln!(f, "gap vs baseline (on AV.): {}", self.gap_summary())
     }
 }
 
@@ -149,7 +163,6 @@ pub struct Experiment {
     title: String,
     base: PipelineConfig,
     variants: Vec<Variant>,
-    target_instructions: u64,
     jobs: usize,
 }
 
@@ -161,7 +174,6 @@ impl Experiment {
             title: title.to_string(),
             base,
             variants: Variant::PAPER.to_vec(),
-            target_instructions: default_target(),
             jobs: default_jobs(),
         }
     }
@@ -172,12 +184,6 @@ impl Experiment {
         self
     }
 
-    /// Overrides the per-kernel dynamic-instruction target.
-    pub fn target_instructions(mut self, n: u64) -> Experiment {
-        self.target_instructions = n;
-        self
-    }
-
     /// Overrides the worker count (1 forces the serial path). The IPC
     /// grid is identical for every value; 0 is treated as 1.
     pub fn jobs(mut self, n: usize) -> Experiment {
@@ -185,108 +191,97 @@ impl Experiment {
         self
     }
 
-    /// Runs the experiment over the calibrated suite.
+    /// Runs the experiment on `suite`: one [`ipc_grid`] sweep of the
+    /// kernel×variant matrix.
     ///
     /// # Panics
     ///
-    /// Panics if any simulation fails — the kernels are known-good, so
-    /// a failure is a harness bug worth crashing on.
-    pub fn run(&self) -> ExperimentResult {
-        let suite = Suite::spec95_like(self.target_instructions);
-        self.run_on(&suite)
-    }
-
-    /// Runs the experiment on a pre-built suite (reuse across figures).
-    ///
-    /// The kernel×variant matrix is flattened into independent cells
-    /// and fanned out over the configured worker count; each cell is a
-    /// full simulator run, and the reassembled grid is identical to the
-    /// serial row-major sweep.
-    ///
-    /// # Panics
-    ///
-    /// See [`Experiment::run`].
+    /// See [`ipc_grid`].
     pub fn run_on(&self, suite: &Suite) -> ExperimentResult {
-        let workloads: Vec<&Workload> = suite.iter().collect();
-        let cells: Vec<(usize, usize)> = workloads
+        let machines: Vec<Machine> = self
+            .variants
             .iter()
-            .enumerate()
-            .flat_map(|(wi, _)| (0..self.variants.len()).map(move |vi| (wi, vi)))
-            .collect();
-        let (values, throughput) = par_map_indexed(self.jobs, &cells, |_, &(wi, vi)| {
-            self.run_cell(workloads[wi], &self.variants[vi])
-        });
-        let ipc: Vec<Vec<f64>> = values
-            .chunks(self.variants.len().max(1))
-            .map(<[f64]>::to_vec)
+            .map(|v| v.machine(&self.base))
             .collect();
         ExperimentResult {
             title: self.title.clone(),
             variants: self.variants.iter().map(Variant::label).collect(),
-            kernels: workloads
+            kernels: suite
                 .iter()
                 .map(|w| w.kernel.paper_benchmark().to_string())
                 .collect(),
-            ipc,
-            throughput: Some(throughput),
+            ipc: ipc_grid(suite, &machines, self.jobs),
         }
     }
+}
 
-    /// Simulates one kernel on one machine variant and returns its IPC.
-    fn run_cell(&self, w: &Workload, v: &Variant) -> f64 {
-        match v {
-            Variant::Baseline => PipelineSim::new(self.base.clone())
-                .run(&w.program)
-                .unwrap_or_else(|e| panic!("baseline {} failed: {e}", w.kernel))
-                .ipc(),
-            Variant::Reese {
-                spare_alus,
-                spare_muls,
-            } => {
-                let cfg = ReeseConfig::over(self.base.clone())
-                    .with_spare_int_alus(*spare_alus)
-                    .with_spare_int_muldivs(*spare_muls);
-                ReeseSim::new(cfg)
-                    .run(&w.program)
-                    .unwrap_or_else(|e| panic!("REESE {} failed: {e}", w.kernel))
-                    .ipc()
-            }
-        }
-    }
+/// Runs every machine clean on every workload of `suite`, each cell as
+/// the scheme's [`DetectionScheme::run_limit`] to `halt`, in one
+/// fan-out over `jobs` workers, and returns `ipc[workload][machine]`.
+/// The grid is identical for every worker count; the sweep's host-time
+/// counters go to stderr.
+///
+/// # Panics
+///
+/// Panics if any run fails — the kernels are known-good, so a failure
+/// is a harness bug worth crashing on.
+pub fn ipc_grid(suite: &Suite, machines: &[Machine], jobs: usize) -> Vec<Vec<f64>> {
+    let built: Vec<Box<dyn DetectionScheme>> = machines
+        .iter()
+        .map(|(scheme, config)| schemes::build(*scheme, config))
+        .collect();
+    let workloads = suite.workloads();
+    let cells: Vec<(usize, usize)> = (0..workloads.len())
+        .flat_map(|w| (0..machines.len()).map(move |m| (w, m)))
+        .collect();
+    let (ipc, stats) = par_map_indexed(jobs, &cells, |_, &(w, m)| {
+        let run = built[m]
+            .run_limit(&workloads[w].program, u64::MAX)
+            .unwrap_or_else(|e| panic!("{} on {} failed: {e}", machines[m].0, workloads[w].kernel));
+        run.committed as f64 / run.cycles as f64
+    });
+    eprintln!("  sweep throughput: {stats}");
+    ipc.chunks(machines.len().max(1))
+        .map(<[f64]>::to_vec)
+        .collect()
+}
+
+/// The mean of each column of a row-major grid.
+fn column_means(grid: &[Vec<f64>]) -> Vec<f64> {
+    let cols = grid.first().map_or(0, Vec::len);
+    (0..cols)
+        .map(|c| mean(&grid.iter().map(|row| row[c]).collect::<Vec<_>>()))
+        .collect()
 }
 
 /// Default per-kernel dynamic-instruction budget; override with the
 /// `REESE_TARGET_INSNS` environment variable (the paper used 100M per
 /// benchmark, which works here too but takes a while).
 pub fn default_target() -> u64 {
-    std::env::var("REESE_TARGET_INSNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300_000)
+    env_or("REESE_TARGET_INSNS", 300_000)
 }
 
 /// Default worker count for sweeps: the `REESE_JOBS` environment
 /// variable when set (0 or unparsable falls through), otherwise the
 /// machine's available parallelism.
 pub fn default_jobs() -> usize {
-    std::env::var("REESE_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or_else(reese_stats::available_jobs)
-}
-
-/// Prints an experiment result honouring the `REESE_FORMAT` environment
-/// variable: `csv` emits machine-readable CSV, anything else (or unset)
-/// the human-readable table plus the gap summary.
-pub fn emit(result: &ExperimentResult) {
-    match std::env::var("REESE_FORMAT").as_deref() {
-        Ok("csv") => print!("{}", result.csv()),
-        _ => println!("{result}"),
+    match env_or("REESE_JOBS", 0) {
+        0 => reese_stats::available_jobs(),
+        n => n,
     }
 }
 
-/// The four base machines of Figures 2–5, shared by `fig6`.
+/// The environment variable `name` parsed, or `default` when it is
+/// unset or does not parse.
+fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// The four base machines of Figures 2–5, in order; Figure 6 summarises
+/// all four.
 pub fn paper_machines() -> Vec<(&'static str, PipelineConfig)> {
     vec![
         ("None (Table 1 starting config)", PipelineConfig::starting()),
