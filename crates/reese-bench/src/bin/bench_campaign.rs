@@ -18,6 +18,26 @@
 //! replay/full ratio carries a seed value like the kernels', so the
 //! guard fails if Replay stops forking.
 //!
+//! A replay/full ratio is host-independent but not code-independent.
+//! The Full arm fast-forwards every trial from instruction 0 to its
+//! anchor with the functional emulator, while the Replay arm is mostly
+//! detailed simulation (the clean passes and the forks). So the ratio
+//! moves with the fast-forward's speed relative to the detailed core:
+//! a faster emulator lowers it, and a faster detailed core raises it.
+//! Neither changes what Replay saves. Page-granular main memory (one
+//! page lookup per access instead of one per byte, DESIGN.md §5) shows
+//! the size of the effect on the database-dense cell, in `--samples 2`
+//! runs on a 2-core host:
+//!
+//! - byte-wise memory, one `Vec` per completion-wheel bucket: 5.70–5.79;
+//! - page-granular memory alone: 4.21;
+//! - flat completion wheels alone: 6.29;
+//! - both: 4.50–4.62 in ten runs, one below the cell's floor of 4.505.
+//!
+//! A cell that falls below its floor after such a change has not
+//! necessarily regressed: time `checkpoints_at` and a clean detailed
+//! run on both builds before reading it as one.
+//!
 //! A critical-path row pairs a two-worker campaign with the clean
 //! whole-program run it overlaps, on the same kernel: their time ratio
 //! says how far the campaign ends after its clean run, so the guard

@@ -109,6 +109,7 @@ impl Instr {
     }
 
     /// Destination register if the opcode writes one and it is not `x0`.
+    #[inline]
     pub fn dest(&self) -> Option<Reg> {
         if self.op.writes_rd() && !self.rd.is_zero() {
             Some(self.rd)
@@ -118,6 +119,7 @@ impl Instr {
     }
 
     /// Source registers actually read by this instruction.
+    #[inline]
     pub fn sources(&self) -> impl Iterator<Item = Reg> {
         let s1 = if self.op.reads_rs1() {
             Some(self.rs1)

@@ -347,6 +347,7 @@ impl Opcode {
     }
 
     /// Whether the opcode writes a destination register.
+    #[inline]
     pub const fn writes_rd(self) -> bool {
         use Opcode::*;
         !matches!(
@@ -370,12 +371,14 @@ impl Opcode {
     }
 
     /// Whether the opcode reads `rs1`.
+    #[inline]
     pub const fn reads_rs1(self) -> bool {
         use Opcode::*;
         !matches!(self, Li | Jal | Nop | Auipc | Ebreak)
     }
 
     /// Whether the opcode reads `rs2`.
+    #[inline]
     pub const fn reads_rs2(self) -> bool {
         use Opcode::*;
         matches!(

@@ -10,13 +10,26 @@
 //! scan. Event horizons here are tiny — a completion is never scheduled
 //! further out than the worst-case memory latency — so a ring of
 //! per-cycle buckets indexed by `cycle mod ring_size` makes push an
-//! array append and the per-cycle drain a one-slot inspection.
+//! array store and the per-cycle drain a one-slot inspection.
 //!
 //! Draining advances a cursor; all live events sit in the half-open
 //! window `[cursor, cursor + ring_size)`, so each bucket holds events
-//! of exactly one cycle and the ring never needs tombstones. If a push
-//! ever outruns the horizon the ring doubles (a handful of times per
-//! process at most, driven by configured latencies, not by load).
+//! of exactly one cycle and the ring never needs tombstones.
+//!
+//! # Flat buckets
+//!
+//! Every bucket is a fixed-size run of one flat `Vec<Seq>` (bucket `s`
+//! is `events[s * width ..][.. lens[s]]`), so a push or a drain never
+//! allocates, and neither does a clone's first lap. That matters
+//! because a fault-injection fork clones the whole core off its
+//! window's clean pass: a `Vec<Vec<Seq>>` clone keeps no capacity for
+//! its empty buckets, so each fork would re-allocate up to one bucket
+//! per cycle of its ring. The wheel is re-laid out (see
+//! [`EventWheel::relayout`]) only when a push outruns the ring, which
+//! doubles the slot count, or fills its bucket, which doubles every
+//! bucket's width — both a handful of times per process at most,
+//! driven by configured latencies and issue widths, not by load — and
+//! a clone inherits the layout.
 //!
 //! # Over-span scheduling audit
 //!
@@ -27,12 +40,12 @@
 //! guard is the grow loop in [`EventWheel::push`]: it runs *before*
 //! the slot index is computed and doubles the ring until
 //! `cycle - cursor < ring_size`, restoring the one-cycle-per-bucket
-//! invariant. [`EventWheel::grow`] preserves it for the events already
-//! resident: every live cycle lies in `[cursor, cursor + old_size)`,
-//! and re-homing bucket `(cursor + d) & old_mask` to
+//! invariant. [`EventWheel::relayout`] preserves it for the events
+//! already resident: every live cycle lies in `[cursor, cursor +
+//! old_size)`, and re-homing bucket `(cursor + d) & old_mask` to
 //! `(cursor + d) & new_mask` for `d in 0..old_size` maps distinct live
-//! cycles to distinct new slots (the window is shorter than the new
-//! ring) while freshly-created slots start empty. The drain and
+//! cycles to distinct new slots (the window is no longer than the new
+//! ring) while every other slot starts empty. The drain and
 //! [`EventWheel::next_cycle`] walk cycle-by-cycle from
 //! `cursor.max(hint)`, so they can neither resurrect a drained bucket
 //! nor skip a due one. The alias regression is pinned by
@@ -47,17 +60,25 @@ use crate::Seq;
 /// stays cheap.
 const INITIAL_SLOTS: usize = 256;
 
+/// Initial bucket width, as a power of two: four events may complete
+/// in one cycle before the buckets widen.
+const INITIAL_WIDTH_SHIFT: u32 = 2;
+
 /// A set of `(cycle, seq)` completion events, drained in ascending
 /// `(cycle, seq)` order, valid while every scheduled cycle is at or
 /// after the last drained cycle.
 #[derive(Debug, Clone)]
 pub struct EventWheel {
-    /// One bucket per cycle in the live window; within a bucket, seqs
-    /// are unordered until the drain sorts them.
-    slots: Vec<Vec<Seq>>,
+    /// One bucket of `1 << shift` seqs per cycle in the live window;
+    /// within a bucket, seqs are unordered until the drain sorts them.
+    events: Vec<Seq>,
+    /// Occupied length of each bucket.
+    lens: Vec<u32>,
     mask: u64,
+    /// Log2 of the bucket width.
+    shift: u32,
     len: usize,
-    /// All live events lie in `[cursor, cursor + slots.len())`.
+    /// All live events lie in `[cursor, cursor + lens.len())`.
     cursor: u64,
     /// Lower bound on the earliest live event's cycle (exact after
     /// [`EventWheel::next_cycle`] finds one). Lets the drain and the
@@ -75,8 +96,10 @@ impl EventWheel {
     /// Creates an empty wheel.
     pub fn new() -> EventWheel {
         EventWheel {
-            slots: vec![Vec::new(); INITIAL_SLOTS],
+            events: vec![0; INITIAL_SLOTS << INITIAL_WIDTH_SHIFT],
+            lens: vec![0; INITIAL_SLOTS],
             mask: (INITIAL_SLOTS - 1) as u64,
+            shift: INITIAL_WIDTH_SHIFT,
             len: 0,
             cursor: 0,
             hint: 0,
@@ -101,29 +124,43 @@ impl EventWheel {
     /// drained — events never fire in the past.
     pub fn push(&mut self, cycle: u64, seq: Seq) {
         assert!(cycle >= self.cursor, "event scheduled in a drained cycle");
-        while cycle - self.cursor >= self.slots.len() as u64 {
-            self.grow();
+        while cycle - self.cursor >= self.lens.len() as u64 {
+            self.relayout(self.lens.len() * 2, self.shift);
         }
-        self.slots[(cycle & self.mask) as usize].push(seq);
+        let slot = (cycle & self.mask) as usize;
+        let n = self.lens[slot] as usize;
+        if n == 1 << self.shift {
+            self.relayout(self.lens.len(), self.shift + 1);
+        }
+        self.events[(slot << self.shift) + n] = seq;
+        self.lens[slot] += 1;
         self.len += 1;
         if cycle < self.hint {
             self.hint = cycle;
         }
     }
 
-    /// Doubles the ring, re-homing each live bucket to its new index.
-    fn grow(&mut self) {
-        let old_mask = self.mask;
-        let old_size = self.slots.len();
-        let mut old = std::mem::replace(&mut self.slots, vec![Vec::new(); old_size * 2]);
-        self.mask = (old_size * 2 - 1) as u64;
-        for d in 0..old_size as u64 {
-            let cycle = self.cursor + d;
-            let bucket = std::mem::take(&mut old[(cycle & old_mask) as usize]);
-            if !bucket.is_empty() {
-                self.slots[(cycle & self.mask) as usize] = bucket;
+    /// Re-lays the wheel out as `slots` buckets of `1 << shift` seqs,
+    /// moving each live bucket to its cycle's new index.
+    #[cold]
+    fn relayout(&mut self, slots: usize, shift: u32) {
+        let mut events = vec![0; slots << shift];
+        let mut lens = vec![0; slots];
+        let mask = (slots - 1) as u64;
+        for d in 0..self.lens.len() as u64 {
+            let cycle = self.cursor.wrapping_add(d);
+            let from = (cycle & self.mask) as usize;
+            let n = self.lens[from] as usize;
+            if n != 0 {
+                let to = (cycle & mask) as usize;
+                events[to << shift..][..n].copy_from_slice(&self.events[from << self.shift..][..n]);
+                lens[to] = n as u32;
             }
         }
+        self.events = events;
+        self.lens = lens;
+        self.mask = mask;
+        self.shift = shift;
     }
 
     /// Appends every event due at or before `now` to `out` (cleared
@@ -134,11 +171,21 @@ impl EventWheel {
         if self.len != 0 {
             let mut cycle = self.cursor.max(self.hint);
             while cycle <= now && self.len != 0 {
-                let bucket = &mut self.slots[(cycle & self.mask) as usize];
-                if !bucket.is_empty() {
-                    bucket.sort_unstable();
-                    self.len -= bucket.len();
-                    out.append(bucket);
+                let slot = (cycle & self.mask) as usize;
+                let n = self.lens[slot] as usize;
+                if n != 0 {
+                    let bucket = &self.events[slot << self.shift..][..n];
+                    // Most due cycles hold one event; copying and
+                    // sorting it costs a clean REESE run about 1%.
+                    if n == 1 {
+                        out.push(bucket[0]);
+                    } else {
+                        let start = out.len();
+                        out.extend_from_slice(bucket);
+                        out[start..].sort_unstable();
+                    }
+                    self.lens[slot] = 0;
+                    self.len -= n;
                 }
                 cycle += 1;
             }
@@ -154,7 +201,7 @@ impl EventWheel {
         }
         let mut cycle = self.cursor.max(self.hint);
         loop {
-            if !self.slots[(cycle & self.mask) as usize].is_empty() {
+            if self.lens[(cycle & self.mask) as usize] != 0 {
                 self.hint = cycle;
                 return Some(cycle);
             }
@@ -166,9 +213,7 @@ impl EventWheel {
     /// the wheel keeps rejecting past cycles after a flush.
     pub fn clear(&mut self) {
         if self.len != 0 {
-            for bucket in &mut self.slots {
-                bucket.clear();
-            }
+            self.lens.fill(0);
             self.len = 0;
         }
         self.hint = self.cursor;
@@ -288,11 +333,19 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         };
+        // Halfway through, the wheel is cloned with events in flight,
+        // as a fault-injection fork clones a core; from then on the
+        // clone takes the same traffic and must drain the same seqs.
         let mut wheel = EventWheel::new();
+        let mut twin: Option<EventWheel> = None;
         let mut heap: BinaryHeap<Reverse<(u64, Seq)>> = BinaryHeap::new();
         let mut now: u64 = 0;
         let mut seq: Seq = 0;
-        for _ in 0..5_000 {
+        for round in 0..5_000 {
+            if round == 2_500 {
+                assert!(!wheel.is_empty(), "the clone must carry live events");
+                twin = Some(wheel.clone());
+            }
             for _ in 0..next() % 4 {
                 let latency = if next() % 64 == 0 {
                     INITIAL_SLOTS as u64 + 1 + next() % 1000
@@ -300,10 +353,14 @@ mod tests {
                     1 + next() % 120
                 };
                 wheel.push(now + latency, seq);
+                if let Some(twin) = &mut twin {
+                    twin.push(now + latency, seq);
+                }
                 heap.push(Reverse((now + latency, seq)));
                 seq += 1;
             }
-            assert_eq!(wheel.next_cycle(), heap.peek().map(|&Reverse((c, _))| c));
+            let next_cycle = heap.peek().map(|&Reverse((c, _))| c);
+            assert_eq!(wheel.next_cycle(), next_cycle);
             now += 1 + next() % 8;
             let mut expected = Vec::new();
             while let Some(&Reverse((c, s))) = heap.peek() {
@@ -313,8 +370,36 @@ mod tests {
                 heap.pop();
                 expected.push(s);
             }
+            if let Some(twin) = &mut twin {
+                assert_eq!(twin.next_cycle(), next_cycle);
+                assert_eq!(due(twin, now), expected, "the clone diverged");
+                assert_eq!(twin.len(), heap.len());
+            }
             assert_eq!(due(&mut wheel, now), expected);
             assert_eq!(wheel.len(), heap.len());
+        }
+    }
+
+    #[test]
+    fn a_full_bucket_widens_without_losing_or_reordering_events() {
+        // More events complete in one cycle than a bucket holds, with
+        // neighbouring cycles occupied, before and after a clone.
+        let width = 1u64 << INITIAL_WIDTH_SHIFT;
+        let mut w = EventWheel::new();
+        w.push(5, 100);
+        w.push(7, 101);
+        for seq in (0..3 * width).rev() {
+            w.push(6, seq);
+        }
+        let mut c = w.clone();
+        for w in [&mut w, &mut c] {
+            w.push(6, 3 * width);
+            assert_eq!(w.len(), 3 * width as usize + 3);
+            assert_eq!(due(w, 5), vec![100]);
+            assert_eq!(w.next_cycle(), Some(6));
+            assert_eq!(due(w, 6), (0..=3 * width).collect::<Vec<_>>());
+            assert_eq!(due(w, 7), vec![101]);
+            assert!(w.is_empty());
         }
     }
 }
