@@ -744,7 +744,7 @@ impl Campaign {
                         log: None,
                     };
                     scheme
-                        .run_window_trials(program, &ck, w.budget, &group, observers)
+                        .run_window_trials(program, Some(&ck), w.budget, &group, observers)
                         .map(|w| {
                             screened += w.screened;
                             w.trials

@@ -133,7 +133,7 @@ pub(crate) fn boundary_count(dynamic_len: u64, every: u64) -> usize {
 /// stream loop forever). A campaign or log is rejected when the window
 /// anchored at instruction 0 (`tail` = the dynamic length) has none,
 /// which bounds every other window's.
-pub(crate) fn window_ceiling(tail: u64, every: u64) -> Option<u64> {
+pub fn window_ceiling(tail: u64, every: u64) -> Option<u64> {
     tail.checked_add(every).filter(|&c| c < u64::MAX)
 }
 

@@ -260,7 +260,7 @@ pub fn explain_trial(
     let key = [(rec.class, rec.seq, rec.bit)];
     let fail = |message| CampaignError::Trial { trial, message };
     let mut w = backend
-        .run_window_trials(program, &ck, window.budget, &key, observers)
+        .run_window_trials(program, Some(&ck), window.budget, &key, observers)
         .map_err(fail)?;
     let (rerun, fork) = w.trials.pop().expect("one key, one trial").map_err(fail)?;
     let clean_log = w.observers.log.expect("the clean pass is logged");

@@ -41,7 +41,7 @@ mod stream;
 pub mod telemetry;
 
 pub use campaign::{Campaign, CampaignError};
-pub use engine::{TrialEngine, WindowBaseline, DEFAULT_CKPT_EVERY};
+pub use engine::{window_ceiling, TrialEngine, WindowBaseline, DEFAULT_CKPT_EVERY};
 pub use forensics::{explain_trial, Explanation, TrialRef};
 pub use model::{FaultClass, FaultMix};
 pub use report::{CoverageReport, TrialOutcome, LATENCY_HISTOGRAM_CAP};

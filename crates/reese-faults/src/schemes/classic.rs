@@ -17,8 +17,8 @@
 use super::observe::CommitProbe;
 use super::screen::{screen, Screened};
 use super::{
-    judged, DetectionScheme, Faulted, Observers, Pending, SchemeRun, Scored, Trial, WindowObserver,
-    WindowTrials,
+    judged, DetectionScheme, Faulted, Observers, Pending, SchemeRun, SchemeStats, Scored, Split,
+    Trial, WindowObserver, WindowTrials,
 };
 use crate::{FaultClass, TrialOutcome};
 use reese_ckpt::{Checkpoint, Scheme};
@@ -28,14 +28,18 @@ use reese_isa::Program;
 use reese_pipeline::{PipelineSim, RunSpec, SimResult};
 use reese_trace::{NoopObserver, Pair};
 
-/// The fault-free run of an anchored window: restore from `ck` and
-/// stop once `budget` instructions commit.
+/// The fault-free run of a window: `budget` commits from `from`'s
+/// restored state and warm caches, or from the program start.
 fn window_spec<'a, F: Default>(
     program: &Program,
-    ck: &'a Checkpoint,
+    from: Option<&'a Checkpoint>,
     budget: u64,
 ) -> RunSpec<'a, F> {
-    RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget)
+    match from {
+        Some(ck) => RunSpec::restored(ck.restore(program), ck.warm.as_ref()),
+        None => RunSpec::new(program),
+    }
+    .limit(budget)
 }
 
 /// A faulted window on the plain pipeline: `emu` already carries the
@@ -55,32 +59,35 @@ pub(super) fn probed_window(
     .map_err(|e| e.to_string())
 }
 
+/// A forked window's clean run and statistics, probe and observer, and
+/// its keys' pending verdicts and how many were screened.
+pub(super) type Forked<O> = (SchemeRun, SchemeStats, CommitProbe, O, Pending<O>, usize);
+
 /// One detailed pass over a window on the plain pipeline — the way the
 /// single-stream schemes (baseline, MEEK, SWIFT) all run their windows.
-/// The functional screen goes first ([`screen`]): the clean run under
-/// `obs`, the scheme's commit probe paired with the window's observer,
-/// the probe also watching the screened keys' seqs; plus one fork per
-/// key the screen leaves, with its architectural fault armed, each
-/// starting from copies of both at its fork point, its probe watching
-/// the key's seq. `score(key, run, probe)` reduces each fork
-/// as soon as it finishes, and each screened key against the clean run
-/// and probe once the pass ends: its fork would have repeated the clean
-/// pass, probe and observers included, with the faulted register
-/// digest if it reached the halt. Returns the clean run, its probe and
-/// observer, the keys' pending verdicts, and how many were screened.
+/// The functional screen goes first ([`screen`]): the clean run from
+/// `from` under `obs`, the scheme's commit probe paired with the
+/// window's observer, the probe also watching the screened keys' seqs;
+/// plus one fork per key the screen leaves, with its architectural
+/// fault armed, each starting from copies of both at its fork point,
+/// its probe watching the key's seq. `score(key, run, probe)` reduces
+/// each fork as soon as it finishes, and each screened key against the
+/// clean run and probe once the pass ends: its fork would have repeated
+/// the clean pass, probe and observers included, with the faulted
+/// register digest if it reached the halt.
 pub(super) fn forked_window<O: WindowObserver>(
     sim: &PipelineSim,
     program: &Program,
-    ck: &Checkpoint,
+    from: Option<&Checkpoint>,
     budget: u64,
     keys: &[(FaultClass, u64, u8)],
     mut obs: Pair<CommitProbe, O>,
     score: impl Fn((FaultClass, u64, u8), &SchemeRun, &CommitProbe) -> Scored,
-) -> Result<(SchemeRun, CommitProbe, O, Pending<O>, usize), String> {
-    let start = ck.restore(program);
+) -> Result<Forked<O>, String> {
+    let spec = window_spec(program, from, budget);
     let targets: Vec<(u64, u8)> = keys.iter().map(|&(_, seq, bit)| (seq, bit)).collect();
     let lookahead = sim.config().fetch_lookahead();
-    let screened = screen(&start, budget, lookahead, &targets);
+    let screened = screen(&spec.emulator, budget, lookahead, &targets);
     let forks: Vec<usize> = (0..keys.len())
         .filter(|&i| screened[i] == Screened::Fork)
         .collect();
@@ -91,7 +98,6 @@ pub(super) fn forked_window<O: WindowObserver>(
         }
     }
     let mut scored: Pending<O> = vec![None; keys.len()];
-    let spec = RunSpec::restored(start, ck.warm.as_ref()).limit(budget);
     let clean = sim
         .simulate_forked(
             spec,
@@ -108,7 +114,7 @@ pub(super) fn forked_window<O: WindowObserver>(
         )
         .map_err(|e| e.to_string())?;
     let Pair(probe, obs) = obs;
-    let clean = SchemeRun::from(clean);
+    let (clean, stats) = clean.split();
     for (i, s) in screened.iter().enumerate() {
         let Screened::Clean { halt_digest } = *s else {
             continue;
@@ -119,8 +125,8 @@ pub(super) fn forked_window<O: WindowObserver>(
         };
         scored[i] = Some(Ok((score(keys[i], &run, &probe), obs.clone())));
     }
-    let screened = keys.len() - forks.len();
-    Ok((clean, probe, obs, scored, screened))
+    let stats = SchemeStats::Pipeline(Box::new(stats));
+    Ok((clean, stats, probe, obs, scored, keys.len() - forks.len()))
 }
 
 /// Scores a single-stream machine's window where nothing checks the
@@ -198,7 +204,9 @@ fn redundant_window<O: WindowObserver, E: std::fmt::Display>(
         );
     })
     .map_err(|e| e.to_string())?;
-    Ok(judged(SchemeRun::from(clean), obs, scored, 0))
+    let (clean, stats) = clean.split();
+    let stats = SchemeStats::Reese(Box::new(stats));
+    Ok(judged(clean, stats, obs, scored, 0))
 }
 
 /// The fault a redundant machine latches for a trial key: primary or
@@ -255,16 +263,16 @@ impl DetectionScheme for BaselineScheme {
     fn run_window_trials(
         &self,
         program: &Program,
-        ck: &Checkpoint,
+        from: Option<&Checkpoint>,
         budget: u64,
         keys: &[(FaultClass, u64, u8)],
         observers: Observers,
     ) -> Result<WindowTrials, String> {
         with_observers!(observers.tracer, observers.log, |obs| {
             let obs = Pair(CommitProbe::new(), obs);
-            let (clean, _, obs, scored, screened) =
-                forked_window(&self.sim, program, ck, budget, keys, obs, score_unchecked)?;
-            Ok(judged(clean, obs, scored, screened))
+            let (clean, stats, _, obs, scored, screened) =
+                forked_window(&self.sim, program, from, budget, keys, obs, score_unchecked)?;
+            Ok(judged(clean, stats, obs, scored, screened))
         })
     }
 }
@@ -312,14 +320,14 @@ impl DetectionScheme for ReeseScheme {
     fn run_window_trials(
         &self,
         program: &Program,
-        ck: &Checkpoint,
+        from: Option<&Checkpoint>,
         budget: u64,
         keys: &[(FaultClass, u64, u8)],
         observers: Observers,
     ) -> Result<WindowTrials, String> {
         with_observers!(observers.tracer, observers.log, |obs| {
             redundant_window(keys, obs, |faults, obs, each| {
-                let spec = window_spec(program, ck, budget);
+                let spec = window_spec(program, from, budget);
                 self.sim.simulate_forked(spec, faults, obs, each)
             })
         })
@@ -369,14 +377,14 @@ impl DetectionScheme for DuplexScheme {
     fn run_window_trials(
         &self,
         program: &Program,
-        ck: &Checkpoint,
+        from: Option<&Checkpoint>,
         budget: u64,
         keys: &[(FaultClass, u64, u8)],
         observers: Observers,
     ) -> Result<WindowTrials, String> {
         with_observers!(observers.tracer, observers.log, |obs| {
             redundant_window(keys, obs, |faults, obs, each| {
-                let spec = window_spec(program, ck, budget);
+                let spec = window_spec(program, from, budget);
                 self.sim.simulate_forked(spec, faults, obs, each)
             })
         })

@@ -187,10 +187,12 @@ impl MeekScheme {
     /// clean pass is the window baseline, in core cycles: trial
     /// recovery cost is charged explicitly from the checker model, and
     /// mixing the drain tail into the reference would double-count it.
+    /// From the program start the clean run reported is the whole run,
+    /// over when its last commit is checked, as in `run_limit`.
     fn window_trials<O: WindowObserver>(
         &self,
         program: &Program,
-        ck: &Checkpoint,
+        from: Option<&Checkpoint>,
         budget: u64,
         keys: &[(FaultClass, u64, u8)],
         obs: O,
@@ -210,8 +212,8 @@ impl MeekScheme {
         }
         let score = |key, r: &SchemeRun, probe: &CommitProbe| self.score(program, key, r, probe);
         let obs = Pair(probe, obs);
-        let (clean, probe, obs, forked, screened) =
-            forked_window(&self.sim, program, ck, budget, &primary, obs, score)?;
+        let (clean, stats, probe, obs, forked, screened) =
+            forked_window(&self.sim, program, from, budget, &primary, obs, score)?;
         // A checker-side upset never touches the main core, so its
         // faulted run — observers included — is the clean run itself.
         let mut forked = forked.into_iter();
@@ -222,7 +224,11 @@ impl MeekScheme {
                 _ => Some(Ok((score(key, &clean, &probe), obs.clone()))),
             })
             .collect();
-        Ok(judged(clean, obs, scored, screened))
+        let mut w = judged(clean, stats, obs, scored, screened);
+        if from.is_none() {
+            w.clean.cycles = w.clean.cycles.max(probe.verified_end());
+        }
+        Ok(w)
     }
 }
 
@@ -261,13 +267,13 @@ impl DetectionScheme for MeekScheme {
     fn run_window_trials(
         &self,
         program: &Program,
-        ck: &Checkpoint,
+        from: Option<&Checkpoint>,
         budget: u64,
         keys: &[(FaultClass, u64, u8)],
         observers: Observers,
     ) -> Result<WindowTrials, String> {
         with_observers!(observers.tracer, observers.log, |obs| {
-            self.window_trials(program, ck, budget, keys, obs)
+            self.window_trials(program, from, budget, keys, obs)
         })
     }
 }

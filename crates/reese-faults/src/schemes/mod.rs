@@ -30,9 +30,10 @@
 //!
 //! The trait is deliberately small: a scheme is a way to run a program
 //! clean, plus a way to score faults — one alone from its anchor (the
-//! from-scratch oracle), or every fault of one anchored window in one
-//! detailed pass that forks each faulted run off the clean one. The
-//! clean window alone is that pass with no faults.
+//! from-scratch oracle), or every fault of one window in one detailed
+//! pass that forks each faulted run off the clean one. The clean window
+//! alone is that pass with no faults, and a window may start at the
+//! program start as well as at an anchor.
 //! Window planning, anchor capture, baseline sharing, memoization, and
 //! report assembly all stay in the campaign, shared by every backend.
 
@@ -74,9 +75,9 @@ pub(crate) mod swift;
 use crate::engine::{output_fnv, WindowBaseline};
 use crate::{FaultClass, TrialOutcome};
 use reese_ckpt::{Checkpoint, Scheme};
-use reese_core::{ReeseConfig, ReeseResult};
+use reese_core::{ReeseConfig, ReeseResult, ReeseStats};
 use reese_isa::Program;
-use reese_pipeline::SimResult;
+use reese_pipeline::{PipelineStats, SimResult};
 use reese_trace::{DeepLog, NoopObserver, Observer, Pair, Tracer};
 
 pub use report::{EvalOptions, SchemeRow, SchemesReport};
@@ -100,25 +101,58 @@ pub struct SchemeRun {
 
 impl From<SimResult> for SchemeRun {
     fn from(r: SimResult) -> SchemeRun {
-        SchemeRun {
-            cycles: r.stats.cycles,
-            committed: r.stats.committed,
-            output: r.output,
-            exit_code: r.exit_code,
-            state_digest: r.state_digest,
-        }
+        r.split().0
     }
 }
 
 impl From<ReeseResult> for SchemeRun {
     fn from(r: ReeseResult) -> SchemeRun {
-        SchemeRun {
-            cycles: r.cycles(),
-            committed: r.committed_instructions(),
-            output: r.output,
-            exit_code: r.exit_code,
-            state_digest: r.state_digest,
-        }
+        r.split().0
+    }
+}
+
+/// The statistics of a window's clean pass: the timing core's, and the
+/// redundant stream's on the machines that have one.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SchemeStats {
+    /// Baseline, MEEK and SWIFT: the plain pipeline's.
+    Pipeline(Box<PipelineStats>),
+    /// REESE and duplex: the redundant machine's, pipeline included.
+    Reese(Box<ReeseStats>),
+}
+
+/// A simulator result, moved apart into the scheme-independent run and
+/// its statistics.
+pub(crate) trait Split {
+    type Stats;
+    fn split(self) -> (SchemeRun, Self::Stats);
+}
+
+impl Split for SimResult {
+    type Stats = PipelineStats;
+    fn split(self) -> (SchemeRun, PipelineStats) {
+        let run = SchemeRun {
+            cycles: self.stats.cycles,
+            committed: self.stats.committed,
+            output: self.output,
+            exit_code: self.exit_code,
+            state_digest: self.state_digest,
+        };
+        (run, self.stats)
+    }
+}
+
+impl Split for ReeseResult {
+    type Stats = ReeseStats;
+    fn split(self) -> (SchemeRun, ReeseStats) {
+        let run = SchemeRun {
+            cycles: self.cycles(),
+            committed: self.committed_instructions(),
+            output: self.output,
+            exit_code: self.exit_code,
+            state_digest: self.state_digest,
+        };
+        (run, self.stats)
     }
 }
 
@@ -229,8 +263,11 @@ impl<A: WindowObserver, B: WindowObserver> WindowObserver for Pair<A, B> {
 /// What [`DetectionScheme::run_window_trials`] returns.
 #[derive(Debug, Clone)]
 pub struct WindowTrials {
-    /// The window's clean pass, which is every key's baseline.
+    /// The window's clean pass, which is every key's baseline (but for
+    /// MEEK's checker tail from the program start).
     pub clean: SchemeRun,
+    /// The clean pass's statistics.
+    pub stats: SchemeStats,
     /// The clean pass's observers at the window's end.
     pub observers: Observers,
     /// Per key, in key order: its outcome and its fork's observers, or
@@ -247,11 +284,12 @@ pub struct WindowTrials {
 /// its fork finishes.
 pub(crate) type Pending<O> = Vec<Option<Result<(Scored, O), String>>>;
 
-/// Assembles [`WindowTrials`] from a window's clean run, its observer,
-/// the pending verdicts of its keys in key order, and how many of those
-/// were screened.
+/// Assembles [`WindowTrials`] from a window's clean run and statistics,
+/// its observer, the pending verdicts of its keys in key order, and how
+/// many of those were screened.
 pub(crate) fn judged<O: WindowObserver>(
     clean: SchemeRun,
+    stats: SchemeStats,
     obs: O,
     scored: Pending<O>,
     screened: usize,
@@ -266,6 +304,7 @@ pub(crate) fn judged<O: WindowObserver>(
         .collect();
     WindowTrials {
         clean,
+        stats,
         observers: obs.into_observers(),
         trials,
         screened,
@@ -322,20 +361,22 @@ pub trait DetectionScheme: Send + Sync {
     /// Clean detailed run from program start, stopping at `halt` or
     /// after `max_instructions` commits. The cycle count defines the
     /// scheme's time overhead, so schemes with off-core checking
-    /// account their drain/stall time here.
+    /// account their drain/stall time here. This is the program-start
+    /// [`DetectionScheme::run_window_trials`]' clean run, without its
+    /// observers and statistics: the unobserved fast path.
     fn run_limit(&self, program: &Program, max_instructions: u64) -> Result<SchemeRun, String>;
 
     /// Clean run over an anchored window: restore from `ck`, run until
     /// `budget` instructions commit (or halt). This is
-    /// [`DetectionScheme::run_window_trials`] with no keys and no
-    /// observers.
+    /// [`DetectionScheme::run_window_trials`] from `ck` with no keys and
+    /// no observers.
     fn run_window(
         &self,
         program: &Program,
         ck: &Checkpoint,
         budget: u64,
     ) -> Result<SchemeRun, String> {
-        self.run_window_trials(program, ck, budget, &[], Observers::default())
+        self.run_window_trials(program, Some(ck), budget, &[], Observers::default())
             .map(|w| w.clean)
     }
 
@@ -349,14 +390,18 @@ pub trait DetectionScheme: Send + Sync {
     /// [`TrialEngine::Full`]: crate::TrialEngine::Full
     fn run_trial(&self, trial: Trial<'_>) -> Result<TrialOutcome, String>;
 
-    /// Scores every fault key `(class, seq, bit)` of one anchored window
-    /// in one detailed pass: the clean window from `ck` under `budget`,
-    /// plus one faulted run per key forked from it at the last cycle
-    /// boundary before the key's target can execute (see
+    /// Scores every fault key `(class, seq, bit)` of one window in one
+    /// detailed pass: the clean window from `from` (a restored anchor,
+    /// or the program start when `None`) under `budget`, plus one
+    /// faulted run per key forked from it at the last cycle boundary
+    /// before the key's target can execute (see
     /// [`reese_pipeline::Core::run_forked`]). The clean pass runs under
     /// `observers`, and each fork starts from a clone of the clean
-    /// pass's observers at its fork point. Returns the clean run and
-    /// its observers and, in `keys` order, what
+    /// pass's observers at its fork point. From the program start the
+    /// clean run is [`DetectionScheme::run_limit`]'s, checker tail
+    /// included, while each key is still judged against the core's
+    /// cycles, as from a cold anchor. Returns the clean run, its
+    /// statistics and observers and, in `keys` order, what
     /// [`DetectionScheme::run_trial`] scores for each key against it
     /// with the fork's observers — which hold what `run_trial` under
     /// the same observers records — or that faulted run's failure.
@@ -373,7 +418,7 @@ pub trait DetectionScheme: Send + Sync {
     fn run_window_trials(
         &self,
         program: &Program,
-        ck: &Checkpoint,
+        from: Option<&Checkpoint>,
         budget: u64,
         keys: &[(FaultClass, u64, u8)],
         observers: Observers,
@@ -396,6 +441,47 @@ pub fn build(scheme: Scheme, config: &ReeseConfig) -> Box<dyn DetectionScheme> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_program_start_window_is_run_limit() {
+        // `run_limit` is the unobserved fast path of the window from
+        // the program start: the same clean run on every scheme, under
+        // a budget and to the halt.
+        let config = ReeseConfig::starting();
+        let lisp = reese_workloads::Kernel::Lisp.build(1);
+        for s in Scheme::ALL {
+            let b = build(s, &config);
+            let prepared = b.prepare(&lisp).unwrap();
+            for limit in [5_000, u64::MAX] {
+                let w = b
+                    .run_window_trials(&prepared, None, limit, &[], Observers::default())
+                    .unwrap();
+                assert_eq!(w.clean, b.run_limit(&prepared, limit).unwrap(), "{s}");
+            }
+        }
+        // Six independent adds an iteration commit faster than MEEK's
+        // two checkers check them, so its run ends well after the core's
+        // last commit: the window counts that tail as `run_limit` does.
+        let busy = reese_isa::assemble(
+            "  li t0, 500\nloop: addi t1, t1, 1\n  addi t2, t2, 1\n  addi t3, t3, 1\n  \
+             addi t4, t4, 1\n  addi t5, t5, 1\n  addi t6, t6, 1\n  addi t0, t0, -1\n  \
+             bnez t0, loop\n  halt\n",
+        )
+        .unwrap();
+        let meek = build(Scheme::Meek, &config);
+        let w = meek
+            .run_window_trials(&busy, None, u64::MAX, &[], Observers::default())
+            .unwrap();
+        let SchemeStats::Pipeline(core) = &w.stats else {
+            panic!("MEEK runs the plain pipeline")
+        };
+        assert!(
+            w.clean.cycles > core.cycles + 100,
+            "{} cycles",
+            w.clean.cycles
+        );
+        assert_eq!(w.clean, meek.run_limit(&busy, u64::MAX).unwrap());
+    }
 
     #[test]
     fn every_registered_scheme_builds() {

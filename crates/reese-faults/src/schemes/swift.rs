@@ -461,16 +461,16 @@ impl DetectionScheme for SwiftScheme {
     fn run_window_trials(
         &self,
         program: &Program,
-        ck: &Checkpoint,
+        from: Option<&Checkpoint>,
         budget: u64,
         keys: &[(FaultClass, u64, u8)],
         observers: Observers,
     ) -> Result<WindowTrials, String> {
         with_observers!(observers.tracer, observers.log, |obs| {
             let obs = Pair(CommitProbe::new(), obs);
-            let (clean, _, obs, scored, screened) =
-                forked_window(&self.sim, program, ck, budget, keys, obs, score)?;
-            Ok(judged(clean, obs, scored, screened))
+            let (clean, stats, _, obs, scored, screened) =
+                forked_window(&self.sim, program, from, budget, keys, obs, score)?;
+            Ok(judged(clean, stats, obs, scored, screened))
         })
     }
 }

@@ -259,7 +259,7 @@ pub fn run_sharded(
             (opts.metrics_interval > 0).then(|| Tracer::new().with_interval(opts.metrics_interval));
         let observers = Observers { tracer, log: None };
         let w = backend
-            .run_window_trials(program, &ck, *len, &[], observers)
+            .run_window_trials(program, Some(&ck), *len, &[], observers)
             .map_err(|source| ShardError::Interval { index, source })?;
         Ok::<_, ShardError>((w.clean, w.observers.tracer))
     });
@@ -305,7 +305,7 @@ pub fn run_sharded(
     let monolithic_cycles = if opts.compare_monolithic {
         let ck = decode(&jobs[0].0)?;
         let w = backend
-            .run_window_trials(program, &ck, total, &[], Observers::default())
+            .run_window_trials(program, Some(&ck), total, &[], Observers::default())
             .map_err(ShardError::Monolithic)?;
         Some(w.clean.cycles)
     } else {

@@ -251,7 +251,7 @@ fn forks_observe_what_run_trial_observes() {
                     log: logged.then(DeepLog::new),
                 };
                 let window = backend
-                    .run_window_trials(&prepared, &ck, budget, &keys, observers)
+                    .run_window_trials(&prepared, Some(&ck), budget, &keys, observers)
                     .unwrap();
                 let baseline = WindowBaseline::from(&window.clean);
                 for (&(class, seq, bit), forked) in keys.iter().zip(window.trials) {
@@ -481,7 +481,7 @@ fn screened_keys_score_as_their_forks() {
                 log: Some(DeepLog::new()),
             };
             let window = backend
-                .run_window_trials(prepared, &ck, budget, &keys, observers)
+                .run_window_trials(prepared, Some(&ck), budget, &keys, observers)
                 .unwrap();
             assert_eq!(
                 window.clean.cycles, baseline.cycles,

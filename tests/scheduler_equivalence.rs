@@ -9,7 +9,7 @@
 use reese::ckpt::{checkpoints_at, Checkpoint, Scheme};
 use reese::core::{DuplexSim, Faults, InjectedFault, ReeseConfig, ReeseSim, SchedulerMode};
 use reese::cpu::Emulator;
-use reese::faults::schemes::{self, Observers};
+use reese::faults::schemes::{self, Observers, SchemeStats};
 use reese::faults::{Campaign, FaultMix, SchemeRun};
 use reese::isa::Program;
 use reese::pipeline::{PipelineConfig, PipelineSim, RunSpec};
@@ -233,7 +233,7 @@ fn trait_backends_match_direct_simulators_on_all_kernels() {
                     log: None,
                 };
                 let w = schemes::build(scheme, &cfg)
-                    .run_window_trials(&program, ck, budget, &[], observers)
+                    .run_window_trials(&program, Some(ck), budget, &[], observers)
                     .unwrap();
                 (w.clean, parts(w.observers.tracer.unwrap()))
             };
@@ -277,6 +277,50 @@ fn trait_backends_match_direct_simulators_on_all_kernels() {
                 "{kernel}/{mode:?}: duplex window diverged"
             );
             assert_eq!(observed, parts(t), "{kernel}/{mode:?}: duplex window trace");
+
+            // From the program start, each backend's window is the
+            // direct simulator's run from `RunSpec::new`: the run, its
+            // statistics, and the tracer's ring and metrics.
+            let start = |scheme| {
+                let observers = Observers {
+                    tracer: Some(tracer()),
+                    log: None,
+                };
+                let w = schemes::build(scheme, &cfg)
+                    .run_window_trials(&program, None, budget, &[], observers)
+                    .unwrap();
+                (w.clean, w.stats, parts(w.observers.tracer.unwrap()))
+            };
+            let mut t = tracer();
+            let direct = PipelineSim::new(cfg.pipeline.clone())
+                .simulate(RunSpec::new(&program).limit(budget), &mut t)
+                .unwrap();
+            let stats = SchemeStats::Pipeline(Box::new(direct.stats.clone()));
+            assert_eq!(
+                start(Scheme::Baseline),
+                (SchemeRun::from(direct), stats, parts(t)),
+                "{kernel}/{mode:?}: baseline from the program start"
+            );
+            let mut t = tracer();
+            let direct = ReeseSim::new(cfg.clone())
+                .simulate(RunSpec::new(&program).limit(budget), &mut t)
+                .unwrap();
+            let stats = SchemeStats::Reese(Box::new(direct.stats.clone()));
+            assert_eq!(
+                start(Scheme::Reese),
+                (SchemeRun::from(direct), stats, parts(t)),
+                "{kernel}/{mode:?}: REESE from the program start"
+            );
+            let mut t = tracer();
+            let direct = DuplexSim::new(cfg.pipeline.clone())
+                .simulate(RunSpec::new(&program).limit(budget), &mut t)
+                .unwrap();
+            let stats = SchemeStats::Reese(Box::new(direct.stats.clone()));
+            assert_eq!(
+                start(Scheme::Duplex),
+                (SchemeRun::from(direct), stats, parts(t)),
+                "{kernel}/{mode:?}: duplex from the program start"
+            );
         }
     }
 }
